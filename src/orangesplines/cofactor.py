@@ -168,6 +168,8 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
 @lru_cache(maxsize=None)
 def spline_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
     """dim of the degree-<=d, order-r spline space, by exact nullity."""
+    if r < 0:
+        raise ValueError("smoothness order must be nonnegative")
     if d < 0:
         return 0
     return build_system(complex_, r, d).dimension()

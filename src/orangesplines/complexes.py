@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .exact import solve_linear
+from .exact import _nullspace_of_rows, solve_linear
 
 __all__ = [
     "Point",
@@ -82,79 +82,50 @@ def barycentric_coordinates(
     return particular
 
 
-def _point_in_simplex(point: Point, vertices: Sequence[Point]) -> bool:
-    bc = barycentric_coordinates(point, vertices)
-    return bc is not None and all(c >= 0 for c in bc)
-
-
 def _intersection_within_hull(
     verts_a: Sequence[Point], verts_b: Sequence[Point], common: Sequence[Point]
 ) -> bool:
     """Check conv(verts_a) ∩ conv(verts_b) ⊆ conv(common), exactly.
 
-    Points of the intersection are written as convex combinations from both
-    sides; the combined linear system cuts out a polytope in the coefficient
-    space, every vertex of which is found by brute-force basis enumeration.
-    Each such vertex is then tested for membership in conv(common).
-    """
-    na, nb = len(verts_a), len(verts_b)
-    dim = len(verts_a[0]) if verts_a else 0
-    nvars = na + nb
-    # equality constraints: sum a_i A_i - sum b_j B_j = 0, sum a_i = 1, sum b_j = 1
-    eq_rows: list[list[Fraction]] = []
-    eq_rhs: list[Fraction] = []
-    for c in range(dim):
-        row = [verts_a[i][c] for i in range(na)] + [-verts_b[j][c] for j in range(nb)]
-        eq_rows.append(row)
-        eq_rhs.append(Fraction(0))
-    eq_rows.append([Fraction(1)] * na + [Fraction(0)] * nb)
-    eq_rhs.append(Fraction(1))
-    eq_rows.append([Fraction(0)] * na + [Fraction(1)] * nb)
-    eq_rhs.append(Fraction(1))
+    Precondition: ``verts_a`` and ``verts_b`` are each affinely independent
+    and ``common`` lists the points they share.  Let A' = verts_a ∖ common
+    and B' = verts_b ∖ common.  The intersection leaves conv(common) exactly
+    when the points A' ∪ B' ∪ common carry an affine dependence x with
+    x >= 0 on A', x <= 0 on B' and x != 0 there (the circuit criterion for
+    proper intersection; De Loera, Rambau & Santos, *Triangulations*, 2010).
 
-    sol = solve_linear(eq_rows, eq_rhs)
-    if sol is None:
-        return True  # affine hulls do not meet, intersection empty
-    particular, basis = sol
+    Such an x is N t over a nullspace basis N of [points; 1].  The sign rows
+    G (N on A', -N on B') have full column rank, because a dependence that
+    vanishes on A' ∪ B' lives on the independent set ``common`` and is 0.
+    So the cone {t : G t >= 0} is pointed, and it is nonzero exactly when
+    one of its extreme rays exists: the kernel of f - 1 rows of G, where f
+    is the number of basis vectors, taken with either sign.
+    """
+    shared = set(common)
+    only_a = [p for p in verts_a if p not in shared]
+    only_b = [p for p in verts_b if p not in shared]
+    points = only_a + only_b + list(common)
+    dim = len(points[0])
+    rows: list[dict[int, Fraction]] = [
+        {j: p[c] for j, p in enumerate(points) if p[c]} for c in range(dim)
+    ]
+    rows.append({j: Fraction(1) for j in range(len(points))})
+    basis = _nullspace_of_rows(rows, len(points))
+    signs = [1] * len(only_a) + [-1] * len(only_b)
+    sign_rows = [
+        {t: s * vec[j] for t, vec in enumerate(basis) if j in vec}
+        for j, s in enumerate(signs)
+    ]
     f = len(basis)
     if f == 0:
-        cand = [particular]
-    else:
-        # vertices of {x = particular + B t, x >= 0}: pick f of the nvars
-        # inequality constraints to be active, solve for t, keep feasible
-        cand = []
-        seen: set[tuple[Fraction, ...]] = set()
-        for active in combinations(range(nvars), f):
-            mat = [[basis[t][idx] for t in range(f)] for idx in active]
-            rhs = [-particular[idx] for idx in active]
-            s = solve_linear(mat, rhs)
-            if s is None:
-                continue
-            tpart, tbasis = s
-            if tbasis:
-                continue  # active set does not pin a unique point
-            x = list(particular)
-            for t in range(f):
-                if tpart[t]:
-                    for idx in range(nvars):
-                        x[idx] += basis[t][idx] * tpart[t]
-            key = tuple(x)
-            if key in seen:
-                continue
-            seen.add(key)
-            if all(v >= 0 for v in x):
-                cand.append(x)
-
-    if not cand:
         return True
-    if not common:
-        return False
-    for x in cand:
-        pt = tuple(
-            sum((x[i] * verts_a[i][c] for i in range(na)), Fraction(0))
-            for c in range(dim)
-        )
-        if not _point_in_simplex(pt, common):
+    for active in combinations(sign_rows, f - 1):
+        kernel = _nullspace_of_rows(active, f)
+        if len(kernel) != 1:
+            continue
+        ray = kernel[0]
+        values = [sum(v * ray.get(t, 0) for t, v in row.items()) for row in sign_rows]
+        if all(v >= 0 for v in values) or all(v <= 0 for v in values):
             return False
     return True
 
@@ -217,6 +188,13 @@ class SimplicialComplex:
         intersection condition on every pair of maximal simplices.  Checking
         maximal pairs suffices: any two faces lie inside maximal ones, and
         the intersection condition is inherited by subsets.
+
+        A pair intersects improperly exactly when the vertices of the two
+        faces carry an affine dependence that is nonnegative on the first
+        face's own vertices, nonpositive on the second's and nonzero there;
+        ``_intersection_within_hull`` decides that from one nullspace per
+        pair.  The decision needs affinely independent faces, so affine
+        independence is checked for every face before any pair.
         """
         for v in self.vertices:
             if len(v) != self.ambient_dim:

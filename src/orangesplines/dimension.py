@@ -55,6 +55,8 @@ def orange_dim_formula(
     projected: ProjectedOrange | None = None,
 ) -> int:
     """dim S^r_d of an orange via the reduction to its projected star."""
+    if r < 0:
+        raise ValueError("smoothness order must be nonnegative")
     if profile is None:
         profile = detect_orange(complex_)
     if projected is None:
@@ -79,8 +81,14 @@ class HilbertPrefix:
             raise ValueError("coefficient count does not match dmax")
 
 
+def _check_dmax(dmax: int) -> None:
+    if dmax < 0:
+        raise ValueError(f"dmax must be nonnegative, got {dmax}")
+
+
 def hilbert_prefix(complex_: SimplicialComplex, r: int, dmax: int) -> HilbertPrefix:
     """Spline dimensions in degrees 0..dmax, by the cofactor computation."""
+    _check_dmax(dmax)
     return HilbertPrefix(
         r=r, dmax=dmax, coeffs=tuple(spline_dim(complex_, r, d) for d in range(dmax + 1))
     )
@@ -90,6 +98,7 @@ def orange_hilbert_prefix(
     complex_: SimplicialComplex, r: int, dmax: int
 ) -> HilbertPrefix:
     """Spline dimensions in degrees 0..dmax, by the reduction formula."""
+    _check_dmax(dmax)
     profile = detect_orange(complex_)
     projected = project_orange(complex_, profile)
     coeffs = tuple(
@@ -109,6 +118,7 @@ def verify_hilbert_identity(
     independent consequence of the decomposition.  Returns (ok, residuals)
     where residuals[d] is the degree-d coefficient of LHS - RHS.
     """
+    _check_dmax(dmax)
     profile = detect_orange(complex_)
     projected = project_orange(complex_, profile)
     fiber = profile.k - profile.i

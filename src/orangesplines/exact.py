@@ -302,15 +302,6 @@ class RationalMatrix:
     def sparse_rows(self) -> list[SparseRow]:
         return [dict(row) for row in self.rows]
 
-    def dense_rows(self) -> list[list[Fraction]]:
-        out = []
-        for row in self.rows:
-            dense = [Fraction(0)] * self.ncols
-            for c, v in row:
-                dense[c] = v
-            out.append(dense)
-        return out
-
     def rank(self) -> int:
         return _rank_of_rows(self.sparse_rows())
 

@@ -2,14 +2,12 @@
 
 Each cell computes the closed-form dimension of an orange and the
 brute-force cofactor dimension and records whether they agree.  Cells are
-independent pure computations, so they are dispatched to a thread pool;
-the report is assembled in (r, d) order regardless of completion order.
+computed one after another in (r, d) order.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -55,7 +53,6 @@ def run_sweep(
     complex_: SimplicialComplex,
     r_values: Iterable[int],
     d_values: Iterable[int],
-    max_workers: int | None = None,
 ) -> SweepReport:
     profile = detect_orange(complex_)
     projected = project_orange(complex_, profile)
@@ -71,6 +68,4 @@ def run_sweep(
             elapsed=time.perf_counter() - t0,
         )
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        cells = list(pool.map(cell, grid))
-    return SweepReport(cells=tuple(cells))
+    return SweepReport(cells=tuple(cell(rd) for rd in grid))

@@ -118,6 +118,13 @@ def test_hilbert_identity_exit_code(capsys):
     assert len(data["orange"]) == 5
 
 
+def test_hilbert_negative_dmax_exits_one(capsys):
+    rc, out, err = run(capsys, ["hilbert", "-c", "two-triangle", "--r", "1", "--dmax", "-1"])
+    assert rc == 1
+    assert out == ""
+    assert "dmax" in err
+
+
 def test_project_round_trips_through_the_wire_format(capsys):
     rc, out, _ = run(capsys, ["project", "-c", "two-triangle-skew", "--json"])
     assert rc == 0

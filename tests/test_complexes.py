@@ -3,20 +3,25 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from orangesplines.complexes import (
     EmptyMedialFaceError,
     InvalidComplexError,
     NotPureError,
     SimplicialComplex,
+    _affinely_independent,
+    _intersection_within_hull,
     adjacent_pairs,
     affine_image,
     barycentric_coordinates,
     detect_orange,
 )
 from orangesplines.catalog import CATALOG, get
+from orangesplines.exact import solve_linear
 
 
 def test_catalog_entries_validate_with_expected_profiles():
@@ -86,10 +91,14 @@ def test_touching_interiors_rejected():
 
 
 def test_disjoint_faces_are_fine():
-    cx = SimplicialComplex(1, [[0], [1], [5], [7]], [[0, 1], [2, 3]])
-    cx.validate()
-    with pytest.raises(EmptyMedialFaceError):
-        detect_orange(cx)
+    for cx in (
+        SimplicialComplex(1, [[0], [1], [5], [7]], [[0, 1], [2, 3]]),
+        # the lines through the two segments cross outside both of them
+        SimplicialComplex(2, [[-2, 1], [1, 2], [2, -1], [2, -2]], [[0, 1], [2, 3]]),
+    ):
+        cx.validate()
+        with pytest.raises(EmptyMedialFaceError):
+            detect_orange(cx)
 
 
 def test_impure_complex_rejected_by_detection():
@@ -135,3 +144,82 @@ def test_normalization_sorts_faces_and_vertices_in_faces():
     assert cx.maximal_faces == ((0, 1), (1, 2))
     assert cx.dim == 1
     assert cx.is_pure
+
+
+def _within_hull_by_vertex_enumeration(verts_a, verts_b, common):
+    """Reference for ``_intersection_within_hull`` by brute force.
+
+    Points of the intersection are written as convex combinations from both
+    sides; the combined linear system cuts out a polytope in the coefficient
+    space, every vertex of which is found by basis enumeration and tested
+    for membership in conv(common).
+    """
+    na, nb = len(verts_a), len(verts_b)
+    dim = len(verts_a[0])
+    nvars = na + nb
+    eq_rows = [
+        [verts_a[i][c] for i in range(na)] + [-verts_b[j][c] for j in range(nb)]
+        for c in range(dim)
+    ]
+    eq_rhs = [Fraction(0)] * dim
+    eq_rows.append([Fraction(1)] * na + [Fraction(0)] * nb)
+    eq_rows.append([Fraction(0)] * na + [Fraction(1)] * nb)
+    eq_rhs += [Fraction(1), Fraction(1)]
+    sol = solve_linear(eq_rows, eq_rhs)
+    if sol is None:
+        return True
+    particular, basis = sol
+    f = len(basis)
+    cand = []
+    for active in combinations(range(nvars), f):
+        mat = [[basis[t][idx] for t in range(f)] for idx in active]
+        s = solve_linear(mat, [-particular[idx] for idx in active])
+        if s is None or s[1]:
+            continue
+        x = list(particular)
+        for t in range(f):
+            for idx in range(nvars):
+                x[idx] += basis[t][idx] * s[0][t]
+        if all(v >= 0 for v in x):
+            cand.append(x)
+    if cand and not common:
+        return False
+    for x in cand:
+        pt = tuple(sum(x[i] * verts_a[i][c] for i in range(na)) for c in range(dim))
+        bc = barycentric_coordinates(pt, common)
+        if bc is None or any(c < 0 for c in bc):
+            return False
+    return True
+
+
+@st.composite
+def simplex_pairs(draw):
+    """Two affinely independent simplices with 0..min(k)+1 shared vertices."""
+    dim = draw(st.integers(1, 4))
+    na = draw(st.integers(1, dim + 1))
+    nb = na if draw(st.booleans()) else draw(st.integers(1, dim + 1))
+    shared = draw(st.integers(0, min(na, nb)))
+    n = na + nb - shared
+    coords = st.tuples(*[st.integers(-3, 3)] * dim)
+    points = draw(st.lists(coords, min_size=n, max_size=n, unique=True))
+    points = [tuple(Fraction(c) for c in p) for p in points]
+    common = points[:shared]
+    verts_a = common + points[shared:na]
+    verts_b = common + points[na:]
+    assume(_affinely_independent(verts_a) and _affinely_independent(verts_b))
+    return verts_a, verts_b, common
+
+
+def test_dependence_criterion_matches_vertex_enumeration():
+    outcomes = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(simplex_pairs())
+    def check(pair):
+        expected = _within_hull_by_vertex_enumeration(*pair)
+        assert _intersection_within_hull(*pair) == expected
+        outcomes.append(expected)
+
+    check()
+    # a run in which one outcome never occurs would check nothing
+    assert True in outcomes and False in outcomes

@@ -68,6 +68,21 @@ def test_hilbert_prefix_rejects_wrong_length():
         HilbertPrefix(0, 3, (1, 2))
 
 
+@pytest.mark.parametrize(
+    "prefix", [hilbert_prefix, orange_hilbert_prefix, verify_hilbert_identity]
+)
+def test_negative_dmax_is_rejected(prefix):
+    with pytest.raises(ValueError, match="dmax"):
+        prefix(get("two-triangle").complex, 1, -1)
+
+
+@pytest.mark.parametrize("dimension", [spline_dim, orange_dim_formula])
+@pytest.mark.parametrize("d", [-1, 2])
+def test_negative_smoothness_is_rejected_at_any_degree(dimension, d):
+    with pytest.raises(ValueError, match="smoothness order"):
+        dimension(get("two-triangle").complex, -1, d)
+
+
 def test_hilbert_identity_holds_on_the_catalog():
     for entry in CATALOG:
         for r in range(2):
