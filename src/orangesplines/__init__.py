@@ -35,6 +35,7 @@ from .complexes import (
     NotPureError,
     OrangeProfile,
     SimplicialComplex,
+    UnsupportedOrangeError,
     adjacent_pairs,
     affine_image,
     detect_orange,
@@ -93,6 +94,7 @@ __all__ = [
     "StandardForm",
     "SweepCell",
     "SweepReport",
+    "UnsupportedOrangeError",
     "adapt_coordinates",
     "adjacent_pairs",
     "affine_image",

@@ -388,13 +388,6 @@ class DeterminingSet:
     points: tuple[IdentifiedPoint, ...]
 
 
-def _hub_vertex(complex_: SimplicialComplex) -> int | None:
-    shared = set(complex_.maximal_faces[0])
-    for f in complex_.maximal_faces[1:]:
-        shared &= set(f)
-    return min(shared) if shared else None
-
-
 def _functional_rows(
     complex_: SimplicialComplex,
     basis: list[Spline],
@@ -431,16 +424,14 @@ def _ordered_points(
 ) -> list[IdentifiedPoint]:
     """Domain points ordered by hub distance layer, then coordinates.
 
-    The hub is a vertex common to all maximal faces when one exists (the
-    center of a star); its lattice distance d - alpha_hub grades the points
-    from the hub outward, which makes the greedy selection reproducible.
+    The hub is the lowest-index medial vertex of the orange (the center of
+    a star); its lattice distance d - alpha_hub grades the points from the
+    hub outward, which makes the greedy selection reproducible.
     """
-    hub = _hub_vertex(complex_)
+    hub = detect_orange(complex_).medial[0]
     points = complex_domain_points(complex_, d)
 
     def layer(p: IdentifiedPoint) -> int:
-        if hub is None:
-            return 0
         best = d
         for fidx, alpha in p.occurrences:
             face = complex_.maximal_faces[fidx]
@@ -453,13 +444,17 @@ def _ordered_points(
 
 def compute_mds(complex_: SimplicialComplex, r: int, d: int) -> DeterminingSet:
     """Select domain points until their coefficient functionals reach full
-    rank on the spline space; the result has exactly dim-many points."""
+    rank on the spline space; the result has exactly dim-many points.
+
+    ``complex_`` must be an orange: the selection grows outward from its
+    medial face, and ``detect_orange`` rejects anything else."""
+    ordered = _ordered_points(complex_, d)
     basis = spline_basis(complex_, r, d)
     dim = len(basis)
     bb_cache: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
     tracker = EchelonBasis()
     selected = []
-    for point in _ordered_points(complex_, d):
+    for point in ordered:
         if tracker.rank == dim:
             break
         added = False

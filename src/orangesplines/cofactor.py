@@ -167,7 +167,11 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
 
 @lru_cache(maxsize=None)
 def spline_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
-    """dim of the degree-<=d, order-r spline space, by exact nullity."""
+    """dim of the degree-<=d, order-r spline space, by exact nullity.
+
+    This is the generic facet-adjacency oracle: it accepts any complex,
+    orange or not, and imposes smoothness across shared facets only.
+    """
     if r < 0:
         raise ValueError("smoothness order must be nonnegative")
     if d < 0:

@@ -25,6 +25,7 @@ __all__ = [
     "InvalidComplexError",
     "NotPureError",
     "EmptyMedialFaceError",
+    "UnsupportedOrangeError",
     "detect_orange",
     "adjacent_pairs",
     "affine_image",
@@ -44,6 +45,12 @@ class NotPureError(ValueError):
 
 class EmptyMedialFaceError(ValueError):
     """The maximal faces have no common vertex, so no medial face exists."""
+
+
+class UnsupportedOrangeError(ValueError):
+    """The complex has a medial face but lies outside the supported domain:
+    its maximal faces are not all connected through shared facets, or their
+    dimension differs from the ambient dimension."""
 
 
 def _as_point(coords: Iterable[Fraction | int]) -> Point:
@@ -266,6 +273,11 @@ def detect_orange(complex_: SimplicialComplex) -> OrangeProfile:
 
     The medial face is the intersection of all maximal vertex sets; the
     defining property makes it unique, so set intersection recovers it.
+    Supported oranges are full-dimensional (k equals the ambient dimension)
+    and connected through shared facets; anything else with a medial face
+    raises UnsupportedOrangeError.  Smoothness is imposed across facets
+    only, so on a complex whose faces meet in lower-dimensional faces the
+    dimension formula and the determining sets do not apply.
     """
     if not complex_.is_pure:
         raise NotPureError("maximal faces have differing dimensions")
@@ -275,6 +287,21 @@ def detect_orange(complex_: SimplicialComplex) -> OrangeProfile:
         shared &= set(f)
     if not shared:
         raise EmptyMedialFaceError("maximal faces share no common vertex")
+    if k != complex_.ambient_dim:
+        raise UnsupportedOrangeError(
+            f"faces have dimension {k}, ambient dimension is {complex_.ambient_dim}"
+        )
+    reached = {0}
+    pairs = adjacent_pairs(complex_)
+    grew = True
+    while grew:
+        grew = False
+        for s, t in pairs:
+            if (s in reached) != (t in reached):
+                reached.update((s, t))
+                grew = True
+    if len(reached) != len(complex_.maximal_faces):
+        raise UnsupportedOrangeError("maximal faces are not connected through shared facets")
     medial = tuple(sorted(shared))
     i = k - (len(medial) - 1)
     return OrangeProfile(k=k, i=i, medial=medial, n=len(complex_.maximal_faces))

@@ -2,9 +2,14 @@
 
 Everything downstream (geometry, cofactor systems, Bernstein bases) runs on
 ``fractions.Fraction``; nothing in this package touches floating point.
-Ranks are computed by integer elimination after clearing denominators per
-row, with gcd content stripping to bound coefficient growth, so results are
-exact regardless of conditioning.
+
+All elimination goes through one fraction-free kernel: rows are cleared of
+denominators and stripped of gcd content, and ``_reduce`` cancels a row's
+lowest column against the pivot stored there until the row vanishes or
+becomes a new pivot.  Rank is the size of the echelon form, the RREF
+(behind nullspaces, ``solve_linear`` and ``invert_matrix``) back-substitutes
+through the same update step, and ``EchelonBasis`` is ``_reduce`` on its own.
+Results are exact regardless of conditioning.
 """
 
 from __future__ import annotations
@@ -20,9 +25,6 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "RationalMatrix",
-    "rank",
-    "nullity",
-    "nullspace",
     "solve_linear",
     "invert_matrix",
     "EchelonBasis",
@@ -66,31 +68,14 @@ def format_rational(q: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# sparse elimination kernels
+# the fraction-free elimination kernel
 # ---------------------------------------------------------------------------
 
 SparseRow = dict[int, Fraction]
+IntRow = dict[int, int]
 
 
-def _integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
-    """Clear denominators and strip gcd content; {} for a zero row."""
-    if not row:
-        return {}
-    den = 1
-    for v in row.values():
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    out = {c: int(v.numerator * (den // v.denominator)) for c, v in row.items() if v}
-    if not out:
-        return {}
-    g = 0
-    for v in out.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return out
-    return {c: v // g for c, v in out.items()}
-
-
-def _strip_content(row: dict[int, int]) -> dict[int, int]:
+def _strip_content(row: IntRow) -> IntRow:
     g = 0
     for v in row.values():
         g = math.gcd(g, v)
@@ -101,139 +86,81 @@ def _strip_content(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _components(rows: list[dict[int, int]]) -> list[list[dict[int, int]]]:
-    """Split rows into connected components of the row/column bipartite graph.
+def _integer_row(row: Mapping[int, Fraction]) -> IntRow:
+    """Clear denominators and strip gcd content; {} for a zero row."""
+    den = 1
+    for v in row.values():
+        den = den * v.denominator // math.gcd(den, v.denominator)
+    return _strip_content(
+        {c: int(v.numerator * (den // v.denominator)) for c, v in row.items() if v}
+    )
 
-    Elimination never mixes rows from different components, so splitting up
-    front keeps pivot searches local (the cofactor systems assembled later
-    decouple into many small blocks without the caller knowing why).
+
+def _eliminate(row: IntRow, col: int, pivot: IntRow) -> IntRow:
+    """Cancel ``row[col]`` against ``pivot`` (nonzero at ``col``).
+
+    The update step of the kernel: cross-multiply by the two entries (over
+    their gcd), subtract, then strip content, so every stored integer stays
+    near the size of the minors involved (Bareiss, Math. Comp. 22, 1968).
     """
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for row in rows:
-        cols = iter(row)
-        first = next(cols)
-        parent.setdefault(first, first)
-        for c in cols:
-            parent.setdefault(c, c)
-            union(first, c)
-
-    groups: dict[int, list[dict[int, int]]] = {}
-    for row in rows:
-        root = find(next(iter(row)))
-        groups.setdefault(root, []).append(row)
-    return [groups[r] for r in sorted(groups)]
+    g = math.gcd(row[col], pivot[col])
+    a, p = row[col] // g, pivot[col] // g
+    out = {c: p * v for c, v in row.items() if c != col}
+    for c, v in pivot.items():
+        if c == col:
+            continue
+        w = out.get(c, 0) - a * v
+        if w:
+            out[c] = w
+        else:
+            out.pop(c, None)
+    return _strip_content(out)
 
 
-def _eliminate_component(rows: list[dict[int, int]]) -> int:
-    """Rank of one component by fraction-free elimination.
+def _reduce(row: IntRow, pivots: dict[int, IntRow]) -> bool:
+    """Reduce ``row`` against ``pivots`` (keyed by their lowest column).
 
-    Pivots are chosen Markowitz-style (least fill estimate, deterministic
-    ties) and every update row is cross-multiplied then content-stripped,
-    which keeps intermediate integers near the size of the minors involved.
+    A row that does not vanish is kept as a new pivot at its lowest column;
+    returns whether it was kept.  Updates only ever touch columns at or
+    beyond the pivot's, so rows in independent blocks never interact.
     """
-    work = rows
-    rk = 0
-    while work:
-        counts: dict[int, int] = {}
-        for row in work:
-            for c in row:
-                counts[c] = counts.get(c, 0) + 1
-        best_key = None
-        best = (0, 0)
-        for ri, row in enumerate(work):
-            fill = len(row) - 1
-            for c in row:
-                key = (fill * (counts[c] - 1), c, ri)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (ri, c)
-        pi, pc = best
-        pivot = work.pop(pi)
-        pv = pivot[pc]
-        rk += 1
-        updated: list[dict[int, int]] = []
-        for row in work:
-            if pc not in row:
-                updated.append(row)
-                continue
-            a = row.pop(pc)
-            new = {c: pv * v for c, v in row.items()}
-            for c, v in pivot.items():
-                if c == pc:
-                    continue
-                w = new.get(c, 0) - a * v
-                if w:
-                    new[c] = w
-                elif c in new:
-                    del new[c]
-            if new:
-                updated.append(_strip_content(new))
-        work = updated
-    return rk
+    while row:
+        c = min(row)
+        if c not in pivots:
+            pivots[c] = row
+            return True
+        row = _eliminate(row, c, pivots[c])
+    return False
 
 
-def _rank_of_rows(rows: Iterable[Mapping[int, Fraction]]) -> int:
-    int_rows = [r for r in (_integer_row(row) for row in rows) if r]
-    if not int_rows:
-        return 0
-    return sum(_eliminate_component(comp) for comp in _components(int_rows))
+def _echelon(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, IntRow]:
+    """Integer echelon form, {lowest column: row}.
+
+    Rows go in sparsest first (a stable sort by nonzero count): short
+    pivots keep fill and coefficient growth down on the cofactor systems.
+    """
+    pivots: dict[int, IntRow] = {}
+    for row in sorted((_integer_row(r) for r in rows), key=len):
+        _reduce(row, pivots)
+    return pivots
 
 
 def _rref(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, SparseRow]:
     """Reduced row echelon form, returned as {pivot column: row}.
 
-    Each stored row is normalized (pivot entry 1) and fully reduced, so the
-    result is the canonical RREF regardless of input row order.
+    Back-substitution runs on integers through the same update step, from
+    the last pivot up; rows are normalized (pivot entry 1) only at the end.
+    The result is the canonical RREF regardless of input row order.
     """
-    pivots: dict[int, SparseRow] = {}
-    for row in rows:
-        r = {c: v for c, v in row.items() if v}
-        while r:
-            c = min(r)
-            if c in pivots:
-                f = r.pop(c)
-                for cc, vv in pivots[c].items():
-                    if cc == c:
-                        continue
-                    w = r.get(cc, 0) - f * vv
-                    if w:
-                        r[cc] = w
-                    elif cc in r:
-                        del r[cc]
-            else:
-                inv = r[c]
-                pivots[c] = {cc: vv / inv for cc, vv in r.items()}
-                break
-    for p in sorted(pivots, reverse=True):
-        pr = pivots[p]
-        for q in pivots:
-            if q >= p:
-                continue
-            qr = pivots[q]
-            if p not in qr:
-                continue
-            f = qr.pop(p)
-            for cc, vv in pr.items():
-                if cc == p:
-                    continue
-                w = qr.get(cc, 0) - f * vv
-                if w:
-                    qr[cc] = w
-                elif cc in qr:
-                    del qr[cc]
-    return pivots
+    pivots = _echelon(rows)
+    cols = sorted(pivots)
+    for at, p in reversed(list(enumerate(cols))):
+        for q in cols[:at]:
+            if p in pivots[q]:
+                pivots[q] = _eliminate(pivots[q], p, pivots[p])
+    return {
+        p: {c: Fraction(v, pivots[p][p]) for c, v in pivots[p].items()} for p in cols
+    }
 
 
 def _nullspace_of_rows(
@@ -287,23 +214,22 @@ class RationalMatrix:
 
     @classmethod
     def from_sparse(
-        cls, rows: Sequence[Mapping[int, Fraction]], ncols: int, nrows: int | None = None
+        cls, rows: Sequence[Mapping[int, Fraction]], ncols: int
     ) -> "RationalMatrix":
         packed = tuple(
             tuple(sorted((c, Fraction(v)) for c, v in row.items() if v))
             for row in rows
         )
-        n = len(packed) if nrows is None else nrows
         for row in packed:
             if row and row[-1][0] >= ncols:
                 raise ValueError("column index out of range")
-        return cls(n, ncols, packed)
+        return cls(len(packed), ncols, packed)
 
     def sparse_rows(self) -> list[SparseRow]:
         return [dict(row) for row in self.rows]
 
     def rank(self) -> int:
-        return _rank_of_rows(self.sparse_rows())
+        return len(_echelon(self.sparse_rows()))
 
     def nullity(self) -> int:
         return self.ncols - self.rank()
@@ -311,19 +237,6 @@ class RationalMatrix:
     def nullspace(self) -> list[SparseRow]:
         """Canonical nullspace basis, one sparse vector per free column."""
         return _nullspace_of_rows(self.sparse_rows(), self.ncols)
-
-
-def rank(m: RationalMatrix) -> int:
-    return m.rank()
-
-
-def nullity(m: RationalMatrix) -> int:
-    """cols - rank, computed exactly; the dimension of the solution space."""
-    return m.nullity()
-
-
-def nullspace(m: RationalMatrix) -> list[SparseRow]:
-    return m.nullspace()
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +302,7 @@ def invert_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 
 
 class EchelonBasis:
-    """Incremental exact rank tracker for dense rational vectors.
+    """Incremental exact rank tracker for rational vectors.
 
     ``add`` reduces the vector against the rows seen so far and keeps it iff
     it is independent of them; used for greedy basis completion and greedy
@@ -397,30 +310,13 @@ class EchelonBasis:
     """
 
     def __init__(self) -> None:
-        self._pivots: dict[int, SparseRow] = {}
+        self._pivots: dict[int, IntRow] = {}
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
     def add(self, vector: Sequence[Fraction] | Mapping[int, Fraction]) -> bool:
-        if isinstance(vector, Mapping):
-            r = {c: Fraction(v) for c, v in vector.items() if v}
-        else:
-            r = {c: Fraction(v) for c, v in enumerate(vector) if v}
-        while r:
-            c = min(r)
-            if c not in self._pivots:
-                inv = r[c]
-                self._pivots[c] = {cc: vv / inv for cc, vv in r.items()}
-                return True
-            f = r.pop(c)
-            for cc, vv in self._pivots[c].items():
-                if cc == c:
-                    continue
-                w = r.get(cc, 0) - f * vv
-                if w:
-                    r[cc] = w
-                elif cc in r:
-                    del r[cc]
-        return False
+        if not isinstance(vector, Mapping):
+            vector = dict(enumerate(vector))
+        return _reduce(_integer_row(vector), self._pivots)

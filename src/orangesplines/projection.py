@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .complexes import OrangeProfile, Point, SimplicialComplex, detect_orange
-from .exact import RationalMatrix, invert_matrix
+from .exact import EchelonBasis, invert_matrix
 
 __all__ = [
     "AdaptedFrame",
@@ -79,22 +79,16 @@ def adapt_coordinates(
     ]
     # columns of B: completion vectors first (they become coordinates
     # 1..i after inversion), then the medial edge vectors
-    completion: list[tuple[Fraction, ...]] = []
-    probe = RationalMatrix.from_rows([list(e) for e in medial_edges]) if medial_edges else None
-    base_rank = probe.rank() if probe is not None else 0
-    if base_rank != len(medial_edges):
+    span = EchelonBasis()
+    if not all(span.add(e) for e in medial_edges):
         raise ValueError("medial face is geometrically degenerate")
-    current_rows = [list(e) for e in medial_edges]
+    completion: list[tuple[Fraction, ...]] = []
     for j in range(k):
-        if len(completion) == k - len(medial_edges):
+        if span.rank == k:
             break
-        cand = [Fraction(1 if c == j else 0) for c in range(k)]
-        trial = current_rows + [cand]
-        if RationalMatrix.from_rows(trial).rank() == len(trial):
-            completion.append(tuple(cand))
-            current_rows = trial
-    if len(completion) + len(medial_edges) != k:
-        raise ValueError("failed to complete a basis")  # unreachable for valid input
+        cand = tuple(Fraction(1 if c == j else 0) for c in range(k))
+        if span.add(cand):
+            completion.append(cand)
     cols = completion + medial_edges
     b = [[cols[j][r] for j in range(k)] for r in range(k)]
     m = invert_matrix(b)

@@ -7,7 +7,6 @@ computed one after another in (r, d) order.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -25,7 +24,6 @@ class SweepCell:
     d: int
     formula: int
     oracle: int
-    elapsed: float
 
     @property
     def match(self) -> bool:
@@ -44,10 +42,6 @@ class SweepReport:
     def mismatches(self) -> list[SweepCell]:
         return [c for c in self.cells if not c.match]
 
-    @property
-    def total_elapsed(self) -> float:
-        return sum(c.elapsed for c in self.cells)
-
 
 def run_sweep(
     complex_: SimplicialComplex,
@@ -58,14 +52,14 @@ def run_sweep(
     projected = project_orange(complex_, profile)
     grid = sorted((r, d) for r in set(r_values) for d in set(d_values))
 
-    def cell(rd: tuple[int, int]) -> SweepCell:
-        r, d = rd
-        t0 = time.perf_counter()
-        formula = orange_dim_formula(complex_, r, d, profile, projected)
-        oracle = spline_dim(complex_, r, d)
-        return SweepCell(
-            r=r, d=d, formula=formula, oracle=oracle,
-            elapsed=time.perf_counter() - t0,
+    return SweepReport(
+        cells=tuple(
+            SweepCell(
+                r=r,
+                d=d,
+                formula=orange_dim_formula(complex_, r, d, profile, projected),
+                oracle=spline_dim(complex_, r, d),
+            )
+            for r, d in grid
         )
-
-    return SweepReport(cells=tuple(cell(rd) for rd in grid))
+    )

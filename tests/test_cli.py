@@ -248,3 +248,21 @@ def test_non_orange_input_is_reported(tmp_path, capsys):
     rc, _, err = run(capsys, ["project", "-i", str(path)])
     assert rc == 1
     assert err
+
+
+def test_dim_outside_the_domain_exits_one(tmp_path, capsys):
+    # two triangles sharing only a vertex: not connected through a facet
+    path = tmp_path / "bowtie.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ambient_dim": 2,
+                "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]],
+                "maximal_faces": [[0, 1, 2], [0, 3, 4]],
+            }
+        )
+    )
+    rc, out, err = run(capsys, ["dim", "-i", str(path), "--r", "0", "--d", "1"])
+    assert rc == 1
+    assert out == ""
+    assert "facets" in err

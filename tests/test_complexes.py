@@ -13,6 +13,7 @@ from orangesplines.complexes import (
     InvalidComplexError,
     NotPureError,
     SimplicialComplex,
+    UnsupportedOrangeError,
     _affinely_independent,
     _intersection_within_hull,
     adjacent_pairs,
@@ -20,7 +21,10 @@ from orangesplines.complexes import (
     barycentric_coordinates,
     detect_orange,
 )
+from orangesplines.bernstein import compute_mds
 from orangesplines.catalog import CATALOG, get
+from orangesplines.cofactor import spline_dim
+from orangesplines.dimension import orange_dim_formula
 from orangesplines.exact import solve_linear
 
 
@@ -106,6 +110,34 @@ def test_impure_complex_rejected_by_detection():
     cx.validate()
     with pytest.raises(NotPureError):
         detect_orange(cx)
+
+
+BOWTIE = SimplicialComplex(
+    2, [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1, 2], [0, 3, 4]]
+)
+FLAT_ORANGE = SimplicialComplex(
+    3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, 0, 0)], [[0, 1, 2], [0, 2, 3]]
+)
+
+
+@pytest.mark.parametrize(
+    "cx,reason",
+    [(BOWTIE, "shared facets"), (FLAT_ORANGE, "ambient dimension")],
+    ids=["bowtie", "flat-in-3d"],
+)
+def test_oranges_outside_the_domain_are_rejected(cx, reason):
+    cx.validate()
+    with pytest.raises(UnsupportedOrangeError, match=reason):
+        detect_orange(cx)
+    with pytest.raises(UnsupportedOrangeError):
+        orange_dim_formula(cx, 1, 2)
+    with pytest.raises(UnsupportedOrangeError):
+        compute_mds(cx, 0, 1)
+
+
+def test_cofactor_oracle_stays_generic_on_the_bowtie():
+    # no shared facet, so no smoothness condition: two free linear pieces
+    assert spline_dim(BOWTIE, 0, 1) == 6
 
 
 def test_adjacent_pairs():

@@ -7,10 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orangesplines.exact import (
     EchelonBasis,
     RationalMatrix,
+    _rref,
     binom,
     format_rational,
     invert_matrix,
@@ -190,3 +192,91 @@ def test_echelon_basis_tracks_rank():
         tracker = EchelonBasis()
         added = sum(1 for row in rows if tracker.add(row))
         assert added == tracker.rank == RationalMatrix.from_rows(rows).rank()
+
+
+def _reference_add(pivots: dict[int, dict[int, Fraction]], row: dict[int, Fraction]) -> bool:
+    """Forward step of the reference RREF: reduce ``row`` against the
+    normalized pivot rows and keep it, normalized, if anything is left."""
+    r = {c: v for c, v in row.items() if v}
+    while r:
+        c = min(r)
+        if c not in pivots:
+            inv = r[c]
+            pivots[c] = {cc: vv / inv for cc, vv in r.items()}
+            return True
+        f = r.pop(c)
+        for cc, vv in pivots[c].items():
+            if cc == c:
+                continue
+            w = r.get(cc, 0) - f * vv
+            if w:
+                r[cc] = w
+            elif cc in r:
+                del r[cc]
+    return False
+
+
+def _reference_rref(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form over Fraction, row by row in input order."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        _reference_add(pivots, row)
+    for p in sorted(pivots, reverse=True):
+        pr = pivots[p]
+        for q in pivots:
+            if q >= p:
+                continue
+            qr = pivots[q]
+            if p not in qr:
+                continue
+            f = qr.pop(p)
+            for cc, vv in pr.items():
+                if cc == p:
+                    continue
+                w = qr.get(cc, 0) - f * vv
+                if w:
+                    qr[cc] = w
+                elif cc in qr:
+                    del qr[cc]
+    return pivots
+
+
+@st.composite
+def sparse_rational_matrices(draw):
+    """Dense rows, about half zeros, with zero rows and scaled repeats mixed in."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(
+        st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    rows += [[Fraction(0)] * ncols] * draw(st.integers(0, 2))
+    if rows:
+        scale = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+        for idx, factor in draw(
+            st.lists(st.tuples(st.integers(0, len(rows) - 1), scale), max_size=3)
+        ):
+            rows.append([factor * v for v in rows[idx]])
+    return ncols, draw(st.permutations(rows))
+
+
+def test_kernel_matches_fraction_reference():
+    full_rank = []
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(sparse_rational_matrices())
+    def check(matrix):
+        ncols, rows = matrix
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        assert _rref(sparse) == _reference_rref(sparse)
+        rank = _reference_rank(rows)
+        assert RationalMatrix.from_sparse(sparse, ncols).rank() == rank
+        tracker = EchelonBasis()
+        reference: dict[int, dict[int, Fraction]] = {}
+        for row in sparse:
+            assert tracker.add(row) == _reference_add(reference, row)
+        assert tracker.rank == rank
+        full_rank.append(rank == min(len(rows), ncols))
+
+    check()
+    # a run without both kinds of matrix would leave a branch unchecked
+    assert True in full_rank and False in full_rank
