@@ -2,9 +2,10 @@
 
 An orange is a pure simplicial complex whose maximal faces all share one
 common medial face.  This package recognizes oranges, projects them onto
-low-dimensional stars, and computes spline-space dimensions two independent
-ways: a closed-form reduction through the projection, and a brute-force
-rank computation on the smoothness cofactor system.  All arithmetic is
+low-dimensional stars, and computes spline-space dimensions three
+independent ways: a closed-form reduction through the projection, a
+brute-force rank computation on the smoothness cofactor system, and the
+nullity of the C^r conditions on Bernstein coefficients.  All arithmetic is
 exact rational.
 """
 
@@ -19,6 +20,7 @@ from .bernstein import (
     LiftedPoint,
     SetMismatchError,
     bb_to_monomial,
+    bernstein_dim,
     complex_domain_points,
     compute_mds,
     layer_decomposition,
@@ -99,6 +101,7 @@ __all__ = [
     "adjacent_pairs",
     "affine_image",
     "bb_to_monomial",
+    "bernstein_dim",
     "binom",
     "build_system",
     "complex_domain_points",

@@ -1,15 +1,31 @@
 """Bernstein form on simplicial complexes.
 
 Domain-point lattices, the layer structure of a standard orange's lattice,
-determining sets selected by exact rank, and the lifting of determining
-sets from the projected star to the standard orange together with the
-cardinality bookkeeping that reproduces the closed-form dimension.
+determining sets, and the lifting of determining sets from the projected
+star to the standard orange together with the cardinality bookkeeping that
+reproduces the closed-form dimension.
 
 A degree-d polynomial on a k-simplex is written in the Bernstein basis
 B_a = (d choose a) * lambda^a over barycentric coordinates lambda; its
 coefficients sit at the domain points xi_a = sum (a_l / d) v_l.  Degree 0
 has a single coefficient, attached by convention to the simplex's first
 vertex (the lattice formula degenerates there).
+
+A spline is one coefficient per identified domain point, and C^r
+smoothness is one sparse linear system on those coefficients: the
+conditions of Lai & Schumaker (*Spline Functions on Triangulations*, 2007,
+Thm 2.28) across every shared facet.  Everything about determining sets is
+read off that system.  A set M of points determines the spline space
+exactly when the system's columns outside M are independent, so by matroid
+duality the greedy hub-outward selection is the complement of the greedy
+column basis taken from the outside in (Oxley, *Matroid Theory*, §2), and
+verifying a set is one rank computation.
+
+The system's nullity, ``bernstein_dim``, is the third derivation of the
+dimension, next to the cofactor oracle (``cofactor.spline_dim``) and the
+closed form through the projected star (``dimension.orange_dim_formula``).
+The monomial-to-Bernstein conversions stay available for single
+polynomials; no determining-set computation uses them.
 """
 
 from __future__ import annotations
@@ -17,13 +33,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
-from .cofactor import Spline, spline_basis
-from .complexes import Point, SimplicialComplex, detect_orange
-from .exact import EchelonBasis, RationalMatrix, binom, invert_matrix
+from .cofactor import spline_dim
+from .complexes import (
+    OrangeProfile,
+    Point,
+    SimplicialComplex,
+    adjacent_pairs,
+    barycentric_coordinates,
+    detect_orange,
+)
+from .exact import EchelonBasis, RationalMatrix, invert_matrix
 from .polynomials import Polynomial, monomials_upto
-from .projection import project_orange
+from .projection import ProjectedOrange, project_orange
 
 __all__ = [
     "DomainPoint",
@@ -38,6 +61,7 @@ __all__ = [
     "monomial_to_bb",
     "bb_to_monomial",
     "DeterminingSet",
+    "bernstein_dim",
     "compute_mds",
     "verify_mds",
     "LiftedPoint",
@@ -90,17 +114,6 @@ def simplex_multiindices(nverts: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _lattice_point(vertices: tuple[Point, ...], alpha: tuple[int, ...], d: int) -> Point:
-    ambient = len(vertices[0]) if vertices else 0
-    if d == 0:
-        return vertices[0]
-    return tuple(
-        sum((Fraction(alpha[l]) * vertices[l][c] for l in range(len(vertices))), Fraction(0))
-        / d
-        for c in range(ambient)
-    )
-
-
 def simplex_domain_points(
     vertices: tuple[Point, ...] | list[Point], d: int, face: int = 0
 ) -> list[DomainPoint]:
@@ -108,9 +121,22 @@ def simplex_domain_points(
     if d < 0:
         raise ValueError("degree must take a nonnegative value")
     verts = tuple(tuple(Fraction(c) for c in v) for v in vertices)
+    indices = simplex_multiindices(len(verts), d)
+    if d == 0:
+        return [DomainPoint(coordinates=verts[0], face=face, multi_index=indices[0])]
+    # integer numerators over one common denominator: one Fraction per coordinate
+    den = lcm(*(c.denominator for v in verts for c in v))
+    nums = [[c.numerator * (den // c.denominator) for c in v] for v in verts]
+    columns = list(zip(*nums))
     return [
-        DomainPoint(coordinates=_lattice_point(verts, a, d), face=face, multi_index=a)
-        for a in simplex_multiindices(len(verts), d)
+        DomainPoint(
+            coordinates=tuple(
+                Fraction(sum(x * n for x, n in zip(a, col)), den * d) for col in columns
+            ),
+            face=face,
+            multi_index=a,
+        )
+        for a in indices
     ]
 
 
@@ -163,8 +189,8 @@ class LayerDecomposition:
 
 def _standard_split(
     complex_: SimplicialComplex,
-) -> tuple[int, int, SimplicialComplex, list[int]]:
-    """Check standard position and return (i, fiber, star, tail ids).
+) -> tuple[OrangeProfile, ProjectedOrange, list[int]]:
+    """Check standard position and return (profile, projection, tail ids).
 
     Standard position: the medial face consists of the origin plus the unit
     vectors of the last fiber coordinates, and every other vertex has zero
@@ -199,8 +225,7 @@ def _standard_split(
             raise ValueError(
                 "non-medial vertex has nonzero coordinates in the medial span"
             )
-    star = project_orange(complex_, profile).complex
-    return i, fiber, star, tail_ids
+    return profile, project_orange(complex_, profile), tail_ids
 
 
 def _tail_shifts(d: int, j: int, i: int, fiber: int, k: int) -> list[tuple[tuple[int, ...], Point]]:
@@ -230,7 +255,8 @@ def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecompositi
     """
     if d < 0:
         raise ValueError("degree must take a nonnegative value")
-    i, fiber, star, _ = _standard_split(complex_)
+    profile, projected, _ = _standard_split(complex_)
+    i, fiber, star = profile.i, profile.k - profile.i, projected.complex
     k = complex_.ambient_dim
     lattice = {p.coordinates for p in complex_domain_points(complex_, d)}
 
@@ -344,11 +370,11 @@ def monomial_to_bb(
     indices, _, inverse = _bernstein_data(verts, d)
     ambient = len(verts[0])
     monos = monomials_upto(ambient, d)
-    vec = [poly.coefficient(m) for m in monos]
+    terms = [(c, v) for c, v in enumerate(poly.coefficient(m) for m in monos) if v]
     out = {}
     for row, alpha in enumerate(indices):
-        val = sum((inverse[row][c] * vec[c] for c in range(len(vec))), Fraction(0))
-        out[alpha] = val
+        inv = inverse[row]
+        out[alpha] = sum((inv[c] * v for c, v in terms if inv[c]), Fraction(0))
     return out
 
 
@@ -388,37 +414,6 @@ class DeterminingSet:
     points: tuple[IdentifiedPoint, ...]
 
 
-def _functional_rows(
-    complex_: SimplicialComplex,
-    basis: list[Spline],
-    d: int,
-    point: IdentifiedPoint,
-    bb_cache: dict[tuple[int, int], dict[tuple[int, ...], Fraction]],
-) -> list[tuple[Fraction, ...]]:
-    """Coefficient-evaluation rows for one identified point.
-
-    One row per host normally collapses to a single row: coefficients on a
-    shared face agree for smooth splines, and hosts sharing coordinates
-    share a face in a valid complex.  Distinct rows are all kept (the
-    greedy selection stays correct even on pathological inputs).
-    """
-    rows = []
-    for fidx, alpha in point.occurrences:
-        verts = tuple(complex_.vertices[v] for v in complex_.maximal_faces[fidx])
-        row = []
-        for bidx, spline in enumerate(basis):
-            key = (fidx, bidx)
-            if key not in bb_cache:
-                bb_cache[key] = monomial_to_bb(spline[fidx], verts, d)
-            row.append(bb_cache[key][alpha])
-        rows.append(tuple(row))
-    unique = []
-    for row in rows:
-        if row not in unique:
-            unique.append(row)
-    return unique
-
-
 def _ordered_points(
     complex_: SimplicialComplex, d: int
 ) -> list[IdentifiedPoint]:
@@ -442,49 +437,145 @@ def _ordered_points(
     return sorted(points, key=lambda p: (layer(p), p.coordinates))
 
 
+def _column_index(
+    points: list[IdentifiedPoint],
+) -> dict[tuple[int, tuple[int, ...]], int]:
+    """(face, multi-index) -> position of its identified point in ``points``."""
+    return {occ: col for col, p in enumerate(points) for occ in p.occurrences}
+
+
+def _smoothness_rows(
+    complex_: SimplicialComplex, r: int, d: int, points: list[IdentifiedPoint]
+) -> list[dict[int, Fraction]]:
+    """C^r conditions on Bernstein coefficients, one column per point.
+
+    For facet-adjacent faces T_s, T_t with w the vertex of T_t off T_s and
+    lambda its barycentric coordinates on T_s, the pieces join C^r exactly
+    when, for m = 0..r and every |beta| = d - m on the shared facet,
+    c^t_(beta, m) = sum over |gamma| = m of (m! / gamma!) lambda^gamma
+    c^s_(beta, 0) + gamma (Lai & Schumaker, *Spline Functions on
+    Triangulations*, 2007, Thm 2.28).  Coefficients are looked up through
+    the points' occurrences; rows that cancel to zero are dropped (the
+    m = 0 rows, except at d = 0 where each piece's point is its first
+    vertex).
+    """
+    column = _column_index(points)
+    faces = complex_.maximal_faces
+    rows = []
+    for s, t in adjacent_pairs(complex_):
+        face_s, face_t = faces[s], faces[t]
+        shared = [v for v in face_s if v in face_t]
+        (w,) = [v for v in face_t if v not in face_s]
+        lam = barycentric_coordinates(
+            complex_.vertices[w], [complex_.vertices[v] for v in face_s]
+        )
+        pos_s = [face_s.index(v) for v in shared]
+        pos_t = [face_t.index(v) for v in shared]
+        for m in range(min(r, d) + 1):
+            weights = []
+            for gamma in simplex_multiindices(len(face_s), m):
+                weight = Fraction(factorial(m))
+                for l, g in enumerate(gamma):
+                    weight *= lam[l] ** g / factorial(g)
+                if weight:
+                    weights.append((gamma, weight))
+            for beta in simplex_multiindices(len(shared), d - m):
+                alpha_t = [0] * len(face_t)
+                alpha_t[face_t.index(w)] = m
+                base_s = [0] * len(face_s)
+                for b, ps, pt in zip(beta, pos_s, pos_t):
+                    alpha_t[pt] = b
+                    base_s[ps] = b
+                row = {column[(t, tuple(alpha_t))]: Fraction(1)}
+                for gamma, weight in weights:
+                    col = column[(s, tuple(a + g for a, g in zip(base_s, gamma)))]
+                    row[col] = row.get(col, Fraction(0)) - weight
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def _columns_independent(
+    rows: list[dict[int, Fraction]], ncols: int, chosen: set[int]
+) -> bool:
+    """Whether the system's columns outside ``chosen`` are independent."""
+    rest = [{c: v for c, v in row.items() if c not in chosen} for row in rows]
+    return RationalMatrix.from_sparse(rest, ncols).rank() == ncols - len(chosen)
+
+
+def bernstein_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
+    """dim S^r_d of an orange as the nullity of the Bernstein-form system:
+    the number of domain points minus the rank of the C^r conditions."""
+    if r < 0:
+        raise ValueError("smoothness order must be nonnegative")
+    detect_orange(complex_)
+    if d < 0:
+        return 0
+    points = complex_domain_points(complex_, d)
+    rows = _smoothness_rows(complex_, r, d, points)
+    return len(points) - RationalMatrix.from_sparse(rows, len(points)).rank()
+
+
+def _select(
+    complex_: SimplicialComplex,
+    r: int,
+    d: int,
+    ordered: list[IdentifiedPoint],
+    rows: list[dict[int, Fraction]],
+) -> DeterminingSet:
+    """The greedy selection of ``compute_mds`` on an already built system."""
+    columns: list[dict[int, Fraction]] = [{} for _ in ordered]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            columns[c][i] = v
+    tracker = EchelonBasis()
+    rejected = []
+    for c in reversed(range(len(ordered))):
+        if not tracker.add(columns[c]):
+            rejected.append(c)
+    selected = tuple(ordered[c] for c in reversed(rejected))
+    dim = spline_dim(complex_, r, d)
+    if len(selected) != dim:
+        raise AssertionError(
+            f"Bernstein system leaves {len(selected)} free coefficients, "
+            f"the cofactor oracle says dimension {dim}"
+        )
+    return DeterminingSet(r=r, d=d, dimension=dim, points=selected)
+
+
 def compute_mds(complex_: SimplicialComplex, r: int, d: int) -> DeterminingSet:
-    """Select domain points until their coefficient functionals reach full
-    rank on the spline space; the result has exactly dim-many points.
+    """Greedy minimal determining set, grown outward from the hub.
+
+    A set M of points determines the spline space exactly when the
+    smoothness system's columns outside M are independent, so the greedy
+    hub-order selection is the complement of the greedy column basis taken
+    in reverse hub order (matroid duality; Oxley, *Matroid Theory*, §2).
+    The columns go to one ``EchelonBasis`` from the outermost point in; the
+    ones it rejects are the selection.  Its size must equal the cofactor
+    oracle's dimension.
 
     ``complex_`` must be an orange: the selection grows outward from its
     medial face, and ``detect_orange`` rejects anything else."""
     ordered = _ordered_points(complex_, d)
-    basis = spline_basis(complex_, r, d)
-    dim = len(basis)
-    bb_cache: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
-    tracker = EchelonBasis()
-    selected = []
-    for point in ordered:
-        if tracker.rank == dim:
-            break
-        added = False
-        for row in _functional_rows(complex_, basis, d, point, bb_cache):
-            if tracker.add(row):
-                added = True
-        if added:
-            selected.append(point)
-    if tracker.rank != dim:
-        raise AssertionError(
-            "domain-point functionals failed to span the spline space"
-        )
-    return DeterminingSet(r=r, d=d, dimension=dim, points=tuple(selected))
+    return _select(complex_, r, d, ordered, _smoothness_rows(complex_, r, d, ordered))
 
 
 def verify_mds(
     complex_: SimplicialComplex, r: int, d: int, ds: DeterminingSet | None = None
 ) -> bool:
-    """Rank test: the selection matrix of the determining set is invertible."""
+    """Whether ``ds`` (by default the greedy set) is a minimal determining
+    set: it has dim-many points and the smoothness system's columns outside
+    them are independent."""
+    ordered = _ordered_points(complex_, d)
+    rows = _smoothness_rows(complex_, r, d, ordered)
     if ds is None:
-        ds = compute_mds(complex_, r, d)
-    basis = spline_basis(complex_, r, d)
-    if len(ds.points) != len(basis):
+        ds = _select(complex_, r, d, ordered, rows)
+    column = _column_index(ordered)
+    hosts = [p.occurrences[0] for p in ds.points]
+    if len(hosts) != spline_dim(complex_, r, d) or any(h not in column for h in hosts):
         return False
-    bb_cache: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
-    rows = []
-    for point in ds.points:
-        rows.append(_functional_rows(complex_, basis, d, point, bb_cache)[0])
-    matrix = RationalMatrix.from_rows(rows)
-    return matrix.rank() == len(basis)
+    return _columns_independent(rows, len(ordered), {column[h] for h in hosts})
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +614,8 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
     """
     from .dimension import orange_dim_formula
 
-    i, fiber, star, tail_ids = _standard_split(complex_)
+    profile, projected, tail_ids = _standard_split(complex_)
+    i, fiber, star = profile.i, profile.k - profile.i, projected.complex
     k = complex_.ambient_dim
 
     # star vertex id -> vertex id in the standard orange, by exact coords
@@ -583,7 +675,7 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
         raise CardinalityMismatchError(
             f"lift produced {len(lifted)} points, levelwise count says {expected_total}"
         )
-    formula_value = orange_dim_formula(complex_, r, d)
+    formula_value = orange_dim_formula(complex_, r, d, profile, projected)
     if expected_total != formula_value:
         raise CardinalityMismatchError(
             f"lift cardinality {expected_total} differs from the "
@@ -591,23 +683,16 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
         )
 
     # rank test: the lifted coefficients must pin down every spline
-    basis = spline_basis(complex_, r, d)
-    if len(basis) != expected_total:
+    dim = spline_dim(complex_, r, d)
+    if dim != expected_total:
         raise CardinalityMismatchError(
-            f"spline space has dimension {len(basis)}, lift has {expected_total} points"
+            f"spline space has dimension {dim}, lift has {expected_total} points"
         )
-    bb_cache: dict[int, list[dict[tuple[int, ...], Fraction]]] = {}
-    rows = []
-    for point in lifted:
-        if point.face not in bb_cache:
-            verts = tuple(
-                complex_.vertices[v] for v in complex_.maximal_faces[point.face]
-            )
-            bb_cache[point.face] = [
-                monomial_to_bb(spline[point.face], verts, d) for spline in basis
-            ]
-        rows.append([table[point.multi_index] for table in bb_cache[point.face]])
-    if expected_total and RationalMatrix.from_rows(rows).rank() != expected_total:
+    points = complex_domain_points(complex_, d)
+    column = _column_index(points)
+    rows = _smoothness_rows(complex_, r, d, points)
+    chosen = {column[(p.face, p.multi_index)] for p in lifted}
+    if not _columns_independent(rows, len(points), chosen):
         raise CardinalityMismatchError("lifted selection matrix is singular")
 
     return LiftedDeterminingSet(

@@ -204,10 +204,12 @@ def spline_basis(complex_: SimplicialComplex, r: int, d: int) -> list[Spline]:
     from .polynomials import divisible_by_linear_power
 
     faces = complex_.maximal_faces
+    walls = []
+    for s, t in system.pairs:
+        shared = sorted(set(faces[s]) & set(faces[t]))
+        walls.append((s, t, facet_linear_form([complex_.vertices[v] for v in shared])))
     for spline in basis:
-        for s, t in system.pairs:
-            shared = sorted(set(faces[s]) & set(faces[t]))
-            ell = facet_linear_form([complex_.vertices[v] for v in shared])
+        for s, t, ell in walls:
             if not divisible_by_linear_power(spline[s] - spline[t], ell, r + 1):
                 raise AssertionError("nullspace vector violates smoothness")
     return basis

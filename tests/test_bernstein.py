@@ -5,9 +5,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orangesplines.bernstein import (
     CardinalityMismatchError,
+    DeterminingSet,
+    _ordered_points,
+    bernstein_dim,
     complex_domain_points,
     compute_mds,
     layer_decomposition,
@@ -18,12 +23,13 @@ from orangesplines.bernstein import (
     simplex_multiindices,
     verify_mds,
 )
-from orangesplines.catalog import get
-from orangesplines.cofactor import spline_dim
-from orangesplines.complexes import SimplicialComplex
+from orangesplines.catalog import CATALOG, get
+from orangesplines.cofactor import spline_basis, spline_dim
+from orangesplines.complexes import SimplicialComplex, UnsupportedOrangeError, affine_image
 from orangesplines.dimension import orange_dim_formula
-from orangesplines.exact import binom
+from orangesplines.exact import EchelonBasis, RationalMatrix, binom
 from orangesplines.polynomials import Polynomial
+from orangesplines.projection import standard_form
 
 UNIT = ((Fraction(0),), (Fraction(1),))
 
@@ -251,3 +257,142 @@ def test_lift_degree_zero():
     assert lift.total == 1
     assert lift.formula_value == 1
     assert lift.points[0].coordinates == (Fraction(0),) * 3
+
+
+# ---------------------------------------------------------------------------
+# the Bernstein-form system against the spline-basis greedy it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_rows(complex_, basis, d, point, bb_cache):
+    """Coefficient functionals of one point on a spline basis: one row per
+    host, converted to Bernstein form piece by piece, duplicates dropped."""
+    rows = []
+    for fidx, alpha in point.occurrences:
+        verts = complex_.face_points(complex_.maximal_faces[fidx])
+        row = []
+        for bidx, spline in enumerate(basis):
+            if (fidx, bidx) not in bb_cache:
+                bb_cache[fidx, bidx] = monomial_to_bb(spline[fidx], verts, d)
+            row.append(bb_cache[fidx, bidx][alpha])
+        if tuple(row) not in rows:
+            rows.append(tuple(row))
+    return rows
+
+
+def _reference_mds(complex_, r, d):
+    """The greedy selection on an explicit spline basis: walk the points in
+    hub order and keep each one whose functionals raise the rank."""
+    basis = spline_basis(complex_, r, d)
+    bb_cache = {}
+    tracker = EchelonBasis()
+    selected = []
+    for point in _ordered_points(complex_, d):
+        if tracker.rank == len(basis):
+            break
+        added = False
+        for row in _reference_rows(complex_, basis, d, point, bb_cache):
+            if tracker.add(row):
+                added = True
+        if added:
+            selected.append(point)
+    assert tracker.rank == len(basis)
+    return selected
+
+
+def _reference_verify(complex_, r, d, points):
+    """Rank test of the selection matrix on an explicit spline basis."""
+    basis = spline_basis(complex_, r, d)
+    if len(points) != len(basis):
+        return False
+    bb_cache = {}
+    rows = [_reference_rows(complex_, basis, d, p, bb_cache)[0] for p in points]
+    return RationalMatrix.from_rows(rows).rank() == len(basis)
+
+
+def _catalog_models():
+    for entry in CATALOG:
+        sf = standard_form(entry.complex)
+        yield entry.name, "as given", entry.complex
+        yield entry.name, "star", sf.projected.complex
+        yield entry.name, "standard", sf.standard
+
+
+def test_selection_matches_the_spline_basis_greedy_on_the_catalog():
+    cells = 0
+    for name, kind, cx in _catalog_models():
+        for r in range(2):
+            for d in range(5):
+                got = compute_mds(cx, r, d).points
+                assert list(got) == _reference_mds(cx, r, d), (name, kind, r, d)
+                cells += 1
+    assert cells == 330
+
+
+@st.composite
+def integer_images(draw):
+    """An invertible integer affine image of a catalog orange in R^1..R^3."""
+    entry = draw(st.sampled_from([e for e in CATALOG if e.complex.ambient_dim <= 3]))
+    k = entry.complex.ambient_dim
+    entries = st.integers(-2, 2)
+    matrix = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k))
+    assume(RationalMatrix.from_rows(matrix).rank() == k)
+    translation = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    return affine_image(entry.complex, matrix, translation)
+
+
+def test_selection_and_verification_match_the_reference_on_affine_images():
+    swapped = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(integer_images(), st.integers(0, 1), st.integers(0, 3), st.integers(0, 10**6))
+    def check(cx, r, d, pick):
+        ds = compute_mds(cx, r, d)
+        assert list(ds.points) == _reference_mds(cx, r, d)
+        assert verify_mds(cx, r, d, ds) is True
+        assert _reference_verify(cx, r, d, ds.points) is True
+        trimmed = DeterminingSet(r, d, ds.dimension, ds.points[:-1])
+        assert verify_mds(cx, r, d, trimmed) is False
+        assert _reference_verify(cx, r, d, trimmed.points) is False
+        others = [p for p in complex_domain_points(cx, d) if p not in ds.points]
+        if others:
+            points = ds.points[:-1] + (others[pick % len(others)],)
+            expected = _reference_verify(cx, r, d, points)
+            assert verify_mds(cx, r, d, DeterminingSet(r, d, ds.dimension, points)) is expected
+            swapped.append(expected)
+
+    check()
+    # swapping the last point for another one must both keep and break it
+    assert True in swapped and False in swapped
+
+
+def test_bernstein_dim_matches_the_oracle_and_the_formula():
+    cells = 0
+    for name, kind, cx in _catalog_models():
+        for r in range(3):
+            for d in range(6):
+                got = bernstein_dim(cx, r, d)
+                assert got == spline_dim(cx, r, d), (name, kind, r, d)
+                if kind == "as given":
+                    assert got == orange_dim_formula(cx, r, d), (name, r, d)
+                cells += 1
+    assert cells == 594
+
+
+def test_bernstein_dim_domain():
+    cx = get("two-triangle").complex
+    with pytest.raises(ValueError):
+        bernstein_dim(cx, -1, 2)
+    assert bernstein_dim(cx, 1, -1) == 0
+
+
+def test_verify_checks_the_domain_before_the_set():
+    # the Bernstein system (5 points) and the oracle (dimension 6) disagree
+    # here, so the typed error must come before any count
+    bowtie = SimplicialComplex(
+        2, [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1, 2], [0, 3, 4]]
+    )
+    ds = DeterminingSet(0, 1, 6, tuple(complex_domain_points(bowtie, 1)))
+    with pytest.raises(UnsupportedOrangeError):
+        verify_mds(bowtie, 0, 1, ds)
+    with pytest.raises(UnsupportedOrangeError):
+        bernstein_dim(bowtie, 0, 1)

@@ -21,7 +21,7 @@ from orangesplines.complexes import (
     barycentric_coordinates,
     detect_orange,
 )
-from orangesplines.bernstein import compute_mds
+from orangesplines.bernstein import bernstein_dim, compute_mds
 from orangesplines.catalog import CATALOG, get
 from orangesplines.cofactor import spline_dim
 from orangesplines.dimension import orange_dim_formula
@@ -133,6 +133,8 @@ def test_oranges_outside_the_domain_are_rejected(cx, reason):
         orange_dim_formula(cx, 1, 2)
     with pytest.raises(UnsupportedOrangeError):
         compute_mds(cx, 0, 1)
+    with pytest.raises(UnsupportedOrangeError):
+        bernstein_dim(cx, 0, 1)
 
 
 def test_cofactor_oracle_stays_generic_on_the_bowtie():
