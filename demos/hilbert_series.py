@@ -20,7 +20,7 @@ for name in ("two-triangle", "two-tetrahedron", "fan-4d"):
     cx = get(name).complex
     profile = detect_orange(cx)
     fiber = profile.k - profile.i
-    star = project_orange(cx, profile).complex
+    star = project_orange(cx).complex
     print(f"{name}: fiber dimension {fiber}")
     for r in range(2):
         orange_series = orange_hilbert_prefix(cx, r, 6)

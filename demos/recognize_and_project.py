@@ -32,13 +32,13 @@ profile = detect_orange(cx)
 print(f"\nrecognized a ({profile.k},{profile.i})-orange with {profile.n} segments")
 print(f"medial face: vertices {list(profile.medial)}")
 
-frame = adapt_coordinates(cx, profile)
+frame = adapt_coordinates(cx)
 print("\nadapted coordinates send the medial face to the origin and the")
 print("last coordinate axes; the medial vertices become:")
 for m in profile.medial:
     print(f"  vertex {m} -> ({', '.join(str(c) for c in frame.apply_point(cx.vertices[m]))})")
 
-projected = project_orange(cx, profile)
+projected = project_orange(cx)
 print()
 show(projected.complex, "projected star")
 print(f"central vertex: {projected.central_vertex}")

@@ -46,7 +46,7 @@ from .complexes import (
 )
 from .exact import EchelonBasis, RationalMatrix, invert_matrix
 from .polynomials import Polynomial, monomials_upto
-from .projection import ProjectedOrange, project_orange
+from .projection import project_orange
 
 __all__ = [
     "DomainPoint",
@@ -189,8 +189,8 @@ class LayerDecomposition:
 
 def _standard_split(
     complex_: SimplicialComplex,
-) -> tuple[OrangeProfile, ProjectedOrange, list[int]]:
-    """Check standard position and return (profile, projection, tail ids).
+) -> tuple[OrangeProfile, SimplicialComplex, list[int]]:
+    """Check standard position and return (profile, projected star, tail ids).
 
     Standard position: the medial face consists of the origin plus the unit
     vectors of the last fiber coordinates, and every other vertex has zero
@@ -225,7 +225,7 @@ def _standard_split(
             raise ValueError(
                 "non-medial vertex has nonzero coordinates in the medial span"
             )
-    return profile, project_orange(complex_, profile), tail_ids
+    return profile, project_orange(complex_).complex, tail_ids
 
 
 def _tail_shifts(d: int, j: int, i: int, fiber: int, k: int) -> list[tuple[tuple[int, ...], Point]]:
@@ -255,8 +255,8 @@ def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecompositi
     """
     if d < 0:
         raise ValueError("degree must take a nonnegative value")
-    profile, projected, _ = _standard_split(complex_)
-    i, fiber, star = profile.i, profile.k - profile.i, projected.complex
+    profile, star, _ = _standard_split(complex_)
+    i, fiber = profile.i, profile.k - profile.i
     k = complex_.ambient_dim
     lattice = {p.coordinates for p in complex_domain_points(complex_, d)}
 
@@ -614,8 +614,8 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
     """
     from .dimension import orange_dim_formula
 
-    profile, projected, tail_ids = _standard_split(complex_)
-    i, fiber, star = profile.i, profile.k - profile.i, projected.complex
+    profile, star, tail_ids = _standard_split(complex_)
+    i, fiber = profile.i, profile.k - profile.i
     k = complex_.ambient_dim
 
     # star vertex id -> vertex id in the standard orange, by exact coords
@@ -675,7 +675,7 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
         raise CardinalityMismatchError(
             f"lift produced {len(lifted)} points, levelwise count says {expected_total}"
         )
-    formula_value = orange_dim_formula(complex_, r, d, profile, projected)
+    formula_value = orange_dim_formula(complex_, r, d)
     if expected_total != formula_value:
         raise CardinalityMismatchError(
             f"lift cardinality {expected_total} differs from the "

@@ -84,7 +84,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_project(args: argparse.Namespace) -> int:
     complex_ = _resolve_complex(args)
     profile = detect_orange(complex_)
-    projected = project_orange(complex_, profile)
+    projected = project_orange(complex_)
     payload = {
         "profile": {"k": profile.k, "i": profile.i, "n": profile.n},
         "central_vertex": projected.central_vertex,
@@ -148,15 +148,13 @@ def _cmd_dim(args: argparse.Namespace) -> int:
 def _cmd_hilbert(args: argparse.Namespace) -> int:
     complex_ = _resolve_complex(args)
     profile = detect_orange(complex_)
-    projected = project_orange(complex_, profile)
+    star = project_orange(complex_).complex
     ok, residuals = verify_hilbert_identity(complex_, args.r, args.dmax)
     payload = {
         "r": args.r,
         "dmax": args.dmax,
         "orange": [spline_dim(complex_, args.r, d) for d in range(args.dmax + 1)],
-        "star": [
-            spline_dim(projected.complex, args.r, d) for d in range(args.dmax + 1)
-        ],
+        "star": [spline_dim(star, args.r, d) for d in range(args.dmax + 1)],
         "fiber_dim": profile.k - profile.i,
         "residuals": residuals,
         "ok": ok,

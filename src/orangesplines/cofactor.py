@@ -171,6 +171,11 @@ def spline_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
 
     This is the generic facet-adjacency oracle: it accepts any complex,
     orange or not, and imposes smoothness across shared facets only.
+
+    The cache is keyed by value, not per instance: equal complexes share
+    entries.  The projected star of a (k, k)-orange centred at the origin
+    (``planar-star``, ``vertex-star-3d``) is equal to the orange itself, so
+    the formula's star dimensions and the oracle's values are one entry.
     """
     if r < 0:
         raise ValueError("smoothness order must be nonnegative")

@@ -143,7 +143,9 @@ class SimplicialComplex:
 
     Vertices are indexed by position; every maximal face is stored as a
     sorted tuple of vertex indices.  Instances are immutable and hashable,
-    which lets dimension computations be cached per complex.
+    which lets dimension computations be cached per complex, and derived
+    structure is computed once per instance: ``detect_orange`` and
+    ``project_orange`` keep their results in ``_memo``.
     """
 
     ambient_dim: int
@@ -174,6 +176,10 @@ class SimplicialComplex:
         return bool(self.maximal_faces) and all(
             len(f) == len(self.maximal_faces[0]) for f in self.maximal_faces
         )
+
+    @cached_property
+    def _memo(self) -> dict[str, object]:
+        return {}
 
     @cached_property
     def faces(self) -> frozenset[Simplex]:
@@ -277,8 +283,11 @@ def detect_orange(complex_: SimplicialComplex) -> OrangeProfile:
     and connected through shared facets; anything else with a medial face
     raises UnsupportedOrangeError.  Smoothness is imposed across facets
     only, so on a complex whose faces meet in lower-dimensional faces the
-    dimension formula and the determining sets do not apply.
+    dimension formula and the determining sets do not apply.  The profile
+    is computed once per complex instance.
     """
+    if "profile" in complex_._memo:
+        return complex_._memo["profile"]
     if not complex_.is_pure:
         raise NotPureError("maximal faces have differing dimensions")
     k = complex_.dim
@@ -304,7 +313,9 @@ def detect_orange(complex_: SimplicialComplex) -> OrangeProfile:
         raise UnsupportedOrangeError("maximal faces are not connected through shared facets")
     medial = tuple(sorted(shared))
     i = k - (len(medial) - 1)
-    return OrangeProfile(k=k, i=i, medial=medial, n=len(complex_.maximal_faces))
+    profile = OrangeProfile(k=k, i=i, medial=medial, n=len(complex_.maximal_faces))
+    complex_._memo["profile"] = profile
+    return profile
 
 
 def adjacent_pairs(complex_: SimplicialComplex) -> list[tuple[int, int]]:

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cofactor import spline_dim
-from .complexes import OrangeProfile, SimplicialComplex, detect_orange
+from .complexes import SimplicialComplex, detect_orange
 from .exact import binom
-from .projection import ProjectedOrange, project_orange, standard_form
+from .projection import project_orange, standard_form
 
 __all__ = [
     "layer_count",
@@ -47,22 +47,13 @@ def layer_count(d: int, j: int, fiber_dim: int) -> int:
     return binom(d - j + fiber_dim - 1, fiber_dim - 1)
 
 
-def orange_dim_formula(
-    complex_: SimplicialComplex,
-    r: int,
-    d: int,
-    profile: OrangeProfile | None = None,
-    projected: ProjectedOrange | None = None,
-) -> int:
+def orange_dim_formula(complex_: SimplicialComplex, r: int, d: int) -> int:
     """dim S^r_d of an orange via the reduction to its projected star."""
     if r < 0:
         raise ValueError("smoothness order must be nonnegative")
-    if profile is None:
-        profile = detect_orange(complex_)
-    if projected is None:
-        projected = project_orange(complex_, profile)
+    profile = detect_orange(complex_)
     fiber = profile.k - profile.i
-    star = projected.complex
+    star = project_orange(complex_).complex
     return sum(
         layer_count(d, j, fiber) * spline_dim(star, r, j) for j in range(d + 1)
     )
@@ -99,12 +90,7 @@ def orange_hilbert_prefix(
 ) -> HilbertPrefix:
     """Spline dimensions in degrees 0..dmax, by the reduction formula."""
     _check_dmax(dmax)
-    profile = detect_orange(complex_)
-    projected = project_orange(complex_, profile)
-    coeffs = tuple(
-        orange_dim_formula(complex_, r, d, profile, projected)
-        for d in range(dmax + 1)
-    )
+    coeffs = tuple(orange_dim_formula(complex_, r, d) for d in range(dmax + 1))
     return HilbertPrefix(r=r, dmax=dmax, coeffs=coeffs)
 
 
@@ -120,10 +106,10 @@ def verify_hilbert_identity(
     """
     _check_dmax(dmax)
     profile = detect_orange(complex_)
-    projected = project_orange(complex_, profile)
     fiber = profile.k - profile.i
+    star = project_orange(complex_).complex
     orange_coeffs = [spline_dim(complex_, r, d) for d in range(dmax + 1)]
-    star_coeffs = [spline_dim(projected.complex, r, d) for d in range(dmax + 1)]
+    star_coeffs = [spline_dim(star, r, d) for d in range(dmax + 1)]
     # (1 - t)^fiber has coefficients (-1)^m C(fiber, m)
     residuals = []
     for d in range(dmax + 1):

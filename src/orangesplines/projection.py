@@ -59,9 +59,7 @@ class AdaptedFrame:
         )
 
 
-def adapt_coordinates(
-    complex_: SimplicialComplex, profile: OrangeProfile | None = None
-) -> AdaptedFrame:
+def adapt_coordinates(complex_: SimplicialComplex) -> AdaptedFrame:
     """Build an adapted frame for an orange.
 
     The lowest-index medial vertex becomes the origin.  The remaining medial
@@ -69,8 +67,7 @@ def adapt_coordinates(
     directions come from a greedy completion by standard basis vectors
     (lowest index first), so the construction is deterministic.
     """
-    if profile is None:
-        profile = detect_orange(complex_)
+    profile = detect_orange(complex_)
     k = complex_.ambient_dim
     v0 = complex_.vertices[profile.medial[0]]
     medial_edges = [
@@ -105,31 +102,37 @@ class ProjectedOrange:
     ``face_map`` sends each maximal-face index of the original orange to the
     corresponding maximal-face index of ``complex`` (a bijection).
     ``central_vertex`` is the index of the origin vertex in ``complex``.
+    ``frame`` is the adapted frame of the projection (None when i = 0).
     """
 
     complex: SimplicialComplex
     central_vertex: int
     face_map: tuple[int, ...]
+    frame: AdaptedFrame | None
 
 
-def project_orange(
-    complex_: SimplicialComplex, profile: OrangeProfile | None = None
-) -> ProjectedOrange:
+def project_orange(complex_: SimplicialComplex) -> ProjectedOrange:
     """Project an orange onto R^i through an adapted frame.
 
     Vertices that land on the same point are identified (the medial face
     collapses to the origin).  The result is validated: it must be a
-    geometric star of the origin, and segments must map bijectively.
+    geometric star of the origin, and segments must map bijectively.  The
+    projection is computed, and its star validated, once per complex
+    instance.
     """
-    if profile is None:
-        profile = detect_orange(complex_)
-    k, i = profile.k, profile.i
+    if "projected" not in complex_._memo:
+        complex_._memo["projected"] = _project(complex_)
+    return complex_._memo["projected"]
+
+
+def _project(complex_: SimplicialComplex) -> ProjectedOrange:
+    i = detect_orange(complex_).i
     if i == 0:
         # the whole orange is a single simplex around its medial face;
         # the projection is the one-point complex in R^0
         star = SimplicialComplex(0, [()], [[0]])
-        return ProjectedOrange(complex=star, central_vertex=0, face_map=(0,))
-    frame = adapt_coordinates(complex_, profile)
+        return ProjectedOrange(complex=star, central_vertex=0, face_map=(0,), frame=None)
+    frame = adapt_coordinates(complex_)
     adapted = frame.apply(complex_)
 
     image_of: dict[int, Point] = {}
@@ -165,28 +168,20 @@ def project_orange(
     star.validate()
 
     face_map = tuple(star.maximal_faces.index(nf) for nf in new_faces)
-    return ProjectedOrange(complex=star, central_vertex=center, face_map=face_map)
+    return ProjectedOrange(complex=star, central_vertex=center, face_map=face_map, frame=frame)
 
 
-def project_face(
-    complex_: SimplicialComplex,
-    face: Sequence[int],
-    profile: OrangeProfile | None = None,
-    frame: AdaptedFrame | None = None,
-) -> tuple[Point, ...]:
+def project_face(complex_: SimplicialComplex, face: Sequence[int]) -> tuple[Point, ...]:
     """Distinct image points of one face under the orange's projection.
 
     Works for any face (not just maximal ones); the image simplex's
     dimension is one less than the number of returned points.
     """
-    if profile is None:
-        profile = detect_orange(complex_)
-    i = profile.i
-    if i == 0:
+    projected = project_orange(complex_)
+    if projected.frame is None:
         return ((),)
-    if frame is None:
-        frame = adapt_coordinates(complex_, profile)
-    images = {frame.apply_point(complex_.vertices[v])[:i] for v in face}
+    i = projected.complex.ambient_dim
+    images = {projected.frame.apply_point(complex_.vertices[v])[:i] for v in face}
     return tuple(sorted(images))
 
 
@@ -216,24 +211,16 @@ def standard_orange(
 
 @dataclass(frozen=True)
 class StandardForm:
-    """An orange together with its adapted projection data."""
+    """An orange together with its projection and its standard model."""
 
     profile: OrangeProfile
-    frame: AdaptedFrame | None
     projected: ProjectedOrange
     standard: SimplicialComplex
 
 
 def standard_form(complex_: SimplicialComplex) -> StandardForm:
-    """Detect, adapt, project, and rebuild the standard orange in one pass."""
+    """Detect, project, and rebuild the standard orange in one pass."""
     profile = detect_orange(complex_)
-    frame = adapt_coordinates(complex_, profile) if profile.i > 0 else None
-    projected = project_orange(complex_, profile)
-    if profile.i == 0:
-        # C is a point; the standard orange is the simplex on the medial face
-        std = standard_orange(
-            SimplicialComplex(0, [()], [[0]]), profile.k
-        )
-    else:
-        std = standard_orange(projected.complex, profile.k - profile.i)
-    return StandardForm(profile=profile, frame=frame, projected=projected, standard=std)
+    projected = project_orange(complex_)
+    std = standard_orange(projected.complex, profile.k - profile.i)
+    return StandardForm(profile=profile, projected=projected, standard=std)

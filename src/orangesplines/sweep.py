@@ -2,7 +2,8 @@
 
 Each cell computes the closed-form dimension of an orange and the
 brute-force cofactor dimension and records whether they agree.  Cells are
-computed one after another in (r, d) order.
+computed one after another in (r, d) order; a sweep with no cells is an
+error, not a pass.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .cofactor import spline_dim
-from .complexes import SimplicialComplex, detect_orange
+from .complexes import SimplicialComplex
 from .dimension import orange_dim_formula
-from .projection import project_orange
 
 __all__ = ["SweepCell", "SweepReport", "run_sweep"]
 
@@ -48,16 +48,15 @@ def run_sweep(
     r_values: Iterable[int],
     d_values: Iterable[int],
 ) -> SweepReport:
-    profile = detect_orange(complex_)
-    projected = project_orange(complex_, profile)
     grid = sorted((r, d) for r in set(r_values) for d in set(d_values))
-
+    if not grid:
+        raise ValueError("sweep grid is empty: no r or no d values")
     return SweepReport(
         cells=tuple(
             SweepCell(
                 r=r,
                 d=d,
-                formula=orange_dim_formula(complex_, r, d, profile, projected),
+                formula=orange_dim_formula(complex_, r, d),
                 oracle=spline_dim(complex_, r, d),
             )
             for r, d in grid

@@ -22,7 +22,7 @@ from orangesplines.dimension import (
     verify_standard_orange,
 )
 from orangesplines.exact import binom
-from orangesplines.projection import adapt_coordinates, project_face, project_orange, standard_form
+from orangesplines.projection import project_face, project_orange, standard_form
 from orangesplines.sweep import run_sweep
 
 SINGLE_SIMPLICES = ("segment", "triangle", "tetrahedron", "four-simplex")
@@ -195,7 +195,7 @@ def test_criterion_9_projection_geometry():
     for entry in CATALOG:
         cx = entry.complex
         profile = detect_orange(cx)
-        projected = project_orange(cx, profile)
+        projected = project_orange(cx)
         star = projected.complex
         try:
             star.validate()
@@ -204,10 +204,9 @@ def test_criterion_9_projection_geometry():
             continue
         if any(projected.central_vertex not in f for f in star.maximal_faces):
             failures.append((entry.name, "star-closure"))
-        frame = adapt_coordinates(cx, profile) if profile.i else None
         tau = set(profile.medial)
         for face in sorted(cx.faces):
-            image = project_face(cx, face, profile, frame)
+            image = project_face(cx, face)
             common = tau & set(face)
             expected = len(face) - len(common) + 1 if common else len(face)
             if len(image) != expected or len(set(image)) != len(image):

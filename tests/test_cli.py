@@ -192,6 +192,14 @@ def test_sweep_json_is_byte_stable(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("grid", [["--r-max", "-1"], ["--d-max", "-1"]])
+def test_sweep_with_no_cells_exits_one(capsys, grid):
+    rc, out, err = run(capsys, ["sweep", "-c", "two-triangle", *grid])
+    assert rc == 1
+    assert "ok" not in out
+    assert "empty" in err
+
+
 def test_csv_output(tmp_path, capsys):
     target = tmp_path / "cells.csv"
     rc, _, _ = run(

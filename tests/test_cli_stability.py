@@ -1,0 +1,66 @@
+"""CLI output stays byte-stable: stdout digests of a fixed command grid.
+
+``cli_digests.json`` holds the sha256 of stdout and the exit code of 111
+in-process ``cli.main`` calls: for every catalog entry ``validate``,
+``project``, ``standard-orange``, ``dim`` at (r, d) = (0, 2), (1, 3),
+(2, 4), ``hilbert --r 1 --dmax 5``, ``layers --d 3`` and ``mds`` at
+(0, 3), (1, 3), all with ``--json``, plus the default ``sweep --json``.
+Regenerate it with ``python tests/test_cli_stability.py`` only when an
+output change is intended.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+from orangesplines.catalog import names
+from orangesplines.cli import main
+
+DIGESTS = Path(__file__).with_name("cli_digests.json")
+
+
+def _commands() -> list[list[str]]:
+    out = []
+    for name in names():
+        src = ["-c", name]
+        out += [
+            ["validate", *src],
+            ["project", *src],
+            ["standard-orange", *src],
+            *(["dim", *src, "--r", r, "--d", d] for r, d in (("0", "2"), ("1", "3"), ("2", "4"))),
+            ["hilbert", *src, "--r", "1", "--dmax", "5"],
+            ["layers", *src, "--d", "3"],
+            *(["mds", *src, "--r", r, "--d", "3"] for r in ("0", "1")),
+        ]
+    out.append(["sweep"])
+    return [argv + ["--json"] for argv in out]
+
+
+def _digests() -> dict[str, dict[str, object]]:
+    out = {}
+    for argv in _commands():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+        out[" ".join(argv)] = {
+            "exit_code": rc,
+            "stdout_sha256": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+        }
+    return out
+
+
+def test_cli_output_matches_the_recorded_digests():
+    expected = json.loads(DIGESTS.read_text())
+    got = _digests()
+    assert len(got) == 111
+    assert list(got) == list(expected)
+    changed = [cmd for cmd in got if got[cmd] != expected[cmd]]
+    assert not changed, changed
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(_digests(), indent=1) + "\n")

@@ -16,6 +16,7 @@ from orangesplines.dimension import (
     verify_standard_orange,
 )
 from orangesplines.exact import binom
+from orangesplines.sweep import run_sweep
 
 
 def test_layer_count_zero_fiber_is_a_delta():
@@ -130,3 +131,9 @@ def test_fiber_dimension_zero_reduces_to_the_star_itself():
 def test_univariate_prefix_values(two_intervals, univariate_dim):
     prefix = hilbert_prefix(two_intervals, 1, 5)
     assert list(prefix.coeffs) == [univariate_dim(2, 1, d) for d in range(6)]
+
+
+@pytest.mark.parametrize("r_values, d_values", [([], range(3)), (range(2), []), ([], [])])
+def test_sweep_with_an_empty_grid_is_rejected(r_values, d_values):
+    with pytest.raises(ValueError, match="empty"):
+        run_sweep(get("two-triangle").complex, r_values, d_values)

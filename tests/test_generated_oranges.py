@@ -1,0 +1,85 @@
+"""Property tests on generated oranges, beyond the catalog.
+
+Random stars (1-D stars {-a, 0, b} and planar fans of rational rays around
+the origin) are joined with a coordinate simplex by ``standard_orange`` and
+moved by random invertible integer affine maps.  On every such orange the
+three derivations of the dimension must agree, and the Hilbert series of
+the orange must reduce to that of its star.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from orangesplines.bernstein import bernstein_dim
+from orangesplines.cofactor import spline_dim
+from orangesplines.complexes import SimplicialComplex, affine_image, detect_orange
+from orangesplines.dimension import orange_dim_formula, verify_hilbert_identity
+from orangesplines.exact import RationalMatrix
+from orangesplines.projection import standard_orange
+
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def stars(draw) -> SimplicialComplex:
+    """A star of the origin in R^1 or R^2 that ``validate`` accepts."""
+    if draw(st.booleans()):
+        a, b = (draw(rationals.filter(lambda x: x > 0)) for _ in range(2))
+        return SimplicialComplex(1, [[0], [-a], [b]], [[0, 1], [0, 2]])
+    rays = draw(
+        st.lists(st.tuples(rationals, rationals).filter(any), min_size=2, max_size=5)
+    )
+    rays.sort(key=lambda p: math.atan2(p[1], p[0]))
+    n = len(rays)
+    faces = [[0, j, j + 1] for j in range(1, n)]
+    if n >= 3 and draw(st.booleans()):
+        faces.append([0, n, 1])
+    star = SimplicialComplex(2, [(0, 0), *rays], faces)
+    try:
+        star.validate()
+    except ValueError:
+        assume(False)
+    return star
+
+
+@st.composite
+def generated_oranges(draw) -> tuple[SimplicialComplex, int]:
+    """An integer affine image of a standard orange over a random star,
+    with the star's ambient dimension."""
+    star = draw(stars())
+    orange = standard_orange(star, draw(st.integers(0, 1)))
+    k = orange.ambient_dim
+    entries = st.integers(-2, 2)
+    matrix = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k))
+    assume(RationalMatrix.from_rows(matrix).rank() == k)
+    translation = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    return affine_image(orange, matrix, translation), star.ambient_dim
+
+
+def test_three_dimension_counts_and_the_hilbert_identity_agree():
+    profiles = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(generated_oranges())
+    def check(generated):
+        cx, star_dim = generated
+        cx.validate()
+        profile = detect_orange(cx)
+        assert profile.i <= star_dim
+        profiles.add((profile.k, profile.i))
+        for r in range(2):
+            for d in range(4):
+                formula = orange_dim_formula(cx, r, d)
+                assert formula == spline_dim(cx, r, d) == bernstein_dim(cx, r, d), (r, d)
+            ok, residuals = verify_hilbert_identity(cx, r, 3)
+            assert ok, (r, residuals)
+
+    check()
+    # stars in R^1 and R^2, with and without a fiber, and fans whose rays
+    # are so few that the medial face is more than the origin
+    assert {(1, 1), (2, 1), (2, 2), (3, 2)} <= profiles, profiles

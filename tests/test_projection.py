@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from orangesplines import projection
+from orangesplines.bernstein import layer_decomposition, lift_mds, verify_mds
 from orangesplines.catalog import CATALOG, get
 from orangesplines.complexes import SimplicialComplex, detect_orange
 from orangesplines.projection import (
@@ -21,7 +23,7 @@ def test_adapted_frame_normalizes_the_medial_face():
     for name in ("two-triangle", "two-triangle-skew", "two-tetrahedron", "fan-4d"):
         cx = get(name).complex
         profile = detect_orange(cx)
-        frame = adapt_coordinates(cx, profile)
+        frame = adapt_coordinates(cx)
         k, i = profile.k, profile.i
         base = frame.apply_point(cx.vertices[profile.medial[0]])
         assert base == (Fraction(0),) * k
@@ -90,10 +92,9 @@ def test_image_dimension_rule():
     for entry in CATALOG:
         cx = entry.complex
         profile = detect_orange(cx)
-        frame = adapt_coordinates(cx, profile) if profile.i else None
         tau = set(profile.medial)
         for face in sorted(cx.faces):
-            image = project_face(cx, face, profile, frame)
+            image = project_face(cx, face)
             common = tau & set(face)
             # collapsing the part inside the medial face keeps one vertex
             expected = len(face) - len(common) + 1 if common else len(face)
@@ -109,3 +110,23 @@ def test_skew_orange_has_skew_frame_but_clean_star():
     assert star.ambient_dim == 1
     assert len(star.maximal_faces) == 2
     assert projected.central_vertex == 0
+
+
+def test_each_orange_is_recognized_and_projected_once(monkeypatch):
+    # a fresh copy, so no earlier test has filled its memo
+    entry = get("two-tetrahedron").complex
+    cx = SimplicialComplex(entry.ambient_dim, entry.vertices, entry.maximal_faces)
+    validated, frames = [], []
+    validate, adapt = SimplicialComplex.validate, projection.adapt_coordinates
+    monkeypatch.setattr(SimplicialComplex, "validate", lambda c: validated.append(c) or validate(c))
+    monkeypatch.setattr(projection, "adapt_coordinates", lambda c: frames.append(c) or adapt(c))
+    sf = standard_form(cx)
+    assert frames == [cx]
+    lift_mds(sf.standard, 1, 3)
+    verify_mds(sf.standard, 1, 3)
+    layer_decomposition(sf.standard, 3)
+    # one star validated for the orange and one for its standard model
+    assert len(validated) == 2
+    assert project_orange(cx) is project_orange(cx) is sf.projected
+    assert detect_orange(cx) is detect_orange(cx) is sf.profile
+    assert sf.projected.frame is not None
