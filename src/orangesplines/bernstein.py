@@ -14,12 +14,13 @@ vertex (the lattice formula degenerates there).
 A spline is one coefficient per identified domain point, and C^r
 smoothness is one sparse linear system on those coefficients: the
 conditions of Lai & Schumaker (*Spline Functions on Triangulations*, 2007,
-Thm 2.28) across every shared facet.  Everything about determining sets is
-read off that system.  A set M of points determines the spline space
-exactly when the system's columns outside M are independent, so by matroid
-duality the greedy hub-outward selection is the complement of the greedy
-column basis taken from the outside in (Oxley, *Matroid Theory*, §2), and
-verifying a set is one rank computation.
+Thm 2.28) across every shared facet.  A complex instance builds its
+lattice once per degree and that system once per (r, d), and everything
+about determining sets is read off the one system.  A set M of points
+determines the spline space exactly when the system's columns outside M
+are independent, so by matroid duality the greedy hub-outward selection is
+the complement of the greedy column basis taken from the outside in
+(Oxley, *Matroid Theory*, §2), and verifying a set is one rank computation.
 
 The system's nullity, ``bernstein_dim``, is the third derivation of the
 dimension, next to the cofactor oracle (``cofactor.spline_dim``) and the
@@ -140,21 +141,25 @@ def simplex_domain_points(
     ]
 
 
-def complex_domain_points(complex_: SimplicialComplex, d: int) -> list[IdentifiedPoint]:
+def complex_domain_points(complex_: SimplicialComplex, d: int) -> tuple[IdentifiedPoint, ...]:
     """Lattice of the whole complex, identified by exact coordinates.
 
     Points are returned sorted by coordinates; each carries every host face
-    and multi-index that produces it.
+    and multi-index that produces it.  The lattice is built once per complex
+    instance and degree.
     """
-    buckets: dict[Point, list[tuple[int, tuple[int, ...]]]] = {}
-    for fidx, face in enumerate(complex_.maximal_faces):
-        verts = tuple(complex_.vertices[v] for v in face)
-        for dp in simplex_domain_points(verts, d, face=fidx):
-            buckets.setdefault(dp.coordinates, []).append((fidx, dp.multi_index))
-    return [
-        IdentifiedPoint(coordinates=coords, occurrences=tuple(sorted(buckets[coords])))
-        for coords in sorted(buckets)
-    ]
+    key = ("lattice", d)
+    if key not in complex_._memo:
+        buckets: dict[Point, list[tuple[int, tuple[int, ...]]]] = {}
+        for fidx, face in enumerate(complex_.maximal_faces):
+            verts = tuple(complex_.vertices[v] for v in face)
+            for dp in simplex_domain_points(verts, d, face=fidx):
+                buckets.setdefault(dp.coordinates, []).append((fidx, dp.multi_index))
+        complex_._memo[key] = tuple(
+            IdentifiedPoint(coordinates=coords, occurrences=tuple(sorted(buckets[coords])))
+            for coords in sorted(buckets)
+        )
+    return complex_._memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +421,7 @@ class DeterminingSet:
 
 def _ordered_points(
     complex_: SimplicialComplex, d: int
-) -> list[IdentifiedPoint]:
+) -> tuple[IdentifiedPoint, ...]:
     """Domain points ordered by hub distance layer, then coordinates.
 
     The hub is the lowest-index medial vertex of the orange (the center of
@@ -434,18 +439,11 @@ def _ordered_points(
                 best = min(best, d - alpha[face.index(hub)])
         return best
 
-    return sorted(points, key=lambda p: (layer(p), p.coordinates))
-
-
-def _column_index(
-    points: list[IdentifiedPoint],
-) -> dict[tuple[int, tuple[int, ...]], int]:
-    """(face, multi-index) -> position of its identified point in ``points``."""
-    return {occ: col for col, p in enumerate(points) for occ in p.occurrences}
+    return tuple(sorted(points, key=lambda p: (layer(p), p.coordinates)))
 
 
 def _smoothness_rows(
-    complex_: SimplicialComplex, r: int, d: int, points: list[IdentifiedPoint]
+    complex_: SimplicialComplex, r: int, d: int, points: tuple[IdentifiedPoint, ...]
 ) -> list[dict[int, Fraction]]:
     """C^r conditions on Bernstein coefficients, one column per point.
 
@@ -459,7 +457,7 @@ def _smoothness_rows(
     m = 0 rows, except at d = 0 where each piece's point is its first
     vertex).
     """
-    column = _column_index(points)
+    column = {occ: col for col, p in enumerate(points) for occ in p.occurrences}
     faces = complex_.maximal_faces
     rows = []
     for s, t in adjacent_pairs(complex_):
@@ -496,12 +494,31 @@ def _smoothness_rows(
     return rows
 
 
-def _columns_independent(
-    rows: list[dict[int, Fraction]], ncols: int, chosen: set[int]
+def _system(
+    complex_: SimplicialComplex, r: int, d: int
+) -> tuple[tuple[IdentifiedPoint, ...], list[dict[int, Fraction]]]:
+    """(points in hub order, C^r conditions on them), built once per complex
+    instance and (r, d).  ``_ordered_points`` rejects non-oranges first."""
+    key = ("system", r, d)
+    if key not in complex_._memo:
+        points = _ordered_points(complex_, d)
+        complex_._memo[key] = (points, _smoothness_rows(complex_, r, d, points))
+    return complex_._memo[key]
+
+
+def _determines(
+    complex_: SimplicialComplex, r: int, d: int, hosts: list[tuple[int, tuple[int, ...]]]
 ) -> bool:
-    """Whether the system's columns outside ``chosen`` are independent."""
+    """Whether the points with these (face, multi-index) hosts form a minimal
+    determining set: dim-many hosts, all in the lattice, and the system's
+    columns outside them independent."""
+    points, rows = _system(complex_, r, d)
+    column = {occ: col for col, p in enumerate(points) for occ in p.occurrences}
+    if len(hosts) != spline_dim(complex_, r, d) or any(h not in column for h in hosts):
+        return False
+    chosen = {column[h] for h in hosts}
     rest = [{c: v for c, v in row.items() if c not in chosen} for row in rows]
-    return RationalMatrix.from_sparse(rest, ncols).rank() == ncols - len(chosen)
+    return RationalMatrix.from_sparse(rest, len(points)).rank() == len(points) - len(chosen)
 
 
 def bernstein_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
@@ -512,36 +529,8 @@ def bernstein_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
     detect_orange(complex_)
     if d < 0:
         return 0
-    points = complex_domain_points(complex_, d)
-    rows = _smoothness_rows(complex_, r, d, points)
+    points, rows = _system(complex_, r, d)
     return len(points) - RationalMatrix.from_sparse(rows, len(points)).rank()
-
-
-def _select(
-    complex_: SimplicialComplex,
-    r: int,
-    d: int,
-    ordered: list[IdentifiedPoint],
-    rows: list[dict[int, Fraction]],
-) -> DeterminingSet:
-    """The greedy selection of ``compute_mds`` on an already built system."""
-    columns: list[dict[int, Fraction]] = [{} for _ in ordered]
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            columns[c][i] = v
-    tracker = EchelonBasis()
-    rejected = []
-    for c in reversed(range(len(ordered))):
-        if not tracker.add(columns[c]):
-            rejected.append(c)
-    selected = tuple(ordered[c] for c in reversed(rejected))
-    dim = spline_dim(complex_, r, d)
-    if len(selected) != dim:
-        raise AssertionError(
-            f"Bernstein system leaves {len(selected)} free coefficients, "
-            f"the cofactor oracle says dimension {dim}"
-        )
-    return DeterminingSet(r=r, d=d, dimension=dim, points=selected)
 
 
 def compute_mds(complex_: SimplicialComplex, r: int, d: int) -> DeterminingSet:
@@ -557,8 +546,21 @@ def compute_mds(complex_: SimplicialComplex, r: int, d: int) -> DeterminingSet:
 
     ``complex_`` must be an orange: the selection grows outward from its
     medial face, and ``detect_orange`` rejects anything else."""
-    ordered = _ordered_points(complex_, d)
-    return _select(complex_, r, d, ordered, _smoothness_rows(complex_, r, d, ordered))
+    points, rows = _system(complex_, r, d)
+    columns: list[dict[int, Fraction]] = [{} for _ in points]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            columns[c][i] = v
+    tracker = EchelonBasis()
+    rejected = [c for c in reversed(range(len(points))) if not tracker.add(columns[c])]
+    selected = tuple(points[c] for c in reversed(rejected))
+    dim = spline_dim(complex_, r, d)
+    if len(selected) != dim:
+        raise AssertionError(
+            f"Bernstein system leaves {len(selected)} free coefficients, "
+            f"the cofactor oracle says dimension {dim}"
+        )
+    return DeterminingSet(r=r, d=d, dimension=dim, points=selected)
 
 
 def verify_mds(
@@ -567,15 +569,9 @@ def verify_mds(
     """Whether ``ds`` (by default the greedy set) is a minimal determining
     set: it has dim-many points and the smoothness system's columns outside
     them are independent."""
-    ordered = _ordered_points(complex_, d)
-    rows = _smoothness_rows(complex_, r, d, ordered)
     if ds is None:
-        ds = _select(complex_, r, d, ordered, rows)
-    column = _column_index(ordered)
-    hosts = [p.occurrences[0] for p in ds.points]
-    if len(hosts) != spline_dim(complex_, r, d) or any(h not in column for h in hosts):
-        return False
-    return _columns_independent(rows, len(ordered), {column[h] for h in hosts})
+        ds = compute_mds(complex_, r, d)
+    return _determines(complex_, r, d, [p.occurrences[0] for p in ds.points])
 
 
 # ---------------------------------------------------------------------------
@@ -632,14 +628,12 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
     lifted: list[LiftedPoint] = []
     seen: dict[Point, int] = {}
     per_level = []
-    expected_total = 0
     for j in range(d + 1):
         shifts = _tail_shifts(d, j, i, fiber, k)
         if not shifts:
             continue
         mds_j = compute_mds(star, r, j)
         per_level.append((j, len(mds_j.points), len(shifts)))
-        expected_total += len(mds_j.points) * len(shifts)
         factor = Fraction(j, d) if d else Fraction(0)
         for point in mds_j.points:
             sfidx, alpha = point.occurrences[0]
@@ -671,28 +665,22 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
                     )
                 )
 
-    if len(lifted) != expected_total:
-        raise CardinalityMismatchError(
-            f"lift produced {len(lifted)} points, levelwise count says {expected_total}"
-        )
+    # one point per (star point, shift) pair, so this is the levelwise count
+    total = len(lifted)
     formula_value = orange_dim_formula(complex_, r, d)
-    if expected_total != formula_value:
+    if total != formula_value:
         raise CardinalityMismatchError(
-            f"lift cardinality {expected_total} differs from the "
+            f"lift cardinality {total} differs from the "
             f"closed-form dimension {formula_value}"
         )
 
     # rank test: the lifted coefficients must pin down every spline
     dim = spline_dim(complex_, r, d)
-    if dim != expected_total:
+    if dim != total:
         raise CardinalityMismatchError(
-            f"spline space has dimension {dim}, lift has {expected_total} points"
+            f"spline space has dimension {dim}, lift has {total} points"
         )
-    points = complex_domain_points(complex_, d)
-    column = _column_index(points)
-    rows = _smoothness_rows(complex_, r, d, points)
-    chosen = {column[(p.face, p.multi_index)] for p in lifted}
-    if not _columns_independent(rows, len(points), chosen):
+    if not _determines(complex_, r, d, [(p.face, p.multi_index) for p in lifted]):
         raise CardinalityMismatchError("lifted selection matrix is singular")
 
     return LiftedDeterminingSet(
@@ -700,6 +688,6 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
         d=d,
         points=tuple(lifted),
         per_level=tuple(per_level),
-        total=expected_total,
+        total=total,
         formula_value=formula_value,
     )

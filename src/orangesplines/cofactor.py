@@ -79,9 +79,6 @@ class CofactorSystem:
     def face_block_size(self) -> int:
         return len(self.face_monomials)
 
-    def face_column(self, face_index: int, monomial: tuple[int, ...]) -> int:
-        return face_index * self.face_block_size + self.face_monomials.index(monomial)
-
     def dimension(self) -> int:
         return self.matrix.nullity()
 
@@ -165,23 +162,32 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
     )
 
 
-@lru_cache(maxsize=None)
 def spline_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
     """dim of the degree-<=d, order-r spline space, by exact nullity.
 
     This is the generic facet-adjacency oracle: it accepts any complex,
     orange or not, and imposes smoothness across shared facets only.
 
-    The cache is keyed by value, not per instance: equal complexes share
-    entries.  The projected star of a (k, k)-orange centred at the origin
-    (``planar-star``, ``vertex-star-3d``) is equal to the orange itself, so
-    the formula's star dimensions and the oracle's values are one entry.
+    The cache (``spline_dim.cache_info()``) is keyed by value, on (ambient
+    dimension, vertices, maximal faces, r, d): no entry keeps a complex and
+    its memo alive, and equal complexes share entries.  The projected star
+    of a (k, k)-orange centred at the origin (``planar-star``,
+    ``vertex-star-3d``) equals the orange, so the formula's star dimensions
+    and the oracle's values are one entry.
     """
     if r < 0:
         raise ValueError("smoothness order must be nonnegative")
     if d < 0:
         return 0
-    return build_system(complex_, r, d).dimension()
+    return _spline_dim(complex_.ambient_dim, complex_.vertices, complex_.maximal_faces, r, d)
+
+
+@lru_cache(maxsize=None)
+def _spline_dim(ambient_dim: int, vertices: tuple, faces: tuple, r: int, d: int) -> int:
+    return build_system(SimplicialComplex(ambient_dim, vertices, faces), r, d).dimension()
+
+
+spline_dim.cache_info = _spline_dim.cache_info  # type: ignore[attr-defined]
 
 
 def spline_basis(complex_: SimplicialComplex, r: int, d: int) -> list[Spline]:

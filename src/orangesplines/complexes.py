@@ -142,10 +142,12 @@ class SimplicialComplex:
     """A pure-data simplicial complex: rational vertices plus maximal faces.
 
     Vertices are indexed by position; every maximal face is stored as a
-    sorted tuple of vertex indices.  Instances are immutable and hashable,
-    which lets dimension computations be cached per complex, and derived
-    structure is computed once per instance: ``detect_orange`` and
-    ``project_orange`` keep their results in ``_memo``.
+    sorted tuple of vertex indices.  Instances are immutable and compare
+    and hash by value.  Derived structure is computed once per instance and
+    kept in ``_memo``: the profile (``detect_orange``), the projection
+    (``project_orange``), and the domain-point lattices and Bernstein C^r
+    systems of ``bernstein``.  The dimension cache of ``spline_dim`` is
+    keyed by value and holds no instance.
     """
 
     ambient_dim: int
@@ -178,7 +180,7 @@ class SimplicialComplex:
         )
 
     @cached_property
-    def _memo(self) -> dict[str, object]:
+    def _memo(self) -> dict[object, object]:
         return {}
 
     @cached_property

@@ -69,8 +69,11 @@ def complex_from_dict(data: object) -> SimplicialComplex:
             raise ComplexFormatError(
                 f"maximal_faces[{fi}] references missing vertex {bad[0]}"
             )
+        if len(set(face)) != len(face):
+            repeated = max(face, key=face.count)
+            raise ComplexFormatError(f"maximal_faces[{fi}] repeats vertex {repeated}")
         faces.append(face)
-    normalized = [tuple(sorted(set(f))) for f in faces]
+    normalized = [tuple(sorted(f)) for f in faces]
     seen: dict[tuple[int, ...], int] = {}
     for fi, f in enumerate(normalized):
         if f in seen:

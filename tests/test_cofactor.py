@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from orangesplines.catalog import get
 from orangesplines.cofactor import build_system, facet_linear_form, spline_basis, spline_dim
-from orangesplines.complexes import SimplicialComplex
+from orangesplines.complexes import SimplicialComplex, affine_image
+from orangesplines.dimension import orange_dim_formula
+from orangesplines.projection import project_orange
 from orangesplines.exact import binom
 from orangesplines.polynomials import Polynomial, divisible_by_linear_power
 
@@ -135,3 +139,20 @@ def test_dimension_is_cached_and_consistent():
     second = spline_dim(cx, 1, 3)
     assert first == second
     assert first == build_system(cx, 1, 3).dimension()
+
+
+def test_dimension_cache_keeps_no_complex_alive():
+    # a fresh instance whose memo will hold its profile and projected star
+    matrix = [[2, 1, 0], [0, 1, 0], [1, 0, 3]]
+    image = affine_image(get("two-tetrahedron").complex, matrix, [1, -1, 2])
+    value = (image.ambient_dim, image.vertices, image.maximal_faces)
+    dim = orange_dim_formula(image, 1, 3)
+    assert spline_dim(image, 1, 3) == dim
+    refs = [weakref.ref(image), weakref.ref(project_orange(image).complex)]
+    del image
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    # an equal complex still reads the same entry
+    hits = spline_dim.cache_info().hits
+    assert spline_dim(SimplicialComplex(*value), 1, 3) == dim
+    assert spline_dim.cache_info().hits == hits + 1

@@ -15,11 +15,11 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orangesplines.bernstein import bernstein_dim
+from orangesplines.bernstein import bernstein_dim, lift_mds, verify_mds
 from orangesplines.cofactor import spline_dim
 from orangesplines.complexes import SimplicialComplex, affine_image, detect_orange
 from orangesplines.dimension import orange_dim_formula, verify_hilbert_identity
-from orangesplines.exact import RationalMatrix
+from orangesplines.exact import RationalMatrix, binom
 from orangesplines.projection import standard_orange
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -83,3 +83,45 @@ def test_three_dimension_counts_and_the_hilbert_identity_agree():
     # stars in R^1 and R^2, with and without a fiber, and fans whose rays
     # are so few that the medial face is more than the origin
     assert {(1, 1), (2, 1), (2, 2), (3, 2)} <= profiles, profiles
+
+
+def octahedral_star() -> SimplicialComplex:
+    """The star of the origin over the octahedron: one tetrahedron per
+    octant, a closed star in R^3 that is not an Alfeld split."""
+    vertices = [(0, 0, 0)]
+    for axis in range(3):
+        for sign in (1, -1):
+            e = [0, 0, 0]
+            e[axis] = sign
+            vertices.append(tuple(e))
+    faces = [[0, 1 + sx, 3 + sy, 5 + sz] for sx in (0, 1) for sy in (0, 1) for sz in (0, 1)]
+    return SimplicialComplex(3, vertices, faces)
+
+
+def test_octahedral_star_has_the_tensor_product_dimension():
+    star = octahedral_star()
+    star.validate()
+    profile = detect_orange(star)
+    assert (profile.k, profile.i, profile.n, len(star.vertices)) == (3, 3, 8, 7)
+    for r in range(3):
+        for d in range(6):
+            # Hilbert numerator (1 + t^(r+1))^3 over (1 - t)^4
+            expected = sum(
+                binom(3, m) * binom(d - m * (r + 1) + 3, 3)
+                for m in range(4)
+                if d >= m * (r + 1)
+            )
+            assert spline_dim(star, r, d) == expected, (r, d)
+
+
+def test_octahedral_standard_oranges_agree_on_every_count():
+    star = octahedral_star()
+    for fiber, dmax in ((0, 3), (1, 2)):
+        orange = standard_orange(star, fiber)
+        for r in range(2):
+            for d in range(dmax + 1):
+                dim = spline_dim(orange, r, d)
+                assert dim == bernstein_dim(orange, r, d), (fiber, r, d)
+                assert dim == orange_dim_formula(orange, r, d), (fiber, r, d)
+                assert dim == lift_mds(orange, r, d).total, (fiber, r, d)
+                assert verify_mds(orange, r, d) is True, (fiber, r, d)

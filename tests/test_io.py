@@ -43,6 +43,7 @@ def test_serialized_form_is_plain_json(two_triangle):
         ({"vertices": [["0", "0"], ["1", "oops"]]}, "vertices[1][1]"),
         ({"maximal_faces": [[0, 1, 7]]}, "maximal_faces[0]"),
         ({"maximal_faces": "nope"}, "maximal_faces"),
+        ({"maximal_faces": [[0, 1, 2, 2]]}, "maximal_faces[0]"),
     ],
 )
 def test_schema_errors_name_the_field(mutation, fragment):

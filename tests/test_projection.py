@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from orangesplines import projection
+from orangesplines import bernstein, projection
 from orangesplines.bernstein import layer_decomposition, lift_mds, verify_mds
 from orangesplines.catalog import CATALOG, get
 from orangesplines.complexes import SimplicialComplex, detect_orange
@@ -120,6 +120,25 @@ def test_each_orange_is_recognized_and_projected_once(monkeypatch):
     validate, adapt = SimplicialComplex.validate, projection.adapt_coordinates
     monkeypatch.setattr(SimplicialComplex, "validate", lambda c: validated.append(c) or validate(c))
     monkeypatch.setattr(projection, "adapt_coordinates", lambda c: frames.append(c) or adapt(c))
+    # Bernstein systems by (complex, r, d); lattices by (complex, degree),
+    # one entry per distinct lattice object returned; complexes and
+    # lattices are kept alive so that their ids stay unique
+    systems, lattices, seen = [], {}, []
+    rows, points = bernstein._smoothness_rows, bernstein.complex_domain_points
+
+    def count_rows(c, r, d, pts):
+        seen.append(c)
+        systems.append((id(c), r, d))
+        return rows(c, r, d, pts)
+
+    def count_lattice(c, d):
+        out = points(c, d)
+        seen.append((c, out))
+        lattices.setdefault(id(out), (id(c), d))
+        return out
+
+    monkeypatch.setattr(bernstein, "_smoothness_rows", count_rows)
+    monkeypatch.setattr(bernstein, "complex_domain_points", count_lattice)
     sf = standard_form(cx)
     assert frames == [cx]
     lift_mds(sf.standard, 1, 3)
@@ -127,6 +146,12 @@ def test_each_orange_is_recognized_and_projected_once(monkeypatch):
     layer_decomposition(sf.standard, 3)
     # one star validated for the orange and one for its standard model
     assert len(validated) == 2
+    # each system and each lattice built once per complex instance
+    assert systems and len(set(systems)) == len(systems), systems
+    builds = list(lattices.values())
+    assert builds and len(set(builds)) == len(builds), builds
+    assert (id(sf.standard), 1, 3) in systems
+    assert (id(sf.standard), 3) in builds
     assert project_orange(cx) is project_orange(cx) is sf.projected
     assert detect_orange(cx) is detect_orange(cx) is sf.profile
     assert sf.projected.frame is not None
