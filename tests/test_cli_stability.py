@@ -1,11 +1,13 @@
 """CLI output stays byte-stable: stdout digests of a fixed command grid.
 
-``cli_digests.json`` holds the sha256 of stdout and the exit code of 133
+``cli_digests.json`` holds the sha256 of stdout and the exit code of 144
 in-process ``cli.main`` calls: for every catalog entry ``validate``,
 ``project``, ``standard-orange``, ``dim`` at (r, d) = (0, 2), (1, 3),
 (2, 4), ``hilbert --r 1 --dmax 5``, ``layers --d 3`` and ``mds`` at
 (0, 3), (1, 3), then the default ``sweep``, then ``domain-points`` at
-d = 0 and 2 for every catalog entry, all with ``--json``.
+d = 0 and 2 for every catalog entry, then ``hilbert --r 2 --dmax 8`` for
+every catalog entry (at r = 2 the cofactor columns start at degree 3),
+all with ``--json``.
 Regenerate it with ``python tests/test_cli_stability.py`` only when an
 output change is intended.
 """
@@ -39,6 +41,7 @@ def _commands() -> list[list[str]]:
         ]
     out.append(["sweep"])
     out += [["domain-points", "-c", name, "--d", d] for name in names() for d in ("0", "2")]
+    out += [["hilbert", "-c", name, "--r", "2", "--dmax", "8"] for name in names()]
     return [argv + ["--json"] for argv in out]
 
 
@@ -58,7 +61,7 @@ def _digests() -> dict[str, dict[str, object]]:
 def test_cli_output_matches_the_recorded_digests():
     expected = json.loads(DIGESTS.read_text())
     got = _digests()
-    assert len(got) == 133
+    assert len(got) == 144
     assert list(got) == list(expected)
     changed = [cmd for cmd in got if got[cmd] != expected[cmd]]
     assert not changed, changed
