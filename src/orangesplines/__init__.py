@@ -30,7 +30,7 @@ from .bernstein import (
     verify_mds,
 )
 from .catalog import CATALOG, CatalogEntry, SWEEP_NAMES
-from .cofactor import CofactorSystem, build_system, spline_basis, spline_dim
+from .cofactor import CofactorSystem, build_system, spline_basis, spline_dim, spline_dims
 from .complexes import (
     EmptyMedialFaceError,
     InvalidComplexError,
@@ -125,6 +125,7 @@ __all__ = [
     "simplex_domain_points",
     "spline_basis",
     "spline_dim",
+    "spline_dims",
     "standard_form",
     "standard_orange",
     "verify_hilbert_identity",

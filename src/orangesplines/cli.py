@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import catalog as catalog_mod
 from .bernstein import complex_domain_points, layer_decomposition, lift_mds
-from .cofactor import build_system, spline_dim
+from .cofactor import build_system, spline_dim, spline_dims
 from .complexes import SimplicialComplex, detect_orange
 from .dimension import orange_dim_formula, verify_hilbert_identity
 from .exact import format_rational
@@ -119,6 +119,8 @@ def _cmd_standard_orange(args: argparse.Namespace) -> int:
 
 
 def _cmd_dim(args: argparse.Namespace) -> int:
+    if args.d < 0:
+        raise ValueError("degree must be nonnegative")
     complex_ = _resolve_complex(args)
     payload: dict = {"r": args.r, "d": args.d, "method": args.method}
     rc = 0
@@ -153,8 +155,8 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
     payload = {
         "r": args.r,
         "dmax": args.dmax,
-        "orange": [spline_dim(complex_, args.r, d) for d in range(args.dmax + 1)],
-        "star": [spline_dim(star, args.r, d) for d in range(args.dmax + 1)],
+        "orange": list(spline_dims(complex_, args.r, args.dmax)),
+        "star": list(spline_dims(star, args.r, args.dmax)),
         "fiber_dim": profile.k - profile.i,
         "residuals": residuals,
         "ok": ok,

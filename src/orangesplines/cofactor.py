@@ -9,6 +9,18 @@ the spline space (the cofactor is determined by the difference), so the
 spline dimension is the system's nullity.  No structure of the complex is
 used beyond facet adjacency, which is what makes this an independent check
 for the closed-form computations elsewhere in the package.
+
+When the maximal faces share a vertex (every orange does: the medial face
+lies in all of them), every wall passes through it.  ``spline_dims``
+translates that vertex to the origin, which makes every wall form
+homogeneous.  The system then splits into independent blocks by exact
+degree j: the face columns of degree j, the cofactor columns of degree
+j - r - 1 and the rows of degree j.  Block j does not depend on d, so
+S^r_d is the sum of the blocks j <= d (Billera & Rose, "A dimension series
+for multivariate splines", 1991), and one build and one echelon pass at the
+top degree give the whole prefix.  A complex with no shared vertex (two
+disjoint segments, the Morgan-Scott split) keeps one ungraded system per
+degree.
 """
 
 from __future__ import annotations
@@ -16,16 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from .complexes import Point, SimplicialComplex, adjacent_pairs
-from .exact import RationalMatrix, format_rational
+from .exact import RationalMatrix, _echelon, format_rational
 from .polynomials import Polynomial, monomials_upto
 
 __all__ = [
     "facet_linear_form",
     "CofactorSystem",
     "build_system",
+    "spline_dims",
     "spline_dim",
     "spline_basis",
     "Spline",
@@ -134,21 +148,18 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
     for p, (s, t) in enumerate(pairs):
         shared = sorted(set(faces[s]) & set(faces[t]))
         ell = facet_linear_form([complex_.vertices[v] for v in shared])
-        wall = ell ** (r + 1)
+        wall_terms = tuple((ell ** (r + 1)).coeffs.items())
         cof_base = nf * m + p * mc
-        for mono in face_mons:
-            row: dict[int, Fraction] = {
-                s * m + mono_pos[mono]: Fraction(1),
-                t * m + mono_pos[mono]: Fraction(-1),
-            }
-            for u_idx, u in enumerate(cof_mons):
-                diff = tuple(a - b for a, b in zip(mono, u))
-                if any(x < 0 for x in diff):
-                    continue
-                coeff = wall.coefficient(diff)
-                if coeff:
-                    row[cof_base + u_idx] = -coeff
-            rows.append(row)
+        pair_rows: list[dict[int, Fraction]] = [
+            {s * m + i: Fraction(1), t * m + i: Fraction(-1)} for i in range(m)
+        ]
+        # u + e is distinct over the terms e of the wall power, so each
+        # entry is written once; from_sparse sorts every row
+        for u_idx, u in enumerate(cof_mons):
+            col = cof_base + u_idx
+            for e, c in wall_terms:
+                pair_rows[mono_pos[tuple(a + b for a, b in zip(u, e))]][col] = -c
+        rows.extend(pair_rows)
     matrix = RationalMatrix.from_sparse(rows, ncols)
     return CofactorSystem(
         complex=complex_,
@@ -162,32 +173,72 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
     )
 
 
+def spline_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
+    """dim S^r_d for d = 0..dmax, by exact nullity; () when dmax < 0.
+
+    When the maximal faces share a vertex, every wall passes through it.
+    The complex is translated so that the lowest-index shared vertex is the
+    origin, one system is built at dmax, and one echelon pass gives every
+    degree: the system splits into degree blocks, and the degree-<=d
+    system is the union of the blocks of degree <= d.  Otherwise each
+    degree gets its own ungraded ``build_system(complex_, r, d)``.
+
+    The cache (``spline_dims.cache_info()``) is keyed by value, on (ambient
+    dimension, vertices, maximal faces, r, dmax): no entry keeps a complex
+    and its memo alive, and equal complexes share entries.
+    """
+    if r < 0:
+        raise ValueError("smoothness order must be nonnegative")
+    if dmax < 0:
+        return ()
+    return _spline_dims(
+        complex_.ambient_dim, complex_.vertices, complex_.maximal_faces, r, dmax
+    )
+
+
+@lru_cache(maxsize=None)
+def _spline_dims(
+    ambient_dim: int, vertices: tuple, faces: tuple, r: int, dmax: int
+) -> tuple[int, ...]:
+    shared = set(faces[0]).intersection(*faces[1:]) if faces else set()
+    if not shared:
+        cx = SimplicialComplex(ambient_dim, vertices, faces)
+        return tuple(build_system(cx, r, d).dimension() for d in range(dmax + 1))
+    origin = vertices[min(shared)]
+    moved = SimplicialComplex(
+        ambient_dim, [[x - o for x, o in zip(v, origin)] for v in vertices], faces
+    )
+    system = build_system(moved, r, dmax)
+    pivots = _echelon(system.matrix.sparse_rows())
+    face_degrees = [sum(mono) for mono in system.face_monomials]
+    cofactor_degrees = [sum(mono) + r + 1 for mono in system.cofactor_monomials]
+    degrees = face_degrees * system.n_faces + cofactor_degrees * len(system.pairs)
+    free = [0] * (dmax + 1)
+    for col, degree in enumerate(degrees):
+        if col not in pivots:
+            free[degree] += 1
+    return tuple(accumulate(free))
+
+
+spline_dims.cache_info = _spline_dims.cache_info  # type: ignore[attr-defined]
+
+
 def spline_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
     """dim of the degree-<=d, order-r spline space, by exact nullity.
 
     This is the generic facet-adjacency oracle: it accepts any complex,
-    orange or not, and imposes smoothness across shared facets only.
-
-    The cache (``spline_dim.cache_info()``) is keyed by value, on (ambient
-    dimension, vertices, maximal faces, r, d): no entry keeps a complex and
-    its memo alive, and equal complexes share entries.  The projected star
-    of a (k, k)-orange centred at the origin (``planar-star``,
+    orange or not, and imposes smoothness across shared facets only.  It
+    reads ``spline_dims(complex_, r, d)[d]``, so ``spline_dim.cache_info()``
+    answers for the ``spline_dims`` cache.  The projected star of a
+    (k, k)-orange centred at the origin (``planar-star``,
     ``vertex-star-3d``) equals the orange, so the formula's star dimensions
     and the oracle's values are one entry.
     """
-    if r < 0:
-        raise ValueError("smoothness order must be nonnegative")
-    if d < 0:
-        return 0
-    return _spline_dim(complex_.ambient_dim, complex_.vertices, complex_.maximal_faces, r, d)
+    dims = spline_dims(complex_, r, d)
+    return dims[d] if d >= 0 else 0
 
 
-@lru_cache(maxsize=None)
-def _spline_dim(ambient_dim: int, vertices: tuple, faces: tuple, r: int, d: int) -> int:
-    return build_system(SimplicialComplex(ambient_dim, vertices, faces), r, d).dimension()
-
-
-spline_dim.cache_info = _spline_dim.cache_info  # type: ignore[attr-defined]
+spline_dim.cache_info = _spline_dims.cache_info  # type: ignore[attr-defined]
 
 
 def spline_basis(complex_: SimplicialComplex, r: int, d: int) -> list[Spline]:

@@ -11,13 +11,18 @@ with C the projected star in R^i.  The same identity in generating-function
 form says the Hilbert series of the orange equals that of C divided by
 (1 - t)^(k - i); both forms are implemented here and cross-checked against
 the brute-force cofactor computation by the test suite.
+
+Every series here is read from whole prefixes: the formula takes the star's
+dimensions in degrees 0..d from one ``spline_dims`` call, and the identity
+check takes one prefix of the orange and one of the star, so each side
+costs one graded cofactor system, not one system per degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cofactor import spline_dim
+from .cofactor import spline_dim, spline_dims
 from .complexes import SimplicialComplex, detect_orange
 from .exact import binom
 from .projection import project_orange, standard_form
@@ -49,13 +54,20 @@ def layer_count(d: int, j: int, fiber_dim: int) -> int:
 
 def orange_dim_formula(complex_: SimplicialComplex, r: int, d: int) -> int:
     """dim S^r_d of an orange via the reduction to its projected star."""
+    coeffs = _formula_coeffs(complex_, r, d)
+    return coeffs[d] if d >= 0 else 0
+
+
+def _formula_coeffs(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
+    """The reduction formula in degrees 0..dmax, from one star prefix."""
     if r < 0:
         raise ValueError("smoothness order must be nonnegative")
     profile = detect_orange(complex_)
     fiber = profile.k - profile.i
-    star = project_orange(complex_).complex
-    return sum(
-        layer_count(d, j, fiber) * spline_dim(star, r, j) for j in range(d + 1)
+    star = spline_dims(project_orange(complex_).complex, r, dmax)
+    return tuple(
+        sum(layer_count(d, j, fiber) * star[j] for j in range(d + 1))
+        for d in range(dmax + 1)
     )
 
 
@@ -78,11 +90,13 @@ def _check_dmax(dmax: int) -> None:
 
 
 def hilbert_prefix(complex_: SimplicialComplex, r: int, dmax: int) -> HilbertPrefix:
-    """Spline dimensions in degrees 0..dmax, by the cofactor computation."""
+    """Spline dimensions in degrees 0..dmax, by the cofactor computation.
+
+    One ``spline_dims`` call: a single graded system when the maximal faces
+    share a vertex.
+    """
     _check_dmax(dmax)
-    return HilbertPrefix(
-        r=r, dmax=dmax, coeffs=tuple(spline_dim(complex_, r, d) for d in range(dmax + 1))
-    )
+    return HilbertPrefix(r=r, dmax=dmax, coeffs=spline_dims(complex_, r, dmax))
 
 
 def orange_hilbert_prefix(
@@ -90,8 +104,7 @@ def orange_hilbert_prefix(
 ) -> HilbertPrefix:
     """Spline dimensions in degrees 0..dmax, by the reduction formula."""
     _check_dmax(dmax)
-    coeffs = tuple(orange_dim_formula(complex_, r, d) for d in range(dmax + 1))
-    return HilbertPrefix(r=r, dmax=dmax, coeffs=coeffs)
+    return HilbertPrefix(r=r, dmax=dmax, coeffs=_formula_coeffs(complex_, r, dmax))
 
 
 def verify_hilbert_identity(
@@ -108,8 +121,8 @@ def verify_hilbert_identity(
     profile = detect_orange(complex_)
     fiber = profile.k - profile.i
     star = project_orange(complex_).complex
-    orange_coeffs = [spline_dim(complex_, r, d) for d in range(dmax + 1)]
-    star_coeffs = [spline_dim(star, r, d) for d in range(dmax + 1)]
+    orange_coeffs = spline_dims(complex_, r, dmax)
+    star_coeffs = spline_dims(star, r, dmax)
     # (1 - t)^fiber has coefficients (-1)^m C(fiber, m)
     residuals = []
     for d in range(dmax + 1):

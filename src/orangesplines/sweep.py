@@ -1,8 +1,9 @@
 """Formula-versus-oracle sweeps over (r, d) grids.
 
-Each cell computes the closed-form dimension of an orange and the
-brute-force cofactor dimension and records whether they agree.  Cells are
-computed one after another in (r, d) order; a sweep with no cells is an
+Each cell holds the closed-form dimension of an orange and the brute-force
+cofactor dimension and records whether they agree.  Both are read, per r,
+from one prefix at the grid's top degree (``orange_hilbert_prefix`` and
+``spline_dims``).  A sweep with no cells, or with a negative degree, is an
 error, not a pass.
 """
 
@@ -11,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cofactor import spline_dim
+from .cofactor import spline_dims
 from .complexes import SimplicialComplex
-from .dimension import orange_dim_formula
+from .dimension import orange_hilbert_prefix
 
 __all__ = ["SweepCell", "SweepReport", "run_sweep"]
 
@@ -51,14 +52,14 @@ def run_sweep(
     grid = sorted((r, d) for r in set(r_values) for d in set(d_values))
     if not grid:
         raise ValueError("sweep grid is empty: no r or no d values")
+    if any(d < 0 for _, d in grid):
+        raise ValueError("sweep degrees must be nonnegative")
+    top = dict(grid)  # grid is sorted, so each r keeps its largest d
+    formula = {r: orange_hilbert_prefix(complex_, r, dmax).coeffs for r, dmax in top.items()}
+    oracle = {r: spline_dims(complex_, r, dmax) for r, dmax in top.items()}
     return SweepReport(
         cells=tuple(
-            SweepCell(
-                r=r,
-                d=d,
-                formula=orange_dim_formula(complex_, r, d),
-                oracle=spline_dim(complex_, r, d),
-            )
+            SweepCell(r=r, d=d, formula=formula[r][d], oracle=oracle[r][d])
             for r, d in grid
         )
     )

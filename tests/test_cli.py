@@ -125,6 +125,15 @@ def test_hilbert_negative_dmax_exits_one(capsys):
     assert "dmax" in err
 
 
+@pytest.mark.parametrize("method", ["both", "formula", "cofactor"])
+def test_dim_negative_degree_exits_one(capsys, method):
+    argv = ["dim", "-c", "two-triangle", "--r", "1", "--d", "-2", "--method", method, "--json"]
+    rc, out, err = run(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err == "error: degree must be nonnegative\n"
+
+
 def test_project_round_trips_through_the_wire_format(capsys):
     rc, out, _ = run(capsys, ["project", "-c", "two-triangle-skew", "--json"])
     assert rc == 0

@@ -7,13 +7,21 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from orangesplines.catalog import get
-from orangesplines.cofactor import build_system, facet_linear_form, spline_basis, spline_dim
+from orangesplines.catalog import CATALOG, get
+from orangesplines.cofactor import (
+    build_system,
+    facet_linear_form,
+    spline_basis,
+    spline_dim,
+    spline_dims,
+)
 from orangesplines.complexes import SimplicialComplex, affine_image
 from orangesplines.dimension import orange_dim_formula
 from orangesplines.projection import project_orange
-from orangesplines.exact import binom
+from orangesplines.exact import RationalMatrix, binom
 from orangesplines.polynomials import Polynomial, divisible_by_linear_power
 
 
@@ -156,3 +164,71 @@ def test_dimension_cache_keeps_no_complex_alive():
     hits = spline_dim.cache_info().hits
     assert spline_dim(SimplicialComplex(*value), 1, 3) == dim
     assert spline_dim.cache_info().hits == hits + 1
+
+
+def _ungraded_prefix(cx: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
+    """The reference: one ungraded system per degree, on the complex as given."""
+    return tuple(build_system(cx, r, d).dimension() for d in range(dmax + 1))
+
+
+@st.composite
+def inhomogeneous_images(draw):
+    """An invertible integer affine image of a catalog orange with a nonzero
+    rational translation, so its walls need not pass through the origin."""
+    entry = draw(st.sampled_from(CATALOG))
+    k = entry.complex.ambient_dim
+    matrix = draw(
+        st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k), min_size=k, max_size=k)
+    )
+    assume(RationalMatrix.from_rows(matrix).rank() == k)
+    numerators = draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k).filter(any))
+    denominator = draw(st.integers(1, 4))
+    return affine_image(entry.complex, matrix, [Fraction(n, denominator) for n in numerators])
+
+
+def test_graded_prefix_matches_the_ungraded_systems_on_affine_images():
+    inhomogeneous = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(inhomogeneous_images(), st.integers(0, 2), st.integers(0, 4))
+    def check(cx, r, dmax):
+        if cx.ambient_dim == 4:
+            dmax = min(dmax, 3)
+        assert spline_dims(cx, r, dmax) == _ungraded_prefix(cx, r, dmax)
+        pairs = build_system(cx, r, 0).pairs
+        faces = cx.maximal_faces
+        walls = [
+            facet_linear_form([cx.vertices[v] for v in sorted(set(faces[s]) & set(faces[t]))])
+            for s, t in pairs
+        ]
+        origin = (0,) * cx.ambient_dim
+        inhomogeneous.append(any(ell.coefficient(origin) for ell in walls))
+
+    check()
+    # the graded path had walls to translate, not only walls through 0
+    assert True in inhomogeneous
+
+
+MORGAN_SCOTT_FACES = [[3, 4, 5], [0, 4, 5], [1, 5, 3], [2, 3, 4], [0, 1, 5], [1, 2, 3], [2, 0, 4]]
+
+
+@pytest.mark.parametrize(
+    "c, expected",
+    [((6, Fraction(4, 3)), (1, 3, 7, 16, 33)), ((Fraction(13, 2), Fraction(4, 3)), (1, 3, 6, 16, 33))],
+)
+def test_morgan_scott_split_takes_the_ungraded_path(c, expected):
+    # outer triangle A, B, C and inner triangle a, b, c; the symmetric split
+    # has the famous extra C^1 quadratic, which moving c destroys
+    vertices = [(0, 0), (12, 0), (6, 12), (8, Fraction(16, 3)), (4, Fraction(16, 3)), c]
+    cx = SimplicialComplex(2, vertices, MORGAN_SCOTT_FACES)
+    cx.validate()
+    assert not set.intersection(*(set(f) for f in cx.maximal_faces))
+    assert spline_dims(cx, 1, 4) == _ungraded_prefix(cx, 1, 4) == expected
+
+
+def test_spline_dims_edge_cases(two_triangle):
+    assert spline_dims(two_triangle, 1, -1) == ()
+    assert spline_dim(two_triangle, 1, -1) == 0
+    with pytest.raises(ValueError, match="smoothness order"):
+        spline_dims(two_triangle, -1, 3)
+    assert spline_dims(two_triangle, 1, 4)[3] == spline_dim(two_triangle, 1, 3) == 13

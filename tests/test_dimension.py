@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
+from orangesplines import cofactor
 from orangesplines.catalog import CATALOG, SWEEP_NAMES, get
+from orangesplines.complexes import affine_image
 from orangesplines.cofactor import spline_dim
 from orangesplines.dimension import (
     HilbertPrefix,
@@ -137,3 +141,28 @@ def test_univariate_prefix_values(two_intervals, univariate_dim):
 def test_sweep_with_an_empty_grid_is_rejected(r_values, d_values):
     with pytest.raises(ValueError, match="empty"):
         run_sweep(get("two-triangle").complex, r_values, d_values)
+
+
+@pytest.mark.parametrize("r_values, d_values", [([1], [-1]), ([0, 1], [-1, 2]), ([1], range(-2, 3))])
+def test_sweep_with_a_negative_degree_is_rejected(r_values, d_values):
+    with pytest.raises(ValueError, match="nonnegative"):
+        run_sweep(get("two-triangle").complex, r_values, d_values)
+
+
+def test_sweep_and_identity_build_one_system_per_prefix(monkeypatch):
+    # a fresh image: neither it nor its projected star is in the cache yet
+    matrix = [[3, 1, 0], [0, 2, 1], [1, 0, 5]]
+    cx = affine_image(get("tetrahedral-fan").complex, matrix, [Fraction(7, 3), Fraction(-5, 2), 11])
+    built = []
+    original = cofactor.build_system
+
+    def counting(complex_, r, d):
+        built.append(d)
+        return original(complex_, r, d)
+
+    monkeypatch.setattr(cofactor, "build_system", counting)
+    report = run_sweep(cx, [1], range(6))
+    ok, _ = verify_hilbert_identity(cx, 1, 5)
+    assert report.all_match and ok
+    # one graded system for the orange and one for its star
+    assert built == [5, 5]
