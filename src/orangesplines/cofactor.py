@@ -10,24 +10,27 @@ spline dimension is the system's nullity.  No structure of the complex is
 used beyond facet adjacency, which is what makes this an independent check
 for the closed-form computations elsewhere in the package.
 
-When the maximal faces share a vertex (every orange does: the medial face
-lies in all of them), every wall passes through it.  ``spline_dims``
-translates that vertex to the origin, which makes every wall form
-homogeneous.  The system then splits into independent blocks by exact
-degree j: the face columns of degree j, the cofactor columns of degree
-j - r - 1 and the rows of degree j.  Block j does not depend on d, so
-S^r_d is the sum of the blocks j <= d (Billera & Rose, "A dimension series
-for multivariate splines", 1991), and one build and one echelon pass at the
-top degree give the whole prefix.  A complex with no shared vertex (two
-disjoint segments, the Morgan-Scott split) keeps one ungraded system per
-degree.
+The system at degree d is the part of the system at any D >= d in rows
+and columns of degree <= d (a cofactor column counts as its monomial's
+degree plus r + 1), so ``spline_dims`` builds one system at the top degree
+and reads every lower degree off one echelon pass with the columns in
+degree order.  When the maximal faces share a vertex (every orange does:
+the medial face lies in all of them), every wall passes through it, and
+``spline_dims`` first translates that vertex to the origin.  Every wall
+form is then homogeneous and the system splits into independent blocks by
+exact degree j: the face columns of degree j, the cofactor columns of
+degree j - r - 1 and the rows of degree j.  S^r_d is the sum of the blocks
+j <= d (Billera & Rose, "A dimension series for multivariate splines",
+1991), and the elimination never mixes blocks.  A complex with no shared
+vertex (two disjoint segments, the Morgan-Scott split) is eliminated as
+given, in one pass all the same.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -176,51 +179,65 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
 def spline_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
     """dim S^r_d for d = 0..dmax, by exact nullity; () when dmax < 0.
 
-    When the maximal faces share a vertex, every wall passes through it.
-    The complex is translated so that the lowest-index shared vertex is the
-    origin, one system is built at dmax, and one echelon pass gives every
-    degree: the system splits into degree blocks, and the degree-<=d
-    system is the union of the blocks of degree <= d.  Otherwise each
-    degree gets its own ungraded ``build_system(complex_, r, d)``.
+    One system is built at dmax and eliminated once.  A face column's
+    degree is its monomial's, a cofactor column's is its monomial's plus
+    r + 1; a column has entries only in rows of at most its degree, so the
+    degree-<=d system is the rows and columns of degree <= d.  With the
+    columns ordered by degree, the echelon pass (pivot at each row's lowest
+    column) leaves dim S^r_d non-pivot columns of degree <= d.  When the
+    maximal faces share a vertex, it is first moved to the origin: every
+    wall form is then homogeneous, the system splits into degree blocks
+    and the elimination never mixes them, which is much faster.
 
-    The cache (``spline_dims.cache_info()``) is keyed by value, on (ambient
-    dimension, vertices, maximal faces, r, dmax): no entry keeps a complex
-    and its memo alive, and equal complexes share entries.
+    The cache keeps the longest prefix computed so far, keyed by value on
+    (ambient dimension, vertices, maximal faces, r): no entry keeps a
+    complex and its memo alive, equal complexes share entries, and a query
+    through any degree already known is a hit.  ``spline_dim.cache_info()``
+    reports it as ``functools.lru_cache`` would.
     """
     if r < 0:
         raise ValueError("smoothness order must be nonnegative")
     if dmax < 0:
         return ()
-    return _spline_dims(
-        complex_.ambient_dim, complex_.vertices, complex_.maximal_faces, r, dmax
-    )
+    key = (complex_.ambient_dim, complex_.vertices, complex_.maximal_faces, r)
+    dims = _prefixes.get(key, ())
+    if len(dims) > dmax:
+        _cache_counts[0] += 1
+    else:
+        _cache_counts[1] += 1
+        dims = _prefixes[key] = _graded_dims(*key, dmax)
+    return dims[: dmax + 1]
 
 
-@lru_cache(maxsize=None)
-def _spline_dims(
+# one lookup per hit: hashing a key's exact vertices is most of a hit's cost
+_prefixes: dict[tuple, tuple[int, ...]] = {}
+_cache_counts = [0, 0]
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _cache_info() -> _CacheInfo:
+    return _CacheInfo(*_cache_counts, None, len(_prefixes))
+
+
+def _graded_dims(
     ambient_dim: int, vertices: tuple, faces: tuple, r: int, dmax: int
 ) -> tuple[int, ...]:
     shared = set(faces[0]).intersection(*faces[1:]) if faces else set()
-    if not shared:
-        cx = SimplicialComplex(ambient_dim, vertices, faces)
-        return tuple(build_system(cx, r, d).dimension() for d in range(dmax + 1))
-    origin = vertices[min(shared)]
-    moved = SimplicialComplex(
-        ambient_dim, [[x - o for x, o in zip(v, origin)] for v in vertices], faces
-    )
-    system = build_system(moved, r, dmax)
-    pivots = _echelon(system.matrix.sparse_rows())
+    if shared:
+        origin = vertices[min(shared)]
+        vertices = [[x - o for x, o in zip(v, origin)] for v in vertices]
+    system = build_system(SimplicialComplex(ambient_dim, vertices, faces), r, dmax)
     face_degrees = [sum(mono) for mono in system.face_monomials]
     cofactor_degrees = [sum(mono) + r + 1 for mono in system.cofactor_monomials]
     degrees = face_degrees * system.n_faces + cofactor_degrees * len(system.pairs)
+    order = sorted(range(len(degrees)), key=degrees.__getitem__)
+    position = {col: at for at, col in enumerate(order)}
+    pivots = _echelon({position[c]: v for c, v in row} for row in system.matrix.rows)
     free = [0] * (dmax + 1)
-    for col, degree in enumerate(degrees):
-        if col not in pivots:
-            free[degree] += 1
+    for at, col in enumerate(order):
+        if at not in pivots:
+            free[degrees[col]] += 1
     return tuple(accumulate(free))
-
-
-spline_dims.cache_info = _spline_dims.cache_info  # type: ignore[attr-defined]
 
 
 def spline_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
@@ -229,16 +246,17 @@ def spline_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
     This is the generic facet-adjacency oracle: it accepts any complex,
     orange or not, and imposes smoothness across shared facets only.  It
     reads ``spline_dims(complex_, r, d)[d]``, so ``spline_dim.cache_info()``
-    answers for the ``spline_dims`` cache.  The projected star of a
-    (k, k)-orange centred at the origin (``planar-star``,
-    ``vertex-star-3d``) equals the orange, so the formula's star dimensions
-    and the oracle's values are one entry.
+    answers for the ``spline_dims`` cache (a hit whenever the prefix through
+    degree d is already known).  The projected star of a (k, k)-orange
+    centred at the origin (``planar-star``, ``vertex-star-3d``) equals the
+    orange, so the formula's star dimensions and the oracle's values are
+    one entry.
     """
     dims = spline_dims(complex_, r, d)
     return dims[d] if d >= 0 else 0
 
 
-spline_dim.cache_info = _spline_dims.cache_info  # type: ignore[attr-defined]
+spline_dim.cache_info = _cache_info  # type: ignore[attr-defined]
 
 
 def spline_basis(complex_: SimplicialComplex, r: int, d: int) -> list[Spline]:

@@ -92,8 +92,8 @@ def _check_dmax(dmax: int) -> None:
 def hilbert_prefix(complex_: SimplicialComplex, r: int, dmax: int) -> HilbertPrefix:
     """Spline dimensions in degrees 0..dmax, by the cofactor computation.
 
-    One ``spline_dims`` call: a single graded system when the maximal faces
-    share a vertex.
+    One ``spline_dims`` call, so one cofactor system at dmax for any
+    complex, or none when a prefix through dmax is already cached.
     """
     _check_dmax(dmax)
     return HilbertPrefix(r=r, dmax=dmax, coeffs=spline_dims(complex_, r, dmax))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from orangesplines import cofactor
 from orangesplines.catalog import CATALOG, get
 from orangesplines.cofactor import (
     build_system,
@@ -166,8 +167,8 @@ def test_dimension_cache_keeps_no_complex_alive():
     assert spline_dim.cache_info().hits == hits + 1
 
 
-def _ungraded_prefix(cx: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
-    """The reference: one ungraded system per degree, on the complex as given."""
+def _per_degree_reference(cx: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
+    """The reference: one system per degree, on the complex as given."""
     return tuple(build_system(cx, r, d).dimension() for d in range(dmax + 1))
 
 
@@ -186,7 +187,7 @@ def inhomogeneous_images(draw):
     return affine_image(entry.complex, matrix, [Fraction(n, denominator) for n in numerators])
 
 
-def test_graded_prefix_matches_the_ungraded_systems_on_affine_images():
+def test_graded_prefix_matches_one_system_per_degree_on_affine_images():
     inhomogeneous = []
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -194,7 +195,7 @@ def test_graded_prefix_matches_the_ungraded_systems_on_affine_images():
     def check(cx, r, dmax):
         if cx.ambient_dim == 4:
             dmax = min(dmax, 3)
-        assert spline_dims(cx, r, dmax) == _ungraded_prefix(cx, r, dmax)
+        assert spline_dims(cx, r, dmax) == _per_degree_reference(cx, r, dmax)
         pairs = build_system(cx, r, 0).pairs
         faces = cx.maximal_faces
         walls = [
@@ -212,18 +213,25 @@ def test_graded_prefix_matches_the_ungraded_systems_on_affine_images():
 MORGAN_SCOTT_FACES = [[3, 4, 5], [0, 4, 5], [1, 5, 3], [2, 3, 4], [0, 1, 5], [1, 2, 3], [2, 0, 4]]
 
 
+def _morgan_scott(c, shift=(0, 0)) -> SimplicialComplex:
+    # outer triangle A, B, C and inner triangle a, b, c
+    vertices = [(0, 0), (12, 0), (6, 12), (8, Fraction(16, 3)), (4, Fraction(16, 3)), c]
+    moved = [[x + s for x, s in zip(v, shift)] for v in vertices]
+    cx = SimplicialComplex(2, moved, MORGAN_SCOTT_FACES)
+    cx.validate()
+    return cx
+
+
 @pytest.mark.parametrize(
     "c, expected",
     [((6, Fraction(4, 3)), (1, 3, 7, 16, 33)), ((Fraction(13, 2), Fraction(4, 3)), (1, 3, 6, 16, 33))],
 )
-def test_morgan_scott_split_takes_the_ungraded_path(c, expected):
-    # outer triangle A, B, C and inner triangle a, b, c; the symmetric split
-    # has the famous extra C^1 quadratic, which moving c destroys
-    vertices = [(0, 0), (12, 0), (6, 12), (8, Fraction(16, 3)), (4, Fraction(16, 3)), c]
-    cx = SimplicialComplex(2, vertices, MORGAN_SCOTT_FACES)
-    cx.validate()
+def test_morgan_scott_split_without_a_shared_vertex(c, expected):
+    # the symmetric split has the famous extra C^1 quadratic, which moving
+    # c destroys
+    cx = _morgan_scott(c)
     assert not set.intersection(*(set(f) for f in cx.maximal_faces))
-    assert spline_dims(cx, 1, 4) == _ungraded_prefix(cx, 1, 4) == expected
+    assert spline_dims(cx, 1, 4) == _per_degree_reference(cx, 1, 4) == expected
 
 
 def test_spline_dims_edge_cases(two_triangle):
@@ -232,3 +240,55 @@ def test_spline_dims_edge_cases(two_triangle):
     with pytest.raises(ValueError, match="smoothness order"):
         spline_dims(two_triangle, -1, 3)
     assert spline_dims(two_triangle, 1, 4)[3] == spline_dim(two_triangle, 1, 3) == 13
+
+
+def _recording_builds(monkeypatch) -> list:
+    built = []
+    original = cofactor.build_system
+
+    def recording(complex_, r, d):
+        built.append(original(complex_, r, d))
+        return built[-1]
+
+    monkeypatch.setattr(cofactor, "build_system", recording)
+    return built
+
+
+def test_shared_vertex_system_is_block_diagonal_by_degree(monkeypatch):
+    # a fresh image whose walls miss the origin; the graded pass must move
+    # the shared vertex there, so that every row lies in one degree block
+    r, dmax = 1, 4
+    matrix = [[2, 1, 0], [0, 1, 1], [1, 0, 3]]
+    cx = affine_image(get("tetrahedral-fan").complex, matrix, [Fraction(5, 3), -2, Fraction(7, 4)])
+    faces = cx.maximal_faces
+    walls = [
+        facet_linear_form([cx.vertices[v] for v in sorted(set(faces[s]) & set(faces[t]))])
+        for s, t in build_system(cx, r, 0).pairs
+    ]
+    assert any(ell.coefficient((0, 0, 0)) for ell in walls)
+    built = _recording_builds(monkeypatch)
+    assert spline_dims(cx, r, dmax) == _per_degree_reference(cx, r, dmax)
+    system = built[0]
+    face_degrees = [sum(mono) for mono in system.face_monomials]
+    cofactor_degrees = [sum(mono) + r + 1 for mono in system.cofactor_monomials]
+    degrees = face_degrees * system.n_faces + cofactor_degrees * len(system.pairs)
+    assert system.d == dmax
+    for row in system.matrix.rows:
+        assert len({degrees[c] for c, _ in row}) == 1
+
+
+def test_one_build_answers_every_lower_degree(monkeypatch):
+    # no shared vertex, so the system is eliminated as given; a fresh shift
+    # keeps the cache cold
+    cx = _morgan_scott((6, Fraction(4, 3)), shift=(Fraction(1, 7), 3))
+    built = _recording_builds(monkeypatch)
+    misses = spline_dim.cache_info().misses
+    assert spline_dim(cx, 1, 4) == 33
+    assert [system.d for system in built] == [4]
+    assert spline_dims(cx, 1, 3) == (1, 3, 7, 16)
+    assert [spline_dim(cx, 1, d) for d in range(5)] == [1, 3, 7, 16, 33]
+    assert len(built) == 1
+    assert spline_dim.cache_info().misses == misses + 1
+    # a longer prefix is one more build, at the new top degree
+    assert spline_dims(cx, 1, 5)[:5] == (1, 3, 7, 16, 33)
+    assert [system.d for system in built] == [4, 5]
