@@ -24,18 +24,29 @@ j <= d (Billera & Rose, "A dimension series for multivariate splines",
 1991), and the elimination never mixes blocks.  A complex with no shared
 vertex (two disjoint segments, the Morgan-Scott split) is eliminated as
 given, in one pass all the same.
+
+The system is assembled over the integers.  Per facet-adjacent pair, the
+wall form l has denominators with lcm D; (D*l)**(r+1) is expanded by the
+multinomial theorem in plain ints, and the pair's cofactor columns are
+scaled by D**(r+1), so every row is integral as built and goes to the
+elimination kernel as it is.  Column scaling changes no rank and no pivot
+column, so every dimension is that of the rational system, which
+``CofactorSystem.matrix`` derives by dividing the scales back out.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, combinations_with_replacement
+from operator import add
 from typing import Sequence
 
 from .complexes import Point, SimplicialComplex, adjacent_pairs
-from .exact import RationalMatrix, _echelon, format_rational
+from .exact import IntRow, RationalMatrix, _echelon, format_rational
 from .polynomials import Polynomial, monomials_upto
 
 __all__ = [
@@ -73,6 +84,38 @@ def facet_linear_form(points: Sequence[Point]) -> Polynomial:
     return Polynomial.linear(dense[:k], dense[k])
 
 
+def _integer_form(ell: Polynomial) -> tuple[list[int], int]:
+    """(L, D): D is the lcm of the denominators of the affine form ``ell``
+    and L = D * ell as the integers [a_1, ..., a_k, constant]."""
+    k = ell.nvars
+    dense = [Fraction(0)] * (k + 1)
+    for e, v in ell.coeffs.items():
+        dense[e.index(1) if any(e) else k] = v
+    scale = math.lcm(*(v.denominator for v in dense))
+    return [v.numerator * (scale // v.denominator) for v in dense], scale
+
+
+def _power_terms(form: list[int], n: int) -> list[tuple[tuple[int, ...], int]]:
+    """Terms (exponent, coefficient) of the n-th power of the affine form
+    ``form`` = [a_1, ..., a_k, constant], over the integers.
+
+    By the multinomial theorem, with the constant as variable k + 1, the
+    exponent alpha (|alpha| = n) has coefficient n!/alpha! * prod a_j**alpha_j;
+    only variables with a_j != 0 are chosen, so no term is zero.
+    """
+    k = len(form) - 1
+    support = [j for j, a in enumerate(form) if a]
+    terms = []
+    for choice in combinations_with_replacement(support, n):
+        alpha = [0] * (k + 1)
+        for j in choice:
+            alpha[j] += 1
+        multinomial = math.factorial(n) // math.prod(map(math.factorial, alpha))
+        coef = multinomial * math.prod(a**b for a, b in zip(form, alpha))
+        terms.append((tuple(alpha[:k]), coef))
+    return terms
+
+
 @dataclass(frozen=True)
 class CofactorSystem:
     """Assembled smoothness system for one complex and one (r, d).
@@ -81,12 +124,25 @@ class CofactorSystem:
     graded lex) per maximal face, then a cofactor block (total degree
     <= d - r - 1) per facet-adjacent pair.  Rows: one per pair per monomial
     of degree <= d, expressing f_s - f_t - c * l**(r+1) = 0 coefficientwise.
+
+    ``rows`` holds the system over the integers, as {column: nonzero int}
+    dicts that the elimination kernel takes as they are (and must not be
+    modified).  With D the lcm of the denominators of a pair's wall form
+    l, the pair's cofactor columns are scaled by ``cofactor_scales[p]`` =
+    D**(r+1): face entries are then +1 and -1, cofactor entries are minus
+    the coefficients of (D*l)**(r+1), and no row has a denominator to
+    clear.  Scaling a column by a nonzero constant changes neither the rank
+    of any set of columns nor the pivot columns of an echelon pass, so the
+    nullity and every graded count are those of the rational system.
+    ``matrix`` is that rational system, derived from ``rows`` on first use
+    by dividing the scales back out.
     """
 
     complex: SimplicialComplex
     r: int
     d: int
-    matrix: RationalMatrix
+    rows: tuple[IntRow, ...] = field(hash=False)
+    cofactor_scales: tuple[int, ...]
     n_faces: int
     face_monomials: tuple[tuple[int, ...], ...]
     cofactor_monomials: tuple[tuple[int, ...], ...]
@@ -96,8 +152,26 @@ class CofactorSystem:
     def face_block_size(self) -> int:
         return len(self.face_monomials)
 
+    @property
+    def ncols(self) -> int:
+        return self.n_faces * self.face_block_size + len(self.pairs) * len(
+            self.cofactor_monomials
+        )
+
+    @cached_property
+    def matrix(self) -> RationalMatrix:
+        """The system over the rationals: coefficients of f_s - f_t - c * l**(r+1)."""
+        mc = len(self.cofactor_monomials)
+        scale = [1] * (self.n_faces * self.face_block_size)
+        for pair_scale in self.cofactor_scales:
+            scale += [pair_scale] * mc
+        return RationalMatrix.from_sparse(
+            [{c: Fraction(v, scale[c]) for c, v in row.items()} for row in self.rows],
+            self.ncols,
+        )
+
     def dimension(self) -> int:
-        return self.matrix.nullity()
+        return self.ncols - len(_echelon(self.rows))
 
     def describe(self) -> dict:
         """JSON-ready dump of the full system, exact entries as strings."""
@@ -144,31 +218,29 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
     pairs = tuple(adjacent_pairs(complex_))
     m = len(face_mons)
     mc = len(cof_mons)
-    ncols = nf * m + len(pairs) * mc
 
     mono_pos = {mono: idx for idx, mono in enumerate(face_mons)}
-    rows: list[dict[int, Fraction]] = []
+    rows: list[IntRow] = []
+    scales = []
     for p, (s, t) in enumerate(pairs):
         shared = sorted(set(faces[s]) & set(faces[t]))
         ell = facet_linear_form([complex_.vertices[v] for v in shared])
-        wall_terms = tuple((ell ** (r + 1)).coeffs.items())
+        form, scale = _integer_form(ell)
+        scales.append(scale ** (r + 1))
         cof_base = nf * m + p * mc
-        pair_rows: list[dict[int, Fraction]] = [
-            {s * m + i: Fraction(1), t * m + i: Fraction(-1)} for i in range(m)
-        ]
+        pair_rows: list[IntRow] = [{s * m + i: 1, t * m + i: -1} for i in range(m)]
         # u + e is distinct over the terms e of the wall power, so each
-        # entry is written once; from_sparse sorts every row
-        for u_idx, u in enumerate(cof_mons):
-            col = cof_base + u_idx
-            for e, c in wall_terms:
-                pair_rows[mono_pos[tuple(a + b for a, b in zip(u, e))]][col] = -c
+        # entry is written once
+        for e, c in _power_terms(form, r + 1):
+            for col, u in enumerate(cof_mons, cof_base):
+                pair_rows[mono_pos[tuple(map(add, u, e))]][col] = -c
         rows.extend(pair_rows)
-    matrix = RationalMatrix.from_sparse(rows, ncols)
     return CofactorSystem(
         complex=complex_,
         r=r,
         d=d,
-        matrix=matrix,
+        rows=tuple(rows),
+        cofactor_scales=tuple(scales),
         n_faces=nf,
         face_monomials=face_mons,
         cofactor_monomials=cof_mons,
@@ -232,7 +304,7 @@ def _graded_dims(
     degrees = face_degrees * system.n_faces + cofactor_degrees * len(system.pairs)
     order = sorted(range(len(degrees)), key=degrees.__getitem__)
     position = {col: at for at, col in enumerate(order)}
-    pivots = _echelon({position[c]: v for c, v in row} for row in system.matrix.rows)
+    pivots = _echelon({position[c]: v for c, v in row.items()} for row in system.rows)
     free = [0] * (dmax + 1)
     for at, col in enumerate(order):
         if at not in pivots:

@@ -161,10 +161,16 @@ class SimplicialComplex:
         maximal_faces: Iterable[Iterable[int]],
     ) -> None:
         pts = tuple(_as_point(v) for v in vertices)
-        faces = tuple(sorted(tuple(sorted(set(f))) for f in maximal_faces))
+        faces: list[Simplex] = []
+        for f in maximal_faces:
+            f = tuple(f)
+            face = tuple(sorted(set(f)))
+            if len(face) != len(f):
+                raise InvalidComplexError(f"face {list(f)} repeats a vertex")
+            faces.append(face)
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
         object.__setattr__(self, "vertices", pts)
-        object.__setattr__(self, "maximal_faces", faces)
+        object.__setattr__(self, "maximal_faces", tuple(sorted(faces)))
 
     @cached_property
     def dim(self) -> int:

@@ -1,15 +1,19 @@
 """Exact rational scalars and fraction-free linear algebra.
 
-Everything downstream (geometry, cofactor systems, Bernstein bases) runs on
-``fractions.Fraction``; nothing in this package touches floating point.
+Everything downstream (geometry, Bernstein bases) runs on
+``fractions.Fraction``, and the cofactor systems run on plain integers;
+nothing in this package touches floating point.
 
-All elimination goes through one fraction-free kernel: rows are cleared of
-denominators and stripped of gcd content, and ``_reduce`` cancels a row's
-lowest column against the pivot stored there until the row vanishes or
-becomes a new pivot.  Rank is the size of the echelon form, the RREF
-(behind nullspaces, ``solve_linear`` and ``invert_matrix``) back-substitutes
-through the same update step, and ``EchelonBasis`` is ``_reduce`` on its own.
-Results are exact regardless of conditioning.
+All elimination goes through one fraction-free kernel on integer rows:
+``_echelon`` takes rows already over the integers, and ``_reduce`` cancels
+a row's lowest column against the pivot stored there until the row
+vanishes or becomes a new pivot.  Callers holding rational rows clear
+their denominators and gcd content first with ``_integer_row``; the
+cofactor systems are built over the integers and go straight in.  Rank is
+the size of the echelon form, the RREF (behind nullspaces, ``solve_linear``
+and ``invert_matrix``) back-substitutes through the same update step, and
+``EchelonBasis`` is ``_reduce`` on its own.  Results are exact regardless
+of conditioning.
 """
 
 from __future__ import annotations
@@ -133,14 +137,16 @@ def _reduce(row: IntRow, pivots: dict[int, IntRow]) -> bool:
     return False
 
 
-def _echelon(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, IntRow]:
+def _echelon(rows: Iterable[IntRow]) -> dict[int, IntRow]:
     """Integer echelon form, {lowest column: row}.
 
-    Rows go in sparsest first (a stable sort by nonzero count): short
-    pivots keep fill and coefficient growth down on the cofactor systems.
+    The rows hold nonzero integers only.  They are never modified, and a
+    row that becomes a pivot unchanged is stored as is.  Rows go in
+    sparsest first (a stable sort by nonzero count): short pivots keep fill
+    and coefficient growth down on the cofactor systems.
     """
     pivots: dict[int, IntRow] = {}
-    for row in sorted((_integer_row(r) for r in rows), key=len):
+    for row in sorted(rows, key=len):
         _reduce(row, pivots)
     return pivots
 
@@ -152,7 +158,7 @@ def _rref(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, SparseRow]:
     the last pivot up; rows are normalized (pivot entry 1) only at the end.
     The result is the canonical RREF regardless of input row order.
     """
-    pivots = _echelon(rows)
+    pivots = _echelon(map(_integer_row, rows))
     cols = sorted(pivots)
     for at, p in reversed(list(enumerate(cols))):
         for q in cols[:at]:
@@ -221,7 +227,7 @@ class RationalMatrix:
             for row in rows
         )
         for row in packed:
-            if row and row[-1][0] >= ncols:
+            if row and (row[0][0] < 0 or row[-1][0] >= ncols):
                 raise ValueError("column index out of range")
         return cls(len(packed), ncols, packed)
 
@@ -229,7 +235,7 @@ class RationalMatrix:
         return [dict(row) for row in self.rows]
 
     def rank(self) -> int:
-        return len(_echelon(self.sparse_rows()))
+        return len(_echelon(map(_integer_row, self.sparse_rows())))
 
     def nullity(self) -> int:
         return self.ncols - self.rank()

@@ -1,4 +1,4 @@
-"""CLI output stays byte-stable: stdout digests of a fixed command grid.
+"""CLI output stays byte-stable: digests of a fixed command grid.
 
 ``cli_digests.json`` holds the sha256 of stdout and the exit code of 144
 in-process ``cli.main`` calls: for every catalog entry ``validate``,
@@ -7,7 +7,11 @@ in-process ``cli.main`` calls: for every catalog entry ``validate``,
 (0, 3), (1, 3), then the default ``sweep``, then ``domain-points`` at
 d = 0 and 2 for every catalog entry, then ``hilbert --r 2 --dmax 8`` for
 every catalog entry (at r = 2 the cofactor columns start at degree 3),
-all with ``--json``.
+all with ``--json``.  After them come 11 entries keyed ``dump-system:``
+plus the command, holding the sha256 of the file that
+``dim -c NAME --r 2 --d 4 --dump-system PATH --json`` writes for every
+catalog entry (the key shows ``PATH``; the file's bytes do not depend on
+it), so the cofactor system itself is pinned, not only its nullity.
 Regenerate it with ``python tests/test_cli_stability.py`` only when an
 output change is intended.
 """
@@ -18,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 from orangesplines.catalog import names
@@ -45,23 +50,41 @@ def _commands() -> list[list[str]]:
     return [argv + ["--json"] for argv in out]
 
 
+def _dump_commands() -> list[list[str]]:
+    return [
+        ["dim", "-c", name, "--r", "2", "--d", "4", "--dump-system", "PATH", "--json"]
+        for name in names()
+    ]
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+
+
 def _digests() -> dict[str, dict[str, object]]:
     out = {}
     for argv in _commands():
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-            rc = main(argv)
-        out[" ".join(argv)] = {
-            "exit_code": rc,
-            "stdout_sha256": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
-        }
+        rc, digest = _run(argv)
+        out[" ".join(argv)] = {"exit_code": rc, "stdout_sha256": digest}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "system.json"
+        for argv in _dump_commands():
+            rc, _ = _run([str(path) if a == "PATH" else a for a in argv])
+            out["dump-system: " + " ".join(argv)] = {
+                "exit_code": rc,
+                "file_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            }
+            path.unlink()
     return out
 
 
 def test_cli_output_matches_the_recorded_digests():
     expected = json.loads(DIGESTS.read_text())
     got = _digests()
-    assert len(got) == 144
+    assert len(got) == 155
     assert list(got) == list(expected)
     changed = [cmd for cmd in got if got[cmd] != expected[cmd]]
     assert not changed, changed

@@ -19,11 +19,11 @@ from orangesplines.cofactor import (
     spline_dim,
     spline_dims,
 )
-from orangesplines.complexes import SimplicialComplex, affine_image
+from orangesplines.complexes import SimplicialComplex, adjacent_pairs, affine_image
 from orangesplines.dimension import orange_dim_formula
 from orangesplines.projection import project_orange
 from orangesplines.exact import RationalMatrix, binom
-from orangesplines.polynomials import Polynomial, divisible_by_linear_power
+from orangesplines.polynomials import Polynomial, divisible_by_linear_power, monomials_upto
 
 
 def test_facet_linear_form_for_known_walls():
@@ -208,6 +208,72 @@ def test_graded_prefix_matches_one_system_per_degree_on_affine_images():
     check()
     # the graded path had walls to translate, not only walls through 0
     assert True in inhomogeneous
+
+
+def _reference_build_system(cx: SimplicialComplex, r: int, d: int) -> RationalMatrix:
+    """The reference: the system over the rationals, with each wall power
+    l**(r+1) taken by ``Polynomial`` products and written term by term."""
+    k = cx.ambient_dim
+    faces = cx.maximal_faces
+    nf = len(faces)
+    face_mons = tuple(monomials_upto(k, d))
+    cof_mons = tuple(monomials_upto(k, d - r - 1)) if d - r - 1 >= 0 else ()
+    pairs = tuple(adjacent_pairs(cx))
+    m = len(face_mons)
+    mc = len(cof_mons)
+    mono_pos = {mono: idx for idx, mono in enumerate(face_mons)}
+    rows: list[dict[int, Fraction]] = []
+    for p, (s, t) in enumerate(pairs):
+        shared = sorted(set(faces[s]) & set(faces[t]))
+        ell = facet_linear_form([cx.vertices[v] for v in shared])
+        wall_terms = tuple((ell ** (r + 1)).coeffs.items())
+        cof_base = nf * m + p * mc
+        pair_rows: list[dict[int, Fraction]] = [
+            {s * m + i: Fraction(1), t * m + i: Fraction(-1)} for i in range(m)
+        ]
+        for u_idx, u in enumerate(cof_mons):
+            col = cof_base + u_idx
+            for e, c in wall_terms:
+                pair_rows[mono_pos[tuple(a + b for a, b in zip(u, e))]][col] = -c
+        rows.extend(pair_rows)
+    return RationalMatrix.from_sparse(rows, nf * m + len(pairs) * mc)
+
+
+def test_integer_build_matches_the_rational_reference_on_affine_images(monkeypatch):
+    built = []
+    original = cofactor.build_system
+
+    def recording(complex_, r, d):
+        system = original(complex_, r, d)
+        built.append((system, [dict(row) for row in system.rows]))
+        return system
+
+    monkeypatch.setattr(cofactor, "build_system", recording)
+    scaled, graded_builds = [], []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(inhomogeneous_images(), st.integers(0, 3), st.integers(0, 5))
+    def check(cx, r, d):
+        if cx.ambient_dim == 4:
+            d = min(d, 3)
+        system = original(cx, r, d)
+        assert system.matrix == _reference_build_system(cx, r, d)
+        scaled.append(any(scale > 1 for scale in system.cofactor_scales))
+        # the kernel keeps input rows as pivots; it must not change them
+        before = [dict(row) for row in system.rows]
+        assert system.dimension() == system.matrix.nullity()
+        assert list(system.rows) == before
+        built.clear()
+        spline_dims(cx, r, d)
+        for graded, rows in built:
+            assert list(graded.rows) == rows
+        graded_builds.append(len(built))
+
+    check()
+    # some wall form had denominators, so some cofactor columns were scaled,
+    # and some spline_dims call missed the cache and built a system
+    assert True in scaled
+    assert any(graded_builds)
 
 
 MORGAN_SCOTT_FACES = [[3, 4, 5], [0, 4, 5], [1, 5, 3], [2, 3, 4], [0, 1, 5], [1, 2, 3], [2, 0, 4]]

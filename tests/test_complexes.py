@@ -47,6 +47,12 @@ def test_face_index_range_checked():
         cx.validate()
 
 
+def test_face_with_a_repeated_vertex_rejected():
+    # set(f) would silently make this triangle the segment (0, 1)
+    with pytest.raises(InvalidComplexError, match=r"face \[0, 1, 1\] repeats a vertex"):
+        SimplicialComplex(2, [(0, 0), (1, 0), (0, 1)], [[0, 1, 1]])
+
+
 def test_duplicate_and_nested_faces_rejected():
     dup = SimplicialComplex(2, [[0, 0], [1, 0], [0, 1]], [[0, 1, 2], [2, 1, 0]])
     with pytest.raises(InvalidComplexError, match="nested"):

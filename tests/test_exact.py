@@ -101,6 +101,14 @@ def test_rank_small_cases():
     assert m.rank() == 0
 
 
+def test_from_sparse_rejects_out_of_range_columns():
+    for col in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            RationalMatrix.from_sparse([{col: Fraction(1)}], 2)
+    # a 1 x 2 zero matrix, for contrast
+    assert RationalMatrix.from_sparse([{}], 2).nullity() == 2
+
+
 def test_rank_matches_reference_on_random_matrices():
     rng = random.Random(2024)
     for _ in range(40):
