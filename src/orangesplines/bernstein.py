@@ -15,8 +15,9 @@ A spline is one coefficient per identified domain point, and C^r
 smoothness is one sparse linear system on those coefficients: the
 conditions of Lai & Schumaker (*Spline Functions on Triangulations*, 2007,
 Thm 2.28) across every shared facet.  A complex instance builds its
-lattice once per degree and that system once per (r, d), and everything
-about determining sets is read off the one system.  A set M of points
+lattice once per degree and that system once per (r, d), as integer rows
+that the elimination kernel takes as they are, and everything about
+determining sets is read off the one system.  A set M of points
 determines the spline space exactly when the system's columns outside M
 are independent, so by matroid duality the greedy hub-outward selection is
 the complement of the greedy column basis taken from the outside in
@@ -45,7 +46,7 @@ from .complexes import (
     barycentric_coordinates,
     detect_orange,
 )
-from .exact import EchelonBasis, RationalMatrix, invert_matrix
+from .exact import EchelonBasis, IntRow, _echelon, _integer_row, invert_matrix
 from .polynomials import Polynomial, monomials_upto
 from .projection import project_orange
 
@@ -496,13 +497,16 @@ def _smoothness_rows(
 
 def _system(
     complex_: SimplicialComplex, r: int, d: int
-) -> tuple[tuple[IdentifiedPoint, ...], list[dict[int, Fraction]]]:
+) -> tuple[tuple[IdentifiedPoint, ...], list[IntRow]]:
     """(points in hub order, C^r conditions on them), built once per complex
-    instance and (r, d).  ``_ordered_points`` rejects non-oranges first."""
+    instance and (r, d).  ``_ordered_points`` rejects non-oranges first.
+    Each row is cleared to integers once; row scaling keeps the row space
+    and the column matroid, so every rank and greedy pick is unchanged."""
     key = ("system", r, d)
     if key not in complex_._memo:
         points = _ordered_points(complex_, d)
-        complex_._memo[key] = (points, _smoothness_rows(complex_, r, d, points))
+        rows = _smoothness_rows(complex_, r, d, points)
+        complex_._memo[key] = (points, [_integer_row(row) for row in rows])
     return complex_._memo[key]
 
 
@@ -518,7 +522,7 @@ def _determines(
         return False
     chosen = {column[h] for h in hosts}
     rest = [{c: v for c, v in row.items() if c not in chosen} for row in rows]
-    return RationalMatrix.from_sparse(rest, len(points)).rank() == len(points) - len(chosen)
+    return len(_echelon(rest)) == len(points) - len(chosen)
 
 
 def bernstein_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
@@ -530,7 +534,7 @@ def bernstein_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
     if d < 0:
         return 0
     points, rows = _system(complex_, r, d)
-    return len(points) - RationalMatrix.from_sparse(rows, len(points)).rank()
+    return len(points) - len(_echelon(rows))
 
 
 def compute_mds(complex_: SimplicialComplex, r: int, d: int) -> DeterminingSet:
@@ -547,7 +551,7 @@ def compute_mds(complex_: SimplicialComplex, r: int, d: int) -> DeterminingSet:
     ``complex_`` must be an orange: the selection grows outward from its
     medial face, and ``detect_orange`` rejects anything else."""
     points, rows = _system(complex_, r, d)
-    columns: list[dict[int, Fraction]] = [{} for _ in points]
+    columns: list[IntRow] = [{} for _ in points]
     for i, row in enumerate(rows):
         for c, v in row.items():
             columns[c][i] = v

@@ -25,12 +25,14 @@ j <= d (Billera & Rose, "A dimension series for multivariate splines",
 vertex (two disjoint segments, the Morgan-Scott split) is eliminated as
 given, in one pass all the same.
 
-The system is assembled over the integers.  Per facet-adjacent pair, the
-wall form l has denominators with lcm D; (D*l)**(r+1) is expanded by the
-multinomial theorem in plain ints, and the pair's cofactor columns are
-scaled by D**(r+1), so every row is integral as built and goes to the
-elimination kernel as it is.  Column scaling changes no rank and no pivot
-column, so every dimension is that of the rational system, which
+The system is assembled over the integers.  Per facet-adjacent pair,
+``facet_linear_form`` gives the wall as the primitive integer form L with
+a positive lead D: L = D*l, where l is the wall form with lead 1 and D is
+the lcm of its denominators.  L**(r+1) is expanded by the multinomial
+theorem in plain ints, and the pair's cofactor columns are scaled by
+D**(r+1), so every row is integral as built and goes to the elimination
+kernel as it is.  Column scaling changes no rank and no pivot column, so
+every dimension is that of the rational system, which
 ``CofactorSystem.matrix`` derives by dividing the scales back out.
 """
 
@@ -46,8 +48,10 @@ from operator import add
 from typing import Sequence
 
 from .complexes import Point, SimplicialComplex, adjacent_pairs
-from .exact import IntRow, RationalMatrix, _echelon, format_rational
-from .polynomials import Polynomial, monomials_upto
+from .exact import (
+    IntRow, RationalMatrix, _echelon, _integer_row, _nullspace_of_rows, format_rational
+)
+from .polynomials import Polynomial, divisible_by_linear_power, monomials_upto
 
 __all__ = [
     "facet_linear_form",
@@ -62,42 +66,29 @@ __all__ = [
 Spline = tuple[Polynomial, ...]
 
 
-def facet_linear_form(points: Sequence[Point]) -> Polynomial:
-    """Affine form vanishing on the hyperplane through ``points``.
+def facet_linear_form(points: Sequence[Point]) -> tuple[int, ...]:
+    """Primitive integer wall (a_1, ..., a_k, c) through ``points``.
 
-    The points must affinely span a hyperplane (codimension 1).  The form is
-    normalized so its first nonzero coefficient, scanning a_1, ..., a_k then
-    the constant, equals 1; two calls on the same hyperplane agree exactly.
+    The points must affinely span a hyperplane (codimension 1), on which
+    a_1 x_1 + ... + a_k x_k + c vanishes.  The entries have gcd 1 and the
+    first nonzero one (the lead) is positive, so two calls on the same
+    hyperplane agree exactly.  The form is D*l, where l is the form with
+    lead 1 and D, the lead, is the lcm of l's denominators.
     """
     k = len(points[0])
-    rows = [[Fraction(p[c]) for c in range(k)] + [Fraction(1)] for p in points]
-    m = RationalMatrix.from_rows(rows)
-    null = m.nullspace()
+    null = _nullspace_of_rows(({**dict(enumerate(p)), k: 1} for p in points), k + 1)
     if len(null) != 1:
         raise ValueError(
             f"points span a flat of codimension {len(null)}, expected a hyperplane"
         )
-    vec = null[0]
-    dense = [vec.get(c, Fraction(0)) for c in range(k + 1)]
-    lead = next(v for v in dense if v)
-    dense = [v / lead for v in dense]
-    return Polynomial.linear(dense[:k], dense[k])
+    form = _integer_row(null[0])
+    sign = 1 if form[min(form)] > 0 else -1
+    return tuple(sign * form.get(c, 0) for c in range(k + 1))
 
 
-def _integer_form(ell: Polynomial) -> tuple[list[int], int]:
-    """(L, D): D is the lcm of the denominators of the affine form ``ell``
-    and L = D * ell as the integers [a_1, ..., a_k, constant]."""
-    k = ell.nvars
-    dense = [Fraction(0)] * (k + 1)
-    for e, v in ell.coeffs.items():
-        dense[e.index(1) if any(e) else k] = v
-    scale = math.lcm(*(v.denominator for v in dense))
-    return [v.numerator * (scale // v.denominator) for v in dense], scale
-
-
-def _power_terms(form: list[int], n: int) -> list[tuple[tuple[int, ...], int]]:
+def _power_terms(form: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], int]]:
     """Terms (exponent, coefficient) of the n-th power of the affine form
-    ``form`` = [a_1, ..., a_k, constant], over the integers.
+    ``form`` = (a_1, ..., a_k, constant), over the integers.
 
     By the multinomial theorem, with the constant as variable k + 1, the
     exponent alpha (|alpha| = n) has coefficient n!/alpha! * prod a_j**alpha_j;
@@ -127,13 +118,14 @@ class CofactorSystem:
 
     ``rows`` holds the system over the integers, as {column: nonzero int}
     dicts that the elimination kernel takes as they are (and must not be
-    modified).  With D the lcm of the denominators of a pair's wall form
-    l, the pair's cofactor columns are scaled by ``cofactor_scales[p]`` =
-    D**(r+1): face entries are then +1 and -1, cofactor entries are minus
-    the coefficients of (D*l)**(r+1), and no row has a denominator to
-    clear.  Scaling a column by a nonzero constant changes neither the rank
-    of any set of columns nor the pivot columns of an echelon pass, so the
-    nullity and every graded count are those of the rational system.
+    modified).  With L = D*l a pair's primitive integer wall (lead D, l the
+    wall form with lead 1), the pair's cofactor columns are scaled by
+    ``cofactor_scales[p]`` = D**(r+1): face entries are then +1 and -1,
+    cofactor entries are minus the coefficients of L**(r+1), and no row has
+    a denominator to clear.  Scaling a column by a nonzero constant changes
+    neither the rank of any set of columns nor the pivot columns of an
+    echelon pass, so the nullity and every graded count are those of the
+    rational system.
     ``matrix`` is that rational system, derived from ``rows`` on first use
     by dividing the scales back out.
     """
@@ -224,9 +216,9 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
     scales = []
     for p, (s, t) in enumerate(pairs):
         shared = sorted(set(faces[s]) & set(faces[t]))
-        ell = facet_linear_form([complex_.vertices[v] for v in shared])
-        form, scale = _integer_form(ell)
-        scales.append(scale ** (r + 1))
+        form = facet_linear_form([complex_.vertices[v] for v in shared])
+        lead = next(a for a in form if a)
+        scales.append(lead ** (r + 1))
         cof_base = nf * m + p * mc
         pair_rows: list[IntRow] = [{s * m + i: 1, t * m + i: -1} for i in range(m)]
         # u + e is distinct over the terms e of the wall power, so each
@@ -353,15 +345,11 @@ def spline_basis(complex_: SimplicialComplex, r: int, d: int) -> list[Spline]:
                     coeffs[mono] = v
             pieces.append(Polynomial(k, coeffs))
         basis.append(tuple(pieces))
-    from .polynomials import divisible_by_linear_power
-
     faces = complex_.maximal_faces
-    walls = []
     for s, t in system.pairs:
         shared = sorted(set(faces[s]) & set(faces[t]))
-        walls.append((s, t, facet_linear_form([complex_.vertices[v] for v in shared])))
-    for spline in basis:
-        for s, t, ell in walls:
-            if not divisible_by_linear_power(spline[s] - spline[t], ell, r + 1):
-                raise AssertionError("nullspace vector violates smoothness")
+        form = facet_linear_form([complex_.vertices[v] for v in shared])
+        wall = Polynomial.linear(form[:k], form[k])
+        if not all(divisible_by_linear_power(b[s] - b[t], wall, r + 1) for b in basis):
+            raise AssertionError("nullspace vector violates smoothness")
     return basis

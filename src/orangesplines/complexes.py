@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .exact import _nullspace_of_rows, solve_linear
+from .exact import _echelon, _integer_row, _nullspace_of_rows, solve_linear
 
 __all__ = [
     "Point",
@@ -61,13 +61,9 @@ def _affinely_independent(points: Sequence[Point]) -> bool:
     if not points:
         return True
     base = points[0]
-    vecs = [[p[j] - base[j] for j in range(len(base))] for p in points[1:]]
-    if not vecs:
-        return True
-    # rank of the edge-vector matrix must equal the number of edge vectors
-    from .exact import RationalMatrix
-
-    return RationalMatrix.from_rows(vecs).rank() == len(vecs)
+    # rank of the edge vectors must equal their number
+    vecs = [{j: p[j] - base[j] for j in range(len(base))} for p in points[1:]]
+    return len(_echelon(map(_integer_row, vecs))) == len(vecs)
 
 
 def barycentric_coordinates(

@@ -1,19 +1,20 @@
 """Exact rational scalars and fraction-free linear algebra.
 
-Everything downstream (geometry, Bernstein bases) runs on
-``fractions.Fraction``, and the cofactor systems run on plain integers;
-nothing in this package touches floating point.
+Geometry and Bernstein bases run on ``fractions.Fraction``, and the
+systems that the package eliminates run on plain integers; nothing in
+this package touches floating point.
 
 All elimination goes through one fraction-free kernel on integer rows:
 ``_echelon`` takes rows already over the integers, and ``_reduce`` cancels
 a row's lowest column against the pivot stored there until the row
-vanishes or becomes a new pivot.  Callers holding rational rows clear
-their denominators and gcd content first with ``_integer_row``; the
-cofactor systems are built over the integers and go straight in.  Rank is
-the size of the echelon form, the RREF (behind nullspaces, ``solve_linear``
-and ``invert_matrix``) back-substitutes through the same update step, and
-``EchelonBasis`` is ``_reduce`` on its own.  Results are exact regardless
-of conditioning.
+vanishes or becomes a new pivot.  Both dimension oracles pass integer rows
+straight in: the cofactor systems are built over the integers, and the
+Bernstein C^r conditions are cleared once, when they are built, with
+``_integer_row``, as every other caller clears its rational rows.  Rank
+is the size of the echelon form, the RREF (behind nullspaces,
+``solve_linear`` and ``invert_matrix``) back-substitutes through the same
+update step, and ``EchelonBasis`` is ``_reduce`` on its own.  Results
+are exact regardless of conditioning.
 """
 
 from __future__ import annotations

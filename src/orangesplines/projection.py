@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .complexes import OrangeProfile, Point, SimplicialComplex, detect_orange
+from .complexes import (
+    InvalidComplexError, OrangeProfile, Point, SimplicialComplex, detect_orange
+)
 from .exact import EchelonBasis, invert_matrix
 
 __all__ = [
@@ -30,10 +32,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdaptedFrame:
-    """Invertible affine map x -> M (x - v0) in R^k.
+    """Invertible affine map x -> M (x - v0) in R^k, applied point by point.
 
     ``matrix`` is M stored as dense rows; ``base_point`` is v0, the medial
-    vertex sent to the origin.
+    vertex sent to the origin.  The projection onto R^i keeps the first i
+    coordinates of ``apply_point``.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -49,13 +52,6 @@ class AdaptedFrame:
         return tuple(
             sum((self.matrix[r][c] * shifted[c] for c in range(k)), Fraction(0))
             for r in range(k)
-        )
-
-    def apply(self, complex_: SimplicialComplex) -> SimplicialComplex:
-        return SimplicialComplex(
-            complex_.ambient_dim,
-            [self.apply_point(v) for v in complex_.vertices],
-            complex_.maximal_faces,
         )
 
 
@@ -133,42 +129,31 @@ def _project(complex_: SimplicialComplex) -> ProjectedOrange:
         star = SimplicialComplex(0, [()], [[0]])
         return ProjectedOrange(complex=star, central_vertex=0, face_map=(0,), frame=None)
     frame = adapt_coordinates(complex_)
-    adapted = frame.apply(complex_)
+    image_of = {
+        vid: frame.apply_point(complex_.vertices[vid])[:i]
+        for vid in sorted({v for f in complex_.maximal_faces for v in f})
+    }
 
-    image_of: dict[int, Point] = {}
-    for vid in sorted({v for f in complex_.maximal_faces for v in f}):
-        image_of[vid] = adapted.vertices[vid][:i]
-
-    # the central vertex gets id 0; remaining images keep scan order
-    origin = (Fraction(0),) * i
-    if not any(p == origin for p in image_of.values()):
-        raise ValueError("medial face does not project to the origin")
-    new_ids: dict[Point, int] = {origin: 0}
-    new_points: list[Point] = [origin]
-    for vid in sorted(image_of):
-        p = image_of[vid]
-        if p not in new_ids:
-            new_ids[p] = len(new_points)
-            new_points.append(p)
+    # the frame sends a medial vertex, which lies in every maximal face, to
+    # the origin: it gets id 0, and the remaining images keep scan order
+    new_ids: dict[Point, int] = {(Fraction(0),) * i: 0}
+    for p in image_of.values():
+        new_ids.setdefault(p, len(new_ids))
 
     new_faces = []
     for f in complex_.maximal_faces:
         nf = tuple(sorted({new_ids[image_of[v]] for v in f}))
         if len(nf) != i + 1:
-            raise ValueError(f"face {f} degenerates under projection")
+            raise InvalidComplexError(f"face {f} degenerates under projection")
         new_faces.append(nf)
     if len(set(new_faces)) != len(new_faces):
-        raise ValueError("projection identifies two segments")
+        raise InvalidComplexError("projection identifies two segments")
 
-    star = SimplicialComplex(i, new_points, new_faces)
-    center = new_ids[origin]
-    for nf in star.maximal_faces:
-        if center not in nf:
-            raise ValueError("projected segment misses the central vertex")
+    star = SimplicialComplex(i, list(new_ids), new_faces)
     star.validate()
 
     face_map = tuple(star.maximal_faces.index(nf) for nf in new_faces)
-    return ProjectedOrange(complex=star, central_vertex=center, face_map=face_map, frame=frame)
+    return ProjectedOrange(complex=star, central_vertex=0, face_map=face_map, frame=frame)
 
 
 def project_face(complex_: SimplicialComplex, face: Sequence[int]) -> tuple[Point, ...]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from orangesplines.bernstein import (
     CardinalityMismatchError,
     DeterminingSet,
     _ordered_points,
+    _smoothness_rows,
+    _system,
     bernstein_dim,
     complex_domain_points,
     compute_mds,
@@ -376,6 +379,35 @@ def test_bernstein_dim_matches_the_oracle_and_the_formula():
                     assert got == orange_dim_formula(cx, r, d), (name, r, d)
                 cells += 1
     assert cells == 594
+
+
+def test_system_rows_are_integer_multiples_of_the_conditions():
+    # the catalog's conditions are integral; these two have fractional weights
+    wide = SimplicialComplex(2, [(0, 0), (0, 1), (2, 0), (-1, 0)], [[0, 1, 2], [0, 1, 3]])
+    skew_star = SimplicialComplex(
+        2,
+        [(0, 0), (3, 0), (1, 2), (-2, 1), (-1, -3), (2, -2)],
+        [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 5, 1]],
+    )
+    models = [*_catalog_models(), ("wide", "", wide), ("skew star", "", skew_star)]
+    scaled = 0
+    for name, kind, cx in models:
+        for r in range(3):
+            for d in range(4):
+                points, rows = _system(cx, r, d)
+                conditions = _smoothness_rows(cx, r, d, points)
+                assert len(rows) == len(conditions), (name, kind, r, d)
+                for row, condition in zip(rows, conditions):
+                    assert row.keys() == condition.keys()
+                    assert all(type(v) is int for v in row.values())
+                    assert math.gcd(*row.values()) == 1
+                    lowest = min(row)
+                    factor = row[lowest] / condition[lowest]
+                    assert factor != 0
+                    assert all(v == factor * condition[c] for c, v in row.items())
+                    scaled += factor != 1
+    # some condition had denominators to clear
+    assert scaled
 
 
 def test_bernstein_dim_domain():

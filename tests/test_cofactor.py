@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import weakref
 from fractions import Fraction
 
@@ -26,17 +27,33 @@ from orangesplines.exact import RationalMatrix, binom
 from orangesplines.polynomials import Polynomial, divisible_by_linear_power, monomials_upto
 
 
+def _lead_one(form: tuple[int, ...]) -> Polynomial:
+    """The wall form l = L / lead(L) over the rationals, with lead 1."""
+    lead = next(a for a in form if a)
+    return Polynomial.linear([Fraction(a, lead) for a in form[:-1]], Fraction(form[-1], lead))
+
+
+def _walls(cx: SimplicialComplex) -> list[tuple[int, ...]]:
+    faces = cx.maximal_faces
+    return [
+        facet_linear_form([cx.vertices[v] for v in sorted(set(faces[s]) & set(faces[t]))])
+        for s, t in adjacent_pairs(cx)
+    ]
+
+
 def test_facet_linear_form_for_known_walls():
     # the y-axis wall between the two triangles
     two = get("two-triangle").complex
-    ell = facet_linear_form([two.vertices[0], two.vertices[1]])
+    ell = _lead_one(facet_linear_form([two.vertices[0], two.vertices[1]]))
     # vanishes on the wall, first nonzero coefficient normalized to one
     assert ell.evaluate([Fraction(0), Fraction(0)]) == 0
     assert ell.evaluate([Fraction(0), Fraction(5)]) == 0
     assert ell.evaluate([Fraction(1), Fraction(0)]) == 1
 
     point = SimplicialComplex(1, [[Fraction(2, 3)]], [[0]])
-    ell1 = facet_linear_form([point.vertices[0]])
+    form = facet_linear_form([point.vertices[0]])
+    assert form == (3, -2)
+    ell1 = _lead_one(form)
     assert ell1.evaluate([Fraction(2, 3)]) == 0
     assert ell1.evaluate([Fraction(5, 3)]) == 1
 
@@ -108,7 +125,7 @@ def test_basis_members_are_smooth_and_independent():
     r, d = 1, 3
     basis = spline_basis(cx, r, d)
     assert len(basis) == spline_dim(cx, r, d)
-    wall = facet_linear_form([cx.vertices[0], cx.vertices[1]])
+    wall = _lead_one(facet_linear_form([cx.vertices[0], cx.vertices[1]]))
     seen = set()
     for spline in basis:
         assert len(spline) == 2
@@ -196,18 +213,50 @@ def test_graded_prefix_matches_one_system_per_degree_on_affine_images():
         if cx.ambient_dim == 4:
             dmax = min(dmax, 3)
         assert spline_dims(cx, r, dmax) == _per_degree_reference(cx, r, dmax)
-        pairs = build_system(cx, r, 0).pairs
-        faces = cx.maximal_faces
-        walls = [
-            facet_linear_form([cx.vertices[v] for v in sorted(set(faces[s]) & set(faces[t]))])
-            for s, t in pairs
-        ]
         origin = (0,) * cx.ambient_dim
+        walls = [_lead_one(form) for form in _walls(cx)]
         inhomogeneous.append(any(ell.coefficient(origin) for ell in walls))
 
     check()
     # the graded path had walls to translate, not only walls through 0
     assert True in inhomogeneous
+
+
+def _reference_wall(points) -> list[Fraction]:
+    """The wall form over the rationals with lead 1, from a nullspace."""
+    (vec,) = RationalMatrix.from_rows([list(p) + [1] for p in points]).nullspace()
+    dense = [vec.get(c, Fraction(0)) for c in range(len(points[0]) + 1)]
+    lead = next(v for v in dense if v)
+    return [v / lead for v in dense]
+
+
+def test_facet_linear_form_is_the_primitive_integer_wall():
+    scaled = []
+
+    def check(cx):
+        faces = cx.maximal_faces
+        for s, t in adjacent_pairs(cx):
+            points = [cx.vertices[v] for v in sorted(set(faces[s]) & set(faces[t]))]
+            form = facet_linear_form(points)
+            ell = _reference_wall(points)
+            scale = math.lcm(*(v.denominator for v in ell))
+            assert all(type(a) is int for a in form)
+            assert math.gcd(*form) == 1
+            assert next(a for a in form if a) == scale > 0
+            assert form == tuple(scale * v for v in ell)
+            scaled.append(scale > 1)
+
+    for entry in CATALOG:
+        check(entry.complex)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(inhomogeneous_images())
+    def check_images(cx):
+        check(cx)
+
+    check_images()
+    # some wall had denominators, so D > 1 was exercised
+    assert True in scaled
 
 
 def _reference_build_system(cx: SimplicialComplex, r: int, d: int) -> RationalMatrix:
@@ -225,7 +274,7 @@ def _reference_build_system(cx: SimplicialComplex, r: int, d: int) -> RationalMa
     rows: list[dict[int, Fraction]] = []
     for p, (s, t) in enumerate(pairs):
         shared = sorted(set(faces[s]) & set(faces[t]))
-        ell = facet_linear_form([cx.vertices[v] for v in shared])
+        ell = _lead_one(facet_linear_form([cx.vertices[v] for v in shared]))
         wall_terms = tuple((ell ** (r + 1)).coeffs.items())
         cof_base = nf * m + p * mc
         pair_rows: list[dict[int, Fraction]] = [
@@ -326,11 +375,7 @@ def test_shared_vertex_system_is_block_diagonal_by_degree(monkeypatch):
     r, dmax = 1, 4
     matrix = [[2, 1, 0], [0, 1, 1], [1, 0, 3]]
     cx = affine_image(get("tetrahedral-fan").complex, matrix, [Fraction(5, 3), -2, Fraction(7, 4)])
-    faces = cx.maximal_faces
-    walls = [
-        facet_linear_form([cx.vertices[v] for v in sorted(set(faces[s]) & set(faces[t]))])
-        for s, t in build_system(cx, r, 0).pairs
-    ]
+    walls = [_lead_one(form) for form in _walls(cx)]
     assert any(ell.coefficient((0, 0, 0)) for ell in walls)
     built = _recording_builds(monkeypatch)
     assert spline_dims(cx, r, dmax) == _per_degree_reference(cx, r, dmax)

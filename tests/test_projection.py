@@ -9,7 +9,8 @@ import pytest
 from orangesplines import bernstein, projection
 from orangesplines.bernstein import layer_decomposition, lift_mds, verify_mds
 from orangesplines.catalog import CATALOG, get
-from orangesplines.complexes import SimplicialComplex, detect_orange
+from orangesplines.complexes import InvalidComplexError, SimplicialComplex, detect_orange
+from orangesplines.dimension import orange_dim_formula
 from orangesplines.projection import (
     adapt_coordinates,
     project_face,
@@ -61,6 +62,27 @@ def test_single_simplex_projects_to_a_point():
     assert projected.complex.ambient_dim == 0
     assert projected.complex.maximal_faces == ((0,),)
     assert projected.face_map == (0,)
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        # the two triangles overlap: both segments project onto [0, 1]
+        ([(0, 0), (0, 1), (1, 0), (1, Fraction(1, 2))], "identifies two segments"),
+        # one triangle is flat and projects onto the central vertex
+        ([(0, 0), (0, 1), (0, 2), (1, 0)], "degenerates under projection"),
+    ],
+)
+def test_invalid_orange_raises_a_typed_error_on_every_path(vertices, message):
+    def fresh():
+        return SimplicialComplex(2, vertices, [[0, 1, 2], [0, 1, 3]])
+
+    with pytest.raises(InvalidComplexError):
+        fresh().validate()
+    with pytest.raises(InvalidComplexError, match=message):
+        project_orange(fresh())
+    with pytest.raises(InvalidComplexError, match=message):
+        orange_dim_formula(fresh(), 1, 2)
 
 
 def test_standard_orange_join():
