@@ -39,6 +39,7 @@ from math import factorial, lcm
 
 from .cofactor import spline_dim
 from .complexes import (
+    InvalidComplexError,
     OrangeProfile,
     Point,
     SimplicialComplex,
@@ -468,6 +469,8 @@ def _smoothness_rows(
         lam = barycentric_coordinates(
             complex_.vertices[w], [complex_.vertices[v] for v in face_s]
         )
+        if lam is None:
+            raise InvalidComplexError(f"face {face_s} is geometrically degenerate")
         pos_s = [face_s.index(v) for v in shared]
         pos_t = [face_t.index(v) for v in shared]
         for m in range(min(r, d) + 1):

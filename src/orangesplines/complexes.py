@@ -5,6 +5,24 @@ validator checks the geometric realization, not just the combinatorics:
 any two maximal simplices must intersect exactly in the convex hull of
 their common vertices.  All of that runs in exact arithmetic, so skew or
 crossing geometries are detected reliably.
+
+On an orange that pair test runs on the projected star in R^i, not on
+the orange in R^k.  Lemma: let a complex be pure and full-dimensional,
+with every maximal face T_s = F * W_s the join of a common face F and
+the vertices W_s off F.  Let pi be the projection along aff(F).  The
+complex is geometric exactly when pi is injective on the vertices off F
+and the star of the simplices conv(pi(F), pi(W_s)) is geometric.
+Proof sketch: a point of T_s has unique barycentric coordinates, and pi
+keeps those on W_s as the point's coordinates in the projected simplex;
+with pi injective off F, two projected simplices share just the images
+of the vertices their faces share.  So a proper intersection in the star
+lifts to a proper one in the orange.  Conversely, an improper point y
+of the star, pulled toward the origin as t*y with t small, lifts into
+both faces near relint(F) and is improper there.  If two vertices off F
+share an image, a point near relint(F) in the direction of both lies in
+two faces but not in the hull of their common vertices.
+``projection.project_orange`` applies the lemma; every other complex is
+pair-tested directly.
 """
 
 from __future__ import annotations
@@ -81,7 +99,7 @@ def barycentric_coordinates(
         return None
     particular, basis = sol
     if basis:
-        raise ValueError("vertices are affinely dependent")
+        raise InvalidComplexError("vertices are affinely dependent")
     return particular
 
 
@@ -131,6 +149,39 @@ def _intersection_within_hull(
         if all(v >= 0 for v in values) or all(v <= 0 for v in values):
             return False
     return True
+
+
+def _overlap(face_a: Simplex, face_b: Simplex) -> InvalidComplexError:
+    face_a, face_b = sorted((face_a, face_b))
+    return InvalidComplexError(
+        f"faces {face_a} and {face_b} overlap beyond their shared vertices"
+    )
+
+
+def _check_pairs(
+    complex_: SimplicialComplex, names: Sequence[Simplex] | None = None
+) -> None:
+    """Raise InvalidComplexError unless every two maximal faces of
+    ``complex_`` meet in the hull of their common vertices.
+
+    A pair meets improperly exactly when the vertices of the two faces
+    carry an affine dependence that is nonnegative on the first face's own
+    vertices, nonpositive on the second's and nonzero there;
+    ``_intersection_within_hull`` decides that from one nullspace per pair.
+    Every face must be affinely independent.  The error names the faces
+    by ``names[s]`` (default: the maximal faces themselves), so that a
+    projected star reports the orange faces it stands for.
+    """
+    faces = complex_.maximal_faces
+    names = names or faces
+    for a, b in combinations(range(len(faces)), 2):
+        common = sorted(set(faces[a]) & set(faces[b]))
+        if not _intersection_within_hull(
+            complex_.face_points(faces[a]),
+            complex_.face_points(faces[b]),
+            complex_.face_points(common),
+        ):
+            raise _overlap(names[a], names[b])
 
 
 @dataclass(frozen=True)
@@ -200,19 +251,30 @@ class SimplicialComplex:
     def validate(self) -> None:
         """Raise InvalidComplexError unless this is a geometric complex.
 
-        Checks coordinate arity, index bounds, duplicate or nested maximal
-        faces, affine independence of every maximal face, and the exact
-        intersection condition on every pair of maximal simplices.  Checking
-        maximal pairs suffices: any two faces lie inside maximal ones, and
-        the intersection condition is inherited by subsets.
+        Cheap checks run on every complex: coordinate arity, duplicate
+        vertices, index bounds, duplicate or nested maximal faces, and
+        affine independence of every maximal face.  The intersection
+        condition is then checked on every pair of maximal simplices, which
+        suffices: any two faces lie inside maximal ones, and the condition
+        is inherited by subsets.
 
-        A pair intersects improperly exactly when the vertices of the two
-        faces carry an affine dependence that is nonnegative on the first
-        face's own vertices, nonpositive on the second's and nonzero there;
-        ``_intersection_within_hull`` decides that from one nullspace per
-        pair.  The decision needs affinely independent faces, so affine
-        independence is checked for every face before any pair.
+        For an orange (``detect_orange`` succeeds) the pair test runs on the
+        projected star, through ``project_orange``; the module docstring
+        gives the lemma that makes the two verdicts equal.  Every other
+        complex gets the direct test, ``_check_pairs``.
         """
+        self._check_faces()
+        try:
+            detect_orange(self)
+        except (NotPureError, EmptyMedialFaceError, UnsupportedOrangeError):
+            _check_pairs(self)
+        else:
+            from .projection import project_orange  # projection imports this module
+
+            project_orange(self)
+
+    def _check_faces(self) -> None:
+        """The cheap checks of ``validate``: all but the pair test."""
         for v in self.vertices:
             if len(v) != self.ambient_dim:
                 raise InvalidComplexError(
@@ -237,18 +299,6 @@ class SimplicialComplex:
         for f in self.maximal_faces:
             if not _affinely_independent(self.face_points(f)):
                 raise InvalidComplexError(f"face {f} is geometrically degenerate")
-        for a, b in combinations(range(len(self.maximal_faces)), 2):
-            fa, fb = self.maximal_faces[a], self.maximal_faces[b]
-            common = sorted(set(fa) & set(fb))
-            ok = _intersection_within_hull(
-                self.face_points(fa),
-                self.face_points(fb),
-                self.face_points(common),
-            )
-            if not ok:
-                raise InvalidComplexError(
-                    f"faces {fa} and {fb} overlap beyond their shared vertices"
-                )
 
     def __hash__(self) -> int:
         return hash((self.ambient_dim, self.vertices, self.maximal_faces))

@@ -14,7 +14,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .complexes import (
-    InvalidComplexError, OrangeProfile, Point, SimplicialComplex, detect_orange
+    InvalidComplexError,
+    OrangeProfile,
+    Point,
+    SimplicialComplex,
+    _affinely_independent,
+    _check_pairs,
+    _overlap,
+    detect_orange,
 )
 from .exact import EchelonBasis, invert_matrix
 
@@ -42,16 +49,11 @@ class AdaptedFrame:
     matrix: tuple[tuple[Fraction, ...], ...]
     base_point: Point
 
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
     def apply_point(self, point: Sequence[Fraction]) -> Point:
-        k = self.dim
-        shifted = [Fraction(point[c]) - self.base_point[c] for c in range(k)]
+        shifted = [p - b for p, b in zip(point, self.base_point, strict=True)]
         return tuple(
-            sum((self.matrix[r][c] * shifted[c] for c in range(k)), Fraction(0))
-            for r in range(k)
+            sum((m * s for m, s in zip(row, shifted) if m), Fraction(0))
+            for row in self.matrix
         )
 
 
@@ -74,7 +76,7 @@ def adapt_coordinates(complex_: SimplicialComplex) -> AdaptedFrame:
     # 1..i after inversion), then the medial edge vectors
     span = EchelonBasis()
     if not all(span.add(e) for e in medial_edges):
-        raise ValueError("medial face is geometrically degenerate")
+        raise InvalidComplexError("medial face is geometrically degenerate")
     completion: list[tuple[Fraction, ...]] = []
     for j in range(k):
         if span.rank == k:
@@ -111,21 +113,33 @@ def project_orange(complex_: SimplicialComplex) -> ProjectedOrange:
     """Project an orange onto R^i through an adapted frame.
 
     Vertices that land on the same point are identified (the medial face
-    collapses to the origin).  The result is validated: it must be a
-    geometric star of the origin, and segments must map bijectively.  The
-    projection is computed, and its star validated, once per complex
-    instance.
+    collapses to the origin).  The call checks the whole orange, through
+    the lemma of the ``complexes`` module docstring: every face must
+    project onto an i-simplex, no two segments or vertices off the medial
+    face may share an image, and the star must pass the pair test.  A
+    failure raises InvalidComplexError naming the orange's own faces.  The
+    projection is computed once per complex instance, and the pair test
+    runs once per distinct star value.
     """
     if "projected" not in complex_._memo:
         complex_._memo["projected"] = _project(complex_)
     return complex_._memo["projected"]
 
 
+# stars that passed the pair test, keyed by value (ambient dimension,
+# vertices, maximal faces): the standard model's star, and any repeated
+# image, is not tested again
+_proper_stars: set[tuple] = set()
+
+
 def _project(complex_: SimplicialComplex) -> ProjectedOrange:
-    i = detect_orange(complex_).i
+    profile = detect_orange(complex_)
+    i = profile.i
     if i == 0:
-        # the whole orange is a single simplex around its medial face;
-        # the projection is the one-point complex in R^0
+        # the whole orange is a single simplex, its medial face; the
+        # projection is the one-point complex in R^0
+        if not _affinely_independent(complex_.face_points(profile.medial)):
+            raise InvalidComplexError("medial face is geometrically degenerate")
         star = SimplicialComplex(0, [()], [[0]])
         return ProjectedOrange(complex=star, central_vertex=0, face_map=(0,), frame=None)
     frame = adapt_coordinates(complex_)
@@ -139,20 +153,40 @@ def _project(complex_: SimplicialComplex) -> ProjectedOrange:
     new_ids: dict[Point, int] = {(Fraction(0),) * i: 0}
     for p in image_of.values():
         new_ids.setdefault(p, len(new_ids))
+    points = list(new_ids)
 
+    # an i-simplex in R^i for each face stands for the affine independence
+    # of the face, given that of the medial face; the star's other checks
+    # (arity, distinct vertices, index bounds, no nesting) hold by
+    # construction once the segments are distinct
     new_faces = []
     for f in complex_.maximal_faces:
         nf = tuple(sorted({new_ids[image_of[v]] for v in f}))
-        if len(nf) != i + 1:
+        if len(nf) != i + 1 or not _affinely_independent([points[v] for v in nf]):
             raise InvalidComplexError(f"face {f} degenerates under projection")
         new_faces.append(nf)
     if len(set(new_faces)) != len(new_faces):
         raise InvalidComplexError("projection identifies two segments")
+    # two vertices off the medial face with one image: the faces through
+    # them share the points near the medial face in that direction
+    first_with: dict[Point, int] = {}
+    for vid, p in image_of.items():
+        if vid not in profile.medial and first_with.setdefault(p, vid) != vid:
+            owner = first_with[p]
+            raise _overlap(
+                next(f for f in complex_.maximal_faces if owner in f),
+                next(f for f in complex_.maximal_faces if vid in f),
+            )
 
-    star = SimplicialComplex(i, list(new_ids), new_faces)
-    star.validate()
-
+    star = SimplicialComplex(i, points, new_faces)
     face_map = tuple(star.maximal_faces.index(nf) for nf in new_faces)
+    key = (i, star.vertices, star.maximal_faces)
+    if key not in _proper_stars:
+        # the star is an (i, i)-orange whose projection is itself, so its
+        # pair test runs here and not through ``star.validate()``
+        names = [f for _, f in sorted(zip(face_map, complex_.maximal_faces))]
+        _check_pairs(star, names)
+        _proper_stars.add(key)
     return ProjectedOrange(complex=star, central_vertex=0, face_map=face_map, frame=frame)
 
 

@@ -28,7 +28,12 @@ from orangesplines.bernstein import (
 )
 from orangesplines.catalog import CATALOG, get
 from orangesplines.cofactor import spline_basis, spline_dim
-from orangesplines.complexes import SimplicialComplex, UnsupportedOrangeError, affine_image
+from orangesplines.complexes import (
+    InvalidComplexError,
+    SimplicialComplex,
+    UnsupportedOrangeError,
+    affine_image,
+)
 from orangesplines.dimension import orange_dim_formula
 from orangesplines.exact import EchelonBasis, RationalMatrix, binom
 from orangesplines.polynomials import Polynomial
@@ -428,3 +433,20 @@ def test_verify_checks_the_domain_before_the_set():
         verify_mds(bowtie, 0, 1, ds)
     with pytest.raises(UnsupportedOrangeError):
         bernstein_dim(bowtie, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        # (0, 1, 2) is flat and the apex (1, 0) of the other face is off its line
+        ([(0, 0), (1, 1), (2, 2), (1, 0)], r"face \(0, 1, 2\) is geometrically degenerate"),
+        # both faces are flat, on one line
+        ([(0, 0), (1, 1), (2, 2), (3, 3)], "affinely dependent"),
+    ],
+)
+def test_bernstein_rows_on_a_flat_face_raise_a_typed_error(vertices, message):
+    cx = SimplicialComplex(2, vertices, [[0, 1, 2], [0, 1, 3]])
+    with pytest.raises(InvalidComplexError, match=message):
+        bernstein_dim(cx, 1, 2)
+    with pytest.raises(InvalidComplexError, match=message):
+        compute_mds(cx, 1, 2)

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import ast
+import math
+import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from orangesplines import complexes, projection
 from orangesplines.complexes import (
     EmptyMedialFaceError,
     InvalidComplexError,
@@ -26,6 +31,8 @@ from orangesplines.catalog import CATALOG, get
 from orangesplines.cofactor import spline_dim
 from orangesplines.dimension import orange_dim_formula
 from orangesplines.exact import solve_linear
+from orangesplines.io import complex_from_dict, complex_to_dict
+from orangesplines.projection import project_orange, standard_form
 
 
 def test_catalog_entries_validate_with_expected_profiles():
@@ -263,3 +270,181 @@ def test_dependence_criterion_matches_vertex_enumeration():
     check()
     # a run in which one outcome never occurs would check nothing
     assert True in outcomes and False in outcomes
+
+
+def _reference_validate(cx: SimplicialComplex) -> None:
+    """Validation with the pair test on every two maximal faces in R^k, as
+    it ran before oranges were pair-tested through their projected star."""
+    cx._check_faces()
+    for fa, fb in combinations(cx.maximal_faces, 2):
+        if not _pair_is_proper(cx, fa, fb):
+            raise InvalidComplexError(f"faces {fa} and {fb} overlap beyond their shared vertices")
+
+
+def _pair_is_proper(cx: SimplicialComplex, fa, fb) -> bool:
+    common = sorted(set(fa) & set(fb))
+    return _intersection_within_hull(
+        cx.face_points(fa), cx.face_points(fb), cx.face_points(common)
+    )
+
+
+def _verdict(check, cx: SimplicialComplex) -> str | None:
+    try:
+        check(cx)
+    except InvalidComplexError as exc:
+        return str(exc)
+    return None
+
+
+def _named_faces(message: str) -> list[tuple[int, ...]]:
+    return [ast.literal_eval(t) for t in re.findall(r"\([\d, ]+\)", message)]
+
+
+@st.composite
+def lifted_oranges(draw) -> SimplicialComplex:
+    """Complexes with a common face in R^2..R^4, most of them invalid.
+
+    A link of i-subsets of small points in R^i, chained by swapping one
+    vertex at a time, is lifted over the medial face spanned by the origin
+    and e_(i+1), ..., e_k at random heights; the random links cross, fold
+    and overlap.  Sometimes one link point gets a second lift for the later
+    faces, so that two vertices off the medial face share a projection.  An
+    integer shear and a coordinate permutation hide the axes.
+    """
+    k = draw(st.integers(2, 4))
+    i = draw(st.integers(1, k))
+    coord = st.integers(-2, 2)
+    link = draw(
+        st.lists(st.tuples(*[coord] * i).filter(any), min_size=i + 1, max_size=i + 3, unique=True)
+    )
+    faces = [tuple(range(i))]
+    for _ in range(draw(st.integers(2, 5))):
+        old = draw(st.sampled_from(faces))
+        new = draw(st.sampled_from(sorted(set(range(len(link))) - set(old))))
+        face = tuple(sorted(set(old) - {draw(st.sampled_from(old))} | {new}))
+        if face not in faces:
+            faces.append(face)
+    heights = st.tuples(*[st.integers(-1, 1)] * (k - i))
+    points = [p + draw(heights) for p in link]
+    if i < k and draw(st.booleans()):
+        s = draw(st.integers(0, len(link) - 1))
+        points.append(link[s] + tuple(h + 1 for h in points[s][i:]))
+        cut = draw(st.integers(1, len(faces)))
+        faces[cut:] = [tuple(len(link) if v == s else v for v in f) for f in faces[cut:]]
+    medial = [tuple(int(c == j) for c in range(k)) for j in range(i - 1, k)]
+    medial[0] = (0,) * k
+    matrix = [[int(r == c) or (r < c and draw(st.integers(-1, 1))) for c in range(k)] for r in range(k)]
+    order = draw(st.permutations(range(k)))
+    vertices = [
+        tuple(sum(matrix[order[r]][c] * p[c] for c in range(k)) for r in range(k))
+        for p in medial + points
+    ]
+    m = len(medial)
+    return SimplicialComplex(
+        k, vertices, [list(range(m)) + [m + v for v in f] for f in faces]
+    )
+
+
+def test_star_route_matches_the_all_pairs_reference(monkeypatch):
+    monkeypatch.setattr(projection, "_proper_stars", set())
+    outcomes = Counter()
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(lifted_oranges())
+    def check(cx):
+        expected = _verdict(_reference_validate, cx)
+        got = _verdict(SimplicialComplex.validate, cx)
+        assert (got is None) == (expected is None), (cx, got, expected)
+        if got and "overlap" in got:
+            # the star's failing pair, mapped back, overlaps in the orange
+            fa, fb = _named_faces(got)
+            assert fa in cx.maximal_faces and fb in cx.maximal_faces
+            assert not _pair_is_proper(cx, fa, fb)
+        outcomes["valid" if got is None else got.split()[-1]] += 1
+
+    check()
+    # most inputs are invalid, and many of those reach the pair test
+    assert 0 < outcomes["valid"] < sum(outcomes.values()) / 2, outcomes
+    assert outcomes["vertices"] > outcomes["valid"], outcomes
+
+
+def test_two_vertices_with_one_projection_make_an_orange_invalid():
+    # three tetrahedra around the z-axis edge; the last one's apex (1, 0, 1/2)
+    # projects onto that of the first, (1, 0, 0).  The projected triangles
+    # tile a fan around the origin properly, yet the first and last
+    # tetrahedra share a wedge along the edge.
+    cx = SimplicialComplex(
+        3,
+        [(0, 0, 0), (0, 0, 1), (1, 0, 0), (-1, 1, 0), (-1, -1, 0), (1, 0, Fraction(1, 2))],
+        [[0, 1, 2, 3], [0, 1, 3, 4], [0, 1, 4, 5]],
+    )
+    with pytest.raises(InvalidComplexError, match="overlap"):
+        _reference_validate(cx)
+    message = r"faces \(0, 1, 2, 3\) and \(0, 1, 4, 5\) overlap"
+    for check in (SimplicialComplex.validate, project_orange):
+        fresh = SimplicialComplex(cx.ambient_dim, cx.vertices, cx.maximal_faces)
+        with pytest.raises(InvalidComplexError, match=message):
+            check(fresh)
+
+
+def test_overlap_message_names_the_orange_faces():
+    cx = SimplicialComplex(
+        3,
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (5, 5, -1)],
+        [[0, 1, 2, 3], [0, 1, 2, 4], [0, 2, 4, 5]],
+    )
+    for check in (SimplicialComplex.validate, project_orange):
+        fresh = SimplicialComplex(cx.ambient_dim, cx.vertices, cx.maximal_faces)
+        with pytest.raises(InvalidComplexError, match="overlap") as info:
+            check(fresh)
+        fa, fb = _named_faces(str(info.value))
+        assert fa in cx.maximal_faces and fb in cx.maximal_faces
+        assert not _pair_is_proper(cx, fa, fb)
+
+
+def _counting_pair_tests(monkeypatch) -> list[int]:
+    """Empty the star verdicts and record the dimension of each pair test."""
+    monkeypatch.setattr(projection, "_proper_stars", set())
+    dims = []
+    within = complexes._intersection_within_hull
+
+    def counted(verts_a, verts_b, common):
+        dims.append(len(verts_a[0]))
+        return within(verts_a, verts_b, common)
+
+    monkeypatch.setattr(complexes, "_intersection_within_hull", counted)
+    return dims
+
+
+def test_an_orange_is_pair_tested_once_through_its_star(monkeypatch):
+    dims = _counting_pair_tests(monkeypatch)
+    entry = get("fan-4d")
+    m = [[Fraction(int(r == c) + (c == r + 1) * (r + 2)) for c in range(4)] for r in range(4)]
+    image = affine_image(entry.complex, m, [Fraction(1, 3), -2, 5, Fraction(-7, 2)])
+    cx = complex_from_dict(complex_to_dict(image))
+    n = len(cx.maximal_faces)
+    assert entry.profile.i == 2
+    assert dims == [2] * math.comb(n, 2)
+    orange_dim_formula(cx, 1, 3)
+    spline_dim(cx, 1, 3)
+    # a value-equal star, such as the standard model's, is not tested again
+    standard_form(standard_form(cx).standard)
+    assert dims == [2] * math.comb(n, 2)
+
+
+MORGAN_SCOTT = [(0, 0), (12, 0), (6, 12), (8, Fraction(16, 3)), (4, Fraction(16, 3)), (6, Fraction(4, 3))]
+MORGAN_SCOTT_FACES = [[3, 4, 5], [0, 4, 5], [1, 5, 3], [2, 3, 4], [0, 1, 5], [1, 2, 3], [2, 0, 4]]
+
+
+def test_a_complex_that_is_no_orange_is_pair_tested_directly(monkeypatch):
+    dims = _counting_pair_tests(monkeypatch)
+    split = SimplicialComplex(2, MORGAN_SCOTT, MORGAN_SCOTT_FACES)
+    with pytest.raises(EmptyMedialFaceError):
+        detect_orange(split)
+    split.validate()
+    assert dims == [2] * math.comb(len(MORGAN_SCOTT_FACES), 2)
+    # the inner vertex c pushed out through the edge AB: (0, 1, 5) folds
+    # over (0, 4, 5)
+    crossing = SimplicialComplex(2, MORGAN_SCOTT[:5] + [(6, -1)], MORGAN_SCOTT_FACES)
+    with pytest.raises(InvalidComplexError, match="overlap"):
+        crossing.validate()

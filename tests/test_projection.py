@@ -64,6 +64,11 @@ def test_single_simplex_projects_to_a_point():
     assert projected.face_map == (0,)
 
 
+def test_single_simplex_projection_checks_the_simplex():
+    with pytest.raises(InvalidComplexError, match="degenerate"):
+        project_orange(SimplicialComplex(2, [(0, 0), (1, 1), (2, 2)], [[0, 1, 2]]))
+
+
 @pytest.mark.parametrize(
     "vertices, message",
     [
@@ -71,18 +76,25 @@ def test_single_simplex_projects_to_a_point():
         ([(0, 0), (0, 1), (1, 0), (1, Fraction(1, 2))], "identifies two segments"),
         # one triangle is flat and projects onto the central vertex
         ([(0, 0), (0, 1), (0, 2), (1, 0)], "degenerates under projection"),
+        # the shared triangle (0, 1, 2) of two tetrahedra is flat
+        (
+            [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0)],
+            "medial face is geometrically degenerate",
+        ),
     ],
 )
 def test_invalid_orange_raises_a_typed_error_on_every_path(vertices, message):
+    # two k-simplices on the vertices 0..k - 1, with apexes k and k + 1
+    k = len(vertices[0])
+
     def fresh():
-        return SimplicialComplex(2, vertices, [[0, 1, 2], [0, 1, 3]])
+        return SimplicialComplex(k, vertices, [range(k + 1), [*range(k), k + 1]])
 
     with pytest.raises(InvalidComplexError):
         fresh().validate()
-    with pytest.raises(InvalidComplexError, match=message):
-        project_orange(fresh())
-    with pytest.raises(InvalidComplexError, match=message):
-        orange_dim_formula(fresh(), 1, 2)
+    for path in (project_orange, standard_form, lambda cx: orange_dim_formula(cx, 1, 2)):
+        with pytest.raises(InvalidComplexError, match=message):
+            path(fresh())
 
 
 def test_standard_orange_join():
@@ -138,9 +150,13 @@ def test_each_orange_is_recognized_and_projected_once(monkeypatch):
     # a fresh copy, so no earlier test has filled its memo
     entry = get("two-tetrahedron").complex
     cx = SimplicialComplex(entry.ambient_dim, entry.vertices, entry.maximal_faces)
-    validated, frames = [], []
-    validate, adapt = SimplicialComplex.validate, projection.adapt_coordinates
-    monkeypatch.setattr(SimplicialComplex, "validate", lambda c: validated.append(c) or validate(c))
+    # star pair tests, with the verdicts of earlier tests forgotten
+    pair_tests, frames = [], []
+    check_pairs, adapt = projection._check_pairs, projection.adapt_coordinates
+    monkeypatch.setattr(projection, "_proper_stars", set())
+    monkeypatch.setattr(
+        projection, "_check_pairs", lambda c, names: pair_tests.append(c) or check_pairs(c, names)
+    )
     monkeypatch.setattr(projection, "adapt_coordinates", lambda c: frames.append(c) or adapt(c))
     # Bernstein systems by (complex, r, d); lattices by (complex, degree),
     # one entry per distinct lattice object returned; complexes and
@@ -166,8 +182,9 @@ def test_each_orange_is_recognized_and_projected_once(monkeypatch):
     lift_mds(sf.standard, 1, 3)
     verify_mds(sf.standard, 1, 3)
     layer_decomposition(sf.standard, 3)
-    # one star validated for the orange and one for its standard model
-    assert len(validated) == 2
+    # one star pair test for the orange and its standard model together:
+    # the standard model's star is equal by value
+    assert pair_tests == [sf.projected.complex]
     # each system and each lattice built once per complex instance
     assert systems and len(set(systems)) == len(systems), systems
     builds = list(lattices.values())
