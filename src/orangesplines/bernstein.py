@@ -15,9 +15,14 @@ A spline is one coefficient per identified domain point, and C^r
 smoothness is one sparse linear system on those coefficients: the
 conditions of Lai & Schumaker (*Spline Functions on Triangulations*, 2007,
 Thm 2.28) across every shared facet.  A complex instance builds its
-lattice once per degree and that system once per (r, d), as integer rows
-that the elimination kernel takes as they are, and everything about
-determining sets is read off the one system.  A set M of points
+lattice once per degree and that system once per (r, d), and everything
+about determining sets is read off the one system.  Both are built on the
+complex's integer coordinate view (``complexes._integer_view``): lattice
+points are bucketed and sorted by integer numerators, and the weights of
+each row come from Cramer's rule, lambda_l = Delta_l / Delta, read off
+one integer affine dependence.  The order-m rows are scaled by Delta^m
+(over a gcd), so they are integral as built and the elimination kernel
+takes them as they are.  A set M of points
 determines the spline space exactly when the system's columns outside M
 are independent, so by matroid duality the greedy hub-outward selection is
 the complement of the greedy column basis taken from the outside in
@@ -35,7 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
+from typing import Sequence
 
 from .cofactor import spline_dim
 from .complexes import (
@@ -43,11 +49,12 @@ from .complexes import (
     OrangeProfile,
     Point,
     SimplicialComplex,
+    _integer_view,
     adjacent_pairs,
     barycentric_coordinates,
     detect_orange,
 )
-from .exact import EchelonBasis, IntRow, _echelon, _integer_row, invert_matrix
+from .exact import EchelonBasis, IntRow, _echelon, _integer_kernel, _strip_content, invert_matrix
 from .polynomials import Polynomial, monomials_upto
 from .projection import project_orange
 
@@ -117,6 +124,23 @@ def simplex_multiindices(nverts: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _lattice_numerators(
+    nums: Sequence[Sequence[int]], d: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(multi-index, numerators) of each degree-d lattice point of the
+    simplex with integer vertices ``nums``: the point of a is the sum of
+    a_l * nums[l] over d times the vertices' denominator, and at degree 0
+    the first vertex over that denominator alone."""
+    indices = simplex_multiindices(len(nums), d)
+    if d == 0:
+        return [(indices[0], tuple(nums[0]))]
+    columns = list(zip(*nums))
+    return [
+        (a, tuple(sum(x * n for x, n in zip(a, col)) for col in columns))
+        for a in indices
+    ]
+
+
 def simplex_domain_points(
     vertices: tuple[Point, ...] | list[Point], d: int, face: int = 0
 ) -> list[DomainPoint]:
@@ -124,22 +148,15 @@ def simplex_domain_points(
     if d < 0:
         raise ValueError("degree must take a nonnegative value")
     verts = tuple(tuple(Fraction(c) for c in v) for v in vertices)
-    indices = simplex_multiindices(len(verts), d)
-    if d == 0:
-        return [DomainPoint(coordinates=verts[0], face=face, multi_index=indices[0])]
     # integer numerators over one common denominator: one Fraction per coordinate
     den = lcm(*(c.denominator for v in verts for c in v))
     nums = [[c.numerator * (den // c.denominator) for c in v] for v in verts]
-    columns = list(zip(*nums))
+    scale = den * max(d, 1)
     return [
         DomainPoint(
-            coordinates=tuple(
-                Fraction(sum(x * n for x, n in zip(a, col)), den * d) for col in columns
-            ),
-            face=face,
-            multi_index=a,
+            coordinates=tuple(Fraction(n, scale) for n in point), face=face, multi_index=a
         )
-        for a in indices
+        for a, point in _lattice_numerators(nums, d)
     ]
 
 
@@ -147,19 +164,26 @@ def complex_domain_points(complex_: SimplicialComplex, d: int) -> tuple[Identifi
     """Lattice of the whole complex, identified by exact coordinates.
 
     Points are returned sorted by coordinates; each carries every host face
-    and multi-index that produces it.  The lattice is built once per complex
-    instance and degree.
+    and multi-index that produces it.  Points are bucketed and sorted by
+    their integer numerators over the complex's common denominator (see
+    ``complexes._integer_view``) times d, which orders them as their
+    coordinates do; each point's ``Fraction`` coordinates are built once.
+    The lattice is built once per complex instance and degree.
     """
     key = ("lattice", d)
     if key not in complex_._memo:
-        buckets: dict[Point, list[tuple[int, tuple[int, ...]]]] = {}
+        den, nums = _integer_view(complex_)
+        buckets: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
         for fidx, face in enumerate(complex_.maximal_faces):
-            verts = tuple(complex_.vertices[v] for v in face)
-            for dp in simplex_domain_points(verts, d, face=fidx):
-                buckets.setdefault(dp.coordinates, []).append((fidx, dp.multi_index))
+            for a, point in _lattice_numerators([nums[v] for v in face], d):
+                buckets.setdefault(point, []).append((fidx, a))
+        scale = den * max(d, 1)
         complex_._memo[key] = tuple(
-            IdentifiedPoint(coordinates=coords, occurrences=tuple(sorted(buckets[coords])))
-            for coords in sorted(buckets)
+            IdentifiedPoint(
+                coordinates=tuple(Fraction(n, scale) for n in point),
+                occurrences=tuple(sorted(buckets[point])),
+            )
+            for point in sorted(buckets)
         )
     return complex_._memo[key]
 
@@ -441,12 +465,13 @@ def _ordered_points(
                 best = min(best, d - alpha[face.index(hub)])
         return best
 
-    return tuple(sorted(points, key=lambda p: (layer(p), p.coordinates)))
+    # the lattice comes sorted by coordinates, and the sort is stable
+    return tuple(sorted(points, key=layer))
 
 
 def _smoothness_rows(
     complex_: SimplicialComplex, r: int, d: int, points: tuple[IdentifiedPoint, ...]
-) -> list[dict[int, Fraction]]:
+) -> list[IntRow]:
     """C^r conditions on Bernstein coefficients, one column per point.
 
     For facet-adjacent faces T_s, T_t with w the vertex of T_t off T_s and
@@ -458,41 +483,63 @@ def _smoothness_rows(
     the points' occurrences; rows that cancel to zero are dropped (the
     m = 0 rows, except at d = 0 where each piece's point is its first
     vertex).
+
+    The rows are built over the integers.  The affine dependence of T_s's
+    vertices and w, on the complex's integer view, is one primitive kernel
+    vector v with v_w = D > 0, so lambda_l = -v_l / D.  By Cramer's rule,
+    (D, -v_l) is (Delta, Delta_l) over their gcd, times the sign of Delta:
+    Delta = det[T_s; 1], and Delta_l has column l replaced by [w; 1].
+    The order-m rows are scaled by D^m: the t-entry is D^m and the
+    s-entries are -(m! / gamma!) prod (-v_l)^gamma_l.  With its content
+    stripped, each row is the primitive integer multiple of the rational
+    condition, with the same signs.
     """
     column = {occ: col for col, p in enumerate(points) for occ in p.occurrences}
     faces = complex_.maximal_faces
-    rows = []
+    _, nums = _integer_view(complex_)
+    rows: list[IntRow] = []
     for s, t in adjacent_pairs(complex_):
         face_s, face_t = faces[s], faces[t]
         shared = [v for v in face_s if v in face_t]
         (w,) = [v for v in face_t if v not in face_s]
-        lam = barycentric_coordinates(
-            complex_.vertices[w], [complex_.vertices[v] for v in face_s]
-        )
-        if lam is None:
+        n = len(face_s)
+        hosts = [nums[v] for v in face_s] + [nums[w]]
+        coordinate_rows = [
+            {j: x[c] for j, x in enumerate(hosts) if x[c]}
+            for c in range(complex_.ambient_dim)
+        ]
+        kernel = _integer_kernel([*coordinate_rows, dict.fromkeys(range(n + 1), 1)], n + 1)
+        if len(kernel) != 1 or n not in kernel[0]:
+            # T_s is flat; when w is on its hull this raises "affinely dependent"
+            barycentric_coordinates(
+                complex_.vertices[w], [complex_.vertices[v] for v in face_s]
+            )
             raise InvalidComplexError(f"face {face_s} is geometrically degenerate")
+        (dependence,) = kernel
+        scale = dependence[n]
+        lam = [-dependence.get(l, 0) for l in range(n)]
         pos_s = [face_s.index(v) for v in shared]
         pos_t = [face_t.index(v) for v in shared]
         for m in range(min(r, d) + 1):
             weights = []
-            for gamma in simplex_multiindices(len(face_s), m):
-                weight = Fraction(factorial(m))
-                for l, g in enumerate(gamma):
-                    weight *= lam[l] ** g / factorial(g)
+            for gamma in simplex_multiindices(n, m):
+                weight = factorial(m) // prod(map(factorial, gamma)) * prod(
+                    x**g for x, g in zip(lam, gamma)
+                )
                 if weight:
                     weights.append((gamma, weight))
             for beta in simplex_multiindices(len(shared), d - m):
                 alpha_t = [0] * len(face_t)
                 alpha_t[face_t.index(w)] = m
-                base_s = [0] * len(face_s)
+                base_s = [0] * n
                 for b, ps, pt in zip(beta, pos_s, pos_t):
                     alpha_t[pt] = b
                     base_s[ps] = b
-                row = {column[(t, tuple(alpha_t))]: Fraction(1)}
+                row = {column[(t, tuple(alpha_t))]: scale**m}
                 for gamma, weight in weights:
                     col = column[(s, tuple(a + g for a, g in zip(base_s, gamma)))]
-                    row[col] = row.get(col, Fraction(0)) - weight
-                row = {c: v for c, v in row.items() if v}
+                    row[col] = row.get(col, 0) - weight
+                row = _strip_content({c: v for c, v in row.items() if v})
                 if row:
                     rows.append(row)
     return rows
@@ -503,13 +550,14 @@ def _system(
 ) -> tuple[tuple[IdentifiedPoint, ...], list[IntRow]]:
     """(points in hub order, C^r conditions on them), built once per complex
     instance and (r, d).  ``_ordered_points`` rejects non-oranges first.
-    Each row is cleared to integers once; row scaling keeps the row space
-    and the column matroid, so every rank and greedy pick is unchanged."""
+    The conditions are integer rows as built, each the rational condition
+    scaled by D^m (see ``_smoothness_rows``); row scaling keeps the row
+    space and the column matroid, so every rank and greedy pick is that of
+    the rational system."""
     key = ("system", r, d)
     if key not in complex_._memo:
         points = _ordered_points(complex_, d)
-        rows = _smoothness_rows(complex_, r, d, points)
-        complex_._memo[key] = (points, [_integer_row(row) for row in rows])
+        complex_._memo[key] = (points, _smoothness_rows(complex_, r, d, points))
     return complex_._memo[key]
 
 

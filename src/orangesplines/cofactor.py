@@ -49,7 +49,7 @@ from typing import Sequence
 
 from .complexes import Point, SimplicialComplex, adjacent_pairs
 from .exact import (
-    IntRow, RationalMatrix, _echelon, _integer_row, _nullspace_of_rows, format_rational
+    IntRow, RationalMatrix, _echelon, _integer_kernel, _integer_row, format_rational
 )
 from .polynomials import Polynomial, divisible_by_linear_power, monomials_upto
 
@@ -73,15 +73,19 @@ def facet_linear_form(points: Sequence[Point]) -> tuple[int, ...]:
     a_1 x_1 + ... + a_k x_k + c vanishes.  The entries have gcd 1 and the
     first nonzero one (the lead) is positive, so two calls on the same
     hyperplane agree exactly.  The form is D*l, where l is the form with
-    lead 1 and D, the lead, is the lcm of l's denominators.
+    lead 1 and D, the lead, is the lcm of l's denominators.  It is read
+    off the integer kernel of the rows (p, 1), each cleared on its own:
+    the one primitive kernel vector, up to sign.
     """
     k = len(points[0])
-    null = _nullspace_of_rows(({**dict(enumerate(p)), k: 1} for p in points), k + 1)
+    null = _integer_kernel(
+        (_integer_row({**dict(enumerate(p)), k: 1}) for p in points), k + 1
+    )
     if len(null) != 1:
         raise ValueError(
             f"points span a flat of codimension {len(null)}, expected a hyperplane"
         )
-    form = _integer_row(null[0])
+    (form,) = null
     sign = 1 if form[min(form)] > 0 else -1
     return tuple(sign * form.get(c, 0) for c in range(k + 1))
 

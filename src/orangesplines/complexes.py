@@ -27,13 +27,14 @@ pair-tested directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .exact import _echelon, _integer_row, _nullspace_of_rows, solve_linear
+from .exact import _echelon, _integer_kernel, _integer_row, solve_linear
 
 __all__ = [
     "Point",
@@ -126,12 +127,15 @@ def _intersection_within_hull(
     only_a = [p for p in verts_a if p not in shared]
     only_b = [p for p in verts_b if p not in shared]
     points = only_a + only_b + list(common)
-    dim = len(points[0])
-    rows: list[dict[int, Fraction]] = [
-        {j: p[c] for j, p in enumerate(points) if p[c]} for c in range(dim)
+    n = len(points)
+    # each row cleared on its own, then everything runs on ints: basis
+    # vectors and rays come out as positive multiples of the rational ones,
+    # which changes no sign
+    rows = [
+        _integer_row({j: p[c] for j, p in enumerate(points)}) for c in range(len(points[0]))
     ]
-    rows.append({j: Fraction(1) for j in range(len(points))})
-    basis = _nullspace_of_rows(rows, len(points))
+    rows.append(dict.fromkeys(range(n), 1))
+    basis = _integer_kernel(rows, n)
     signs = [1] * len(only_a) + [-1] * len(only_b)
     sign_rows = [
         {t: s * vec[j] for t, vec in enumerate(basis) if j in vec}
@@ -141,7 +145,7 @@ def _intersection_within_hull(
     if f == 0:
         return True
     for active in combinations(sign_rows, f - 1):
-        kernel = _nullspace_of_rows(active, f)
+        kernel = _integer_kernel(active, f)
         if len(kernel) != 1:
             continue
         ray = kernel[0]
@@ -275,21 +279,9 @@ class SimplicialComplex:
 
     def _check_faces(self) -> None:
         """The cheap checks of ``validate``: all but the pair test."""
-        for v in self.vertices:
-            if len(v) != self.ambient_dim:
-                raise InvalidComplexError(
-                    f"vertex {v} has arity {len(v)}, ambient dimension is {self.ambient_dim}"
-                )
+        self._check_shape()
         if len(set(self.vertices)) != len(self.vertices):
             raise InvalidComplexError("duplicate vertex coordinates")
-        if not self.maximal_faces:
-            raise InvalidComplexError("no maximal faces")
-        nv = len(self.vertices)
-        for f in self.maximal_faces:
-            if not f:
-                raise InvalidComplexError("empty face")
-            if f[0] < 0 or f[-1] >= nv:
-                raise InvalidComplexError(f"face {f} references a missing vertex")
         fsets = [frozenset(f) for f in self.maximal_faces]
         for a, b in combinations(range(len(fsets)), 2):
             if fsets[a] <= fsets[b] or fsets[b] <= fsets[a]:
@@ -299,6 +291,23 @@ class SimplicialComplex:
         for f in self.maximal_faces:
             if not _affinely_independent(self.face_points(f)):
                 raise InvalidComplexError(f"face {f} is geometrically degenerate")
+
+    def _check_shape(self) -> None:
+        """Coordinate arity and face index bounds: what any reading of the
+        vertices of the faces relies on."""
+        for v in self.vertices:
+            if len(v) != self.ambient_dim:
+                raise InvalidComplexError(
+                    f"vertex {v} has arity {len(v)}, ambient dimension is {self.ambient_dim}"
+                )
+        if not self.maximal_faces:
+            raise InvalidComplexError("no maximal faces")
+        nv = len(self.vertices)
+        for f in self.maximal_faces:
+            if not f:
+                raise InvalidComplexError("empty face")
+            if f[0] < 0 or f[-1] >= nv:
+                raise InvalidComplexError(f"face {f} references a missing vertex")
 
     def __hash__(self) -> int:
         return hash((self.ambient_dim, self.vertices, self.maximal_faces))
@@ -380,6 +389,22 @@ def adjacent_pairs(complex_: SimplicialComplex) -> list[tuple[int, int]]:
         if len(set(faces[s]) & set(faces[t])) == len(faces[s]) - 1:
             out.append((s, t))
     return out
+
+
+def _integer_view(complex_: SimplicialComplex) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, vertices times den), den the lcm of all coordinate
+    denominators; kept once per complex instance.  A dilation keeps
+    barycentric coordinates, affine dependences and the lattice order."""
+    if "integer view" not in complex_._memo:
+        den = math.lcm(*(c.denominator for v in complex_.vertices for c in v))
+        complex_._memo["integer view"] = (
+            den,
+            tuple(
+                tuple(c.numerator * (den // c.denominator) for c in v)
+                for v in complex_.vertices
+            ),
+        )
+    return complex_._memo["integer view"]
 
 
 def affine_image(

@@ -1,20 +1,22 @@
 """Exact rational scalars and fraction-free linear algebra.
 
-Geometry and Bernstein bases run on ``fractions.Fraction``, and the
-systems that the package eliminates run on plain integers; nothing in
-this package touches floating point.
+Rationals are ``fractions.Fraction``; the geometry and the systems that
+the package eliminates run on plain integers, and nothing in this package
+touches floating point.
 
 All elimination goes through one fraction-free kernel on integer rows:
 ``_echelon`` takes rows already over the integers, and ``_reduce`` cancels
 a row's lowest column against the pivot stored there until the row
 vanishes or becomes a new pivot.  Both dimension oracles pass integer rows
-straight in: the cofactor systems are built over the integers, and the
-Bernstein C^r conditions are cleared once, when they are built, with
-``_integer_row``, as every other caller clears its rational rows.  Rank
-is the size of the echelon form, the RREF (behind nullspaces,
-``solve_linear`` and ``invert_matrix``) back-substitutes through the same
-update step, and ``EchelonBasis`` is ``_reduce`` on its own.  Results
-are exact regardless of conditioning.
+straight in: the cofactor systems and the Bernstein C^r conditions are
+built over the integers, and every other caller clears its rational rows
+with ``_integer_row``.  Rank is the size of the echelon form;
+``_integer_rref`` back-substitutes through the same update step, and both
+the rational RREF (behind nullspaces, ``solve_linear`` and
+``invert_matrix``) and ``_integer_kernel`` (one primitive integer kernel
+vector per free column, behind walls, affine dependences and the
+validation pair test) are read off it.  ``EchelonBasis`` is ``_reduce``
+on its own.  Results are exact regardless of conditioning.
 """
 
 from __future__ import annotations
@@ -152,37 +154,72 @@ def _echelon(rows: Iterable[IntRow]) -> dict[int, IntRow]:
     return pivots
 
 
-def _rref(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, SparseRow]:
-    """Reduced row echelon form, returned as {pivot column: row}.
+def _integer_rref(rows: Iterable[IntRow]) -> dict[int, IntRow]:
+    """Reduced row echelon form up to row scaling, {pivot column: row}.
 
-    Back-substitution runs on integers through the same update step, from
-    the last pivot up; rows are normalized (pivot entry 1) only at the end.
-    The result is the canonical RREF regardless of input row order.
+    The echelon form back-substitutes on integers through the same update
+    step, from the last pivot up, so each row is nonzero only at its pivot
+    and at non-pivot columns.  Rows come in pivot-column order; each is a
+    nonzero multiple of the canonical RREF row, regardless of input order.
     """
-    pivots = _echelon(map(_integer_row, rows))
+    pivots = _echelon(rows)
     cols = sorted(pivots)
     for at, p in reversed(list(enumerate(cols))):
         for q in cols[:at]:
             if p in pivots[q]:
                 pivots[q] = _eliminate(pivots[q], p, pivots[p])
+    return {p: pivots[p] for p in cols}
+
+
+def _rref(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, SparseRow]:
+    """Reduced row echelon form, returned as {pivot column: row}: the
+    integer form of ``_integer_rref`` with every row normalized (pivot
+    entry 1).  The result is canonical regardless of input row order."""
     return {
-        p: {c: Fraction(v, pivots[p][p]) for c, v in pivots[p].items()} for p in cols
+        p: {c: Fraction(v, row[p]) for c, v in row.items()}
+        for p, row in _integer_rref(map(_integer_row, rows)).items()
     }
+
+
+def _integer_kernel(rows: Iterable[IntRow], ncols: int) -> list[IntRow]:
+    """Kernel basis of integer rows, one primitive vector per free column.
+
+    The vector of free column f is the canonical RREF one (1 at f, minus
+    the RREF entries of column f at the pivots) times the least positive
+    integer that clears it, so it is positive at f.  Pivots involved come
+    before f: f is each vector's last column.
+    """
+    pivots = _integer_rref(rows)
+    basis: list[IntRow] = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        entries = []
+        scale = 1
+        for p, row in pivots.items():
+            if f in row:
+                g = math.gcd(row[f], row[p])
+                num, den = -row[f] // g, row[p] // g
+                if den < 0:
+                    num, den = -num, -den
+                scale = scale * den // math.gcd(scale, den)
+                entries.append((p, num, den))
+        vec: IntRow = {f: scale}
+        for p, num, den in entries:
+            vec[p] = num * (scale // den)
+        basis.append(vec)
+    return basis
 
 
 def _nullspace_of_rows(
     rows: Iterable[Mapping[int, Fraction]], ncols: int
 ) -> list[SparseRow]:
-    pivots = _rref(rows)
+    """Canonical nullspace basis: ``_integer_kernel`` with each vector
+    divided by its entry at its free column."""
     basis: list[SparseRow] = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec: SparseRow = {f: Fraction(1)}
-        for p, pr in pivots.items():
-            if f in pr:
-                vec[p] = -pr[f]
-        basis.append(vec)
+    for vec in _integer_kernel(map(_integer_row, rows), ncols):
+        free = vec[max(vec)]
+        basis.append({c: Fraction(v, free) for c, v in vec.items()})
     return basis
 
 

@@ -134,6 +134,9 @@ _proper_stars: set[tuple] = set()
 
 def _project(complex_: SimplicialComplex) -> ProjectedOrange:
     profile = detect_orange(complex_)
+    # the complex may never have been validated: reading its face points
+    # needs the right arity and index bounds
+    complex_._check_shape()
     i = profile.i
     if i == 0:
         # the whole orange is a single simplex, its medial face; the

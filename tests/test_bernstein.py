@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from orangesplines.bernstein import (
     CardinalityMismatchError,
     DeterminingSet,
     _ordered_points,
-    _smoothness_rows,
     _system,
     bernstein_dim,
     complex_domain_points,
@@ -32,10 +32,13 @@ from orangesplines.complexes import (
     InvalidComplexError,
     SimplicialComplex,
     UnsupportedOrangeError,
+    adjacent_pairs,
     affine_image,
+    barycentric_coordinates,
+    detect_orange,
 )
 from orangesplines.dimension import orange_dim_formula
-from orangesplines.exact import EchelonBasis, RationalMatrix, binom
+from orangesplines.exact import EchelonBasis, RationalMatrix, _integer_row, binom
 from orangesplines.polynomials import Polynomial
 from orangesplines.projection import standard_form
 
@@ -386,7 +389,80 @@ def test_bernstein_dim_matches_the_oracle_and_the_formula():
     assert cells == 594
 
 
-def test_system_rows_are_integer_multiples_of_the_conditions():
+def _reference_domain_points(complex_, d):
+    """The lattice bucketed by ``Fraction`` coordinates, sorted by them."""
+    buckets = {}
+    for fidx, face in enumerate(complex_.maximal_faces):
+        verts = complex_.face_points(face)
+        for alpha in simplex_multiindices(len(face), d):
+            if d == 0:
+                coords = verts[0]
+            else:
+                coords = tuple(
+                    sum((Fraction(a, d) * v[c] for a, v in zip(alpha, verts)), Fraction(0))
+                    for c in range(complex_.ambient_dim)
+                )
+            buckets.setdefault(coords, []).append((fidx, alpha))
+    return [(coords, tuple(sorted(buckets[coords]))) for coords in sorted(buckets)]
+
+
+def _reference_ordered_points(complex_, d):
+    """``_reference_domain_points`` sorted by (hub layer, coordinates)."""
+    hub = detect_orange(complex_).medial[0]
+
+    def key(point):
+        coords, occurrences = point
+        faces = complex_.maximal_faces
+        layer = min(
+            [d - alpha[faces[f].index(hub)] for f, alpha in occurrences if hub in faces[f]],
+            default=d,
+        )
+        return layer, coords
+
+    return sorted(_reference_domain_points(complex_, d), key=key)
+
+
+def _reference_smoothness_rows(complex_, r, d, points):
+    """The C^r conditions over ``Fraction``, with lambda from
+    ``barycentric_coordinates``: the rows before they were built integral."""
+    column = {occ: col for col, p in enumerate(points) for occ in p.occurrences}
+    faces = complex_.maximal_faces
+    rows = []
+    for s, t in adjacent_pairs(complex_):
+        face_s, face_t = faces[s], faces[t]
+        shared = [v for v in face_s if v in face_t]
+        (w,) = [v for v in face_t if v not in face_s]
+        lam = barycentric_coordinates(
+            complex_.vertices[w], [complex_.vertices[v] for v in face_s]
+        )
+        pos_s = [face_s.index(v) for v in shared]
+        pos_t = [face_t.index(v) for v in shared]
+        for m in range(min(r, d) + 1):
+            weights = []
+            for gamma in simplex_multiindices(len(face_s), m):
+                weight = Fraction(math.factorial(m))
+                for l, g in enumerate(gamma):
+                    weight *= lam[l] ** g / math.factorial(g)
+                if weight:
+                    weights.append((gamma, weight))
+            for beta in simplex_multiindices(len(shared), d - m):
+                alpha_t = [0] * len(face_t)
+                alpha_t[face_t.index(w)] = m
+                base_s = [0] * len(face_s)
+                for b, ps, pt in zip(beta, pos_s, pos_t):
+                    alpha_t[pt] = b
+                    base_s[ps] = b
+                row = {column[(t, tuple(alpha_t))]: Fraction(1)}
+                for gamma, weight in weights:
+                    col = column[(s, tuple(a + g for a, g in zip(base_s, gamma)))]
+                    row[col] = row.get(col, Fraction(0)) - weight
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def test_system_rows_are_integer_multiples_of_the_conditions(random_affine_map):
     # the catalog's conditions are integral; these two have fractional weights
     wide = SimplicialComplex(2, [(0, 0), (0, 1), (2, 0), (-1, 0)], [[0, 1, 2], [0, 1, 3]])
     skew_star = SimplicialComplex(
@@ -395,24 +471,34 @@ def test_system_rows_are_integer_multiples_of_the_conditions():
         [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 5, 1]],
     )
     models = [*_catalog_models(), ("wide", "", wide), ("skew star", "", skew_star)]
-    scaled = 0
+    rng = random.Random(13)
+    for entry in CATALOG:
+        for copy in range(3):
+            image = affine_image(entry.complex, *random_affine_map(entry.complex.ambient_dim, rng))
+            models.append((entry.name, f"image {copy}", image))
+            models.append((entry.name, f"standard of image {copy}", standard_form(image).standard))
+    fractional = 0
     for name, kind, cx in models:
-        for r in range(3):
-            for d in range(4):
-                points, rows = _system(cx, r, d)
-                conditions = _smoothness_rows(cx, r, d, points)
-                assert len(rows) == len(conditions), (name, kind, r, d)
-                for row, condition in zip(rows, conditions):
-                    assert row.keys() == condition.keys()
-                    assert all(type(v) is int for v in row.values())
-                    assert math.gcd(*row.values()) == 1
-                    lowest = min(row)
-                    factor = row[lowest] / condition[lowest]
-                    assert factor != 0
-                    assert all(v == factor * condition[c] for c, v in row.items())
-                    scaled += factor != 1
-    # some condition had denominators to clear
-    assert scaled
+        for d in range(4):
+            lattice = complex_domain_points(cx, d)
+            assert [(p.coordinates, p.occurrences) for p in lattice] == _reference_domain_points(
+                cx, d
+            ), (name, kind, d)
+            points = _ordered_points(cx, d)
+            assert [(p.coordinates, p.occurrences) for p in points] == _reference_ordered_points(
+                cx, d
+            ), (name, kind, d)
+            for r in range(3):
+                reference = _reference_smoothness_rows(cx, r, d, points)
+                # equal entries, in the same column order
+                assert [list(row.items()) for row in _system(cx, r, d)[1]] == [
+                    list(_integer_row(row).items()) for row in reference
+                ], (name, kind, r, d)
+                fractional += sum(
+                    any(v.denominator > 1 for v in row.values()) for row in reference
+                )
+    # a fractional weight means some lambda = Delta_l / Delta with Delta not +-1
+    assert fractional
 
 
 def test_bernstein_dim_domain():

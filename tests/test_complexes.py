@@ -241,15 +241,17 @@ def _within_hull_by_vertex_enumeration(verts_a, verts_b, common):
 
 @st.composite
 def simplex_pairs(draw):
-    """Two affinely independent simplices with 0..min(k)+1 shared vertices."""
+    """Two affinely independent simplices with 0..min(k)+1 shared vertices,
+    on integer points or, part of the time, on points p/q with q <= 4."""
     dim = draw(st.integers(1, 4))
     na = draw(st.integers(1, dim + 1))
     nb = na if draw(st.booleans()) else draw(st.integers(1, dim + 1))
     shared = draw(st.integers(0, min(na, nb)))
     n = na + nb - shared
-    coords = st.tuples(*[st.integers(-3, 3)] * dim)
+    denominators = st.integers(1, 4) if draw(st.booleans()) else st.just(1)
+    coordinate = st.builds(Fraction, st.integers(-3, 3), denominators)
+    coords = st.tuples(*[coordinate] * dim)
     points = draw(st.lists(coords, min_size=n, max_size=n, unique=True))
-    points = [tuple(Fraction(c) for c in p) for p in points]
     common = points[:shared]
     verts_a = common + points[shared:na]
     verts_b = common + points[na:]
@@ -266,10 +268,15 @@ def test_dependence_criterion_matches_vertex_enumeration():
         expected = _within_hull_by_vertex_enumeration(*pair)
         assert _intersection_within_hull(*pair) == expected
         outcomes.append(expected)
+        verts_a, verts_b, _ = pair
+        fractional.append(any(c.denominator > 1 for p in verts_a + verts_b for c in p))
 
+    fractional = []
     check()
-    # a run in which one outcome never occurs would check nothing
+    # a run in which one outcome never occurs would check nothing, and the
+    # integer kernel clears denominators only when some point has them
     assert True in outcomes and False in outcomes
+    assert any(fractional)
 
 
 def _reference_validate(cx: SimplicialComplex) -> None:

@@ -12,6 +12,9 @@ from hypothesis import given, settings, strategies as st
 from orangesplines.exact import (
     EchelonBasis,
     RationalMatrix,
+    _integer_kernel,
+    _integer_row,
+    _nullspace_of_rows,
     _rref,
     binom,
     format_rational,
@@ -288,3 +291,35 @@ def test_kernel_matches_fraction_reference():
     check()
     # a run without both kinds of matrix would leave a branch unchecked
     assert True in full_rank and False in full_rank
+
+
+def test_integer_kernel_scales_the_fraction_rref_basis():
+    nullities = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(sparse_rational_matrices())
+    def check(matrix):
+        ncols, rows = matrix
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        reference = _reference_rref(sparse)
+        # the RREF basis over Fraction: 1 at the free column f, minus the
+        # RREF entries of column f at the pivots
+        expected = [
+            {f: Fraction(1), **{p: -row[f] for p, row in sorted(reference.items()) if f in row}}
+            for f in range(ncols)
+            if f not in reference
+        ]
+        basis = _integer_kernel(map(_integer_row, sparse), ncols)
+        assert len(basis) == len(_nullspace_of_rows(sparse, ncols)) == len(expected)
+        for vec, ref in zip(basis, expected):
+            f = max(ref)
+            assert max(vec) == f and vec[f] > 0
+            assert all(type(v) is int for v in vec.values())
+            assert math.gcd(*vec.values()) == 1
+            assert vec == {c: vec[f] * v for c, v in ref.items()}
+        assert RationalMatrix.from_sparse(sparse, ncols).nullspace() == expected
+        nullities.append(len(basis))
+
+    check()
+    # both a trivial kernel and one with several vectors must occur
+    assert 0 in nullities and max(nullities) > 1

@@ -81,6 +81,10 @@ def test_single_simplex_projection_checks_the_simplex():
             [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0)],
             "medial face is geometrically degenerate",
         ),
+        # the second triangle's apex, vertex 3, is missing
+        ([(0, 0), (1, 0), (0, 1)], r"face \(0, 1, 3\) references a missing vertex"),
+        # the second triangle's apex has three coordinates
+        ([(0, 0), (1, 0), (0, 1), (0, -1, 3)], "has arity 3, ambient dimension is 2"),
     ],
 )
 def test_invalid_orange_raises_a_typed_error_on_every_path(vertices, message):
