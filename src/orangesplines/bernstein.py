@@ -469,6 +469,44 @@ def _ordered_points(
     return tuple(sorted(points, key=layer))
 
 
+def _affine_dependences(
+    complex_: SimplicialComplex,
+) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+    """(s, t, D, [-v_l]) per facet-adjacent pair, kept once per complex
+    instance: v is the primitive affine dependence of T_s's vertices and
+    w, the vertex of T_t off T_s, on the integer view, with v_w = D > 0
+    (see ``_smoothness_rows``).  It depends on the pair alone, not on
+    (r, d)."""
+    if "affine dependences" not in complex_._memo:
+        faces = complex_.maximal_faces
+        _, nums = _integer_view(complex_)
+        dependences = []
+        for s, t in adjacent_pairs(complex_):
+            face_s = faces[s]
+            (w,) = [v for v in faces[t] if v not in face_s]
+            n = len(face_s)
+            hosts = [nums[v] for v in face_s] + [nums[w]]
+            coordinate_rows = [
+                {j: x[c] for j, x in enumerate(hosts) if x[c]}
+                for c in range(complex_.ambient_dim)
+            ]
+            kernel = _integer_kernel(
+                [*coordinate_rows, dict.fromkeys(range(n + 1), 1)], n + 1
+            )
+            if len(kernel) != 1 or n not in kernel[0]:
+                # T_s is flat; when w is on its hull this raises "affinely dependent"
+                barycentric_coordinates(
+                    complex_.vertices[w], [complex_.vertices[v] for v in face_s]
+                )
+                raise InvalidComplexError(f"face {face_s} is geometrically degenerate")
+            (dependence,) = kernel
+            dependences.append(
+                (s, t, dependence[n], tuple(-dependence.get(l, 0) for l in range(n)))
+            )
+        complex_._memo["affine dependences"] = tuple(dependences)
+    return complex_._memo["affine dependences"]
+
+
 def _smoothness_rows(
     complex_: SimplicialComplex, r: int, d: int, points: tuple[IdentifiedPoint, ...]
 ) -> list[IntRow]:
@@ -486,9 +524,10 @@ def _smoothness_rows(
 
     The rows are built over the integers.  The affine dependence of T_s's
     vertices and w, on the complex's integer view, is one primitive kernel
-    vector v with v_w = D > 0, so lambda_l = -v_l / D.  By Cramer's rule,
-    (D, -v_l) is (Delta, Delta_l) over their gcd, times the sign of Delta:
-    Delta = det[T_s; 1], and Delta_l has column l replaced by [w; 1].
+    vector v with v_w = D > 0 (kept per pair by ``_affine_dependences``),
+    so lambda_l = -v_l / D.  By Cramer's rule, (D, -v_l) is (Delta,
+    Delta_l) over their gcd, times the sign of Delta: Delta = det[T_s; 1],
+    and Delta_l has column l replaced by [w; 1].
     The order-m rows are scaled by D^m: the t-entry is D^m and the
     s-entries are -(m! / gamma!) prod (-v_l)^gamma_l.  With its content
     stripped, each row is the primitive integer multiple of the rational
@@ -496,28 +535,12 @@ def _smoothness_rows(
     """
     column = {occ: col for col, p in enumerate(points) for occ in p.occurrences}
     faces = complex_.maximal_faces
-    _, nums = _integer_view(complex_)
     rows: list[IntRow] = []
-    for s, t in adjacent_pairs(complex_):
+    for s, t, scale, lam in _affine_dependences(complex_):
         face_s, face_t = faces[s], faces[t]
         shared = [v for v in face_s if v in face_t]
         (w,) = [v for v in face_t if v not in face_s]
         n = len(face_s)
-        hosts = [nums[v] for v in face_s] + [nums[w]]
-        coordinate_rows = [
-            {j: x[c] for j, x in enumerate(hosts) if x[c]}
-            for c in range(complex_.ambient_dim)
-        ]
-        kernel = _integer_kernel([*coordinate_rows, dict.fromkeys(range(n + 1), 1)], n + 1)
-        if len(kernel) != 1 or n not in kernel[0]:
-            # T_s is flat; when w is on its hull this raises "affinely dependent"
-            barycentric_coordinates(
-                complex_.vertices[w], [complex_.vertices[v] for v in face_s]
-            )
-            raise InvalidComplexError(f"face {face_s} is geometrically degenerate")
-        (dependence,) = kernel
-        scale = dependence[n]
-        lam = [-dependence.get(l, 0) for l in range(n)]
         pos_s = [face_s.index(v) for v in shared]
         pos_t = [face_t.index(v) for v in shared]
         for m in range(min(r, d) + 1):

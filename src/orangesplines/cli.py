@@ -172,6 +172,8 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 def _cmd_domain_points(args: argparse.Namespace) -> int:
+    if args.d < 0:
+        raise ValueError("degree must be nonnegative")
     complex_ = _resolve_complex(args)
     points = complex_domain_points(complex_, args.d)
     payload = {
@@ -253,6 +255,8 @@ def _cmd_layers(args: argparse.Namespace) -> int:
 
 
 def _cmd_mds(args: argparse.Namespace) -> int:
+    if args.d < 0:
+        raise ValueError("degree must be nonnegative")
     complex_ = _resolve_complex(args)
     sf = standard_form(complex_)
     lifted = lift_mds(sf.standard, args.r, args.d)

@@ -25,6 +25,21 @@ j <= d (Billera & Rose, "A dimension series for multivariate splines",
 vertex (two disjoint segments, the Morgan-Scott split) is eliminated as
 given, in one pass all the same.
 
+That pass sees only the conformality conditions of the dual graph (faces
+joined by their facet-adjacent pairs).  Write g_p = c_p * L_p**(r+1) for
+pair p.  Along a spanning forest of the dual graph, each face's polynomial
+is its root's plus a signed sum of the forest's g_q, and the forest's rows
+are unit pivots on the non-root face columns.  Each pair off the forest
+closes one cycle, and substituting the forest into its rows leaves
+sum +-g_q = 0 around the cycle, in cofactor columns only (Chui & Wang, "On
+smooth multivariate spline functions", Math. Comp. 1983).  The forest's
+rows and the cycle rows are an echelon form of the whole system, so the
+free columns of degree j are the root faces' (one per component and
+monomial of degree j) and the cofactor columns of degree j that the cycle
+rows leave free.  A dual graph that is a tree (``two-triangle``,
+``two-tetrahedron``, every i = 1 star and every boundary i = 2 star) sends
+the kernel no row at all.
+
 The system is assembled over the integers.  Per facet-adjacent pair,
 ``facet_linear_form`` gives the wall as the primitive integer form L with
 a positive lead D: L = D*l, where l is the wall form with lead 1 and D is
@@ -33,7 +48,10 @@ theorem in plain ints, and the pair's cofactor columns are scaled by
 D**(r+1), so every row is integral as built and goes to the elimination
 kernel as it is.  Column scaling changes no rank and no pivot column, so
 every dimension is that of the rational system, which
-``CofactorSystem.matrix`` derives by dividing the scales back out.
+``CofactorSystem.matrix`` derives by dividing the scales back out.  The
+system keeps only the per-pair wall powers; its full rows are derived on
+first use, for ``dimension``, ``matrix``, ``describe`` and
+``spline_basis``.
 """
 
 from __future__ import annotations
@@ -120,16 +138,18 @@ class CofactorSystem:
     <= d - r - 1) per facet-adjacent pair.  Rows: one per pair per monomial
     of degree <= d, expressing f_s - f_t - c * l**(r+1) = 0 coefficientwise.
 
-    ``rows`` holds the system over the integers, as {column: nonzero int}
-    dicts that the elimination kernel takes as they are (and must not be
-    modified).  With L = D*l a pair's primitive integer wall (lead D, l the
-    wall form with lead 1), the pair's cofactor columns are scaled by
-    ``cofactor_scales[p]`` = D**(r+1): face entries are then +1 and -1,
-    cofactor entries are minus the coefficients of L**(r+1), and no row has
-    a denominator to clear.  Scaling a column by a nonzero constant changes
-    neither the rank of any set of columns nor the pivot columns of an
-    echelon pass, so the nullity and every graded count are those of the
-    rational system.
+    The system is kept as its per-pair data: ``wall_powers[p]`` holds the
+    integer terms (exponent, coefficient) of L**(r+1), with L = D*l the
+    pair's primitive integer wall (lead D, l the wall form with lead 1),
+    and the pair's cofactor columns are scaled by ``cofactor_scales[p]`` =
+    D**(r+1).  ``rows`` is the system over the integers derived from them
+    on first use, as {column: nonzero int} dicts that the elimination
+    kernel takes as they are (and must not be modified): face entries are
+    +1 and -1 and cofactor entries are minus the coefficients of L**(r+1),
+    so no row has a denominator to clear.  Scaling a column by a nonzero
+    constant changes neither the rank of any set of columns nor the pivot
+    columns of an echelon pass, so the nullity and every graded count are
+    those of the rational system.
     ``matrix`` is that rational system, derived from ``rows`` on first use
     by dividing the scales back out.
     """
@@ -137,7 +157,7 @@ class CofactorSystem:
     complex: SimplicialComplex
     r: int
     d: int
-    rows: tuple[IntRow, ...] = field(hash=False)
+    wall_powers: tuple[tuple[tuple[tuple[int, ...], int], ...], ...] = field(hash=False)
     cofactor_scales: tuple[int, ...]
     n_faces: int
     face_monomials: tuple[tuple[int, ...], ...]
@@ -153,6 +173,24 @@ class CofactorSystem:
         return self.n_faces * self.face_block_size + len(self.pairs) * len(
             self.cofactor_monomials
         )
+
+    @cached_property
+    def rows(self) -> tuple[IntRow, ...]:
+        """The system over the integers, one row per pair per monomial."""
+        m = self.face_block_size
+        mc = len(self.cofactor_monomials)
+        mono_pos = {mono: idx for idx, mono in enumerate(self.face_monomials)}
+        rows: list[IntRow] = []
+        for p, (s, t) in enumerate(self.pairs):
+            cof_base = self.n_faces * m + p * mc
+            pair_rows: list[IntRow] = [{s * m + i: 1, t * m + i: -1} for i in range(m)]
+            # u + e is distinct over the terms e of the wall power, so each
+            # entry is written once
+            for e, c in self.wall_powers[p]:
+                for col, u in enumerate(self.cofactor_monomials, cof_base):
+                    pair_rows[mono_pos[tuple(map(add, u, e))]][col] = -c
+            rows.extend(pair_rows)
+        return tuple(rows)
 
     @cached_property
     def matrix(self) -> RationalMatrix:
@@ -212,30 +250,19 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
     face_mons = tuple(monomials_upto(k, d))
     cof_mons = tuple(monomials_upto(k, d - r - 1)) if d - r - 1 >= 0 else ()
     pairs = tuple(adjacent_pairs(complex_))
-    m = len(face_mons)
-    mc = len(cof_mons)
-
-    mono_pos = {mono: idx for idx, mono in enumerate(face_mons)}
-    rows: list[IntRow] = []
+    powers = []
     scales = []
-    for p, (s, t) in enumerate(pairs):
+    for s, t in pairs:
         shared = sorted(set(faces[s]) & set(faces[t]))
         form = facet_linear_form([complex_.vertices[v] for v in shared])
         lead = next(a for a in form if a)
         scales.append(lead ** (r + 1))
-        cof_base = nf * m + p * mc
-        pair_rows: list[IntRow] = [{s * m + i: 1, t * m + i: -1} for i in range(m)]
-        # u + e is distinct over the terms e of the wall power, so each
-        # entry is written once
-        for e, c in _power_terms(form, r + 1):
-            for col, u in enumerate(cof_mons, cof_base):
-                pair_rows[mono_pos[tuple(map(add, u, e))]][col] = -c
-        rows.extend(pair_rows)
+        powers.append(tuple(_power_terms(form, r + 1)))
     return CofactorSystem(
         complex=complex_,
         r=r,
         d=d,
-        rows=tuple(rows),
+        wall_powers=tuple(powers),
         cofactor_scales=tuple(scales),
         n_faces=nf,
         face_monomials=face_mons,
@@ -251,11 +278,14 @@ def spline_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ..
     degree is its monomial's, a cofactor column's is its monomial's plus
     r + 1; a column has entries only in rows of at most its degree, so the
     degree-<=d system is the rows and columns of degree <= d.  With the
-    columns ordered by degree, the echelon pass (pivot at each row's lowest
-    column) leaves dim S^r_d non-pivot columns of degree <= d.  When the
-    maximal faces share a vertex, it is first moved to the origin: every
-    wall form is then homogeneous, the system splits into degree blocks
-    and the elimination never mixes them, which is much faster.
+    columns ordered by degree, an echelon pass (pivot at each row's lowest
+    column) leaves dim S^r_d non-pivot columns of degree <= d.  The pass
+    runs on the dual graph's cycle conditions only (see the module
+    docstring): a spanning forest's rows pivot on the non-root face
+    columns, so they are counted, not eliminated.  When the maximal faces
+    share a vertex, it is first moved to the origin: every wall form is
+    then homogeneous, the system splits into degree blocks and the
+    elimination never mixes them, which is much faster.
 
     The cache keeps the longest prefix computed so far, keyed by value on
     (ambient dimension, vertices, maximal faces, r): no entry keeps a
@@ -287,6 +317,51 @@ def _cache_info() -> _CacheInfo:
     return _CacheInfo(*_cache_counts, None, len(_prefixes))
 
 
+def _dual_forest(
+    n_faces: int, pairs: Sequence[tuple[int, int]]
+) -> tuple[int, dict[int, dict[int, int]]]:
+    """A spanning forest of the dual graph: faces joined by their pairs.
+
+    Write g_p = c_p * L_p**(r+1), so pair p = (s, t) asks f_s - f_t = g_p.
+    Along the forest every face u has f_u = f_root + sum_q pi_u[q] * g_q,
+    with pi_u the signed tree path from its component's root.  Returns the
+    number of components and, per pair p = (s, t) off the forest, its cycle
+    condition as {q: sign}: sum_q (pi_s - pi_t)[q] * g_q - g_p = 0.
+    """
+    neighbours: list[list[tuple[int, int, int]]] = [[] for _ in range(n_faces)]
+    for p, (s, t) in enumerate(pairs):
+        # reached from s, f_t = f_s - g_p; reached from t, f_s = f_t + g_p
+        neighbours[s].append((p, t, -1))
+        neighbours[t].append((p, s, 1))
+    path: list[dict[int, int] | None] = [None] * n_faces
+    components = 0
+    for root in range(n_faces):
+        if path[root] is not None:
+            continue
+        components += 1
+        path[root] = {}
+        queue = [root]
+        for u in queue:
+            for p, v, sign in neighbours[u]:
+                if path[v] is None:
+                    path[v] = {**path[u], p: sign}
+                    queue.append(v)
+    tree = {q for pi in path for q in pi}
+    cycles = {}
+    for p, (s, t) in enumerate(pairs):
+        if p in tree:
+            continue
+        # a tree pair keeps its sign on every path through it, so the
+        # pairs above the two faces' common ancestor cancel
+        cycle = dict(path[s])
+        for q, sign in path[t].items():
+            if cycle.pop(q, None) is None:
+                cycle[q] = -sign
+        cycle[p] = -1
+        cycles[p] = cycle
+    return components, cycles
+
+
 def _graded_dims(
     ambient_dim: int, vertices: tuple, faces: tuple, r: int, dmax: int
 ) -> tuple[int, ...]:
@@ -295,16 +370,43 @@ def _graded_dims(
         origin = vertices[min(shared)]
         vertices = [[x - o for x, o in zip(v, origin)] for v in vertices]
     system = build_system(SimplicialComplex(ambient_dim, vertices, faces), r, dmax)
-    face_degrees = [sum(mono) for mono in system.face_monomials]
-    cofactor_degrees = [sum(mono) + r + 1 for mono in system.cofactor_monomials]
-    degrees = face_degrees * system.n_faces + cofactor_degrees * len(system.pairs)
-    order = sorted(range(len(degrees)), key=degrees.__getitem__)
-    position = {col: at for at, col in enumerate(order)}
-    pivots = _echelon({position[c]: v for c, v in row.items()} for row in system.rows)
+    face_mons, cof_mons = system.face_monomials, system.cofactor_monomials
+    m, mc = len(face_mons), len(cof_mons)
+    base = system.n_faces * m
+    ncols = system.ncols
+    components, cycles = _dual_forest(system.n_faces, system.pairs)
+    cofactor_degrees = [sum(u) + r + 1 for u in cof_mons]
+    # cofactor column base + q*mc + i, of degree j, is eliminated as column
+    # (2j + [q on the forest]) * ncols + base + q*mc + i: in degree order,
+    # and within a degree a cycle's own pair, which no other cycle has, first
+    keys = [
+        [(2 * j + (q not in cycles)) * ncols + col
+         for col, j in enumerate(cofactor_degrees, base + q * mc)]
+        for q in range(len(system.pairs))
+    ]
+    mono_pos = {mono: idx for idx, mono in enumerate(face_mons)}
+    shifted: dict[tuple[int, ...], list[int]] = {}
+    rows: list[IntRow] = []
+    for cycle in cycles.values():
+        # the coefficients of sum_q sign_q * g_q, one row per monomial; the
+        # pairs' columns are disjoint, so each entry is written once
+        by_monomial: list[IntRow] = [{} for _ in range(m)]
+        for q, sign in cycle.items():
+            for e, c in system.wall_powers[q]:
+                if e not in shifted:
+                    shifted[e] = [mono_pos[tuple(map(add, u, e))] for u in cof_mons]
+                entry = sign * c
+                for at, key in zip(shifted[e], keys[q]):
+                    by_monomial[at][key] = entry
+        rows.extend(row for row in by_monomial if row)
+    pivots = _echelon(rows)
     free = [0] * (dmax + 1)
-    for at, col in enumerate(order):
-        if at not in pivots:
-            free[degrees[col]] += 1
+    for mono in face_mons:
+        free[sum(mono)] += components
+    for pair_keys in keys:
+        for key, j in zip(pair_keys, cofactor_degrees):
+            if key not in pivots:
+                free[j] += 1
     return tuple(accumulate(free))
 
 

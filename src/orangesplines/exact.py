@@ -8,15 +8,17 @@ All elimination goes through one fraction-free kernel on integer rows:
 ``_echelon`` takes rows already over the integers, and ``_reduce`` cancels
 a row's lowest column against the pivot stored there until the row
 vanishes or becomes a new pivot.  Both dimension oracles pass integer rows
-straight in: the cofactor systems and the Bernstein C^r conditions are
-built over the integers, and every other caller clears its rational rows
-with ``_integer_row``.  Rank is the size of the echelon form;
-``_integer_rref`` back-substitutes through the same update step, and both
-the rational RREF (behind nullspaces, ``solve_linear`` and
-``invert_matrix``) and ``_integer_kernel`` (one primitive integer kernel
-vector per free column, behind walls, affine dependences and the
-validation pair test) are read off it.  ``EchelonBasis`` is ``_reduce``
-on its own.  Results are exact regardless of conditioning.
+straight in, built over the integers: the cofactor oracle the cycle
+conditions of its dual graph (and a full cofactor system for
+``CofactorSystem.dimension``), the Bernstein oracle its C^r conditions.
+Every other caller clears its rational rows with ``_integer_row``.  Rank
+is the size of the echelon form; ``_integer_rref`` back-substitutes
+through the same update step, and both the rational RREF (behind
+nullspaces, ``solve_linear`` and ``invert_matrix``) and ``_integer_kernel``
+(one primitive integer kernel vector per free column, behind walls,
+affine dependences and the validation pair test) are read off it.
+``EchelonBasis`` is ``_reduce`` on its own.  Results are exact regardless
+of conditioning.
 """
 
 from __future__ import annotations

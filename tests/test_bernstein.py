@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from orangesplines import bernstein
 from orangesplines.bernstein import (
     CardinalityMismatchError,
     DeterminingSet,
@@ -499,6 +500,29 @@ def test_system_rows_are_integer_multiples_of_the_conditions(random_affine_map):
                 )
     # a fractional weight means some lambda = Delta_l / Delta with Delta not +-1
     assert fractional
+
+
+def test_affine_dependences_are_built_once_per_pair(monkeypatch):
+    # a fresh image with a memo of its own; every (r, d) system on it reads
+    # the pairs' dependences built by the first one
+    matrix = [[2, 1, 0], [0, 1, 1], [1, 0, 3]]
+    cx = affine_image(get("vertex-star-3d").complex, matrix, [Fraction(1, 3), -2, 5])
+    calls = []
+    original = bernstein._integer_kernel
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return original(rows, ncols)
+
+    monkeypatch.setattr(bernstein, "_integer_kernel", counting)
+    for r in range(3):
+        for d in range(4):
+            points = _ordered_points(cx, d)
+            reference = _reference_smoothness_rows(cx, r, d, points)
+            assert [list(row.items()) for row in _system(cx, r, d)[1]] == [
+                list(_integer_row(row).items()) for row in reference
+            ], (r, d)
+    assert len(calls) == len(adjacent_pairs(cx)) == 6
 
 
 def test_bernstein_dim_domain():

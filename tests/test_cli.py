@@ -134,6 +134,20 @@ def test_dim_negative_degree_exits_one(capsys, method):
     assert err == "error: degree must be nonnegative\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["domain-points", "-c", "two-triangle", "--d", "-1"],
+        ["mds", "-c", "two-triangle", "--r", "1", "--d", "-1"],
+    ],
+)
+def test_lattice_commands_reject_a_negative_degree(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err == "error: degree must be nonnegative\n"
+
+
 def test_project_round_trips_through_the_wire_format(capsys):
     rc, out, _ = run(capsys, ["project", "-c", "two-triangle-skew", "--json"])
     assert rc == 0

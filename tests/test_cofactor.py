@@ -204,8 +204,24 @@ def inhomogeneous_images(draw):
     return affine_image(entry.complex, matrix, [Fraction(n, denominator) for n in numerators])
 
 
+def _cycle_rank(cx: SimplicialComplex) -> int:
+    """Independent cycles of the dual graph: pairs - faces + components."""
+    pairs = adjacent_pairs(cx)
+    root = list(range(len(cx.maximal_faces)))
+
+    def find(u):
+        while root[u] != u:
+            u = root[u]
+        return u
+
+    for s, t in pairs:
+        root[find(s)] = find(t)
+    components = sum(find(u) == u for u in range(len(root)))
+    return len(pairs) - len(root) + components
+
+
 def test_graded_prefix_matches_one_system_per_degree_on_affine_images():
-    inhomogeneous = []
+    inhomogeneous, ranks = [], set()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(inhomogeneous_images(), st.integers(0, 2), st.integers(0, 4))
@@ -216,10 +232,37 @@ def test_graded_prefix_matches_one_system_per_degree_on_affine_images():
         origin = (0,) * cx.ambient_dim
         walls = [_lead_one(form) for form in _walls(cx)]
         inhomogeneous.append(any(ell.coefficient(origin) for ell in walls))
+        ranks.add(_cycle_rank(cx))
 
     check()
     # the graded path had walls to translate, not only walls through 0
     assert True in inhomogeneous
+    # dual graphs that are trees, and with one and with three cycles
+    assert {0, 1, 3} <= ranks
+
+
+@pytest.mark.parametrize(
+    "cx",
+    [
+        # two disjoint segments: two components, no pair
+        SimplicialComplex(1, [[0], [1], [5], [7]], [[0, 1], [2, 3]]),
+        # two triangles meeting at a vertex: two components sharing it
+        SimplicialComplex(
+            2, [(1, 1), (2, 1), (1, 3), (0, 1), (1, -1)], [[0, 1, 2], [0, 3, 4]]
+        ),
+        # a single simplex
+        SimplicialComplex(
+            3, [(1, 0, 0), (3, 1, 0), (0, 2, 1), (1, 1, Fraction(5, 2))], [[0, 1, 2, 3]]
+        ),
+        # the one-point star in R^0
+        SimplicialComplex(0, [()], [[0]]),
+    ],
+    ids=["disjoint segments", "bowtie", "simplex", "R^0 star"],
+)
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_graded_prefix_on_dual_graphs_without_pairs(cx, r):
+    assert _cycle_rank(cx) == 0
+    assert spline_dims(cx, r, 5) == _per_degree_reference(cx, r, 5)
 
 
 def _reference_wall(points) -> list[Fraction]:
@@ -403,3 +446,53 @@ def test_one_build_answers_every_lower_degree(monkeypatch):
     # a longer prefix is one more build, at the new top degree
     assert spline_dims(cx, 1, 5)[:5] == (1, 3, 7, 16, 33)
     assert [system.d for system in built] == [4, 5]
+
+
+def _spying_echelon(monkeypatch) -> list:
+    sent = []
+    original = cofactor._echelon
+
+    def spying(rows):
+        rows = list(rows)
+        sent.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(cofactor, "_echelon", spying)
+    return sent
+
+
+def test_a_tree_dual_graph_sends_no_rows(monkeypatch):
+    cx = affine_image(
+        get("two-tetrahedron").complex, [[1, 2, 0], [0, 1, 0], [3, 0, 1]], [Fraction(2, 9), 1, -4]
+    )
+    assert _cycle_rank(cx) == 0
+    sent = _spying_echelon(monkeypatch)
+    dims = spline_dims(cx, 1, 5)
+    assert sent == [[]]
+    assert dims == _per_degree_reference(cx, 1, 5)
+
+
+def test_the_kernel_sees_only_cycle_rows(monkeypatch):
+    r, dmax = 1, 5
+    cx = affine_image(
+        get("planar-star").complex, [[2, 1], [1, 3]], [Fraction(-4, 11), Fraction(3, 2)]
+    )
+    assert _cycle_rank(cx) == 1
+    built = _recording_builds(monkeypatch)
+    sent = _spying_echelon(monkeypatch)
+    dims = spline_dims(cx, r, dmax)
+    (system,) = built
+    (rows,) = sent
+    assert dims == _per_degree_reference(cx, r, dmax)
+    assert rows
+    # each kernel column ends in its column of the system: key mod ncols
+    n_face_cols = system.n_faces * system.face_block_size
+    mc = len(system.cofactor_monomials)
+    for row in rows:
+        cols = {key % system.ncols for key in row}
+        assert min(cols) >= n_face_cols
+        degrees = {
+            sum(system.cofactor_monomials[(c - n_face_cols) % mc]) + r + 1 for c in cols
+        }
+        assert len(degrees) == 1
+    assert len(rows) <= _cycle_rank(cx) * len(monomials_upto(2, dmax))
