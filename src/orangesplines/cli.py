@@ -213,6 +213,8 @@ def _cmd_domain_points(args: argparse.Namespace) -> int:
 
 
 def _cmd_layers(args: argparse.Namespace) -> int:
+    if args.d < 0:
+        raise ValueError("degree must be nonnegative")
     complex_ = _resolve_complex(args)
     sf = standard_form(complex_)
     decomposition = layer_decomposition(sf.standard, args.d)

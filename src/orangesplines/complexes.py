@@ -76,7 +76,7 @@ def _as_point(coords: Iterable[Fraction | int]) -> Point:
     return tuple(Fraction(c) for c in coords)
 
 
-def _affinely_independent(points: Sequence[Point]) -> bool:
+def _affinely_independent(points: Sequence[Sequence[Fraction | int]]) -> bool:
     if not points:
         return True
     base = points[0]
@@ -105,10 +105,13 @@ def barycentric_coordinates(
 
 
 def _intersection_within_hull(
-    verts_a: Sequence[Point], verts_b: Sequence[Point], common: Sequence[Point]
+    verts_a: Sequence[Sequence[Fraction | int]],
+    verts_b: Sequence[Sequence[Fraction | int]],
+    common: Sequence[Sequence[Fraction | int]],
 ) -> bool:
     """Check conv(verts_a) ∩ conv(verts_b) ⊆ conv(common), exactly.
 
+    The points may be rational or, after a common dilation, integer.
     Precondition: ``verts_a`` and ``verts_b`` are each affinely independent
     and ``common`` lists the points they share.  Let A' = verts_a ∖ common
     and B' = verts_b ∖ common.  The intersection leaves conv(common) exactly
@@ -172,18 +175,21 @@ def _check_pairs(
     carry an affine dependence that is nonnegative on the first face's own
     vertices, nonpositive on the second's and nonzero there;
     ``_intersection_within_hull`` decides that from one nullspace per pair.
-    Every face must be affinely independent.  The error names the faces
+    It reads the complex's integer coordinate view (``_integer_view``): a
+    common dilation keeps every affine dependence and every sign.  Every
+    face must be affinely independent.  The error names the faces
     by ``names[s]`` (default: the maximal faces themselves), so that a
     projected star reports the orange faces it stands for.
     """
     faces = complex_.maximal_faces
     names = names or faces
+    _, nums = _integer_view(complex_)
     for a, b in combinations(range(len(faces)), 2):
         common = sorted(set(faces[a]) & set(faces[b]))
         if not _intersection_within_hull(
-            complex_.face_points(faces[a]),
-            complex_.face_points(faces[b]),
-            complex_.face_points(common),
+            [nums[v] for v in faces[a]],
+            [nums[v] for v in faces[b]],
+            [nums[v] for v in common],
         ):
             raise _overlap(names[a], names[b])
 
@@ -195,9 +201,10 @@ class SimplicialComplex:
     Vertices are indexed by position; every maximal face is stored as a
     sorted tuple of vertex indices.  Instances are immutable and compare
     and hash by value.  Derived structure is computed once per instance and
-    kept in ``_memo``: the profile (``detect_orange``), the projection
-    (``project_orange``), and the domain-point lattices and Bernstein C^r
-    systems of ``bernstein``.  The dimension cache of ``spline_dim`` is
+    kept in ``_memo``: the profile (``detect_orange``), the integer
+    coordinate view (``_integer_view``), the projection (``project_orange``,
+    or inherited from ``standard_form``), and the domain-point lattices and
+    Bernstein C^r systems of ``bernstein``.  The dimension cache of ``spline_dim`` is
     keyed by value and holds no instance.
     """
 
@@ -257,10 +264,10 @@ class SimplicialComplex:
 
         Cheap checks run on every complex: coordinate arity, duplicate
         vertices, index bounds, duplicate or nested maximal faces, and
-        affine independence of every maximal face.  The intersection
-        condition is then checked on every pair of maximal simplices, which
-        suffices: any two faces lie inside maximal ones, and the condition
-        is inherited by subsets.
+        affine independence of every maximal face (on the integer
+        coordinate view).  The intersection condition is then checked on
+        every pair of maximal simplices, which suffices: any two faces lie
+        inside maximal ones, and the condition is inherited by subsets.
 
         For an orange (``detect_orange`` succeeds) the pair test runs on the
         projected star, through ``project_orange``; the module docstring
@@ -288,8 +295,9 @@ class SimplicialComplex:
                 raise InvalidComplexError(
                     f"faces {self.maximal_faces[a]} and {self.maximal_faces[b]} are nested"
                 )
+        _, nums = _integer_view(self)
         for f in self.maximal_faces:
-            if not _affinely_independent(self.face_points(f)):
+            if not _affinely_independent([nums[v] for v in f]):
                 raise InvalidComplexError(f"face {f} is geometrically degenerate")
 
     def _check_shape(self) -> None:

@@ -5,10 +5,17 @@ medial face into the span of the last k - i coordinates.  Forgetting those
 coordinates then maps the orange onto a star-shaped complex around the
 origin in R^i (one central vertex, every maximal face containing it), which
 is where the dimension reduction happens.
+
+The star is computed on integers: each vertex image is an integer vector
+over one common denominator, read off the complex's integer coordinate
+view, and the star's tests run on those.  ``Fraction`` coordinates are
+built once per distinct image.  The standard model built by
+``standard_form`` inherits its projection instead of computing it again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -20,6 +27,7 @@ from .complexes import (
     SimplicialComplex,
     _affinely_independent,
     _check_pairs,
+    _integer_view,
     _overlap,
     detect_orange,
 )
@@ -39,11 +47,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdaptedFrame:
-    """Invertible affine map x -> M (x - v0) in R^k, applied point by point.
+    """Invertible affine map x -> M (x - v0) in R^k.
 
     ``matrix`` is M stored as dense rows; ``base_point`` is v0, the medial
     vertex sent to the origin.  The projection onto R^i keeps the first i
-    coordinates of ``apply_point``.
+    coordinates of the image.  ``apply_point`` maps one point on
+    ``Fraction`` coordinates; it is the reference for the projection,
+    which applies the first i rows of M to integer coordinates.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -113,13 +123,17 @@ def project_orange(complex_: SimplicialComplex) -> ProjectedOrange:
     """Project an orange onto R^i through an adapted frame.
 
     Vertices that land on the same point are identified (the medial face
-    collapses to the origin).  The call checks the whole orange, through
-    the lemma of the ``complexes`` module docstring: every face must
-    project onto an i-simplex, no two segments or vertices off the medial
-    face may share an image, and the star must pass the pair test.  A
-    failure raises InvalidComplexError naming the orange's own faces.  The
-    projection is computed once per complex instance, and the pair test
-    runs once per distinct star value.
+    collapses to the origin).  The images are computed on integers, as
+    R (N_v - N_0) over L * den: N is the complex's integer coordinate view
+    over den, and R the first i rows of the frame's matrix over their
+    common denominator L.  The call checks the whole orange, through the
+    lemma of the ``complexes`` module docstring: every face must project
+    onto an i-simplex, no two segments or vertices off the medial face may
+    share an image, and the star must pass the pair test.  A failure
+    raises InvalidComplexError naming the orange's own faces.  The
+    projection is computed once per complex instance, the standard model
+    of ``standard_form`` inherits it, and the pair test runs once per
+    distinct star value.
     """
     if "projected" not in complex_._memo:
         complex_._memo["projected"] = _project(complex_)
@@ -127,8 +141,7 @@ def project_orange(complex_: SimplicialComplex) -> ProjectedOrange:
 
 
 # stars that passed the pair test, keyed by value (ambient dimension,
-# vertices, maximal faces): the standard model's star, and any repeated
-# image, is not tested again
+# vertices, maximal faces): a repeated image is not tested again
 _proper_stars: set[tuple] = set()
 
 
@@ -137,26 +150,32 @@ def _project(complex_: SimplicialComplex) -> ProjectedOrange:
     # the complex may never have been validated: reading its face points
     # needs the right arity and index bounds
     complex_._check_shape()
+    den, nums = _integer_view(complex_)
     i = profile.i
     if i == 0:
         # the whole orange is a single simplex, its medial face; the
         # projection is the one-point complex in R^0
-        if not _affinely_independent(complex_.face_points(profile.medial)):
+        if not _affinely_independent([nums[v] for v in profile.medial]):
             raise InvalidComplexError("medial face is geometrically degenerate")
         star = SimplicialComplex(0, [()], [[0]])
         return ProjectedOrange(complex=star, central_vertex=0, face_map=(0,), frame=None)
     frame = adapt_coordinates(complex_)
-    image_of = {
-        vid: frame.apply_point(complex_.vertices[vid])[:i]
-        for vid in sorted({v for f in complex_.maximal_faces for v in f})
-    }
+    # the first i rows of M over their common denominator L: the image of
+    # vertex v is R (N_v - N_0) over L * den, N the integer view and R = L M
+    lcd = math.lcm(*(m.denominator for row in frame.matrix[:i] for m in row))
+    kept = [[m.numerator * (lcd // m.denominator) for m in row] for row in frame.matrix[:i]]
+    base = nums[profile.medial[0]]
+    image_of: dict[int, tuple[int, ...]] = {}
+    for vid in sorted({v for f in complex_.maximal_faces for v in f}):
+        shifted = [a - b for a, b in zip(nums[vid], base)]
+        image_of[vid] = tuple(sum(m * s for m, s in zip(row, shifted) if m) for row in kept)
 
     # the frame sends a medial vertex, which lies in every maximal face, to
     # the origin: it gets id 0, and the remaining images keep scan order
-    new_ids: dict[Point, int] = {(Fraction(0),) * i: 0}
+    new_ids: dict[tuple[int, ...], int] = {(0,) * i: 0}
     for p in image_of.values():
         new_ids.setdefault(p, len(new_ids))
-    points = list(new_ids)
+    images = list(new_ids)
 
     # an i-simplex in R^i for each face stands for the affine independence
     # of the face, given that of the medial face; the star's other checks
@@ -165,14 +184,14 @@ def _project(complex_: SimplicialComplex) -> ProjectedOrange:
     new_faces = []
     for f in complex_.maximal_faces:
         nf = tuple(sorted({new_ids[image_of[v]] for v in f}))
-        if len(nf) != i + 1 or not _affinely_independent([points[v] for v in nf]):
+        if len(nf) != i + 1 or not _affinely_independent([images[v] for v in nf]):
             raise InvalidComplexError(f"face {f} degenerates under projection")
         new_faces.append(nf)
     if len(set(new_faces)) != len(new_faces):
         raise InvalidComplexError("projection identifies two segments")
     # two vertices off the medial face with one image: the faces through
     # them share the points near the medial face in that direction
-    first_with: dict[Point, int] = {}
+    first_with: dict[tuple[int, ...], int] = {}
     for vid, p in image_of.items():
         if vid not in profile.medial and first_with.setdefault(p, vid) != vid:
             owner = first_with[p]
@@ -181,6 +200,8 @@ def _project(complex_: SimplicialComplex) -> ProjectedOrange:
                 next(f for f in complex_.maximal_faces if vid in f),
             )
 
+    scale = lcd * den
+    points = [tuple(Fraction(c, scale) for c in p) for p in images]
     star = SimplicialComplex(i, points, new_faces)
     face_map = tuple(star.maximal_faces.index(nf) for nf in new_faces)
     key = (i, star.vertices, star.maximal_faces)
@@ -241,8 +262,31 @@ class StandardForm:
 
 
 def standard_form(complex_: SimplicialComplex) -> StandardForm:
-    """Detect, project, and rebuild the standard orange in one pass."""
+    """Detect, project, and rebuild the standard orange in one pass.
+
+    The standard model inherits its projection: the star it is built from,
+    with the identity face map and, for i > 0, the identity frame at the
+    origin, which is what ``adapt_coordinates`` builds for it.  By the
+    lemma of the ``complexes`` module docstring its checks are the star's,
+    which the star passed when the orange was projected.
+    """
     profile = detect_orange(complex_)
     projected = project_orange(complex_)
-    std = standard_orange(projected.complex, profile.k - profile.i)
+    star = projected.complex
+    k = profile.k
+    std = standard_orange(star, k - profile.i)
+    frame = None
+    if profile.i:
+        frame = AdaptedFrame(
+            matrix=tuple(
+                tuple(Fraction(1 if r == c else 0) for c in range(k)) for r in range(k)
+            ),
+            base_point=(Fraction(0),) * k,
+        )
+    std._memo["projected"] = ProjectedOrange(
+        complex=star,
+        central_vertex=0,
+        face_map=tuple(range(len(star.maximal_faces))),
+        frame=frame,
+    )
     return StandardForm(profile=profile, projected=projected, standard=std)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,18 @@ def test_catalog_list(capsys):
     assert rc == 0
     assert "two-triangle" in out
     assert "fan-4d" in out
+
+
+def test_package_runs_as_a_module():
+    # python -m orangesplines, from a checkout with only src on the path
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-m", "orangesplines", "catalog", "list"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "two-triangle" in result.stdout
 
 
 def test_catalog_show_json(capsys):
@@ -138,6 +154,7 @@ def test_dim_negative_degree_exits_one(capsys, method):
     "argv",
     [
         ["domain-points", "-c", "two-triangle", "--d", "-1"],
+        ["layers", "-c", "two-triangle", "--d", "-1"],
         ["mds", "-c", "two-triangle", "--r", "1", "--d", "-1"],
     ],
 )
