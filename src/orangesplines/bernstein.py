@@ -3,7 +3,8 @@
 Domain-point lattices, the layer structure of a standard orange's lattice,
 determining sets, and the lifting of determining sets from the projected
 star to the standard orange together with the cardinality bookkeeping that
-reproduces the closed-form dimension.
+reproduces the closed-form dimension.  Lattices, systems, layers and lifts
+run on integers; ``Fraction`` coordinates are built once, for the output.
 
 A degree-d polynomial on a k-simplex is written in the Bernstein basis
 B_a = (d choose a) * lambda^a over barycentric coordinates lambda; its
@@ -18,15 +19,23 @@ Thm 2.28) across every shared facet.  A complex instance builds its
 lattice once per degree and that system once per (r, d), and everything
 about determining sets is read off the one system.  Both are built on the
 complex's integer coordinate view (``complexes._integer_view``): lattice
-points are bucketed and sorted by integer numerators, and the weights of
-each row come from Cramer's rule, lambda_l = Delta_l / Delta, read off
-one integer affine dependence.  The order-m rows are scaled by Delta^m
-(over a gcd), so they are integral as built and the elimination kernel
-takes them as they are.  A set M of points
-determines the spline space exactly when the system's columns outside M
-are independent, so by matroid duality the greedy hub-outward selection is
-the complement of the greedy column basis taken from the outside in
-(Oxley, *Matroid Theory*, §2), and verifying a set is one rank computation.
+points are bucketed and sorted by integer numerators, which the lattice
+memo keeps as the points' keys, and the weights of each row come from
+Cramer's rule, lambda_l = Delta_l / Delta, read off one integer affine
+dependence.  The order-m rows are scaled by Delta^m (over a gcd), so they
+are integral as built and the elimination kernel takes them as they are.
+A set M of points determines the spline space exactly when the system's
+columns outside M are independent, so by matroid duality the greedy
+hub-outward selection is the complement of the greedy column basis taken
+from the outside in (Oxley, *Matroid Theory*, §2); its integer columns go
+straight to the kernel's ``_reduce``, and verifying a set is one rank
+computation.
+
+A standard orange's lattice is the union of layers: the star's degree-j
+lattice, scaled by j/d, copied once per tail shift beta/d with
+|beta| = d - j.  On integer keys over den * d a layer point is the star's
+degree-j key followed by beta * den, with no multiplication; the layer
+checks and the lift of determining sets compare those tuples.
 
 The system's nullity, ``bernstein_dim``, is the third derivation of the
 dimension, next to the cofactor oracle (``cofactor.spline_dim``) and the
@@ -54,7 +63,7 @@ from .complexes import (
     barycentric_coordinates,
     detect_orange,
 )
-from .exact import EchelonBasis, IntRow, _echelon, _integer_kernel, _strip_content, invert_matrix
+from .exact import IntRow, _echelon, _integer_kernel, _reduce, _strip_content, invert_matrix
 from .polynomials import Polynomial, monomials_upto
 from .projection import project_orange
 
@@ -112,9 +121,12 @@ class IdentifiedPoint:
 
 @lru_cache(maxsize=None)
 def simplex_multiindices(nverts: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """All multi-indices of length nverts summing to d, lex descending."""
+    """All multi-indices of length nverts summing to d, lex descending;
+    none when d < 0, so every lattice is empty at a negative degree."""
     if nverts <= 0:
         raise ValueError("a simplex has at least one vertex")
+    if d < 0:
+        return ()
     if nverts == 1:
         return ((d,),)
     out = []
@@ -141,6 +153,11 @@ def _lattice_numerators(
     ]
 
 
+def _coordinates(key: Sequence[int], scale: int) -> Point:
+    """The point whose numerators over ``scale`` are ``key``."""
+    return tuple(Fraction(n, scale) for n in key)
+
+
 def simplex_domain_points(
     vertices: tuple[Point, ...] | list[Point], d: int, face: int = 0
 ) -> list[DomainPoint]:
@@ -154,10 +171,37 @@ def simplex_domain_points(
     scale = den * max(d, 1)
     return [
         DomainPoint(
-            coordinates=tuple(Fraction(n, scale) for n in point), face=face, multi_index=a
+            coordinates=_coordinates(point, scale), face=face, multi_index=a
         )
         for a, point in _lattice_numerators(nums, d)
     ]
+
+
+def _lattice(
+    complex_: SimplicialComplex, d: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[IdentifiedPoint, ...]]:
+    """(keys, points) of the degree-d lattice, built once per complex
+    instance and degree.  ``keys[n]`` holds the integer numerators of
+    ``points[n]`` over den * max(d, 1), den the complex's common
+    denominator (see ``complexes._integer_view``); both run in the same
+    sorted order."""
+    key = ("lattice", d)
+    if key not in complex_._memo:
+        den, nums = _integer_view(complex_)
+        buckets: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+        for fidx, face in enumerate(complex_.maximal_faces):
+            for a, point in _lattice_numerators([nums[v] for v in face], d):
+                buckets.setdefault(point, []).append((fidx, a))
+        scale = den * max(d, 1)
+        keys = tuple(sorted(buckets))
+        complex_._memo[key] = keys, tuple(
+            IdentifiedPoint(
+                coordinates=_coordinates(point, scale),
+                occurrences=tuple(sorted(buckets[point])),
+            )
+            for point in keys
+        )
+    return complex_._memo[key]
 
 
 def complex_domain_points(complex_: SimplicialComplex, d: int) -> tuple[IdentifiedPoint, ...]:
@@ -168,24 +212,10 @@ def complex_domain_points(complex_: SimplicialComplex, d: int) -> tuple[Identifi
     their integer numerators over the complex's common denominator (see
     ``complexes._integer_view``) times d, which orders them as their
     coordinates do; each point's ``Fraction`` coordinates are built once.
-    The lattice is built once per complex instance and degree.
+    The lattice is built once per complex instance and degree; the memo
+    keeps those integer keys next to the points (see ``_lattice``).
     """
-    key = ("lattice", d)
-    if key not in complex_._memo:
-        den, nums = _integer_view(complex_)
-        buckets: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-        for fidx, face in enumerate(complex_.maximal_faces):
-            for a, point in _lattice_numerators([nums[v] for v in face], d):
-                buckets.setdefault(point, []).append((fidx, a))
-        scale = den * max(d, 1)
-        complex_._memo[key] = tuple(
-            IdentifiedPoint(
-                coordinates=tuple(Fraction(n, scale) for n in point),
-                occurrences=tuple(sorted(buckets[point])),
-            )
-            for point in sorted(buckets)
-        )
-    return complex_._memo[key]
+    return _lattice(complex_, d)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +229,8 @@ class Layer:
     ``base_points`` is the degree-j lattice of the projected star scaled by
     j/d and embedded with zero tail coordinates; every point of the layer is
     a base point plus one of the ``shifts`` (tail vectors with index sum
-    d - j).
+    d - j).  A base point is zero on the tail and a shift on the first i
+    coordinates, so a point is a base head followed by a shift tail.
     """
 
     level: int
@@ -225,20 +256,19 @@ def _standard_split(
 
     Standard position: the medial face consists of the origin plus the unit
     vectors of the last fiber coordinates, and every other vertex has zero
-    tail coordinates.
+    tail coordinates.  The check reads the integer view, where the unit
+    vectors have the common denominator as their one nonzero entry.
     """
     profile = detect_orange(complex_)
     k, i = profile.k, profile.i
     fiber = k - i
-    origin = (Fraction(0),) * k
-    medial_points = {complex_.vertices[m]: m for m in profile.medial}
-    if origin not in medial_points:
+    den, nums = _integer_view(complex_)
+    medial_points = {nums[m]: m for m in profile.medial}
+    if (0,) * k not in medial_points:
         raise ValueError("standard orange must have a medial vertex at the origin")
-    expected_tails = []
-    for t in range(fiber):
-        e = [Fraction(0)] * k
-        e[i + t] = Fraction(1)
-        expected_tails.append(tuple(e))
+    expected_tails = [
+        tuple(den if c == i + t else 0 for c in range(k)) for t in range(fiber)
+    ]
     for e in expected_tails:
         if e not in medial_points:
             raise ValueError(
@@ -252,28 +282,27 @@ def _standard_split(
     for vid in used:
         if vid in tail_set:
             continue
-        if any(complex_.vertices[vid][i + t] for t in range(fiber)):
+        if any(nums[vid][i + t] for t in range(fiber)):
             raise ValueError(
                 "non-medial vertex has nonzero coordinates in the medial span"
             )
     return profile, project_orange(complex_).complex, tail_ids
 
 
-def _tail_shifts(d: int, j: int, i: int, fiber: int, k: int) -> list[tuple[tuple[int, ...], Point]]:
-    """Shift vectors for level j: tail multi-indices beta with |beta| = d - j
-    paired with the points (0, ..., 0, beta/d)."""
+def _tails(fiber: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Tail multi-indices beta with |beta| = m, lex descending; with no
+    fiber, only the empty one at m = 0."""
     if fiber == 0:
-        if j != d:
-            return []
-        return [((), (Fraction(0),) * k)]
-    out = []
-    for beta in simplex_multiindices(fiber, d - j):
-        coords = [Fraction(0)] * k
-        for t in range(fiber):
-            if beta[t]:
-                coords[i + t] = Fraction(beta[t], d)
-        out.append((beta, tuple(coords)))
-    return out
+        return ((),) if m == 0 else ()
+    return simplex_multiindices(fiber, m)
+
+
+def _scaled(keys: Sequence[tuple[int, ...]], q: int) -> Sequence[tuple[int, ...]]:
+    """Integer keys times q: the same points over a q times larger
+    denominator."""
+    if q == 1:
+        return keys
+    return [tuple(q * n for n in key) for key in keys]
 
 
 def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecomposition:
@@ -283,51 +312,60 @@ def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecompositi
     scaled by j/d, reappears once per tail multi-index of sum d - j; the
     function verifies that these slices are pairwise disjoint and cover the
     full lattice exactly, raising SetMismatchError otherwise.
+
+    It runs on integer keys over one denominator L * max(d, 1), L the lcm
+    of the orange's and the star's common denominators (both lattices'
+    keys are scaled to it by the quotient).  The star's degree-j key over
+    den * j, scaled by j/d, is the same integer tuple over den * d; at
+    j = 0 (and so at d = 0) every base point is the origin.  A tail shift
+    beta/d is beta * L over L * d, and a layer point is a base head
+    followed by a shift tail.  The disjointness and coverage checks
+    compare these tuples with the orange's own lattice keys, and each
+    output coordinate becomes a ``Fraction`` once.
     """
     if d < 0:
         raise ValueError("degree must take a nonnegative value")
     profile, star, _ = _standard_split(complex_)
     i, fiber = profile.i, profile.k - profile.i
-    k = complex_.ambient_dim
-    lattice = {p.coordinates for p in complex_domain_points(complex_, d)}
-
+    den, star_den = _integer_view(complex_)[0], _integer_view(star)[0]
+    common = lcm(den, star_den)
+    scale = common * max(d, 1)
+    lattice = set(_scaled(_lattice(complex_, d)[0], common // den))
+    zero_head, zero_tail = (Fraction(0),) * i, (Fraction(0),) * fiber
     layers = []
-    covered: dict[Point, int] = {}
+    covered: dict[tuple[int, ...], int] = {}
     total = 0
     for j in range(d + 1):
-        factor = Fraction(j, d) if d else Fraction(0)
-        star_points = {p.coordinates for p in complex_domain_points(star, j)}
-        base = sorted(
-            {
-                tuple(factor * c for c in p) + (Fraction(0),) * fiber
-                for p in star_points
-            }
-        )
-        shifts = _tail_shifts(d, j, i, fiber, k)
-        points = []
-        for _, shift in shifts:
-            for b in base:
-                pt = tuple(b[c] + shift[c] for c in range(k))
-                if pt in covered:
+        # sorted, as the star's lattice keys are
+        heads = _scaled(_lattice(star, j)[0], common // star_den) if j else [(0,) * i]
+        tails = [tuple(common * b for b in beta) for beta in _tails(fiber, d - j)]
+        for tail in tails:
+            for head in heads:
+                key = head + tail
+                if key in covered:
                     raise SetMismatchError(
-                        f"levels {covered[pt]} and {j} both produce the point {pt}"
+                        f"levels {covered[key]} and {j} both produce the point "
+                        f"{_coordinates(key, scale)}"
                     )
-                covered[pt] = j
-                points.append(pt)
-        total += len(points)
+                covered[key] = j
+        head_points = [_coordinates(h, scale) for h in heads]
+        tail_points = [_coordinates(t, scale) for t in tails]
+        total += len(heads) * len(tails)
         layers.append(
             Layer(
                 level=j,
-                factor=factor,
-                base_points=tuple(base),
-                shifts=tuple(s for _, s in shifts),
-                points=tuple(sorted(points)),
+                factor=Fraction(j, d) if d else Fraction(0),
+                base_points=tuple(h + zero_tail for h in head_points),
+                shifts=tuple(zero_head + t for t in tail_points),
+                # ascending heads, then ascending (reversed lex descending)
+                # tails: the points in sorted order
+                points=tuple(h + t for h in head_points for t in reversed(tail_points)),
             )
         )
 
-    if set(covered) != lattice:
-        missing = lattice - set(covered)
-        extra = set(covered) - lattice
+    if covered.keys() != lattice:
+        missing = lattice - covered.keys()
+        extra = covered.keys() - lattice
         raise SetMismatchError(
             f"layer union misses {len(missing)} lattice points and "
             f"adds {len(extra)} foreign ones"
@@ -618,9 +656,10 @@ def compute_mds(complex_: SimplicialComplex, r: int, d: int) -> DeterminingSet:
     smoothness system's columns outside M are independent, so the greedy
     hub-order selection is the complement of the greedy column basis taken
     in reverse hub order (matroid duality; Oxley, *Matroid Theory*, §2).
-    The columns go to one ``EchelonBasis`` from the outermost point in; the
-    ones it rejects are the selection.  Its size must equal the cofactor
-    oracle's dimension.
+    The system's integer columns go straight to the kernel's ``_reduce``
+    on one pivot dict, from the outermost point in; the ones that vanish
+    are the selection.  Its size must equal the cofactor oracle's
+    dimension.
 
     ``complex_`` must be an orange: the selection grows outward from its
     medial face, and ``detect_orange`` rejects anything else."""
@@ -629,8 +668,8 @@ def compute_mds(complex_: SimplicialComplex, r: int, d: int) -> DeterminingSet:
     for i, row in enumerate(rows):
         for c, v in row.items():
             columns[c][i] = v
-    tracker = EchelonBasis()
-    rejected = [c for c in reversed(range(len(points))) if not tracker.add(columns[c])]
+    pivots: dict[int, IntRow] = {}
+    rejected = [c for c in reversed(range(len(points))) if not _reduce(columns[c], pivots)]
     selected = tuple(points[c] for c in reversed(rejected))
     dim = spline_dim(complex_, r, d)
     if len(selected) != dim:
@@ -685,55 +724,73 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
     must equal both the levelwise count and the closed-form dimension, and
     the lifted selection matrix must be invertible; violations raise
     CardinalityMismatchError.
+
+    The lift runs on the orange's integer view (den, numerators).  Star
+    vertices are matched with orange vertices by integer tuples over the
+    lcm of both denominators.  A star point with multi-index alpha on a
+    star face, scaled by j/d, has the numerators sum alpha_l * N_l over
+    den * d, N_l the orange vertices the face's vertices match; a shift
+    beta/d adds beta * den on the tail.  The collision check compares
+    those keys, and each coordinate becomes a ``Fraction`` once per head
+    and once per tail.  At d = 0 every lifted point is the first vertex of
+    its face, as in the lattice.
     """
     from .dimension import orange_dim_formula
 
     profile, star, tail_ids = _standard_split(complex_)
     i, fiber = profile.i, profile.k - profile.i
-    k = complex_.ambient_dim
+    den, nums = _integer_view(complex_)
+    star_den, star_nums = _integer_view(star)
+    common = lcm(den, star_den)
+    scale = den * max(d, 1)
 
     # star vertex id -> vertex id in the standard orange, by exact coords
-    pad = (Fraction(0),) * fiber
-    coord_to_oid = {v: idx for idx, v in enumerate(complex_.vertices)}
+    pad = (0,) * fiber
+    coord_to_oid = {v: idx for idx, v in enumerate(_scaled(nums, common // den))}
     star_oid = {}
-    for sid, sv in enumerate(star.vertices):
-        key = tuple(sv) + pad
+    for sid, sv in enumerate(_scaled(star_nums, common // star_den)):
+        key = sv + pad
         if key not in coord_to_oid:
             raise ValueError("projected star vertex missing from the standard orange")
         star_oid[sid] = coord_to_oid[key]
     face_index = {f: idx for idx, f in enumerate(complex_.maximal_faces)}
 
     lifted: list[LiftedPoint] = []
-    seen: dict[Point, int] = {}
+    seen: dict[tuple[int, ...], int] = {}
     per_level = []
     for j in range(d + 1):
-        shifts = _tail_shifts(d, j, i, fiber, k)
-        if not shifts:
+        betas = _tails(fiber, d - j)
+        if not betas:
             continue
         mds_j = compute_mds(star, r, j)
-        per_level.append((j, len(mds_j.points), len(shifts)))
-        factor = Fraction(j, d) if d else Fraction(0)
-        for point in mds_j.points:
-            sfidx, alpha = point.occurrences[0]
+        per_level.append((j, len(mds_j.points), len(betas)))
+        tails = [tuple(den * b for b in beta) for beta in betas]
+        tail_points = [_coordinates(t, scale) for t in tails]
+        for star_point in mds_j.points:
+            sfidx, alpha = star_point.occurrences[0]
             sface = star.maximal_faces[sfidx]
             oface = tuple(sorted([star_oid[v] for v in sface] + tail_ids))
             if oface not in face_index:
                 raise ValueError("star face does not lift to a standard-orange face")
             weights = {star_oid[v]: alpha[pos] for pos, v in enumerate(sface)}
-            for beta, shift in shifts:
+            head = tuple(
+                sum(a * nums[star_oid[v]][c] for a, v in zip(alpha, sface))
+                for c in range(i)
+            )
+            head_point = _coordinates(head, scale)
+            for beta, tail, tail_point in zip(betas, tails, tail_points):
                 for t, tid in enumerate(tail_ids):
                     weights[tid] = beta[t]
                 multi = tuple(weights.get(vid, 0) for vid in oface)
                 if d == 0:
-                    coords = complex_.vertices[oface[0]]
+                    key, coords = nums[oface[0]], complex_.vertices[oface[0]]
                 else:
-                    base = tuple(factor * c for c in point.coordinates) + pad
-                    coords = tuple(base[c] + shift[c] for c in range(k))
-                if coords in seen:
+                    key, coords = head + tail, head_point + tail_point
+                if key in seen:
                     raise CardinalityMismatchError(
-                        f"levels {seen[coords]} and {j} lift to the same point {coords}"
+                        f"levels {seen[key]} and {j} lift to the same point {coords}"
                     )
-                seen[coords] = j
+                seen[key] = j
                 lifted.append(
                     LiftedPoint(
                         coordinates=coords,

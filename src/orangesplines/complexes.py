@@ -203,9 +203,10 @@ class SimplicialComplex:
     and hash by value.  Derived structure is computed once per instance and
     kept in ``_memo``: the profile (``detect_orange``), the integer
     coordinate view (``_integer_view``), the projection (``project_orange``,
-    or inherited from ``standard_form``), and the domain-point lattices and
-    Bernstein C^r systems of ``bernstein``.  The dimension cache of ``spline_dim`` is
-    keyed by value and holds no instance.
+    or inherited from ``standard_form``), and the domain-point lattices
+    (with their integer keys) and Bernstein C^r systems of ``bernstein``.
+    The dimension cache of ``spline_dim`` is keyed by value and holds no
+    instance.
     """
 
     ambient_dim: int

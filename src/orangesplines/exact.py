@@ -10,15 +10,18 @@ a row's lowest column against the pivot stored there until the row
 vanishes or becomes a new pivot.  Both dimension oracles pass integer rows
 straight in, built over the integers: the cofactor oracle the cycle
 conditions of its dual graph (and a full cofactor system for
-``CofactorSystem.dimension``), the Bernstein oracle its C^r conditions.
-Every other caller clears its rational rows with ``_integer_row``.  Rank
+``CofactorSystem.dimension``), the Bernstein oracle its C^r conditions,
+and the greedy determining-set selection (``bernstein.compute_mds``)
+hands that system's columns to ``_reduce`` itself.  Every other caller
+clears its rational rows with ``_integer_row``.  Rank
 is the size of the echelon form; ``_integer_rref`` back-substitutes
 through the same update step, and both the rational RREF (behind
 nullspaces, ``solve_linear`` and ``invert_matrix``) and ``_integer_kernel``
 (one primitive integer kernel vector per free column, behind walls,
 affine dependences and the validation pair test) are read off it.
-``EchelonBasis`` is ``_reduce`` on its own.  Results are exact regardless
-of conditioning.
+``EchelonBasis`` is ``_reduce`` on its own, for rational vectors; only
+the adapted frame's basis completion (``projection.adapt_coordinates``)
+uses it.  Results are exact regardless of conditioning.
 """
 
 from __future__ import annotations
@@ -350,9 +353,11 @@ def invert_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 class EchelonBasis:
     """Incremental exact rank tracker for rational vectors.
 
-    ``add`` reduces the vector against the rows seen so far and keeps it iff
-    it is independent of them; used for greedy basis completion and greedy
-    minimal-determining-set selection.
+    ``add`` clears the vector to integers, reduces it against the rows seen
+    so far and keeps it iff it is independent of them.  In the package only
+    the greedy basis completion of ``projection.adapt_coordinates`` uses
+    it; the determining-set selection has integer columns and calls
+    ``_reduce`` directly.
     """
 
     def __init__(self) -> None:

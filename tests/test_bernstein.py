@@ -9,11 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_generated_oranges import generated_oranges
+from test_projection import _fresh
 
-from orangesplines import bernstein
+from orangesplines import bernstein, dimension
 from orangesplines.bernstein import (
     CardinalityMismatchError,
     DeterminingSet,
+    SetMismatchError,
     _ordered_points,
     _system,
     bernstein_dim,
@@ -33,6 +36,7 @@ from orangesplines.complexes import (
     InvalidComplexError,
     SimplicialComplex,
     UnsupportedOrangeError,
+    _integer_view,
     adjacent_pairs,
     affine_image,
     barycentric_coordinates,
@@ -41,7 +45,7 @@ from orangesplines.complexes import (
 from orangesplines.dimension import orange_dim_formula
 from orangesplines.exact import EchelonBasis, RationalMatrix, _integer_row, binom
 from orangesplines.polynomials import Polynomial
-from orangesplines.projection import standard_form
+from orangesplines.projection import project_orange, standard_form
 
 UNIT = ((Fraction(0),), (Fraction(1),))
 
@@ -271,6 +275,324 @@ def test_lift_degree_zero():
     assert lift.points[0].coordinates == (Fraction(0),) * 3
 
 
+def test_a_negative_degree_has_an_empty_lattice():
+    # the one-point star in R^0 (the projection of a simplex) and a k >= 1 orange
+    point_star = standard_form(get("segment").complex).projected.complex
+    assert point_star.ambient_dim == 0
+    assert simplex_multiindices(1, -1) == simplex_multiindices(3, -1) == ()
+    for cx in (point_star, get("two-triangle").complex):
+        assert complex_domain_points(cx, -1) == ()
+        for r in range(2):
+            ds = compute_mds(cx, r, -1)
+            assert (ds.dimension, ds.points) == (0, ())
+            assert verify_mds(cx, r, -1) is True
+            assert bernstein_dim(cx, r, -1) == spline_dim(cx, r, -1) == 0
+
+
+# ---------------------------------------------------------------------------
+# layers and lifts on integer keys against their Fraction bodies
+# ---------------------------------------------------------------------------
+
+def _reference_standard_split(complex_):
+    """``_standard_split`` on ``Fraction`` coordinates."""
+    profile = detect_orange(complex_)
+    k, i = profile.k, profile.i
+    fiber = k - i
+    origin = (Fraction(0),) * k
+    medial_points = {complex_.vertices[m]: m for m in profile.medial}
+    if origin not in medial_points:
+        raise ValueError("standard orange must have a medial vertex at the origin")
+    expected_tails = []
+    for t in range(fiber):
+        e = [Fraction(0)] * k
+        e[i + t] = Fraction(1)
+        expected_tails.append(tuple(e))
+    for e in expected_tails:
+        if e not in medial_points:
+            raise ValueError(
+                "standard orange must have medial vertices at the last unit vectors"
+            )
+    if len(medial_points) != fiber + 1:
+        raise ValueError("medial face of a standard orange has extra vertices")
+    tail_ids = [medial_points[e] for e in expected_tails]
+    tail_set = set(tail_ids)
+    used = {v for f in complex_.maximal_faces for v in f}
+    for vid in used:
+        if vid in tail_set:
+            continue
+        if any(complex_.vertices[vid][i + t] for t in range(fiber)):
+            raise ValueError(
+                "non-medial vertex has nonzero coordinates in the medial span"
+            )
+    return profile, project_orange(complex_).complex, tail_ids
+
+
+def _reference_tail_shifts(d, j, i, fiber, k):
+    """Shift vectors for level j: tail multi-indices beta with |beta| = d - j
+    paired with the points (0, ..., 0, beta/d)."""
+    if fiber == 0:
+        if j != d:
+            return []
+        return [((), (Fraction(0),) * k)]
+    out = []
+    for beta in bernstein.simplex_multiindices(fiber, d - j):
+        coords = [Fraction(0)] * k
+        for t in range(fiber):
+            if beta[t]:
+                coords[i + t] = Fraction(beta[t], d)
+        out.append((beta, tuple(coords)))
+    return out
+
+
+def _reference_layer_decomposition(complex_, d):
+    """``layer_decomposition`` on ``Fraction`` point sets: the star's lattice
+    scaled by ``Fraction(j, d)``, plus ``Fraction`` shifts."""
+    if d < 0:
+        raise ValueError("degree must take a nonnegative value")
+    profile, star, _ = _reference_standard_split(complex_)
+    i, fiber = profile.i, profile.k - profile.i
+    k = complex_.ambient_dim
+    lattice = {p.coordinates for p in bernstein.complex_domain_points(complex_, d)}
+
+    layers = []
+    covered = {}
+    total = 0
+    for j in range(d + 1):
+        factor = Fraction(j, d) if d else Fraction(0)
+        star_points = {p.coordinates for p in bernstein.complex_domain_points(star, j)}
+        base = sorted(
+            {tuple(factor * c for c in p) + (Fraction(0),) * fiber for p in star_points}
+        )
+        shifts = _reference_tail_shifts(d, j, i, fiber, k)
+        points = []
+        for _, shift in shifts:
+            for b in base:
+                pt = tuple(b[c] + shift[c] for c in range(k))
+                if pt in covered:
+                    raise SetMismatchError(
+                        f"levels {covered[pt]} and {j} both produce the point {pt}"
+                    )
+                covered[pt] = j
+                points.append(pt)
+        total += len(points)
+        layers.append(
+            bernstein.Layer(
+                level=j,
+                factor=factor,
+                base_points=tuple(base),
+                shifts=tuple(s for _, s in shifts),
+                points=tuple(sorted(points)),
+            )
+        )
+
+    if set(covered) != lattice:
+        missing = lattice - set(covered)
+        extra = set(covered) - lattice
+        raise SetMismatchError(
+            f"layer union misses {len(missing)} lattice points and "
+            f"adds {len(extra)} foreign ones"
+        )
+    return bernstein.LayerDecomposition(
+        d=d, fiber_dim=fiber, star=star, layers=tuple(layers), total=total
+    )
+
+
+def _reference_lift_mds(complex_, r, d):
+    """``lift_mds`` keyed by ``Fraction`` coordinates: star vertices looked
+    up by their padded coordinates, lifted points scaled and shifted."""
+    profile, star, tail_ids = _reference_standard_split(complex_)
+    i, fiber = profile.i, profile.k - profile.i
+    k = complex_.ambient_dim
+
+    pad = (Fraction(0),) * fiber
+    coord_to_oid = {v: idx for idx, v in enumerate(complex_.vertices)}
+    star_oid = {}
+    for sid, sv in enumerate(star.vertices):
+        key = tuple(sv) + pad
+        if key not in coord_to_oid:
+            raise ValueError("projected star vertex missing from the standard orange")
+        star_oid[sid] = coord_to_oid[key]
+    face_index = {f: idx for idx, f in enumerate(complex_.maximal_faces)}
+
+    lifted = []
+    seen = {}
+    per_level = []
+    for j in range(d + 1):
+        shifts = _reference_tail_shifts(d, j, i, fiber, k)
+        if not shifts:
+            continue
+        mds_j = bernstein.compute_mds(star, r, j)
+        per_level.append((j, len(mds_j.points), len(shifts)))
+        factor = Fraction(j, d) if d else Fraction(0)
+        for point in mds_j.points:
+            sfidx, alpha = point.occurrences[0]
+            sface = star.maximal_faces[sfidx]
+            oface = tuple(sorted([star_oid[v] for v in sface] + tail_ids))
+            if oface not in face_index:
+                raise ValueError("star face does not lift to a standard-orange face")
+            weights = {star_oid[v]: alpha[pos] for pos, v in enumerate(sface)}
+            for beta, shift in shifts:
+                for t, tid in enumerate(tail_ids):
+                    weights[tid] = beta[t]
+                multi = tuple(weights.get(vid, 0) for vid in oface)
+                if d == 0:
+                    coords = complex_.vertices[oface[0]]
+                else:
+                    base = tuple(factor * c for c in point.coordinates) + pad
+                    coords = tuple(base[c] + shift[c] for c in range(k))
+                if coords in seen:
+                    raise CardinalityMismatchError(
+                        f"levels {seen[coords]} and {j} lift to the same point {coords}"
+                    )
+                seen[coords] = j
+                lifted.append(
+                    bernstein.LiftedPoint(
+                        coordinates=coords, face=face_index[oface], multi_index=multi, level=j
+                    )
+                )
+
+    total = len(lifted)
+    formula_value = dimension.orange_dim_formula(complex_, r, d)
+    if total != formula_value:
+        raise CardinalityMismatchError(
+            f"lift cardinality {total} differs from the "
+            f"closed-form dimension {formula_value}"
+        )
+    dim = spline_dim(complex_, r, d)
+    if dim != total:
+        raise CardinalityMismatchError(
+            f"spline space has dimension {dim}, lift has {total} points"
+        )
+    if not bernstein._determines(complex_, r, d, [(p.face, p.multi_index) for p in lifted]):
+        raise CardinalityMismatchError("lifted selection matrix is singular")
+    return bernstein.LiftedDeterminingSet(
+        r=r,
+        d=d,
+        points=tuple(lifted),
+        per_level=tuple(per_level),
+        total=total,
+        formula_value=formula_value,
+    )
+
+
+def _assert_layers_and_lifts_match(cx, dmax, label):
+    for d in range(dmax + 1):
+        got = layer_decomposition(cx, d)
+        assert got == _reference_layer_decomposition(_fresh(cx), d), (label, d)
+        for r in range(2):
+            assert lift_mds(cx, r, d) == _reference_lift_mds(_fresh(cx), r, d), (label, r, d)
+
+
+def test_integer_layers_and_lifts_match_the_fraction_reference(random_affine_map):
+    models = [(entry.name, standard_form(entry.complex).standard) for entry in CATALOG]
+    rng = random.Random(29)
+    for entry in CATALOG:
+        for copy in range(3):
+            image = affine_image(entry.complex, *random_affine_map(entry.complex.ambient_dim, rng))
+            models.append((f"{entry.name} image {copy}", standard_form(image).standard))
+    # an unused vertex gives the orange a denominator its star does not have
+    std = models[[name for name, _ in models].index("two-tetrahedron")][1]
+    extra = SimplicialComplex(3, [*std.vertices, (Fraction(1, 7), 2, 5)], std.maximal_faces)
+    models.append(("two-tetrahedron with an unused vertex", extra))
+    dens = []
+    for name, cx in models:
+        star = project_orange(cx).complex
+        dens.append((_integer_view(cx)[0], _integer_view(star)[0]))
+        _assert_layers_and_lifts_match(cx, 4, name)
+    # rational models, and one whose star has a smaller denominator
+    assert any(den > 1 for den, _ in dens)
+    assert any(den != star_den for den, star_den in dens)
+
+
+def test_integer_layers_and_lifts_match_the_reference_on_generated_oranges():
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(generated_oranges())
+    def check(generated):
+        cx, _ = generated
+        _assert_layers_and_lifts_match(standard_form(cx).standard, 3, cx)
+
+    check()
+
+
+def _raised(function, *args):
+    """(type, message) of what ``function(*args)`` raises."""
+    with pytest.raises((SetMismatchError, CardinalityMismatchError)) as info:
+        function(*args)
+    return type(info.value), str(info.value)
+
+
+def _both_raise(new, reference, cx, *args):
+    """Run the integer body and its reference on fresh copies; both must
+    raise the same typed error with the same message."""
+    got = _raised(new, _fresh(cx), *args)
+    assert got == _raised(reference, _fresh(cx), *args)
+    return got
+
+
+def test_layer_errors_match_the_reference(monkeypatch):
+    std = standard_form(get("two-tetrahedron").complex).standard
+    # each orange face's lattice without its last point, which both faces
+    # share: a layer point is then foreign
+    numerators = bernstein._lattice_numerators
+    with monkeypatch.context() as m:
+        m.setattr(
+            bernstein,
+            "_lattice_numerators",
+            lambda nums, d: numerators(nums, d)[: -1 if len(nums) == 4 else None],
+        )
+        kind, message = _both_raise(
+            layer_decomposition, _reference_layer_decomposition, std, 2
+        )
+    assert kind is SetMismatchError
+    assert message == "layer union misses 0 lattice points and adds 1 foreign ones"
+    # level 1 handed the tails of level 0: its origin head meets level 0's
+    indices = bernstein.simplex_multiindices
+    fakes = {(2, 1): indices(2, 2)}
+    outcomes = []
+    for function in (layer_decomposition, _reference_layer_decomposition):
+        cx = _fresh(std)
+        function(cx, 2)  # lattices built before the tails are faked
+        with monkeypatch.context() as m:
+            m.setattr(bernstein, "simplex_multiindices", lambda n, d: fakes.get((n, d)) or indices(n, d))
+            outcomes.append(_raised(function, cx, 2))
+    assert outcomes[0] == outcomes[1] == (
+        SetMismatchError,
+        "levels 0 and 1 both produce the point "
+        "(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1))",
+    )
+
+
+def test_lift_errors_match_the_reference(monkeypatch):
+    std = standard_form(get("two-tetrahedron").complex).standard
+    star = project_orange(std).complex
+    compute = bernstein.compute_mds
+
+    def top_level(change):
+        # the star's degree-2 set changed, every other level as computed
+        def patched(cx, r, j):
+            ds = compute(cx, r, j)
+            return ds if j < 2 else DeterminingSet(ds.r, ds.d, ds.dimension, change(ds.points))
+
+        return patched
+
+    (half,) = [p for p in complex_domain_points(star, 2) if p.coordinates == (Fraction(1, 2),)]
+    cases = [
+        (lambda pts: pts + pts[-1:], "levels 2 and 2 lift to the same point"),
+        (lambda pts: pts[:-1], "lift cardinality 10 differs from the closed-form dimension 11"),
+        (lambda pts: pts[:-1] + (half,), "lifted selection matrix is singular"),
+    ]
+    for change, message in cases:
+        with monkeypatch.context() as m:
+            m.setattr(bernstein, "compute_mds", top_level(change))
+            kind, got = _both_raise(lift_mds, _reference_lift_mds, std, 1, 2)
+        assert kind is CardinalityMismatchError
+        assert got.startswith(message), got
+    # the closed form agreeing with a short set leaves the oracle to object
+    with monkeypatch.context() as m:
+        m.setattr(bernstein, "compute_mds", top_level(lambda pts: pts[:-1]))
+        m.setattr(dimension, "orange_dim_formula", lambda cx, r, d: 10)
+        kind, got = _both_raise(lift_mds, _reference_lift_mds, std, 1, 2)
+    assert (kind, got) == (CardinalityMismatchError, "spline space has dimension 11, lift has 10 points")
 # ---------------------------------------------------------------------------
 # the Bernstein-form system against the spline-basis greedy it replaced
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """CLI output stays byte-stable: digests of a fixed command grid.
 
-``cli_digests.json`` holds the sha256 of stdout and the exit code of 144
+``cli_digests.json`` holds the sha256 of stdout and the exit code of 188
 in-process ``cli.main`` calls: for every catalog entry ``validate``,
 ``project``, ``standard-orange``, ``dim`` at (r, d) = (0, 2), (1, 3),
 (2, 4), ``hilbert --r 1 --dmax 5``, ``layers --d 3`` and ``mds`` at
 (0, 3), (1, 3), then the default ``sweep``, then ``domain-points`` at
 d = 0 and 2 for every catalog entry, then ``hilbert --r 2 --dmax 8`` for
 every catalog entry (at r = 2 the cofactor columns start at degree 3),
-all with ``--json``.  After them come 11 entries keyed ``dump-system:``
-plus the command, holding the sha256 of the file that
+then ``layers`` and ``mds --r 1`` at d = 0 and 1 for every catalog entry
+(d = 0 has no layer scale j/d, and at d = 1 every layer but the top one
+has scale 0), all with ``--json``.  After them come 11 entries keyed
+``dump-system:`` plus the command, holding the sha256 of the file that
 ``dim -c NAME --r 2 --d 4 --dump-system PATH --json`` writes for every
 catalog entry (the key shows ``PATH``; the file's bytes do not depend on
 it), so the cofactor system itself is pinned, not only its nullity.
@@ -47,6 +49,9 @@ def _commands() -> list[list[str]]:
     out.append(["sweep"])
     out += [["domain-points", "-c", name, "--d", d] for name in names() for d in ("0", "2")]
     out += [["hilbert", "-c", name, "--r", "2", "--dmax", "8"] for name in names()]
+    for name in names():
+        out += [["layers", "-c", name, "--d", d] for d in ("0", "1")]
+        out += [["mds", "-c", name, "--r", "1", "--d", d] for d in ("0", "1")]
     return [argv + ["--json"] for argv in out]
 
 
@@ -84,7 +89,7 @@ def _digests() -> dict[str, dict[str, object]]:
 def test_cli_output_matches_the_recorded_digests():
     expected = json.loads(DIGESTS.read_text())
     got = _digests()
-    assert len(got) == 155
+    assert len(got) == 199
     assert list(got) == list(expected)
     changed = [cmd for cmd in got if got[cmd] != expected[cmd]]
     assert not changed, changed
