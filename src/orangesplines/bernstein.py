@@ -9,8 +9,10 @@ run on integers; ``Fraction`` coordinates are built once, for the output.
 A degree-d polynomial on a k-simplex is written in the Bernstein basis
 B_a = (d choose a) * lambda^a over barycentric coordinates lambda; its
 coefficients sit at the domain points xi_a = sum (a_l / d) v_l.  Degree 0
-has a single coefficient, attached by convention to the simplex's first
-vertex (the lattice formula degenerates there).
+has a single coefficient (the lattice formula degenerates there), attached
+by convention to the origin when it is a vertex of the simplex and to the
+simplex's first vertex otherwise.  Every face of a standard orange has the
+origin, so its degree-0 lattice is the origin alone: the level-0 layer.
 
 A spline is one coefficient per identified domain point, and C^r
 smoothness is one sparse linear system on those coefficients: the
@@ -142,10 +144,11 @@ def _lattice_numerators(
     """(multi-index, numerators) of each degree-d lattice point of the
     simplex with integer vertices ``nums``: the point of a is the sum of
     a_l * nums[l] over d times the vertices' denominator, and at degree 0
-    the first vertex over that denominator alone."""
+    the origin if it is a vertex, else the first vertex, over that
+    denominator alone."""
     indices = simplex_multiindices(len(nums), d)
     if d == 0:
-        return [(indices[0], tuple(nums[0]))]
+        return [(indices[0], tuple(next((n for n in nums if not any(n)), nums[0])))]
     columns = list(zip(*nums))
     return [
         (a, tuple(sum(x * n for x, n in zip(a, col)) for col in columns))
@@ -557,8 +560,7 @@ def _smoothness_rows(
     c^s_(beta, 0) + gamma (Lai & Schumaker, *Spline Functions on
     Triangulations*, 2007, Thm 2.28).  Coefficients are looked up through
     the points' occurrences; rows that cancel to zero are dropped (the
-    m = 0 rows, except at d = 0 where each piece's point is its first
-    vertex).
+    m = 0 rows, except at d = 0 where two pieces' points can differ).
 
     The rows are built over the integers.  The affine dependence of T_s's
     vertices and w, on the complex's integer view, is one primitive kernel
@@ -732,8 +734,8 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
     den * d, N_l the orange vertices the face's vertices match; a shift
     beta/d adds beta * den on the tail.  The collision check compares
     those keys, and each coordinate becomes a ``Fraction`` once per head
-    and once per tail.  At d = 0 every lifted point is the first vertex of
-    its face, as in the lattice.
+    and once per tail.  At d = 0 the one lifted point is the origin, the
+    level-0 layer, which is every face's degree-0 lattice point.
     """
     from .dimension import orange_dim_formula
 
@@ -782,10 +784,7 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
                 for t, tid in enumerate(tail_ids):
                     weights[tid] = beta[t]
                 multi = tuple(weights.get(vid, 0) for vid in oface)
-                if d == 0:
-                    key, coords = nums[oface[0]], complex_.vertices[oface[0]]
-                else:
-                    key, coords = head + tail, head_point + tail_point
+                key, coords = head + tail, head_point + tail_point
                 if key in seen:
                     raise CardinalityMismatchError(
                         f"levels {seen[key]} and {j} lift to the same point {coords}"

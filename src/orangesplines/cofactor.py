@@ -16,12 +16,16 @@ degree plus r + 1), so ``spline_dims`` builds one system at the top degree
 and reads every lower degree off one echelon pass with the columns in
 degree order.  When the maximal faces share a vertex (every orange does:
 the medial face lies in all of them), every wall passes through it, and
-``spline_dims`` first translates that vertex to the origin.  Every wall
-form is then homogeneous and the system splits into independent blocks by
-exact degree j: the face columns of degree j, the cofactor columns of
-degree j - r - 1 and the rows of degree j.  S^r_d is the sum of the blocks
-j <= d (Billera & Rose, "A dimension series for multivariate splines",
-1991), and the elimination never mixes blocks.  A complex with no shared
+``spline_dims`` first translates that vertex to the origin, on the
+complex's integer view (``complexes._integer_view``: numerators N_v over
+the common denominator den) as N_v - N_o over den; the translated complex
+and its integer view are built from those integers
+(``complexes._from_integer_view``).  Every wall form is then homogeneous
+and the system splits into independent blocks by exact degree j: the
+face columns of degree j, the cofactor columns of degree j - r - 1 and
+the rows of degree j.  S^r_d is the sum of the blocks j <= d (Billera &
+Rose, "A dimension series for multivariate splines", 1991), and the
+elimination never mixes blocks.  A complex with no shared
 vertex (two disjoint segments, the Morgan-Scott split) is eliminated as
 given, in one pass all the same.
 
@@ -41,13 +45,16 @@ rows leave free.  A dual graph that is a tree (``two-triangle``,
 the kernel no row at all.
 
 The system is assembled over the integers.  Per facet-adjacent pair,
-``facet_linear_form`` gives the wall as the primitive integer form L with
-a positive lead D: L = D*l, where l is the wall form with lead 1 and D is
-the lcm of its denominators.  L**(r+1) is expanded by the multinomial
-theorem in plain ints, and the pair's cofactor columns are scaled by
-D**(r+1), so every row is integral as built and goes to the elimination
-kernel as it is.  Column scaling changes no rank and no pivot column, so
-every dimension is that of the rational system, which
+``_wall`` reads the wall off the integer view as the primitive integer
+form L with a positive lead D, the one primitive kernel vector of the rows
+(N_v, den) of the shared vertices: L = D*l, where l is the wall form with
+lead 1 and D is the lcm of its denominators.  ``facet_linear_form`` is the
+same routine on rational points.  The cofactor monomials are the face
+monomials' grlex prefix of degree <= d - r - 1.  L**(r+1) is expanded
+by the multinomial theorem in plain ints, and the pair's cofactor columns
+are scaled by D**(r+1), so every row is integral as built and goes to the
+elimination kernel as it is.  Column scaling changes no rank and no pivot
+column, so every dimension is that of the rational system, which
 ``CofactorSystem.matrix`` derives by dividing the scales back out.  The
 system keeps only the per-pair wall powers; its full rows are derived on
 first use, for ``dimension``, ``matrix``, ``describe`` and
@@ -65,9 +72,16 @@ from itertools import accumulate, combinations_with_replacement
 from operator import add
 from typing import Sequence
 
-from .complexes import Point, SimplicialComplex, adjacent_pairs
+from .complexes import (
+    InvalidComplexError,
+    Point,
+    SimplicialComplex,
+    _from_integer_view,
+    _integer_view,
+    adjacent_pairs,
+)
 from .exact import (
-    IntRow, RationalMatrix, _echelon, _integer_kernel, _integer_row, format_rational
+    IntRow, RationalMatrix, _echelon, _integer_kernel, format_rational
 )
 from .polynomials import Polynomial, divisible_by_linear_power, monomials_upto
 
@@ -88,19 +102,32 @@ def facet_linear_form(points: Sequence[Point]) -> tuple[int, ...]:
     """Primitive integer wall (a_1, ..., a_k, c) through ``points``.
 
     The points must affinely span a hyperplane (codimension 1), on which
-    a_1 x_1 + ... + a_k x_k + c vanishes.  The entries have gcd 1 and the
-    first nonzero one (the lead) is positive, so two calls on the same
+    a_1 x_1 + ... + a_k x_k + c vanishes; otherwise InvalidComplexError
+    (a ``ValueError``) is raised.  The entries have gcd 1 and the first
+    nonzero one (the lead) is positive, so two calls on the same
     hyperplane agree exactly.  The form is D*l, where l is the form with
-    lead 1 and D, the lead, is the lcm of l's denominators.  It is read
-    off the integer kernel of the rows (p, 1), each cleared on its own:
-    the one primitive kernel vector, up to sign.
+    lead 1 and D, the lead, is the lcm of l's denominators.  The points
+    are written as integer numerators over their common denominator and
+    handed to ``_wall``, the routine ``build_system`` reads every wall
+    with.
     """
-    k = len(points[0])
+    den = math.lcm(*(c.denominator for p in points for c in p))
+    return _wall([[c.numerator * (den // c.denominator) for c in p] for p in points], den)
+
+
+def _wall(nums: Sequence[Sequence[int]], den: int) -> tuple[int, ...]:
+    """The primitive integer wall through the points ``nums`` / ``den``.
+
+    A form (a, c) vanishes on p = N/den exactly when a.N + c*den = 0, so
+    the wall is the one primitive kernel vector of the integer rows
+    (N, den), up to sign; the sign makes the lead positive.
+    """
+    k = len(nums[0])
     null = _integer_kernel(
-        (_integer_row({**dict(enumerate(p)), k: 1}) for p in points), k + 1
+        ({c: x for c, x in enumerate((*n, den)) if x} for n in nums), k + 1
     )
     if len(null) != 1:
-        raise ValueError(
+        raise InvalidComplexError(
             f"points span a flat of codimension {len(null)}, expected a hyperplane"
         )
     (form,) = null
@@ -240,21 +267,34 @@ class CofactorSystem:
 
 
 def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
+    """The smoothness system of ``complex_`` at order r and degree <= d.
+
+    Each pair's wall is read off the complex's integer view by ``_wall``,
+    and a shared facet that spans no hyperplane raises
+    InvalidComplexError naming the two faces.
+    """
     if r < 0:
         raise ValueError("smoothness order must be nonnegative")
     if d < 0:
         raise ValueError("degree must be nonnegative")
     k = complex_.ambient_dim
     faces = complex_.maximal_faces
-    nf = len(faces)
+    den, nums = _integer_view(complex_)
     face_mons = tuple(monomials_upto(k, d))
-    cof_mons = tuple(monomials_upto(k, d - r - 1)) if d - r - 1 >= 0 else ()
+    # grlex runs through the degrees in order: the cofactor monomials, of
+    # degree <= d - r - 1, are a prefix
+    cof_mons = face_mons[: math.comb(k + d - r - 1, k)] if d > r else ()
     pairs = tuple(adjacent_pairs(complex_))
     powers = []
     scales = []
     for s, t in pairs:
         shared = sorted(set(faces[s]) & set(faces[t]))
-        form = facet_linear_form([complex_.vertices[v] for v in shared])
+        try:
+            form = _wall([nums[v] for v in shared], den)
+        except InvalidComplexError:
+            raise InvalidComplexError(
+                f"faces {faces[s]} and {faces[t]} share a facet that spans no hyperplane"
+            ) from None
         lead = next(a for a in form if a)
         scales.append(lead ** (r + 1))
         powers.append(tuple(_power_terms(form, r + 1)))
@@ -264,7 +304,7 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
         d=d,
         wall_powers=tuple(powers),
         cofactor_scales=tuple(scales),
-        n_faces=nf,
+        n_faces=len(faces),
         face_monomials=face_mons,
         cofactor_monomials=cof_mons,
         pairs=pairs,
@@ -288,26 +328,38 @@ def spline_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ..
     elimination never mixes them, which is much faster.
 
     The cache keeps the longest prefix computed so far, keyed by value on
-    (ambient dimension, vertices, maximal faces, r): no entry keeps a
+    the complex's integer view (ambient dimension, common denominator,
+    numerators), its maximal faces and r: plain ints, which hash far
+    faster than the vertices' ``Fraction``s, and which determine the
+    vertices, as den is the lcm of their denominators.  No entry keeps a
     complex and its memo alive, equal complexes share entries, and a query
-    through any degree already known is a hit.  ``spline_dim.cache_info()``
-    reports it as ``functools.lru_cache`` would.
+    through any degree already known is a hit.  A miss first checks the
+    complex's shape (coordinate arity, face indices), which an entry equal
+    by value shares, and raises InvalidComplexError on a ragged complex;
+    affine independence of the faces stays ``validate``'s check.  The
+    translation to the shared vertex and the walls run on the integer
+    view.  ``spline_dim.cache_info()`` reports the cache as
+    ``functools.lru_cache`` would.
     """
     if r < 0:
         raise ValueError("smoothness order must be nonnegative")
     if dmax < 0:
         return ()
-    key = (complex_.ambient_dim, complex_.vertices, complex_.maximal_faces, r)
+    den, nums = _integer_view(complex_)
+    key = (complex_.ambient_dim, den, nums, complex_.maximal_faces, r)
     dims = _prefixes.get(key, ())
     if len(dims) > dmax:
         _cache_counts[0] += 1
     else:
         _cache_counts[1] += 1
-        dims = _prefixes[key] = _graded_dims(*key, dmax)
+        # an entry equal by value has the same shape, so a hit needs no check
+        complex_._check_shape()
+        dims = _prefixes[key] = _graded_dims(complex_, r, dmax)
     return dims[: dmax + 1]
 
 
-# one lookup per hit: hashing a key's exact vertices is most of a hit's cost
+# one lookup per hit, on the integer view's key: ints hash much faster
+# than the vertices' Fractions
 _prefixes: dict[tuple, tuple[int, ...]] = {}
 _cache_counts = [0, 0]
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -362,14 +414,18 @@ def _dual_forest(
     return components, cycles
 
 
-def _graded_dims(
-    ambient_dim: int, vertices: tuple, faces: tuple, r: int, dmax: int
-) -> tuple[int, ...]:
-    shared = set(faces[0]).intersection(*faces[1:]) if faces else set()
+def _graded_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
+    faces = complex_.maximal_faces
+    shared = set(faces[0]).intersection(*faces[1:])
     if shared:
-        origin = vertices[min(shared)]
-        vertices = [[x - o for x, o in zip(v, origin)] for v in vertices]
-    system = build_system(SimplicialComplex(ambient_dim, vertices, faces), r, dmax)
+        # the shared vertex to the origin on the integer view: N_v - N_o
+        # over den is the translated complex itself, equal by value to the
+        # rational move, and its walls are read off those integers
+        den, nums = _integer_view(complex_)
+        origin = nums[min(shared)]
+        moved = [[x - o for x, o in zip(v, origin)] for v in nums]
+        complex_ = _from_integer_view(complex_.ambient_dim, den, moved, faces)
+    system = build_system(complex_, r, dmax)
     face_mons, cof_mons = system.face_monomials, system.cofactor_monomials
     m, mc = len(face_mons), len(cof_mons)
     base = system.n_faces * m

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .exact import _echelon, _integer_kernel, _integer_row, solve_linear
@@ -73,7 +73,8 @@ class UnsupportedOrangeError(ValueError):
 
 
 def _as_point(coords: Iterable[Fraction | int]) -> Point:
-    return tuple(Fraction(c) for c in coords)
+    # a Fraction is immutable and kept as it is
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def _affinely_independent(points: Sequence[Sequence[Fraction | int]]) -> bool:
@@ -202,7 +203,9 @@ class SimplicialComplex:
     sorted tuple of vertex indices.  Instances are immutable and compare
     and hash by value.  Derived structure is computed once per instance and
     kept in ``_memo``: the profile (``detect_orange``), the integer
-    coordinate view (``_integer_view``), the projection (``project_orange``,
+    coordinate view (``_integer_view``; read by validation, the
+    projection, the lattices, and the cofactor oracle's cache key, move to
+    the shared vertex and walls), the projection (``project_orange``,
     or inherited from ``standard_form``), and the domain-point lattices
     (with their integer keys) and Bernstein C^r systems of ``bernstein``.
     The dimension cache of ``spline_dim`` is keyed by value and holds no
@@ -414,6 +417,26 @@ def _integer_view(complex_: SimplicialComplex) -> tuple[int, tuple[tuple[int, ..
             ),
         )
     return complex_._memo["integer view"]
+
+
+def _from_integer_view(
+    ambient_dim: int,
+    den: int,
+    nums: Sequence[Sequence[int]],
+    maximal_faces: Iterable[Iterable[int]],
+) -> SimplicialComplex:
+    """The complex with vertices ``nums`` / ``den``, its integer view kept
+    on the instance as ``_integer_view`` computes it: the lcm of the
+    coordinate denominators is den / g, g the gcd of den and every
+    numerator, and the numerators over it are ``nums`` / g."""
+    g = math.gcd(den, *chain.from_iterable(nums))
+    den //= g
+    view = tuple(tuple(x // g for x in v) for v in nums)
+    complex_ = SimplicialComplex(
+        ambient_dim, ([Fraction(x, den) for x in v] for v in view), maximal_faces
+    )
+    complex_._memo["integer view"] = (den, view)
+    return complex_
 
 
 def affine_image(

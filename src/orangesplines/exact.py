@@ -12,8 +12,12 @@ straight in, built over the integers: the cofactor oracle the cycle
 conditions of its dual graph (and a full cofactor system for
 ``CofactorSystem.dimension``), the Bernstein oracle its C^r conditions,
 and the greedy determining-set selection (``bernstein.compute_mds``)
-hands that system's columns to ``_reduce`` itself.  Every other caller
-clears its rational rows with ``_integer_row``.  Rank
+hands that system's columns to ``_reduce`` itself.  Walls
+(``cofactor._wall``) go to ``_integer_kernel`` as the integer rows
+(N, den) of the complex's integer view.  ``_integer_row`` clears the
+rows of the remaining callers: the validation pair test and affine
+independence, and the rational paths (``RationalMatrix``, nullspaces,
+``EchelonBasis``).  Rank
 is the size of the echelon form; ``_integer_rref`` back-substitutes
 through the same update step, and both the rational RREF (behind
 nullspaces, ``solve_linear`` and ``invert_matrix``) and ``_integer_kernel``

@@ -9,7 +9,8 @@ is where the dimension reduction happens.
 The star is computed on integers: each vertex image is an integer vector
 over one common denominator, read off the complex's integer coordinate
 view, and the star's tests run on those.  ``Fraction`` coordinates are
-built once per distinct image.  The standard model built by
+built once per distinct image, and the star keeps those integers as its
+own integer view.  The standard model built by
 ``standard_form`` inherits its projection instead of computing it again.
 """
 
@@ -27,6 +28,7 @@ from .complexes import (
     SimplicialComplex,
     _affinely_independent,
     _check_pairs,
+    _from_integer_view,
     _integer_view,
     _overlap,
     detect_orange,
@@ -200,9 +202,7 @@ def _project(complex_: SimplicialComplex) -> ProjectedOrange:
                 next(f for f in complex_.maximal_faces if vid in f),
             )
 
-    scale = lcd * den
-    points = [tuple(Fraction(c, scale) for c in p) for p in images]
-    star = SimplicialComplex(i, points, new_faces)
+    star = _from_integer_view(i, lcd * den, images, new_faces)
     face_map = tuple(star.maximal_faces.index(nf) for nf in new_faces)
     key = (i, star.vertices, star.maximal_faces)
     if key not in _proper_stars:

@@ -275,6 +275,37 @@ def test_lift_degree_zero():
     assert lift.points[0].coordinates == (Fraction(0),) * 3
 
 
+def test_degree_zero_when_the_origin_is_not_the_first_vertex():
+    # a standard orange whose face (0, 1, 2) starts at (1, 0), not at the
+    # origin (vertex 1); its degree-0 lattice, layer and lift are the origin
+    cx = SimplicialComplex(2, [(1, 0), (0, 0), (0, 1), (-1, 0)], [[0, 1, 2], [1, 2, 3]])
+    cx.validate()
+    origin = (Fraction(0),) * 2
+    (point,) = complex_domain_points(cx, 0)
+    assert point.coordinates == origin
+    assert [p.coordinates for p in simplex_domain_points(cx.face_points((0, 1, 2)), 0)] == [
+        origin
+    ]
+    assert [fidx for fidx, _ in point.occurrences] == [0, 1]
+    ld = layer_decomposition(cx, 0)
+    assert ld.total == 1
+    assert [layer.points for layer in ld.layers] == [(origin,)]
+    assert layer_decomposition(cx, 1).total == len(complex_domain_points(cx, 1)) == 4
+    for r in (0, 1):
+        lift = lift_mds(cx, r, 0)
+        # the lift's own rank test passed: the point determines S^r_0
+        assert [p.coordinates for p in lift.points] == [origin]
+        assert lift.total == lift.formula_value == 1
+
+
+def test_degree_zero_lattice_of_the_catalog_is_each_face_first_vertex():
+    # every catalog face starts at the origin or has no vertex there
+    for entry in CATALOG:
+        cx = entry.complex
+        firsts = {cx.vertices[f[0]] for f in cx.maximal_faces}
+        assert {p.coordinates for p in complex_domain_points(cx, 0)} == firsts
+
+
 def test_a_negative_degree_has_an_empty_lattice():
     # the one-point star in R^0 (the projection of a simplex) and a k >= 1 orange
     point_star = standard_form(get("segment").complex).projected.complex

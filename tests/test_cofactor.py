@@ -20,7 +20,13 @@ from orangesplines.cofactor import (
     spline_dim,
     spline_dims,
 )
-from orangesplines.complexes import SimplicialComplex, adjacent_pairs, affine_image
+from orangesplines.complexes import (
+    InvalidComplexError,
+    SimplicialComplex,
+    _integer_view,
+    adjacent_pairs,
+    affine_image,
+)
 from orangesplines.dimension import orange_dim_formula
 from orangesplines.projection import project_orange
 from orangesplines.exact import RationalMatrix, binom
@@ -496,3 +502,147 @@ def test_the_kernel_sees_only_cycle_rows(monkeypatch):
         }
         assert len(degrees) == 1
     assert len(rows) <= _cycle_rank(cx) * len(monomials_upto(2, dmax))
+
+
+def _translated(cx: SimplicialComplex) -> SimplicialComplex:
+    """The reference move: the lowest shared vertex to the origin, over
+    Fraction; the complex itself when its faces share no vertex."""
+    faces = cx.maximal_faces
+    shared = set(faces[0]).intersection(*faces[1:])
+    if not shared:
+        return cx
+    origin = cx.vertices[min(shared)]
+    moved = [[x - o for x, o in zip(v, origin)] for v in cx.vertices]
+    return SimplicialComplex(cx.ambient_dim, moved, faces)
+
+
+def test_the_graded_system_is_the_reference_system_of_the_translated_complex(monkeypatch):
+    built = _recording_builds(monkeypatch)
+    dens = []
+
+    def check(cx, r, dmax):
+        built.clear()
+        cofactor._graded_dims(cx, r, dmax)
+        (system,) = built
+        moved = _translated(cx)
+        assert system.complex == moved
+        # the integer view kept on the moved complex is the one it computes
+        assert _integer_view(system.complex) == _integer_view(moved)
+        assert system.matrix == _reference_build_system(moved, r, dmax)
+        dens.append(_integer_view(cx)[0])
+
+    for entry in CATALOG:
+        check(entry.complex, 1, 3)
+    # no shared vertex, and coordinates over 3
+    check(_morgan_scott((6, Fraction(4, 3))), 1, 4)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(inhomogeneous_images(), st.integers(0, 2), st.integers(0, 4))
+    def check_images(cx, r, dmax):
+        check(cx, r, min(dmax, 3) if cx.ambient_dim == 4 else dmax)
+
+    check_images()
+    assert any(den > 1 for den in dens)
+
+
+def _identity(k: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def test_cache_keys_hold_only_ints():
+    spline_dims(_morgan_scott((6, Fraction(4, 3)), shift=(Fraction(2, 5), 1)), 1, 2)
+    spline_dims(affine_image(get("fan-4d").complex, _identity(4), [Fraction(1, 3)] * 4), 1, 2)
+
+    def ints(x) -> bool:
+        return all(map(ints, x)) if isinstance(x, tuple) else type(x) is int
+
+    assert cofactor._prefixes
+    assert all(ints(key) for key in cofactor._prefixes)
+
+
+def test_equal_complexes_share_one_entry():
+    def fresh() -> SimplicialComplex:
+        return affine_image(
+            get("planar-star").complex, [[3, 1], [1, 2]], [Fraction(2, 13), Fraction(-5, 17)]
+        )
+
+    a, b = fresh(), fresh()
+    assert a == b and a is not b
+    size, before = len(cofactor._prefixes), spline_dim.cache_info()
+    dims = spline_dims(a, 1, 4)
+    assert spline_dims(b, 1, 4) == dims
+    after = spline_dim.cache_info()
+    assert len(cofactor._prefixes) == size + 1
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+
+
+def test_build_system_walls_are_facet_linear_form():
+    scaled = []
+
+    def check(cx):
+        k = cx.ambient_dim
+        system = build_system(cx, 0, 1)
+        for (s, t), terms, scale in zip(system.pairs, system.wall_powers, system.cofactor_scales):
+            # at r = 0 the wall power is the wall L itself
+            wall = [0] * (k + 1)
+            for e, c in terms:
+                wall[e.index(1) if any(e) else k] = c
+            faces = cx.maximal_faces
+            shared = sorted(set(faces[s]) & set(faces[t]))
+            form = facet_linear_form([cx.vertices[v] for v in shared])
+            assert tuple(wall) == form
+            assert scale == next(a for a in form if a)
+            scaled.append(scale > 1)
+
+    for entry in CATALOG:
+        check(entry.complex)
+    check(_morgan_scott((Fraction(13, 2), Fraction(4, 3))))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(inhomogeneous_images())
+    def check_images(cx):
+        check(cx)
+
+    check_images()
+    assert True in scaled
+
+
+def test_cofactor_monomials_are_the_face_monomials_up_to_d_minus_r_minus_1():
+    point_star = SimplicialComplex(0, [()], [[0]])
+    for cx in [point_star] + [get(n).complex for n in ("segment", "two-triangle", "fan-4d")]:
+        k = cx.ambient_dim
+        for r in range(3):
+            for d in range(5):
+                system = build_system(cx, r, d)
+                assert system.face_monomials == tuple(monomials_upto(k, d))
+                assert system.cofactor_monomials == tuple(monomials_upto(k, d - r - 1))
+
+
+@pytest.mark.parametrize(
+    "vertices, faces",
+    [
+        ([(0, 0), (1, 0), (0,), (0, -1)], [[0, 1, 2], [0, 1, 3]]),
+        ([(0, 0), (1, 0), (0, 1)], [[0, 1, 2], [0, 1, 5]]),
+    ],
+    ids=["ragged vertex", "missing vertex"],
+)
+def test_spline_dims_checks_the_shape_of_an_unvalidated_complex(vertices, faces):
+    cx = SimplicialComplex(2, vertices, faces)
+    size = len(cofactor._prefixes)
+    with pytest.raises(InvalidComplexError):
+        spline_dims(cx, 1, 3)
+    with pytest.raises(InvalidComplexError):
+        spline_dim(cx, 1, 3)
+    assert len(cofactor._prefixes) == size
+
+
+def test_a_shared_facet_that_spans_no_hyperplane_names_its_faces():
+    # vertices 0 and 1 coincide, so the shared facet (0, 1) is a point
+    cx = SimplicialComplex(2, [(0, 0), (0, 0), (1, 0), (0, 1)], [[0, 1, 2], [0, 1, 3]])
+    message = r"faces \(0, 1, 2\) and \(0, 1, 3\) share a facet that spans no hyperplane"
+    with pytest.raises(InvalidComplexError, match=message):
+        build_system(cx, 1, 3)
+    with pytest.raises(InvalidComplexError, match=message):
+        spline_dims(cx, 1, 3)
+    with pytest.raises(InvalidComplexError, match="codimension 2"):
+        facet_linear_form(cx.face_points((0, 1)))

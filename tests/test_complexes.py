@@ -20,6 +20,8 @@ from orangesplines.complexes import (
     SimplicialComplex,
     UnsupportedOrangeError,
     _affinely_independent,
+    _from_integer_view,
+    _integer_view,
     _intersection_within_hull,
     adjacent_pairs,
     affine_image,
@@ -455,3 +457,22 @@ def test_a_complex_that_is_no_orange_is_pair_tested_directly(monkeypatch):
     crossing = SimplicialComplex(2, MORGAN_SCOTT[:5] + [(6, -1)], MORGAN_SCOTT_FACES)
     with pytest.raises(InvalidComplexError, match="overlap"):
         crossing.validate()
+
+
+@pytest.mark.parametrize(
+    "den, nums",
+    [
+        (1, [(0, 0), (2, 0), (0, 3)]),
+        (6, [(0, 0), (4, 0), (0, 6)]),
+        (6, [(0, 0), (3, 2), (-2, 9)]),
+        (12, [(0, 0, 0), (12, 0, 0), (0, -24, 0), (6, 0, 36)]),
+        (5, [()]),
+    ],
+)
+def test_from_integer_view_keeps_the_view_that_integer_view_computes(den, nums):
+    faces = [list(range(len(nums)))]
+    cx = _from_integer_view(len(nums[0]), den, nums, faces)
+    assert cx.vertices == tuple(tuple(Fraction(x, den) for x in v) for v in nums)
+    fresh = SimplicialComplex(cx.ambient_dim, cx.vertices, faces)
+    assert cx == fresh
+    assert _integer_view(cx) == _integer_view(fresh)
