@@ -62,7 +62,6 @@ from .complexes import (
     SimplicialComplex,
     _integer_view,
     adjacent_pairs,
-    barycentric_coordinates,
     detect_orange,
 )
 from .exact import IntRow, _echelon, _integer_kernel, _reduce, _strip_content, invert_matrix
@@ -535,10 +534,10 @@ def _affine_dependences(
                 [*coordinate_rows, dict.fromkeys(range(n + 1), 1)], n + 1
             )
             if len(kernel) != 1 or n not in kernel[0]:
-                # T_s is flat; when w is on its hull this raises "affinely dependent"
-                barycentric_coordinates(
-                    complex_.vertices[w], [complex_.vertices[v] for v in face_s]
-                )
+                # T_s is flat; w lies on its affine hull exactly when w's
+                # column is free, and only a free column's vector holds it
+                if any(n in vec for vec in kernel):
+                    raise InvalidComplexError("vertices are affinely dependent")
                 raise InvalidComplexError(f"face {face_s} is geometrically degenerate")
             (dependence,) = kernel
             dependences.append(

@@ -269,14 +269,15 @@ class CofactorSystem:
 def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
     """The smoothness system of ``complex_`` at order r and degree <= d.
 
-    Each pair's wall is read off the complex's integer view by ``_wall``,
-    and a shared facet that spans no hyperplane raises
-    InvalidComplexError naming the two faces.
+    The complex's shape is checked first.  Each pair's wall is read off
+    the integer view by ``_wall``, and a shared facet that spans no
+    hyperplane raises InvalidComplexError naming the two faces.
     """
     if r < 0:
         raise ValueError("smoothness order must be nonnegative")
     if d < 0:
         raise ValueError("degree must be nonnegative")
+    complex_._check_shape()
     k = complex_.ambient_dim
     faces = complex_.maximal_faces
     den, nums = _integer_view(complex_)

@@ -5,27 +5,23 @@ the package eliminates run on plain integers, and nothing in this package
 touches floating point.
 
 All elimination goes through one fraction-free kernel on integer rows:
-``_echelon`` takes rows already over the integers, and ``_reduce`` cancels
-a row's lowest column against the pivot stored there until the row
-vanishes or becomes a new pivot.  Both dimension oracles pass integer rows
-straight in, built over the integers: the cofactor oracle the cycle
-conditions of its dual graph (and a full cofactor system for
-``CofactorSystem.dimension``), the Bernstein oracle its C^r conditions,
-and the greedy determining-set selection (``bernstein.compute_mds``)
-hands that system's columns to ``_reduce`` itself.  Walls
-(``cofactor._wall``) go to ``_integer_kernel`` as the integer rows
-(N, den) of the complex's integer view.  ``_integer_row`` clears the
-rows of the remaining callers: the validation pair test and affine
-independence, and the rational paths (``RationalMatrix``, nullspaces,
-``EchelonBasis``).  Rank
-is the size of the echelon form; ``_integer_rref`` back-substitutes
-through the same update step, and both the rational RREF (behind
-nullspaces, ``solve_linear`` and ``invert_matrix``) and ``_integer_kernel``
-(one primitive integer kernel vector per free column, behind walls,
-affine dependences and the validation pair test) are read off it.
-``EchelonBasis`` is ``_reduce`` on its own, for rational vectors; only
-the adapted frame's basis completion (``projection.adapt_coordinates``)
-uses it.  Results are exact regardless of conditioning.
+``_reduce`` cancels a row's lowest column against the pivot stored there
+until the row vanishes or becomes a new pivot, and ``_echelon`` runs it
+over rows already built over the integers: the cofactor oracle's cycle
+conditions (and ``CofactorSystem.dimension``'s full system), the
+Bernstein oracle's C^r conditions, and the columns the determining-set
+selection (``bernstein.compute_mds``) hands to ``_reduce`` itself.
+``_integer_rref`` back-substitutes through the same update step, and
+``_integer_kernel`` (one primitive vector per free column) is read off
+it for walls, adapted frames, affine dependences and the pair test.
+``_integer_row`` clears ``Fraction`` rows first for the pair test and
+affine independence (``complexes``) and for the rational paths:
+``RationalMatrix``, its nullspace, and the ``Fraction`` solvers.  No
+projection path uses those solvers: ``solve_linear`` serves
+``complexes.barycentric_coordinates``, ``invert_matrix`` the Bernstein
+basis change and ``projection.AdaptedFrame.matrix``, and ``EchelonBasis``
+has no caller in the package.  Results are exact regardless of
+conditioning.
 """
 
 from __future__ import annotations
@@ -302,7 +298,8 @@ def solve_linear(
     """Solve M x = b exactly.
 
     Returns ``(particular, homogeneous_basis)`` or None when inconsistent.
-    The particular solution sets every free variable to zero.
+    The particular solution sets every free variable to zero.  No
+    projection path uses it; ``complexes.barycentric_coordinates`` does.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
@@ -334,7 +331,10 @@ def solve_linear(
 
 
 def invert_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix (ValueError if singular)."""
+    """Exact inverse of a square rational matrix (ValueError if singular).
+
+    No projection path uses it: only the Bernstein basis change and the
+    full matrix view ``projection.AdaptedFrame.matrix`` do."""
     n = len(matrix)
     aug = []
     for i in range(n):
@@ -358,10 +358,10 @@ class EchelonBasis:
     """Incremental exact rank tracker for rational vectors.
 
     ``add`` clears the vector to integers, reduces it against the rows seen
-    so far and keeps it iff it is independent of them.  In the package only
-    the greedy basis completion of ``projection.adapt_coordinates`` uses
-    it; the determining-set selection has integer columns and calls
-    ``_reduce`` directly.
+    so far and keeps it iff it is independent of them.  Nothing in the
+    package uses it: the adapted frame reads its completion off one
+    ``_integer_kernel`` call, and the determining-set selection has integer
+    columns and calls ``_reduce`` directly.
     """
 
     def __init__(self) -> None:

@@ -6,12 +6,14 @@ coordinates then maps the orange onto a star-shaped complex around the
 origin in R^i (one central vertex, every maximal face containing it), which
 is where the dimension reduction happens.
 
-The star is computed on integers: each vertex image is an integer vector
-over one common denominator, read off the complex's integer coordinate
-view, and the star's tests run on those.  ``Fraction`` coordinates are
-built once per distinct image, and the star keeps those integers as its
-own integer view.  The standard model built by
-``standard_form`` inherits its projection instead of computing it again.
+The projection is one integer computation.  The frame's first i rows are
+read off one kernel of the medial edge vectors on the complex's integer
+view (``adapt_coordinates``); each vertex image is an integer vector over
+one common denominator, and the star's tests run on those.  ``Fraction``
+coordinates are built once per distinct image, and the star keeps those
+integers as its own integer view.  The projection is computed once per
+complex instance, and the standard model built by ``standard_form``
+inherits it instead of computing it again.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .complexes import (
@@ -33,7 +36,7 @@ from .complexes import (
     _overlap,
     detect_orange,
 )
-from .exact import EchelonBasis, invert_matrix
+from .exact import _integer_kernel, invert_matrix
 
 __all__ = [
     "AdaptedFrame",
@@ -51,18 +54,29 @@ __all__ = [
 class AdaptedFrame:
     """Invertible affine map x -> M (x - v0) in R^k.
 
-    ``matrix`` is M stored as dense rows; ``base_point`` is v0, the medial
-    vertex sent to the origin.  The projection onto R^i keeps the first i
-    coordinates of the image.  ``apply_point`` maps one point on
-    ``Fraction`` coordinates; it is the reference for the projection,
-    which applies the first i rows of M to integer coordinates.
+    ``rows`` is R, the first i rows of M over their least common
+    denominator L, ``scale``: the projection onto R^i is x -> R (x - v0) / L.
+    ``medial`` holds the medial face's vertices, v0 first; M sends the
+    others to e_{i+1}, ..., e_k.  The full ``matrix`` M, read by
+    ``apply_point`` on ``Fraction`` coordinates, is derived on first use.
     """
 
-    matrix: tuple[tuple[Fraction, ...], ...]
-    base_point: Point
+    rows: tuple[tuple[int, ...], ...]
+    scale: int
+    medial: tuple[Point, ...]
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """M: the inverse of the matrix whose columns are e_f, f the first
+        nonzero column of each row of R, then the medial edge vectors."""
+        v0 = self.medial[0]
+        columns = [[int(c == next(f for f, x in enumerate(row) if x)) for c in range(len(v0))]
+                   for row in self.rows]
+        columns += [[a - b for a, b in zip(m, v0)] for m in self.medial[1:]]
+        return tuple(map(tuple, invert_matrix(list(zip(*columns)))))
 
     def apply_point(self, point: Sequence[Fraction]) -> Point:
-        shifted = [p - b for p, b in zip(point, self.base_point, strict=True)]
+        shifted = [p - b for p, b in zip(point, self.medial[0], strict=True)]
         return tuple(
             sum((m * s for m, s in zip(row, shifted) if m), Fraction(0))
             for row in self.matrix
@@ -75,33 +89,33 @@ def adapt_coordinates(complex_: SimplicialComplex) -> AdaptedFrame:
     The lowest-index medial vertex becomes the origin.  The remaining medial
     vertices span the last k - i coordinate directions; the first i
     directions come from a greedy completion by standard basis vectors
-    (lowest index first), so the construction is deterministic.
+    (lowest index first), so the construction is deterministic.  The first
+    i rows of M are one ``_integer_kernel`` of the medial edges N_m - N_0
+    on the integer view, columns reversed: its free columns are then the
+    completion, and each vector, primitive and positive at its own free
+    column f and zero at the others, is row t of M times its entry at f.
     """
     profile = detect_orange(complex_)
     k = complex_.ambient_dim
-    v0 = complex_.vertices[profile.medial[0]]
-    medial_edges = [
-        tuple(complex_.vertices[m][c] - v0[c] for c in range(k))
+    _, nums = _integer_view(complex_)
+    base = nums[profile.medial[0]]
+    edges = [
+        {k - 1 - c: x - b for c, (x, b) in enumerate(zip(nums[m], base)) if x != b}
         for m in profile.medial[1:]
     ]
-    # columns of B: completion vectors first (they become coordinates
-    # 1..i after inversion), then the medial edge vectors
-    span = EchelonBasis()
-    if not all(span.add(e) for e in medial_edges):
+    # a vector's free column is its last: reversed, the kernel runs through
+    # the completion from its lowest column
+    kernel = _integer_kernel(edges, k)[::-1]
+    if len(kernel) != profile.i:
         raise InvalidComplexError("medial face is geometrically degenerate")
-    completion: list[tuple[Fraction, ...]] = []
-    for j in range(k):
-        if span.rank == k:
-            break
-        cand = tuple(Fraction(1 if c == j else 0) for c in range(k))
-        if span.add(cand):
-            completion.append(cand)
-    cols = completion + medial_edges
-    b = [[cols[j][r] for j in range(k)] for r in range(k)]
-    m = invert_matrix(b)
+    scale = math.lcm(*(vec[max(vec)] for vec in kernel))
     return AdaptedFrame(
-        matrix=tuple(tuple(row) for row in m),
-        base_point=v0,
+        rows=tuple(
+            tuple(vec.get(k - 1 - c, 0) * (scale // vec[max(vec)]) for c in range(k))
+            for vec in kernel
+        ),
+        scale=scale,
+        medial=tuple(complex_.vertices[m] for m in profile.medial),
     )
 
 
@@ -127,24 +141,18 @@ def project_orange(complex_: SimplicialComplex) -> ProjectedOrange:
     Vertices that land on the same point are identified (the medial face
     collapses to the origin).  The images are computed on integers, as
     R (N_v - N_0) over L * den: N is the complex's integer coordinate view
-    over den, and R the first i rows of the frame's matrix over their
-    common denominator L.  The call checks the whole orange, through the
-    lemma of the ``complexes`` module docstring: every face must project
-    onto an i-simplex, no two segments or vertices off the medial face may
-    share an image, and the star must pass the pair test.  A failure
-    raises InvalidComplexError naming the orange's own faces.  The
-    projection is computed once per complex instance, the standard model
-    of ``standard_form`` inherits it, and the pair test runs once per
-    distinct star value.
+    over den, and R and L the frame's ``rows`` and ``scale``.  The call
+    checks the whole orange, through the lemma of the ``complexes`` module
+    docstring: every face must project onto an i-simplex, no two segments
+    or vertices off the medial face may share an image, and the star must
+    pass the pair test.  A failure raises InvalidComplexError naming the
+    orange's own faces.  The projection, with its one pair test, is
+    computed once per complex instance, and the standard model of
+    ``standard_form`` inherits it.
     """
     if "projected" not in complex_._memo:
         complex_._memo["projected"] = _project(complex_)
     return complex_._memo["projected"]
-
-
-# stars that passed the pair test, keyed by value (ambient dimension,
-# vertices, maximal faces): a repeated image is not tested again
-_proper_stars: set[tuple] = set()
 
 
 def _project(complex_: SimplicialComplex) -> ProjectedOrange:
@@ -162,15 +170,10 @@ def _project(complex_: SimplicialComplex) -> ProjectedOrange:
         star = SimplicialComplex(0, [()], [[0]])
         return ProjectedOrange(complex=star, central_vertex=0, face_map=(0,), frame=None)
     frame = adapt_coordinates(complex_)
-    # the first i rows of M over their common denominator L: the image of
-    # vertex v is R (N_v - N_0) over L * den, N the integer view and R = L M
-    lcd = math.lcm(*(m.denominator for row in frame.matrix[:i] for m in row))
-    kept = [[m.numerator * (lcd // m.denominator) for m in row] for row in frame.matrix[:i]]
+    # the image of vertex v is R (N_v - N_0) over L * den, N the integer view
     base = nums[profile.medial[0]]
-    image_of: dict[int, tuple[int, ...]] = {}
-    for vid in sorted({v for f in complex_.maximal_faces for v in f}):
-        shifted = [a - b for a, b in zip(nums[vid], base)]
-        image_of[vid] = tuple(sum(m * s for m, s in zip(row, shifted) if m) for row in kept)
+    vids = sorted({v for f in complex_.maximal_faces for v in f})
+    image_of = {vid: _image(frame, nums[vid], base) for vid in vids}
 
     # the frame sends a medial vertex, which lies in every maximal face, to
     # the origin: it gets id 0, and the remaining images keep scan order
@@ -202,15 +205,12 @@ def _project(complex_: SimplicialComplex) -> ProjectedOrange:
                 next(f for f in complex_.maximal_faces if vid in f),
             )
 
-    star = _from_integer_view(i, lcd * den, images, new_faces)
+    star = _from_integer_view(i, frame.scale * den, images, new_faces)
     face_map = tuple(star.maximal_faces.index(nf) for nf in new_faces)
-    key = (i, star.vertices, star.maximal_faces)
-    if key not in _proper_stars:
-        # the star is an (i, i)-orange whose projection is itself, so its
-        # pair test runs here and not through ``star.validate()``
-        names = [f for _, f in sorted(zip(face_map, complex_.maximal_faces))]
-        _check_pairs(star, names)
-        _proper_stars.add(key)
+    # the star is an (i, i)-orange whose projection is itself, so its pair
+    # test runs here and not through ``star.validate()``
+    names = [f for _, f in sorted(zip(face_map, complex_.maximal_faces))]
+    _check_pairs(star, names)
     return ProjectedOrange(complex=star, central_vertex=0, face_map=face_map, frame=frame)
 
 
@@ -220,12 +220,19 @@ def project_face(complex_: SimplicialComplex, face: Sequence[int]) -> tuple[Poin
     Works for any face (not just maximal ones); the image simplex's
     dimension is one less than the number of returned points.
     """
-    projected = project_orange(complex_)
-    if projected.frame is None:
+    frame = project_orange(complex_).frame
+    if frame is None:
         return ((),)
-    i = projected.complex.ambient_dim
-    images = {projected.frame.apply_point(complex_.vertices[v])[:i] for v in face}
-    return tuple(sorted(images))
+    den, nums = _integer_view(complex_)
+    base = nums[detect_orange(complex_).medial[0]]
+    images = {_image(frame, nums[v], base) for v in face}
+    return tuple(sorted(tuple(Fraction(x, frame.scale * den) for x in p) for p in images))
+
+
+def _image(frame: AdaptedFrame, num: Sequence[int], base: Sequence[int]) -> tuple[int, ...]:
+    """R (N - N_0): L * den times the projection of a vertex N / den."""
+    shifted = [a - b for a, b in zip(num, base)]
+    return tuple(sum(m * s for m, s in zip(row, shifted) if m) for row in frame.rows)
 
 
 def standard_orange(
@@ -240,16 +247,10 @@ def standard_orange(
     """
     i = star.ambient_dim
     k = i + fiber_dim
-    zeros = (Fraction(0),) * fiber_dim
-    vertices = [tuple(v) + zeros for v in star.vertices]
-    tail_ids = []
-    for t in range(fiber_dim):
-        e = [Fraction(0)] * k
-        e[i + t] = Fraction(1)
-        tail_ids.append(len(vertices))
-        vertices.append(tuple(e))
-    faces = [tuple(f) + tuple(tail_ids) for f in star.maximal_faces]
-    return SimplicialComplex(k, vertices, faces)
+    vertices = [tuple(v) + (Fraction(0),) * fiber_dim for v in star.vertices]
+    vertices += [tuple(Fraction(int(c == i + t)) for c in range(k)) for t in range(fiber_dim)]
+    tail = tuple(range(len(star.vertices), len(vertices)))
+    return SimplicialComplex(k, vertices, [tuple(f) + tail for f in star.maximal_faces])
 
 
 @dataclass(frozen=True)
@@ -273,15 +274,13 @@ def standard_form(complex_: SimplicialComplex) -> StandardForm:
     profile = detect_orange(complex_)
     projected = project_orange(complex_)
     star = projected.complex
-    k = profile.k
-    std = standard_orange(star, k - profile.i)
+    std = standard_orange(star, profile.k - profile.i)
     frame = None
     if profile.i:
         frame = AdaptedFrame(
-            matrix=tuple(
-                tuple(Fraction(1 if r == c else 0) for c in range(k)) for r in range(k)
-            ),
-            base_point=(Fraction(0),) * k,
+            rows=tuple(tuple(int(r == c) for c in range(profile.k)) for r in range(profile.i)),
+            scale=1,
+            medial=(std.vertices[0], *std.vertices[len(star.vertices):]),
         )
     std._memo["projected"] = ProjectedOrange(
         complex=star,

@@ -618,22 +618,31 @@ def test_cofactor_monomials_are_the_face_monomials_up_to_d_minus_r_minus_1():
                 assert system.cofactor_monomials == tuple(monomials_upto(k, d - r - 1))
 
 
-@pytest.mark.parametrize(
-    "vertices, faces",
+UNVALIDATED_SHAPES = pytest.mark.parametrize(
+    "vertices, faces, message",
     [
-        ([(0, 0), (1, 0), (0,), (0, -1)], [[0, 1, 2], [0, 1, 3]]),
-        ([(0, 0), (1, 0), (0, 1)], [[0, 1, 2], [0, 1, 5]]),
+        ([(0, 0), (1, 0), (0,), (0, -1)], [[0, 1, 2], [0, 1, 3]], "has arity 1"),
+        ([(0, 0), (1, 0), (0, 1)], [[0, 1, 2], [0, 1, 5]], "references a missing vertex"),
     ],
     ids=["ragged vertex", "missing vertex"],
 )
-def test_spline_dims_checks_the_shape_of_an_unvalidated_complex(vertices, faces):
+
+
+@UNVALIDATED_SHAPES
+def test_spline_dims_checks_the_shape_of_an_unvalidated_complex(vertices, faces, message):
     cx = SimplicialComplex(2, vertices, faces)
     size = len(cofactor._prefixes)
-    with pytest.raises(InvalidComplexError):
+    with pytest.raises(InvalidComplexError, match=message):
         spline_dims(cx, 1, 3)
-    with pytest.raises(InvalidComplexError):
+    with pytest.raises(InvalidComplexError, match=message):
         spline_dim(cx, 1, 3)
     assert len(cofactor._prefixes) == size
+
+
+@UNVALIDATED_SHAPES
+def test_build_system_checks_the_shape_of_an_unvalidated_complex(vertices, faces, message):
+    with pytest.raises(InvalidComplexError, match=message):
+        build_system(SimplicialComplex(2, vertices, faces), 1, 3)
 
 
 def test_a_shared_facet_that_spans_no_hyperplane_names_its_faces():

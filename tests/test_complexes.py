@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from orangesplines import complexes, projection
+from orangesplines import complexes
 from orangesplines.complexes import (
     EmptyMedialFaceError,
     InvalidComplexError,
@@ -354,8 +354,7 @@ def lifted_oranges(draw) -> SimplicialComplex:
     )
 
 
-def test_star_route_matches_the_all_pairs_reference(monkeypatch):
-    monkeypatch.setattr(projection, "_proper_stars", set())
+def test_star_route_matches_the_all_pairs_reference():
     outcomes = Counter()
 
     @settings(max_examples=250, deadline=None, derandomize=True, database=None)
@@ -412,8 +411,7 @@ def test_overlap_message_names_the_orange_faces():
 
 
 def _counting_pair_tests(monkeypatch) -> list[int]:
-    """Empty the star verdicts and record the dimension of each pair test."""
-    monkeypatch.setattr(projection, "_proper_stars", set())
+    """Record the dimension of each pair test."""
     dims = []
     within = complexes._intersection_within_hull
 
@@ -436,7 +434,7 @@ def test_an_orange_is_pair_tested_once_through_its_star(monkeypatch):
     assert dims == [2] * math.comb(n, 2)
     orange_dim_formula(cx, 1, 3)
     spline_dim(cx, 1, 3)
-    # a value-equal star, such as the standard model's, is not tested again
+    # the standard model inherits the projection: its star is not tested again
     standard_form(standard_form(cx).standard)
     assert dims == [2] * math.comb(n, 2)
 

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import math
 import random
+import re
+import sys
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,11 +17,13 @@ from hypothesis import given, settings
 from test_complexes import lifted_oranges
 from test_generated_oranges import generated_oranges
 
-from orangesplines import bernstein, projection
+from orangesplines import bernstein, exact, projection
 from orangesplines.bernstein import layer_decomposition, lift_mds, verify_mds
 from orangesplines.catalog import CATALOG, get
+from orangesplines.cofactor import spline_dim
 from orangesplines.complexes import (
     InvalidComplexError,
+    Point,
     SimplicialComplex,
     _affinely_independent,
     _intersection_within_hull,
@@ -23,7 +31,9 @@ from orangesplines.complexes import (
     affine_image,
     detect_orange,
 )
-from orangesplines.dimension import orange_dim_formula
+from orangesplines.dimension import orange_dim_formula, verify_hilbert_identity
+from orangesplines.exact import EchelonBasis, invert_matrix
+from orangesplines.io import complex_from_dict, complex_to_dict
 from orangesplines.projection import (
     ProjectedOrange,
     adapt_coordinates,
@@ -32,6 +42,7 @@ from orangesplines.projection import (
     standard_form,
     standard_orange,
 )
+from orangesplines.sweep import run_sweep
 
 
 def _fresh(cx: SimplicialComplex) -> SimplicialComplex:
@@ -39,10 +50,46 @@ def _fresh(cx: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(cx.ambient_dim, cx.vertices, cx.maximal_faces)
 
 
+def _reference_frame(complex_: SimplicialComplex) -> tuple[tuple[Fraction, ...], ...]:
+    """The adapted frame's matrix M on ``Fraction`` coordinates: the inverse
+    of the matrix whose columns are a greedy completion by e_j (lowest j
+    first), then the medial edge vectors."""
+    profile = detect_orange(complex_)
+    k = complex_.ambient_dim
+    v0 = complex_.vertices[profile.medial[0]]
+    medial_edges = [
+        tuple(complex_.vertices[m][c] - v0[c] for c in range(k)) for m in profile.medial[1:]
+    ]
+    span = EchelonBasis()
+    if not all(span.add(e) for e in medial_edges):
+        raise InvalidComplexError("medial face is geometrically degenerate")
+    completion = []
+    for j in range(k):
+        cand = tuple(Fraction(int(c == j)) for c in range(k))
+        if span.rank < k and span.add(cand):
+            completion.append(cand)
+    cols = completion + medial_edges
+    return tuple(map(tuple, invert_matrix([[col[r] for col in cols] for r in range(k)])))
+
+
+def _reference_images(complex_: SimplicialComplex, face) -> list[Point]:
+    """The vertices of ``face`` through the reference matrix's first i rows."""
+    profile = detect_orange(complex_)
+    matrix = _reference_frame(complex_)[: profile.i]
+    v0 = complex_.vertices[profile.medial[0]]
+    return [
+        tuple(
+            sum((m * (x - b) for m, x, b in zip(row, complex_.vertices[v], v0)), Fraction(0))
+            for row in matrix
+        )
+        for v in face
+    ]
+
+
 def _reference_project(complex_: SimplicialComplex) -> ProjectedOrange:
     """The projection on ``Fraction`` coordinates: vertex images through
-    ``AdaptedFrame.apply_point`` and the star's pair test on its
-    ``Fraction`` face points, with no verdict kept between calls."""
+    the reference frame and the star's pair test on its ``Fraction`` face
+    points."""
     profile = detect_orange(complex_)
     complex_._check_shape()
     faces = complex_.maximal_faces
@@ -52,11 +99,8 @@ def _reference_project(complex_: SimplicialComplex) -> ProjectedOrange:
             raise InvalidComplexError("medial face is geometrically degenerate")
         star = SimplicialComplex(0, [()], [[0]])
         return ProjectedOrange(complex=star, central_vertex=0, face_map=(0,), frame=None)
-    frame = adapt_coordinates(complex_)
-    image_of = {
-        vid: frame.apply_point(complex_.vertices[vid])[:i]
-        for vid in sorted({v for f in faces for v in f})
-    }
+    vids = sorted({v for f in faces for v in f})
+    image_of = dict(zip(vids, _reference_images(complex_, vids)))
     new_ids = {(Fraction(0),) * i: 0}
     for p in image_of.values():
         new_ids.setdefault(p, len(new_ids))
@@ -86,6 +130,7 @@ def _reference_project(complex_: SimplicialComplex) -> ProjectedOrange:
             star.face_points(common),
         ):
             raise _overlap(names[a], names[b])
+    frame = adapt_coordinates(complex_)
     return ProjectedOrange(complex=star, central_vertex=0, face_map=face_map, frame=frame)
 
 
@@ -189,9 +234,7 @@ def test_invalid_orange_raises_a_typed_error_on_every_path(vertices, message):
             path(_two_simplices(vertices))
 
 
-def test_integer_projection_matches_the_fraction_reference(monkeypatch, random_affine_map):
-    # every star is pair-tested, as the reference does
-    monkeypatch.setattr(projection, "_proper_stars", set())
+def test_integer_projection_matches_the_fraction_reference(random_affine_map):
     rng = random.Random(15)
     for entry in CATALOG:
         assert _assert_projects_as_the_reference(entry.complex)
@@ -284,10 +327,9 @@ def test_skew_orange_has_skew_frame_but_clean_star():
 def test_each_orange_is_recognized_and_projected_once(monkeypatch):
     # a fresh copy, so no earlier test has filled its memo
     cx = _fresh(get("two-tetrahedron").complex)
-    # star pair tests, with the verdicts of earlier tests forgotten
+    # star pair tests and frames built
     pair_tests, frames = [], []
     check_pairs, adapt = projection._check_pairs, projection.adapt_coordinates
-    monkeypatch.setattr(projection, "_proper_stars", set())
     monkeypatch.setattr(
         projection, "_check_pairs", lambda c, names: pair_tests.append(c) or check_pairs(c, names)
     )
@@ -318,8 +360,7 @@ def test_each_orange_is_recognized_and_projected_once(monkeypatch):
     layer_decomposition(sf.standard, 3)
     # the standard model inherits its projection: one frame per op
     assert frames == [cx]
-    # one star pair test for the orange and its standard model together:
-    # the standard model's star is equal by value
+    # one star pair test for the orange and its standard model together
     assert pair_tests == [sf.projected.complex]
     # each system and each lattice built once per complex instance
     assert systems and len(set(systems)) == len(systems), systems
@@ -330,3 +371,124 @@ def test_each_orange_is_recognized_and_projected_once(monkeypatch):
     assert project_orange(cx) is project_orange(cx) is sf.projected
     assert detect_orange(cx) is detect_orange(cx) is sf.profile
     assert sf.projected.frame is not None
+
+
+def _assert_frame_is_the_reference(cx: SimplicialComplex) -> None:
+    """(L, R), the derived matrix and ``project_face`` equal the ``Fraction``
+    reference, or both frames raise the same error."""
+    try:
+        expected = _reference_frame(cx)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            adapt_coordinates(_fresh(cx))
+        return
+    frame = adapt_coordinates(_fresh(cx))
+    kept = expected[: detect_orange(cx).i]
+    scale = math.lcm(*(m.denominator for row in kept for m in row))
+    assert frame.scale == scale
+    assert frame.rows == tuple(tuple(m * scale for m in row) for row in kept)
+    assert all(type(x) is int for row in frame.rows for x in row)
+    assert frame.matrix == expected
+    try:
+        project_orange(cx)
+    except InvalidComplexError:
+        return
+    for face in [*cx.maximal_faces, detect_orange(cx).medial]:
+        assert project_face(cx, face) == tuple(sorted(set(_reference_images(cx, face))))
+
+
+def test_integer_frame_matches_the_fraction_reference(random_affine_map):
+    rng = random.Random(18)
+    entries = [entry for entry in CATALOG if entry.profile.i > 0]
+    for entry in entries:
+        _assert_frame_is_the_reference(entry.complex)
+        for face in sorted(entry.complex.faces):
+            images = set(_reference_images(entry.complex, face))
+            assert project_face(entry.complex, face) == tuple(sorted(images))
+        k = entry.complex.ambient_dim
+        for _ in range(20):
+            _assert_frame_is_the_reference(
+                affine_image(entry.complex, *random_affine_map(k, rng))
+            )
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(lifted_oranges())
+    def check(cx):
+        _assert_frame_is_the_reference(cx)
+
+    check()
+
+
+def test_a_degenerate_medial_face_has_no_frame():
+    # the shared triangle (0, 1, 2) of two tetrahedra is flat
+    cx = _two_simplices(
+        [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0)]
+    )
+    for build in (adapt_coordinates, _reference_frame):
+        with pytest.raises(InvalidComplexError, match="medial face is geometrically degenerate"):
+            build(cx)
+
+
+def test_validating_many_images_retains_no_memory():
+    # positive diagonal images of fan-4d, each with its own star: the
+    # scalings of the two coordinates the orange projects onto differ
+    base = get("fan-4d").complex
+    wires = []
+    for n in range(301):
+        scaling = [1 + n % 20, 1 + n // 20, 1, 1]
+        matrix = [[scaling[r] * (r == c) for c in range(4)] for r in range(4)]
+        wires.append(complex_to_dict(affine_image(base, matrix, [0] * 4)))
+    complex_from_dict(wires.pop())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for wire in wires:
+            complex_from_dict(wire)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a cache of star values kept about 380 KB here
+    assert retained < 64 * 1024, retained
+
+
+def test_workload_ops_call_no_fraction_solver(monkeypatch, random_affine_map):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    package = [m for n, m in sys.modules.items() if n.split(".")[0] == "orangesplines"]
+    for name in ("invert_matrix", "solve_linear"):
+        original = getattr(exact, name)
+        for module in package:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    monkeypatch.setattr(EchelonBasis, "add", counted("EchelonBasis.add", EchelonBasis.add))
+
+    entry = get("fan-4d")
+    image = affine_image(entry.complex, *random_affine_map(4, random.Random(18)))
+    for cx in (_fresh(entry.complex), image):
+        wire = complex_to_dict(cx)
+        # dim_general
+        dim = complex_from_dict(wire)
+        assert spline_dim(dim, 1, 3) == orange_dim_formula(dim, 1, 3)
+        # series_adapted
+        series = complex_from_dict(wire)
+        report = run_sweep(series, [1], range(4))
+        assert [c.formula for c in report.cells] == [c.oracle for c in report.cells]
+        assert verify_hilbert_identity(series, 1, 3)[0]
+        # mds_lift, without validation
+        standard = standard_form(_fresh(cx)).standard
+        assert lift_mds(standard, 1, 3).total == orange_dim_formula(cx, 1, 3)
+        assert verify_mds(standard, 1, 3)
+        layer_decomposition(standard, 3)
+    assert calls == Counter(), calls
+    # the counters see the calls that do happen: the frame's matrix view
+    assert adapt_coordinates(image).matrix
+    assert calls == Counter({"invert_matrix": 1}), calls
