@@ -36,8 +36,10 @@ computation.
 A standard orange's lattice is the union of layers: the star's degree-j
 lattice, scaled by j/d, copied once per tail shift beta/d with
 |beta| = d - j.  On integer keys over den * d a layer point is the star's
-degree-j key followed by beta * den, with no multiplication; the layer
-checks and the lift of determining sets compare those tuples.
+degree-j key followed by beta * den, with no multiplication.  The layer
+checks compare those tuples with the orange's lattice keys, and the lift
+of a determining set finds each of its points among them by bisection and
+reads the coordinates, face and multi-index off the lattice point.
 
 The system's nullity, ``bernstein_dim``, is the third derivation of the
 dimension, next to the cofactor oracle (``cofactor.spline_dim``) and the
@@ -48,6 +50,7 @@ polynomials; no determining-set computation uses them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -253,8 +256,8 @@ class LayerDecomposition:
 
 def _standard_split(
     complex_: SimplicialComplex,
-) -> tuple[OrangeProfile, SimplicialComplex, list[int]]:
-    """Check standard position and return (profile, projected star, tail ids).
+) -> tuple[OrangeProfile, SimplicialComplex]:
+    """Check standard position and return (profile, projected star).
 
     Standard position: the medial face consists of the origin plus the unit
     vectors of the last fiber coordinates, and every other vertex has zero
@@ -263,32 +266,23 @@ def _standard_split(
     """
     profile = detect_orange(complex_)
     k, i = profile.k, profile.i
-    fiber = k - i
     den, nums = _integer_view(complex_)
-    medial_points = {nums[m]: m for m in profile.medial}
+    medial_points = {nums[m] for m in profile.medial}
     if (0,) * k not in medial_points:
         raise ValueError("standard orange must have a medial vertex at the origin")
-    expected_tails = [
-        tuple(den if c == i + t else 0 for c in range(k)) for t in range(fiber)
-    ]
-    for e in expected_tails:
-        if e not in medial_points:
+    for t in range(k - i):
+        if tuple(den if c == i + t else 0 for c in range(k)) not in medial_points:
             raise ValueError(
                 "standard orange must have medial vertices at the last unit vectors"
             )
-    if len(medial_points) != fiber + 1:
+    if len(medial_points) != k - i + 1:
         raise ValueError("medial face of a standard orange has extra vertices")
-    tail_ids = [medial_points[e] for e in expected_tails]
-    tail_set = set(tail_ids)
-    used = {v for f in complex_.maximal_faces for v in f}
-    for vid in used:
-        if vid in tail_set:
-            continue
-        if any(nums[vid][i + t] for t in range(fiber)):
-            raise ValueError(
-                "non-medial vertex has nonzero coordinates in the medial span"
-            )
-    return profile, project_orange(complex_).complex, tail_ids
+    # the medial face is the origin and the unit vectors, so only the
+    # other vertices can leave the star's span
+    medial = set(profile.medial)
+    if any(any(nums[v][i:]) for f in complex_.maximal_faces for v in f if v not in medial):
+        raise ValueError("non-medial vertex has nonzero coordinates in the medial span")
+    return profile, project_orange(complex_).complex
 
 
 def _tails(fiber: int, m: int) -> tuple[tuple[int, ...], ...]:
@@ -327,7 +321,7 @@ def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecompositi
     """
     if d < 0:
         raise ValueError("degree must take a nonnegative value")
-    profile, star, _ = _standard_split(complex_)
+    profile, star = _standard_split(complex_)
     i, fiber = profile.i, profile.k - profile.i
     den, star_den = _integer_view(complex_)[0], _integer_view(star)[0]
     common = lcm(den, star_den)
@@ -726,38 +720,25 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
     the lifted selection matrix must be invertible; violations raise
     CardinalityMismatchError.
 
-    The lift runs on the orange's integer view (den, numerators).  Star
-    vertices are matched with orange vertices by integer tuples over the
-    lcm of both denominators.  A star point with multi-index alpha on a
-    star face, scaled by j/d, has the numerators sum alpha_l * N_l over
-    den * d, N_l the orange vertices the face's vertices match; a shift
-    beta/d adds beta * den on the tail.  The collision check compares
-    those keys, and each coordinate becomes a ``Fraction`` once per head
-    and once per tail.  At d = 0 the one lifted point is the origin, the
-    level-0 layer, which is every face's degree-0 lattice point.
+    Each lifted point is read off the orange's degree-d lattice by its
+    key, the star point's head followed by the tail beta, on integers over
+    L * d as in ``layer_decomposition``; a key off the lattice raises
+    CardinalityMismatchError.  ``_project`` numbers the star's vertices in
+    the orange's order, so the lattice point's first occurrence, its face
+    and multi-index, lies on the lift of the star point's own face.
     """
     from .dimension import orange_dim_formula
 
-    profile, star, tail_ids = _standard_split(complex_)
-    i, fiber = profile.i, profile.k - profile.i
-    den, nums = _integer_view(complex_)
+    profile, star = _standard_split(complex_)
+    fiber = profile.k - profile.i
+    den = _integer_view(complex_)[0]
     star_den, star_nums = _integer_view(star)
     common = lcm(den, star_den)
-    scale = den * max(d, 1)
-
-    # star vertex id -> vertex id in the standard orange, by exact coords
-    pad = (0,) * fiber
-    coord_to_oid = {v: idx for idx, v in enumerate(_scaled(nums, common // den))}
-    star_oid = {}
-    for sid, sv in enumerate(_scaled(star_nums, common // star_den)):
-        key = sv + pad
-        if key not in coord_to_oid:
-            raise ValueError("projected star vertex missing from the standard orange")
-        star_oid[sid] = coord_to_oid[key]
-    face_index = {f: idx for idx, f in enumerate(complex_.maximal_faces)}
+    keys, lattice = _lattice(complex_, d)
+    keys = _scaled(keys, common // den)
 
     lifted: list[LiftedPoint] = []
-    seen: dict[tuple[int, ...], int] = {}
+    seen: dict[int, int] = {}
     per_level = []
     for j in range(d + 1):
         betas = _tails(fiber, d - j)
@@ -765,38 +746,27 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
             continue
         mds_j = compute_mds(star, r, j)
         per_level.append((j, len(mds_j.points), len(betas)))
-        tails = [tuple(den * b for b in beta) for beta in betas]
-        tail_points = [_coordinates(t, scale) for t in tails]
         for star_point in mds_j.points:
             sfidx, alpha = star_point.occurrences[0]
-            sface = star.maximal_faces[sfidx]
-            oface = tuple(sorted([star_oid[v] for v in sface] + tail_ids))
-            if oface not in face_index:
-                raise ValueError("star face does not lift to a standard-orange face")
-            weights = {star_oid[v]: alpha[pos] for pos, v in enumerate(sface)}
+            hosts = [star_nums[v] for v in star.maximal_faces[sfidx]]
             head = tuple(
-                sum(a * nums[star_oid[v]][c] for a, v in zip(alpha, sface))
-                for c in range(i)
+                common // star_den * sum(a * n for a, n in zip(alpha, column))
+                for column in zip(*hosts)
             )
-            head_point = _coordinates(head, scale)
-            for beta, tail, tail_point in zip(betas, tails, tail_points):
-                for t, tid in enumerate(tail_ids):
-                    weights[tid] = beta[t]
-                multi = tuple(weights.get(vid, 0) for vid in oface)
-                key, coords = head + tail, head_point + tail_point
-                if key in seen:
+            for beta in betas:
+                key = head + tuple(common * b for b in beta)
+                at = bisect_left(keys, key)
+                if at == len(keys) or keys[at] != key:
                     raise CardinalityMismatchError(
-                        f"levels {seen[key]} and {j} lift to the same point {coords}"
+                        f"level {j} lifts {star_point.coordinates} off the degree-{d} lattice"
                     )
-                seen[key] = j
-                lifted.append(
-                    LiftedPoint(
-                        coordinates=coords,
-                        face=face_index[oface],
-                        multi_index=multi,
-                        level=j,
+                point = lattice[at]
+                if at in seen:
+                    raise CardinalityMismatchError(
+                        f"levels {seen[at]} and {j} lift to the same point {point.coordinates}"
                     )
-                )
+                seen[at] = j
+                lifted.append(LiftedPoint(point.coordinates, *point.occurrences[0], j))
 
     # one point per (star point, shift) pair, so this is the levelwise count
     total = len(lifted)

@@ -34,7 +34,7 @@ from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
-from .exact import _echelon, _integer_kernel, _integer_row, solve_linear
+from .exact import _echelon, _integer_kernel, solve_linear
 
 __all__ = [
     "Point",
@@ -77,13 +77,13 @@ def _as_point(coords: Iterable[Fraction | int]) -> Point:
     return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
-def _affinely_independent(points: Sequence[Sequence[Fraction | int]]) -> bool:
+def _affinely_independent(points: Sequence[Sequence[int]]) -> bool:
     if not points:
         return True
     base = points[0]
     # rank of the edge vectors must equal their number
-    vecs = [{j: p[j] - base[j] for j in range(len(base))} for p in points[1:]]
-    return len(_echelon(map(_integer_row, vecs))) == len(vecs)
+    vecs = [{j: x - b for j, (x, b) in enumerate(zip(p, base)) if x != b} for p in points[1:]]
+    return len(_echelon(vecs)) == len(vecs)
 
 
 def barycentric_coordinates(
@@ -106,13 +106,14 @@ def barycentric_coordinates(
 
 
 def _intersection_within_hull(
-    verts_a: Sequence[Sequence[Fraction | int]],
-    verts_b: Sequence[Sequence[Fraction | int]],
-    common: Sequence[Sequence[Fraction | int]],
+    verts_a: Sequence[Sequence[int]],
+    verts_b: Sequence[Sequence[int]],
+    common: Sequence[Sequence[int]],
 ) -> bool:
     """Check conv(verts_a) ∩ conv(verts_b) ⊆ conv(common), exactly.
 
-    The points may be rational or, after a common dilation, integer.
+    The points are integer: rational ones after a common dilation, which
+    keeps every affine dependence and every sign.
     Precondition: ``verts_a`` and ``verts_b`` are each affinely independent
     and ``common`` lists the points they share.  Let A' = verts_a ∖ common
     and B' = verts_b ∖ common.  The intersection leaves conv(common) exactly
@@ -132,12 +133,7 @@ def _intersection_within_hull(
     only_b = [p for p in verts_b if p not in shared]
     points = only_a + only_b + list(common)
     n = len(points)
-    # each row cleared on its own, then everything runs on ints: basis
-    # vectors and rays come out as positive multiples of the rational ones,
-    # which changes no sign
-    rows = [
-        _integer_row({j: p[c] for j, p in enumerate(points)}) for c in range(len(points[0]))
-    ]
+    rows = [{j: p[c] for j, p in enumerate(points) if p[c]} for c in range(len(points[0]))]
     rows.append(dict.fromkeys(range(n), 1))
     basis = _integer_kernel(rows, n)
     signs = [1] * len(only_a) + [-1] * len(only_b)

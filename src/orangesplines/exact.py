@@ -14,10 +14,11 @@ selection (``bernstein.compute_mds``) hands to ``_reduce`` itself.
 ``_integer_rref`` back-substitutes through the same update step, and
 ``_integer_kernel`` (one primitive vector per free column) is read off
 it for walls, adapted frames, affine dependences and the pair test.
-``_integer_row`` clears ``Fraction`` rows first for the pair test and
-affine independence (``complexes``) and for the rational paths:
-``RationalMatrix``, its nullspace, and the ``Fraction`` solvers.  No
-projection path uses those solvers: ``solve_linear`` serves
+The pair test and affine independence (``complexes``) pass the kernel
+the integer view's rows, zeros dropped.  ``_integer_row`` clears
+``Fraction`` rows first for the rational paths: ``RationalMatrix``, its
+nullspace, and the ``Fraction`` solvers.  No projection path uses those
+solvers: ``solve_linear`` serves
 ``complexes.barycentric_coordinates``, ``invert_matrix`` the Bernstein
 basis change and ``projection.AdaptedFrame.matrix``, and ``EchelonBasis``
 has no caller in the package.  Results are exact regardless of

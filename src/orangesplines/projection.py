@@ -218,8 +218,11 @@ def project_face(complex_: SimplicialComplex, face: Sequence[int]) -> tuple[Poin
     """Distinct image points of one face under the orange's projection.
 
     Works for any face (not just maximal ones); the image simplex's
-    dimension is one less than the number of returned points.
+    dimension is one less than the number of returned points.  A face that
+    names a missing vertex raises InvalidComplexError.
     """
+    if any(not 0 <= v < len(complex_.vertices) for v in face):
+        raise InvalidComplexError(f"face {tuple(face)} references a missing vertex")
     frame = project_orange(complex_).frame
     if frame is None:
         return ((),)
@@ -243,8 +246,10 @@ def standard_orange(
 
     Vertices of C are embedded as (x, 0); the joined medial vertices are the
     origin's partners e_{i+1}, ..., e_k.  The origin of C itself serves as
-    the remaining medial vertex.
+    the remaining medial vertex.  A negative ``fiber_dim`` raises ValueError.
     """
+    if fiber_dim < 0:
+        raise ValueError("fiber dimension must be nonnegative")
     i = star.ambient_dim
     k = i + fiber_dim
     vertices = [tuple(v) + (Fraction(0),) * fiber_dim for v in star.vertices]

@@ -466,11 +466,8 @@ def _reference_lift_mds(complex_, r, d):
                 for t, tid in enumerate(tail_ids):
                     weights[tid] = beta[t]
                 multi = tuple(weights.get(vid, 0) for vid in oface)
-                if d == 0:
-                    coords = complex_.vertices[oface[0]]
-                else:
-                    base = tuple(factor * c for c in point.coordinates) + pad
-                    coords = tuple(base[c] + shift[c] for c in range(k))
+                base = tuple(factor * c for c in point.coordinates) + pad
+                coords = tuple(base[c] + shift[c] for c in range(k))
                 if coords in seen:
                     raise CardinalityMismatchError(
                         f"levels {seen[coords]} and {j} lift to the same point {coords}"
@@ -516,6 +513,13 @@ def _assert_layers_and_lifts_match(cx, dmax, label):
 
 def test_integer_layers_and_lifts_match_the_fraction_reference(random_affine_map):
     models = [(entry.name, standard_form(entry.complex).standard) for entry in CATALOG]
+    # the same models with their vertices numbered backwards: the origin,
+    # vertex 0 of each, is the last vertex of every face
+    for name, std in list(models):
+        last = len(std.vertices) - 1
+        faces = [[last - v for v in f] for f in std.maximal_faces]
+        reversed_ = SimplicialComplex(std.ambient_dim, std.vertices[::-1], faces)
+        models.append((f"{name} reversed", reversed_))
     rng = random.Random(29)
     for entry in CATALOG:
         for copy in range(3):
@@ -532,6 +536,7 @@ def test_integer_layers_and_lifts_match_the_fraction_reference(random_affine_map
         _assert_layers_and_lifts_match(cx, 4, name)
     # rational models, and one whose star has a smaller denominator
     assert any(den > 1 for den, _ in dens)
+    assert any(any(cx.vertices[0]) for _, cx in models)
     assert any(den != star_den for den, star_den in dens)
 
 
@@ -624,6 +629,37 @@ def test_lift_errors_match_the_reference(monkeypatch):
         m.setattr(dimension, "orange_dim_formula", lambda cx, r, d: 10)
         kind, got = _both_raise(lift_mds, _reference_lift_mds, std, 1, 2)
     assert (kind, got) == (CardinalityMismatchError, "spline space has dimension 11, lift has 10 points")
+
+
+def test_lift_reads_its_points_off_the_lattice(monkeypatch):
+    std = standard_form(get("two-tetrahedron").complex).standard
+    lattice = complex_domain_points(std, 2)
+    lift = lift_mds(std, 1, 2)
+    # each lifted point is a lattice point's own tuple and first occurrence
+    for p in lift.points:
+        (point,) = [q for q in lattice if q.coordinates == p.coordinates]
+        assert p.coordinates is point.coordinates
+        assert (p.face, p.multi_index) == point.occurrences[0]
+    compute = bernstein.compute_mds
+    # level-1 star points whose multi-indices leave their face's degree-1
+    # lattice (the star's faces run from 0 to -1 and to 1): with a tail of
+    # sum 1 their keys fall before the first lattice key, past the last one
+    # and between two of them
+    for host in ((0, (0, 3)), (1, (0, 3)), (0, (0, 2))):
+        fake = bernstein.IdentifiedPoint(coordinates=(Fraction(9),), occurrences=(host,))
+
+        def patched(cx, r, j):
+            ds = compute(cx, r, j)
+            if j != 1:
+                return ds
+            return DeterminingSet(ds.r, ds.d, ds.dimension, ds.points[:-1] + (fake,))
+
+        with monkeypatch.context() as m:
+            m.setattr(bernstein, "compute_mds", patched)
+            with pytest.raises(CardinalityMismatchError, match="off the degree-2 lattice"):
+                lift_mds(_fresh(std), 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # the Bernstein-form system against the spline-basis greedy it replaced
 # ---------------------------------------------------------------------------

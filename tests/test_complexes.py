@@ -241,6 +241,13 @@ def _within_hull_by_vertex_enumeration(verts_a, verts_b, common):
     return True
 
 
+def _integer_points(*groups):
+    """Point groups times the lcm of all their denominators: integer points
+    with the same affine dependences and signs."""
+    den = math.lcm(*(c.denominator for group in groups for p in group for c in p))
+    return [[tuple(int(c * den) for c in p) for p in group] for group in groups]
+
+
 @st.composite
 def simplex_pairs(draw):
     """Two affinely independent simplices with 0..min(k)+1 shared vertices,
@@ -257,7 +264,8 @@ def simplex_pairs(draw):
     common = points[:shared]
     verts_a = common + points[shared:na]
     verts_b = common + points[na:]
-    assume(_affinely_independent(verts_a) and _affinely_independent(verts_b))
+    integer_a, integer_b = _integer_points(verts_a, verts_b)
+    assume(_affinely_independent(integer_a) and _affinely_independent(integer_b))
     return verts_a, verts_b, common
 
 
@@ -268,7 +276,7 @@ def test_dependence_criterion_matches_vertex_enumeration():
     @given(simplex_pairs())
     def check(pair):
         expected = _within_hull_by_vertex_enumeration(*pair)
-        assert _intersection_within_hull(*pair) == expected
+        assert _intersection_within_hull(*_integer_points(*pair)) == expected
         outcomes.append(expected)
         verts_a, verts_b, _ = pair
         fractional.append(any(c.denominator > 1 for p in verts_a + verts_b for c in p))
@@ -293,7 +301,7 @@ def _reference_validate(cx: SimplicialComplex) -> None:
 def _pair_is_proper(cx: SimplicialComplex, fa, fb) -> bool:
     common = sorted(set(fa) & set(fb))
     return _intersection_within_hull(
-        cx.face_points(fa), cx.face_points(fb), cx.face_points(common)
+        *_integer_points(cx.face_points(fa), cx.face_points(fb), cx.face_points(common))
     )
 
 

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
-from test_complexes import lifted_oranges
+from test_complexes import _integer_points, lifted_oranges
 from test_generated_oranges import generated_oranges
 
 from orangesplines import bernstein, exact, projection
@@ -95,7 +95,7 @@ def _reference_project(complex_: SimplicialComplex) -> ProjectedOrange:
     faces = complex_.maximal_faces
     i = profile.i
     if i == 0:
-        if not _affinely_independent(complex_.face_points(profile.medial)):
+        if not _affinely_independent(*_integer_points(complex_.face_points(profile.medial))):
             raise InvalidComplexError("medial face is geometrically degenerate")
         star = SimplicialComplex(0, [()], [[0]])
         return ProjectedOrange(complex=star, central_vertex=0, face_map=(0,), frame=None)
@@ -108,7 +108,8 @@ def _reference_project(complex_: SimplicialComplex) -> ProjectedOrange:
     new_faces = []
     for f in faces:
         nf = tuple(sorted({new_ids[image_of[v]] for v in f}))
-        if len(nf) != i + 1 or not _affinely_independent([points[v] for v in nf]):
+        face_points = _integer_points([points[v] for v in nf])
+        if len(nf) != i + 1 or not _affinely_independent(*face_points):
             raise InvalidComplexError(f"face {f} degenerates under projection")
         new_faces.append(nf)
     if len(set(new_faces)) != len(new_faces):
@@ -125,9 +126,11 @@ def _reference_project(complex_: SimplicialComplex) -> ProjectedOrange:
     for a, b in combinations(range(len(star_faces)), 2):
         common = sorted(set(star_faces[a]) & set(star_faces[b]))
         if not _intersection_within_hull(
-            star.face_points(star_faces[a]),
-            star.face_points(star_faces[b]),
-            star.face_points(common),
+            *_integer_points(
+                star.face_points(star_faces[a]),
+                star.face_points(star_faces[b]),
+                star.face_points(common),
+            )
         ):
             raise _overlap(names[a], names[b])
     frame = adapt_coordinates(complex_)
@@ -286,6 +289,8 @@ def test_standard_orange_join():
     # every maximal face contains the center and both joined vertices
     for f in standard.maximal_faces:
         assert {0, 3, 4} <= set(f)
+    with pytest.raises(ValueError, match="fiber dimension must be nonnegative"):
+        standard_orange(star, -1)
 
 
 def test_standard_form_round_trip():
@@ -312,6 +317,14 @@ def test_image_dimension_rule():
             expected = len(face) - len(common) + 1 if common else len(face)
             assert len(image) == expected, (entry.name, face)
             assert len(set(image)) == len(image)
+
+
+def test_project_face_rejects_a_missing_vertex():
+    # -1 would otherwise name the last vertex, and 99 overrun the vertices
+    for name in ("two-triangle", "segment"):
+        for face in ([-1], [0, 99]):
+            with pytest.raises(InvalidComplexError, match="references a missing vertex"):
+                project_face(get(name).complex, face)
 
 
 def test_skew_orange_has_skew_frame_but_clean_star():
