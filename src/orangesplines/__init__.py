@@ -3,7 +3,8 @@
 An orange is a pure simplicial complex whose maximal faces all share one
 common medial face.  This package recognizes oranges, projects them onto
 low-dimensional stars, and computes spline-space dimensions three
-independent ways: a closed-form reduction through the projection, a
+independent ways: a closed-form reduction through the projection (with
+closed-form star dimensions when the star lies in R^1 or R^2), a
 brute-force rank computation on the smoothness cofactor system, and the
 nullity of the C^r conditions on Bernstein coefficients.  All arithmetic is
 exact rational.
@@ -48,6 +49,7 @@ from .dimension import (
     layer_count,
     orange_dim_formula,
     orange_hilbert_prefix,
+    star_dims_closed_form,
     verify_hilbert_identity,
     verify_standard_orange,
 )
@@ -128,6 +130,7 @@ __all__ = [
     "spline_dims",
     "standard_form",
     "standard_orange",
+    "star_dims_closed_form",
     "verify_hilbert_identity",
     "verify_mds",
     "verify_standard_orange",

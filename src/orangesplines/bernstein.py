@@ -57,7 +57,7 @@ from functools import lru_cache
 from math import factorial, lcm, prod
 from typing import Sequence
 
-from .cofactor import spline_dim
+from .cofactor import spline_dim, spline_dims
 from .complexes import (
     InvalidComplexError,
     OrangeProfile,
@@ -737,6 +737,8 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
     keys, lattice = _lattice(complex_, d)
     keys = _scaled(keys, common // den)
 
+    # one star system through degree d answers every level's dimension
+    spline_dims(star, r, d)
     lifted: list[LiftedPoint] = []
     seen: dict[int, int] = {}
     per_level = []

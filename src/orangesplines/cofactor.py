@@ -418,12 +418,13 @@ def _dual_forest(
 def _graded_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
     faces = complex_.maximal_faces
     shared = set(faces[0]).intersection(*faces[1:])
-    if shared:
+    den, nums = _integer_view(complex_)
+    origin = nums[min(shared)] if shared else ()
+    if any(origin):
         # the shared vertex to the origin on the integer view: N_v - N_o
         # over den is the translated complex itself, equal by value to the
-        # rational move, and its walls are read off those integers
-        den, nums = _integer_view(complex_)
-        origin = nums[min(shared)]
+        # rational move, and its walls are read off those integers; a
+        # projected star or a standard orange has it there already
         moved = [[x - o for x, o in zip(v, origin)] for v in nums]
         complex_ = _from_integer_view(complex_.ambient_dim, den, moved, faces)
     system = build_system(complex_, r, dmax)
@@ -474,10 +475,11 @@ def spline_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
     orange or not, and imposes smoothness across shared facets only.  It
     reads ``spline_dims(complex_, r, d)[d]``, so ``spline_dim.cache_info()``
     answers for the ``spline_dims`` cache (a hit whenever the prefix through
-    degree d is already known).  The projected star of a (k, k)-orange
-    centred at the origin (``planar-star``, ``vertex-star-3d``) equals the
-    orange, so the formula's star dimensions and the oracle's values are
-    one entry.
+    degree d is already known).  The formula side reads closed forms for
+    stars in R^i with i <= 2, so only an i = 3 star still shares this
+    oracle's entry: the projected star of ``vertex-star-3d``, centred at
+    the origin, equals the orange, so there the formula's star dimensions
+    and the oracle's values are one entry.
     """
     dims = spline_dims(complex_, r, d)
     return dims[d] if d >= 0 else 0

@@ -12,23 +12,29 @@ form says the Hilbert series of the orange equals that of C divided by
 (1 - t)^(k - i); both forms are implemented here and cross-checked against
 the brute-force cofactor computation by the test suite.
 
-Every series here is read from whole prefixes: the formula takes the star's
-dimensions in degrees 0..d from one ``spline_dims`` call, and the identity
-check takes one prefix of the orange and one of the star, so each side
-costs one graded cofactor system, not one system per degree.
+For i <= 2 the star is a point, one or two segments, or a planar fan of
+triangles, and its dimensions have classical closed forms
+(``star_dims_closed_form``): the formula then builds no system at all,
+which also keeps it independent of the cofactor oracle it is checked
+against.  Only a star in R^3 is eliminated, its dimensions in degrees
+0..d read from one ``spline_dims`` call.  The identity check takes one
+cofactor prefix of the orange and one of the star, so each side costs one
+graded cofactor system, not one system per degree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cofactor import spline_dim, spline_dims
-from .complexes import SimplicialComplex, detect_orange
+from .complexes import SimplicialComplex, _integer_view, adjacent_pairs, detect_orange
 from .exact import binom
 from .projection import project_orange, standard_form
 
 __all__ = [
     "layer_count",
+    "star_dims_closed_form",
     "orange_dim_formula",
     "HilbertPrefix",
     "hilbert_prefix",
@@ -52,6 +58,60 @@ def layer_count(d: int, j: int, fiber_dim: int) -> int:
     return binom(d - j + fiber_dim - 1, fiber_dim - 1)
 
 
+def star_dims_closed_form(star: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
+    """dim S^r_d of a star C in R^i, i <= 2, for d = 0..dmax; () when dmax < 0.
+
+    ``star`` must be a valid star of one vertex, as ``project_orange``
+    returns it: a point in R^0, one or two segments in R^1, or a fan of
+    triangles around a centre in R^2.  Its dual graph (faces joined by
+    shared facets) is then a path, or a cycle exactly when the centre is
+    interior, and with n its number of edges (the adjacent pairs):
+
+    - a path (every i <= 1 star and a boundary centre):
+      C(d+i, i) + n * C(d-r-1+i, i), as each pair's cofactor of degree
+      <= d - r - 1 is free;
+    - a cycle: C(d+2, 2) for d <= r, else C(r+2, 2) + n * C(d-r+1, 2)
+      + sum_{j=1}^{d-r} (r + j + 1 - j*m)_+, with m the number of distinct
+      slopes of the shared edges (Schumaker, "On the dimension of spaces
+      of piecewise polynomials in two variables", 1979; Lai & Schumaker,
+      *Spline Functions on Triangulations*, 2007, ch. 9).
+
+    No system is built.  A star in R^3 or beyond raises ValueError.
+    """
+    if r < 0:
+        raise ValueError("smoothness order must be nonnegative")
+    i = star.ambient_dim
+    if i > 2:
+        raise ValueError(f"no closed form for a star in R^{i}")
+    if dmax < 0:
+        return ()
+    faces = star.maximal_faces
+    pairs = adjacent_pairs(star)
+    n = len(pairs)
+    if n < len(faces):
+        return tuple(
+            math.comb(d + i, i) + (n * math.comb(d - r - 1 + i, i) if d > r else 0)
+            for d in range(dmax + 1)
+        )
+    # each shared edge runs from the centre to one more vertex; its slope
+    # is its primitive integer direction up to sign
+    (centre,) = set(faces[0]).intersection(*faces[1:])
+    nums = _integer_view(star)[1]
+    slopes = set()
+    for s, t in pairs:
+        (v,) = set(faces[s]) & set(faces[t]) - {centre}
+        a, b = (x - c for x, c in zip(nums[v], nums[centre]))
+        g = math.gcd(a, b) if (a, b) > (0, 0) else -math.gcd(a, b)
+        slopes.add((a // g, b // g))
+    m = len(slopes)
+    dims = [math.comb(d + 2, 2) for d in range(min(r, dmax) + 1)]
+    sigma = 0
+    for j in range(1, dmax - r + 1):
+        sigma += max(r + j + 1 - j * m, 0)
+        dims.append(math.comb(r + 2, 2) + n * math.comb(j + 1, 2) + sigma)
+    return tuple(dims)
+
+
 def orange_dim_formula(complex_: SimplicialComplex, r: int, d: int) -> int:
     """dim S^r_d of an orange via the reduction to its projected star."""
     coeffs = _formula_coeffs(complex_, r, d)
@@ -59,14 +119,17 @@ def orange_dim_formula(complex_: SimplicialComplex, r: int, d: int) -> int:
 
 
 def _formula_coeffs(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
-    """The reduction formula in degrees 0..dmax, from one star prefix."""
+    """The reduction formula in degrees 0..dmax, from one star prefix:
+    closed forms for i <= 2, one ``spline_dims`` call for i = 3."""
     if r < 0:
         raise ValueError("smoothness order must be nonnegative")
     profile = detect_orange(complex_)
     fiber = profile.k - profile.i
-    star = spline_dims(project_orange(complex_).complex, r, dmax)
+    # the projection validates the star, which the closed forms rely on
+    star = project_orange(complex_).complex
+    star_dims = (star_dims_closed_form if profile.i <= 2 else spline_dims)(star, r, dmax)
     return tuple(
-        sum(layer_count(d, j, fiber) * star[j] for j in range(d + 1))
+        sum(layer_count(d, j, fiber) * star_dims[j] for j in range(d + 1))
         for d in range(dmax + 1)
     )
 

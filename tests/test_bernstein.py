@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_cofactor import _recording_builds
 from test_generated_oranges import generated_oranges
 from test_projection import _fresh
 
-from orangesplines import bernstein, dimension
+from orangesplines import bernstein, cofactor, dimension
 from orangesplines.bernstein import (
     CardinalityMismatchError,
     DeterminingSet,
@@ -261,6 +262,18 @@ def test_lift_levels_follow_the_counting_rule():
         assert mult == binom(d - level + fiber - 1, fiber - 1)
         expected += size * mult
     assert lift.total == expected == orange_dim_formula(cx, r, d)
+
+
+def test_a_lift_builds_the_star_system_once(monkeypatch):
+    # every level j = 0..3 asks for the star's degree-j dimension; one
+    # system through degree 3 answers them all
+    built = _recording_builds(monkeypatch)
+    monkeypatch.setattr(cofactor, "_prefixes", {})
+    sf = standard_form(get("tetrahedral-fan").complex)
+    star = sf.projected.complex
+    lift = lift_mds(sf.standard, 1, 3)
+    assert [level for level, _, _ in lift.per_level] == [0, 1, 2, 3]
+    assert [system.d for system in built if system.complex == star] == [3]
 
 
 def test_lift_requires_standard_position():

@@ -516,6 +516,16 @@ def _translated(cx: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(cx.ambient_dim, moved, faces)
 
 
+def test_a_shared_vertex_at_the_origin_is_not_moved(monkeypatch):
+    # a projected star has its centre at the origin already: the system is
+    # built on the star itself, not on a copy equal to it
+    built = _recording_builds(monkeypatch)
+    star = project_orange(get("tetrahedral-fan").complex).complex
+    cofactor._graded_dims(star, 1, 3)
+    (system,) = built
+    assert system.complex is star
+
+
 def test_the_graded_system_is_the_reference_system_of_the_translated_complex(monkeypatch):
     built = _recording_builds(monkeypatch)
     dens = []

@@ -2,24 +2,31 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_cofactor import _recording_builds
 
 from orangesplines import cofactor
+from orangesplines.bernstein import bernstein_dim
 from orangesplines.catalog import CATALOG, SWEEP_NAMES, get
-from orangesplines.complexes import affine_image
-from orangesplines.cofactor import spline_dim
+from orangesplines.complexes import SimplicialComplex, adjacent_pairs, affine_image
+from orangesplines.cofactor import spline_dim, spline_dims
 from orangesplines.dimension import (
     HilbertPrefix,
     hilbert_prefix,
     layer_count,
     orange_dim_formula,
     orange_hilbert_prefix,
+    star_dims_closed_form,
     verify_hilbert_identity,
     verify_standard_orange,
 )
 from orangesplines.exact import binom
+from orangesplines.projection import project_orange
 from orangesplines.sweep import run_sweep
 
 
@@ -166,3 +173,120 @@ def test_sweep_and_identity_build_one_system_per_prefix(monkeypatch):
     assert report.all_match and ok
     # one graded system for the orange and one for its star
     assert built == [5, 5]
+
+
+def _fan(rays, closed: bool) -> SimplicialComplex:
+    """The star of the origin over ``rays``, listed counterclockwise: one
+    triangle per consecutive pair, and one from the last ray back to the
+    first when ``closed``."""
+    n = len(rays)
+    faces = [[0, j, j + 1] for j in range(1, n)] + ([[0, n, 1]] if closed else [])
+    star = SimplicialComplex(2, [(0, 0), *rays], faces)
+    star.validate()
+    return star
+
+
+def _slope_count(star: SimplicialComplex) -> int:
+    """Distinct slopes of the rays from the centre, over Fraction."""
+    return len({
+        Fraction(star.vertices[v][1], star.vertices[v][0]) if star.vertices[v][0] else None
+        for v in range(1, len(star.vertices))
+    })
+
+
+FANS = {
+    # name: counterclockwise rays and their number of distinct slopes
+    "two-lines": ([(2, 0), (0, 1), (-1, 0), (0, -3)], 2),
+    "two-skew-lines": ([(1, 1), (Fraction(-1, 2), 1), (-3, -3), (1, -2)], 2),
+    "three-rays": ([(1, 0), (0, 1), (-1, -1)], 3),
+    "three-lines": ([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)], 3),
+    "generic-4": ([(1, 0), (1, 2), (-1, 1), (-1, -3)], 4),
+    "generic-5": ([(3, 1), (Fraction(1, 3), 2), (-2, 3), (-3, -2), (1, -4)], 5),
+}
+
+
+def _assert_closed_form_matches_both_oracles(star: SimplicialComplex, dmax: int) -> None:
+    for r in range(4):
+        closed = star_dims_closed_form(star, r, dmax)
+        assert closed == spline_dims(star, r, dmax), r
+        assert closed == tuple(bernstein_dim(star, r, d) for d in range(dmax + 1)), r
+
+
+@pytest.mark.parametrize("name", [e.name for e in CATALOG if e.profile.i <= 2])
+def test_closed_form_matches_both_oracles_on_catalog_stars(name):
+    _assert_closed_form_matches_both_oracles(project_orange(get(name).complex).complex, 8)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("name", FANS)
+def test_closed_form_matches_both_oracles_on_fans(name, closed):
+    rays, m = FANS[name]
+    star = _fan(rays, closed)
+    assert _slope_count(star) == m
+    assert (len(adjacent_pairs(star)) == len(star.maximal_faces)) == closed
+    _assert_closed_form_matches_both_oracles(star, 8)
+
+
+FAN_LINES = ((1, 0), (0, 1), (1, 1), (1, -2), (3, 1))
+
+
+@st.composite
+def fans(draw) -> SimplicialComplex:
+    """A fan of rays along at most three lines, so that closed fans with
+    two slopes and with three are both frequent; ``validate`` must accept
+    it."""
+    lines = draw(st.lists(st.sampled_from(FAN_LINES), min_size=1, max_size=3, unique=True))
+    signed = st.sampled_from([(line, sign) for line in lines for sign in (1, -1)])
+    rays = []
+    for (a, b), sign in draw(st.lists(signed, min_size=2, max_size=6, unique=True)):
+        scale = sign * draw(st.sampled_from((1, 2, Fraction(1, 3))))
+        rays.append((scale * a, scale * b))
+    rays.sort(key=lambda p: math.atan2(p[1], p[0]))
+    closed = len(rays) >= 3 and draw(st.booleans())
+    try:
+        return _fan(rays, closed)
+    except ValueError:
+        assume(False)
+
+
+def test_closed_form_matches_both_oracles_on_random_fans():
+    slopes = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(fans())
+    def check(star):
+        if len(adjacent_pairs(star)) == len(star.maximal_faces):
+            slopes.add(_slope_count(star))
+        _assert_closed_form_matches_both_oracles(star, 6)
+
+    check()
+    # closed fans with a repeated slope and with three
+    assert {2, 3} <= slopes, slopes
+
+
+def test_closed_form_edge_cases():
+    point = SimplicialComplex(0, [()], [[0]])
+    assert star_dims_closed_form(point, 2, 4) == (1,) * 5
+    assert star_dims_closed_form(point, 0, -1) == ()
+    assert star_dims_closed_form(_fan(FANS["two-lines"][0], True), 1, -1) == ()
+    with pytest.raises(ValueError, match="smoothness order"):
+        star_dims_closed_form(point, -1, 2)
+    with pytest.raises(ValueError, match="R\\^3"):
+        star_dims_closed_form(get("vertex-star-3d").complex, 1, 2)
+
+
+def test_the_formula_eliminates_only_stars_in_r3(monkeypatch):
+    built = _recording_builds(monkeypatch)
+    # an empty cache, so that every star the formula eliminates is built
+    monkeypatch.setattr(cofactor, "_prefixes", {})
+    dense = affine_image(
+        get("fan-4d").complex,
+        [[2, 1, 0, 1], [0, 3, 1, 0], [1, 0, 2, 1], [0, 1, 0, 1]],
+        [Fraction(1, 3), -2, Fraction(5, 7), 4],
+    )
+    for cx in [e.complex for e in CATALOG if e.profile.i <= 2] + [dense]:
+        for r in range(3):
+            orange_dim_formula(cx, r, 5)
+    assert built == []
+    orange_dim_formula(get("vertex-star-3d").complex, 1, 5)
+    assert len(built) == 1

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from orangesplines.bernstein import bernstein_dim, lift_mds, verify_mds
 from orangesplines.cofactor import spline_dim
-from orangesplines.complexes import SimplicialComplex, affine_image, detect_orange
+from orangesplines.complexes import (
+    SimplicialComplex, adjacent_pairs, affine_image, detect_orange
+)
 from orangesplines.dimension import orange_dim_formula, verify_hilbert_identity
 from orangesplines.exact import RationalMatrix, binom
-from orangesplines.projection import standard_orange
+from orangesplines.projection import project_orange, standard_orange
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
@@ -63,6 +65,7 @@ def generated_oranges(draw) -> tuple[SimplicialComplex, int]:
 
 def test_three_dimension_counts_and_the_hilbert_identity_agree():
     profiles = set()
+    closed_fans = []
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(generated_oranges())
@@ -72,6 +75,9 @@ def test_three_dimension_counts_and_the_hilbert_identity_agree():
         profile = detect_orange(cx)
         assert profile.i <= star_dim
         profiles.add((profile.k, profile.i))
+        star = project_orange(cx).complex
+        if len(adjacent_pairs(star)) == len(star.maximal_faces) > 1:
+            closed_fans.append(star)
         for r in range(2):
             for d in range(4):
                 formula = orange_dim_formula(cx, r, d)
@@ -83,6 +89,9 @@ def test_three_dimension_counts_and_the_hilbert_identity_agree():
     # stars in R^1 and R^2, with and without a fiber, and fans whose rays
     # are so few that the medial face is more than the origin
     assert {(1, 1), (2, 1), (2, 2), (3, 2)} <= profiles, profiles
+    # closed fans, whose interior centre brings in the slope term of the
+    # closed form
+    assert closed_fans
 
 
 def octahedral_star() -> SimplicialComplex:
