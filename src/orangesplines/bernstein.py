@@ -20,7 +20,7 @@ conditions of Lai & Schumaker (*Spline Functions on Triangulations*, 2007,
 Thm 2.28) across every shared facet.  A complex instance builds its
 lattice once per degree and that system once per (r, d), and everything
 about determining sets is read off the one system.  Both are built on the
-complex's integer coordinate view (``complexes._integer_view``): lattice
+complex's stored integers (numerators ``nums`` over ``den``): lattice
 points are bucketed and sorted by integer numerators, which the lattice
 memo keeps as the points' keys, and the weights of each row come from
 Cramer's rule, lambda_l = Delta_l / Delta, read off one integer affine
@@ -63,7 +63,6 @@ from .complexes import (
     OrangeProfile,
     Point,
     SimplicialComplex,
-    _integer_view,
     adjacent_pairs,
     detect_orange,
 )
@@ -188,11 +187,10 @@ def _lattice(
     """(keys, points) of the degree-d lattice, built once per complex
     instance and degree.  ``keys[n]`` holds the integer numerators of
     ``points[n]`` over den * max(d, 1), den the complex's common
-    denominator (see ``complexes._integer_view``); both run in the same
-    sorted order."""
+    denominator; both run in the same sorted order."""
     key = ("lattice", d)
     if key not in complex_._memo:
-        den, nums = _integer_view(complex_)
+        den, nums = complex_.den, complex_.nums
         buckets: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
         for fidx, face in enumerate(complex_.maximal_faces):
             for a, point in _lattice_numerators([nums[v] for v in face], d):
@@ -214,9 +212,9 @@ def complex_domain_points(complex_: SimplicialComplex, d: int) -> tuple[Identifi
 
     Points are returned sorted by coordinates; each carries every host face
     and multi-index that produces it.  Points are bucketed and sorted by
-    their integer numerators over the complex's common denominator (see
-    ``complexes._integer_view``) times d, which orders them as their
-    coordinates do; each point's ``Fraction`` coordinates are built once.
+    their integer numerators over the complex's common denominator ``den``
+    times d, which orders them as their coordinates do; each point's
+    ``Fraction`` coordinates are built once.
     The lattice is built once per complex instance and degree; the memo
     keeps those integer keys next to the points (see ``_lattice``).
     """
@@ -261,12 +259,12 @@ def _standard_split(
 
     Standard position: the medial face consists of the origin plus the unit
     vectors of the last fiber coordinates, and every other vertex has zero
-    tail coordinates.  The check reads the integer view, where the unit
+    tail coordinates.  The check reads the stored integers, where the unit
     vectors have the common denominator as their one nonzero entry.
     """
     profile = detect_orange(complex_)
     k, i = profile.k, profile.i
-    den, nums = _integer_view(complex_)
+    den, nums = complex_.den, complex_.nums
     medial_points = {nums[m] for m in profile.medial}
     if (0,) * k not in medial_points:
         raise ValueError("standard orange must have a medial vertex at the origin")
@@ -323,7 +321,7 @@ def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecompositi
         raise ValueError("degree must take a nonnegative value")
     profile, star = _standard_split(complex_)
     i, fiber = profile.i, profile.k - profile.i
-    den, star_den = _integer_view(complex_)[0], _integer_view(star)[0]
+    den, star_den = complex_.den, star.den
     common = lcm(den, star_den)
     scale = common * max(d, 1)
     lattice = set(_scaled(_lattice(complex_, d)[0], common // den))
@@ -375,7 +373,7 @@ def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecompositi
 # Bernstein basis change
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _bernstein_data(
     vertices: tuple[Point, ...], d: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[Fraction, ...], ...], tuple[tuple[Fraction, ...], ...]]:
@@ -384,6 +382,9 @@ def _bernstein_data(
     The monomial matrix's column a holds the Bernstein polynomial B_a in
     monomial coordinates (rows ordered like monomials_upto); the inverse
     therefore converts monomial coefficient vectors to Bernstein ones.
+    The cache keeps the 32 most recently used (simplex, degree) pairs,
+    about 10 KB each at d = 3, so converting on ever new simplices holds a
+    bounded amount of memory.
     """
     nv = len(vertices)
     ambient = len(vertices[0]) if nv else 0
@@ -508,12 +509,12 @@ def _affine_dependences(
 ) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
     """(s, t, D, [-v_l]) per facet-adjacent pair, kept once per complex
     instance: v is the primitive affine dependence of T_s's vertices and
-    w, the vertex of T_t off T_s, on the integer view, with v_w = D > 0
+    w, the vertex of T_t off T_s, on the stored integers, with v_w = D > 0
     (see ``_smoothness_rows``).  It depends on the pair alone, not on
     (r, d)."""
     if "affine dependences" not in complex_._memo:
         faces = complex_.maximal_faces
-        _, nums = _integer_view(complex_)
+        nums = complex_.nums
         dependences = []
         for s, t in adjacent_pairs(complex_):
             face_s = faces[s]
@@ -556,8 +557,8 @@ def _smoothness_rows(
     m = 0 rows, except at d = 0 where two pieces' points can differ).
 
     The rows are built over the integers.  The affine dependence of T_s's
-    vertices and w, on the complex's integer view, is one primitive kernel
-    vector v with v_w = D > 0 (kept per pair by ``_affine_dependences``),
+    vertices and w, on the complex's stored integers, is one primitive
+    kernel vector v with v_w = D > 0 (kept per pair by ``_affine_dependences``),
     so lambda_l = -v_l / D.  By Cramer's rule, (D, -v_l) is (Delta,
     Delta_l) over their gcd, times the sign of Delta: Delta = det[T_s; 1],
     and Delta_l has column l replaced by [w; 1].
@@ -731,8 +732,8 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
 
     profile, star = _standard_split(complex_)
     fiber = profile.k - profile.i
-    den = _integer_view(complex_)[0]
-    star_den, star_nums = _integer_view(star)
+    den = complex_.den
+    star_den, star_nums = star.den, star.nums
     common = lcm(den, star_den)
     keys, lattice = _lattice(complex_, d)
     keys = _scaled(keys, common // den)

@@ -21,7 +21,7 @@ from .cofactor import build_system, spline_dim, spline_dims
 from .complexes import SimplicialComplex, detect_orange
 from .dimension import orange_dim_formula, verify_hilbert_identity
 from .exact import format_rational
-from .io import ComplexFormatError, complex_to_dict, load_complex
+from .io import complex_to_dict, load_complex
 from .projection import project_orange, standard_form
 from .sweep import run_sweep
 
@@ -494,10 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ComplexFormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ComplexFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,10 +17,10 @@ and reads every lower degree off one echelon pass with the columns in
 degree order.  When the maximal faces share a vertex (every orange does:
 the medial face lies in all of them), every wall passes through it, and
 ``spline_dims`` first translates that vertex to the origin, on the
-complex's integer view (``complexes._integer_view``: numerators N_v over
-the common denominator den) as N_v - N_o over den; the translated complex
-and its integer view are built from those integers
-(``complexes._from_integer_view``).  Every wall form is then homogeneous
+complex's stored integers (numerators N_v = ``nums[v]`` over the common
+denominator ``den``) as N_v - N_o over den; the translated complex is
+built from those integers (``complexes._from_integer_view``).  Every
+wall form is then homogeneous
 and the system splits into independent blocks by exact degree j: the
 face columns of degree j, the cofactor columns of degree j - r - 1 and
 the rows of degree j.  S^r_d is the sum of the blocks j <= d (Billera &
@@ -45,9 +45,9 @@ rows leave free.  A dual graph that is a tree (``two-triangle``,
 the kernel no row at all.
 
 The system is assembled over the integers.  Per facet-adjacent pair,
-``_wall`` reads the wall off the integer view as the primitive integer
-form L with a positive lead D, the one primitive kernel vector of the rows
-(N_v, den) of the shared vertices: L = D*l, where l is the wall form with
+``_wall`` reads the wall off the complex's integers as the primitive
+integer form L with a positive lead D, the one primitive kernel vector of
+the rows (N_v, den) of the shared vertices: L = D*l, where l is the wall form with
 lead 1 and D is the lcm of its denominators.  ``facet_linear_form`` is the
 same routine on rational points.  The cofactor monomials are the face
 monomials' grlex prefix of degree <= d - r - 1.  L**(r+1) is expanded
@@ -77,7 +77,6 @@ from .complexes import (
     Point,
     SimplicialComplex,
     _from_integer_view,
-    _integer_view,
     adjacent_pairs,
 )
 from .exact import (
@@ -270,7 +269,7 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
     """The smoothness system of ``complex_`` at order r and degree <= d.
 
     The complex's shape is checked first.  Each pair's wall is read off
-    the integer view by ``_wall``, and a shared facet that spans no
+    the complex's integers by ``_wall``, and a shared facet that spans no
     hyperplane raises InvalidComplexError naming the two faces.
     """
     if r < 0:
@@ -280,7 +279,7 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
     complex_._check_shape()
     k = complex_.ambient_dim
     faces = complex_.maximal_faces
-    den, nums = _integer_view(complex_)
+    den, nums = complex_.den, complex_.nums
     face_mons = tuple(monomials_upto(k, d))
     # grlex runs through the degrees in order: the cofactor monomials, of
     # degree <= d - r - 1, are a prefix
@@ -329,25 +328,23 @@ def spline_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ..
     elimination never mixes them, which is much faster.
 
     The cache keeps the longest prefix computed so far, keyed by value on
-    the complex's integer view (ambient dimension, common denominator,
-    numerators), its maximal faces and r: plain ints, which hash far
-    faster than the vertices' ``Fraction``s, and which determine the
-    vertices, as den is the lcm of their denominators.  No entry keeps a
-    complex and its memo alive, equal complexes share entries, and a query
-    through any degree already known is a hit.  A miss first checks the
+    the complex's fields (ambient dimension, common denominator,
+    numerators, maximal faces) and r: plain ints, which hash fast and
+    determine the vertices, as den is the lcm of their denominators.  No
+    entry keeps a complex and its memo alive, equal complexes share
+    entries, and a query through any degree already known is a hit.  A miss first checks the
     complex's shape (coordinate arity, face indices), which an entry equal
     by value shares, and raises InvalidComplexError on a ragged complex;
     affine independence of the faces stays ``validate``'s check.  The
-    translation to the shared vertex and the walls run on the integer
-    view.  ``spline_dim.cache_info()`` reports the cache as
+    translation to the shared vertex and the walls run on those integers.
+    ``spline_dim.cache_info()`` reports the cache as
     ``functools.lru_cache`` would.
     """
     if r < 0:
         raise ValueError("smoothness order must be nonnegative")
     if dmax < 0:
         return ()
-    den, nums = _integer_view(complex_)
-    key = (complex_.ambient_dim, den, nums, complex_.maximal_faces, r)
+    key = (complex_.ambient_dim, complex_.den, complex_.nums, complex_.maximal_faces, r)
     dims = _prefixes.get(key, ())
     if len(dims) > dmax:
         _cache_counts[0] += 1
@@ -359,8 +356,7 @@ def spline_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ..
     return dims[: dmax + 1]
 
 
-# one lookup per hit, on the integer view's key: ints hash much faster
-# than the vertices' Fractions
+# one lookup per hit, on the complex's integer fields
 _prefixes: dict[tuple, tuple[int, ...]] = {}
 _cache_counts = [0, 0]
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -418,15 +414,14 @@ def _dual_forest(
 def _graded_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
     faces = complex_.maximal_faces
     shared = set(faces[0]).intersection(*faces[1:])
-    den, nums = _integer_view(complex_)
-    origin = nums[min(shared)] if shared else ()
+    origin = complex_.nums[min(shared)] if shared else ()
     if any(origin):
-        # the shared vertex to the origin on the integer view: N_v - N_o
-        # over den is the translated complex itself, equal by value to the
+        # the shared vertex to the origin on the integers: N_v - N_o over
+        # den is the translated complex itself, equal by value to the
         # rational move, and its walls are read off those integers; a
         # projected star or a standard orange has it there already
-        moved = [[x - o for x, o in zip(v, origin)] for v in nums]
-        complex_ = _from_integer_view(complex_.ambient_dim, den, moved, faces)
+        moved = [[x - o for x, o in zip(v, origin)] for v in complex_.nums]
+        complex_ = _from_integer_view(complex_.ambient_dim, complex_.den, moved, faces)
     system = build_system(complex_, r, dmax)
     face_mons, cof_mons = system.face_monomials, system.cofactor_monomials
     m, mc = len(face_mons), len(cof_mons)
@@ -513,7 +508,7 @@ def spline_basis(complex_: SimplicialComplex, r: int, d: int) -> list[Spline]:
     faces = complex_.maximal_faces
     for s, t in system.pairs:
         shared = sorted(set(faces[s]) & set(faces[t]))
-        form = facet_linear_form([complex_.vertices[v] for v in shared])
+        form = _wall([complex_.nums[v] for v in shared], complex_.den)
         wall = Polynomial.linear(form[:k], form[k])
         if not all(divisible_by_linear_power(b[s] - b[t], wall, r + 1) for b in basis):
             raise AssertionError("nullspace vector violates smoothness")

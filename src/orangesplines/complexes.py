@@ -72,11 +72,6 @@ class UnsupportedOrangeError(ValueError):
     dimension differs from the ambient dimension."""
 
 
-def _as_point(coords: Iterable[Fraction | int]) -> Point:
-    # a Fraction is immutable and kept as it is
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
-
-
 def _affinely_independent(points: Sequence[Sequence[int]]) -> bool:
     if not points:
         return True
@@ -172,15 +167,15 @@ def _check_pairs(
     carry an affine dependence that is nonnegative on the first face's own
     vertices, nonpositive on the second's and nonzero there;
     ``_intersection_within_hull`` decides that from one nullspace per pair.
-    It reads the complex's integer coordinate view (``_integer_view``): a
-    common dilation keeps every affine dependence and every sign.  Every
-    face must be affinely independent.  The error names the faces
-    by ``names[s]`` (default: the maximal faces themselves), so that a
-    projected star reports the orange faces it stands for.
+    It reads the complex's integer numerators ``nums``: a common dilation
+    keeps every affine dependence and every sign.  Every face must be
+    affinely independent.  The error names the faces by ``names[s]``
+    (default: the maximal faces themselves), so that a projected star
+    reports the orange faces it stands for.
     """
     faces = complex_.maximal_faces
     names = names or faces
-    _, nums = _integer_view(complex_)
+    nums = complex_.nums
     for a, b in combinations(range(len(faces)), 2):
         common = sorted(set(faces[a]) & set(faces[b]))
         if not _intersection_within_hull(
@@ -195,21 +190,23 @@ def _check_pairs(
 class SimplicialComplex:
     """A pure-data simplicial complex: rational vertices plus maximal faces.
 
-    Vertices are indexed by position; every maximal face is stored as a
-    sorted tuple of vertex indices.  Instances are immutable and compare
-    and hash by value.  Derived structure is computed once per instance and
-    kept in ``_memo``: the profile (``detect_orange``), the integer
-    coordinate view (``_integer_view``; read by validation, the
-    projection, the lattices, and the cofactor oracle's cache key, move to
-    the shared vertex and walls), the projection (``project_orange``,
-    or inherited from ``standard_form``), and the domain-point lattices
-    (with their integer keys) and Bernstein C^r systems of ``bernstein``.
-    The dimension cache of ``spline_dim`` is keyed by value and holds no
-    instance.
+    Vertex v is stored as the integers ``nums[v]`` over ``den``, the lcm of
+    all coordinate denominators; validation, the projection, both oracles
+    and the lattices read those, as a dilation keeps every affine
+    dependence, sign and lattice order.  The ``Fraction`` points
+    ``vertices`` are derived on first read.  The constructor takes ``int``
+    or ``Fraction`` coordinates; ``_from_integer_view`` takes integers.
+    Every maximal face is a sorted tuple of vertex indices.  Instances are
+    immutable, and (den, nums) is canonical, so the generated equality and
+    hash are by value.  Derived structure is computed once per instance
+    and kept in ``_memo``: the profile (``detect_orange``), the projection
+    (``project_orange``, or inherited from ``standard_form``), and the
+    domain-point lattices and Bernstein C^r systems of ``bernstein``.
     """
 
     ambient_dim: int
-    vertices: tuple[Point, ...]
+    den: int
+    nums: tuple[tuple[int, ...], ...]
     maximal_faces: tuple[Simplex, ...]
 
     def __init__(
@@ -218,17 +215,32 @@ class SimplicialComplex:
         vertices: Iterable[Iterable[Fraction | int]],
         maximal_faces: Iterable[Iterable[int]],
     ) -> None:
-        pts = tuple(_as_point(v) for v in vertices)
-        faces: list[Simplex] = []
-        for f in maximal_faces:
-            f = tuple(f)
-            face = tuple(sorted(set(f)))
-            if len(face) != len(f):
+        pts = [tuple(v) for v in vertices]
+        for vid, p in enumerate(pts):
+            for c in p:
+                if type(c) is not int and type(c) is not Fraction:
+                    raise InvalidComplexError(
+                        f"vertex {vid} has a coordinate that is not an int or a Fraction: {c!r}"
+                    )
+        fracs = [[(c.numerator, c.denominator) for c in p] for p in pts]
+        den = math.lcm(*(q for p in fracs for _, q in p))
+        nums = tuple(tuple(n * (den // q) for n, q in p) for p in fracs)
+        self._store(ambient_dim, den, nums, maximal_faces)
+
+    def _store(self, ambient_dim: int, den: int, nums: tuple, maximal_faces: Iterable) -> None:
+        faces = [tuple(f) for f in maximal_faces]
+        for f in faces:
+            if len(set(f)) != len(f):
                 raise InvalidComplexError(f"face {list(f)} repeats a vertex")
-            faces.append(face)
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
-        object.__setattr__(self, "vertices", pts)
-        object.__setattr__(self, "maximal_faces", tuple(sorted(faces)))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "maximal_faces", tuple(sorted(tuple(sorted(f)) for f in faces)))
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        """The vertices as ``Fraction`` points: ``nums`` over ``den``."""
+        return tuple(tuple(Fraction(x, self.den) for x in v) for v in self.nums)
 
     @cached_property
     def dim(self) -> int:
@@ -287,7 +299,7 @@ class SimplicialComplex:
     def _check_faces(self) -> None:
         """The cheap checks of ``validate``: all but the pair test."""
         self._check_shape()
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(self.nums)) != len(self.nums):
             raise InvalidComplexError("duplicate vertex coordinates")
         fsets = [frozenset(f) for f in self.maximal_faces]
         for a, b in combinations(range(len(fsets)), 2):
@@ -295,40 +307,26 @@ class SimplicialComplex:
                 raise InvalidComplexError(
                     f"faces {self.maximal_faces[a]} and {self.maximal_faces[b]} are nested"
                 )
-        _, nums = _integer_view(self)
         for f in self.maximal_faces:
-            if not _affinely_independent([nums[v] for v in f]):
+            if not _affinely_independent([self.nums[v] for v in f]):
                 raise InvalidComplexError(f"face {f} is geometrically degenerate")
 
     def _check_shape(self) -> None:
         """Coordinate arity and face index bounds: what any reading of the
         vertices of the faces relies on."""
-        for v in self.vertices:
+        for vid, v in enumerate(self.nums):
             if len(v) != self.ambient_dim:
                 raise InvalidComplexError(
-                    f"vertex {v} has arity {len(v)}, ambient dimension is {self.ambient_dim}"
+                    f"vertex {vid} has arity {len(v)}, ambient dimension is {self.ambient_dim}"
                 )
         if not self.maximal_faces:
             raise InvalidComplexError("no maximal faces")
-        nv = len(self.vertices)
+        nv = len(self.nums)
         for f in self.maximal_faces:
             if not f:
                 raise InvalidComplexError("empty face")
             if f[0] < 0 or f[-1] >= nv:
                 raise InvalidComplexError(f"face {f} references a missing vertex")
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.vertices, self.maximal_faces))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimplicialComplex):
-            return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.vertices == other.vertices
-            and self.maximal_faces == other.maximal_faces
-        )
-
 
 @dataclass(frozen=True)
 class OrangeProfile:
@@ -399,39 +397,20 @@ def adjacent_pairs(complex_: SimplicialComplex) -> list[tuple[int, int]]:
     return out
 
 
-def _integer_view(complex_: SimplicialComplex) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(den, vertices times den), den the lcm of all coordinate
-    denominators; kept once per complex instance.  A dilation keeps
-    barycentric coordinates, affine dependences and the lattice order."""
-    if "integer view" not in complex_._memo:
-        den = math.lcm(*(c.denominator for v in complex_.vertices for c in v))
-        complex_._memo["integer view"] = (
-            den,
-            tuple(
-                tuple(c.numerator * (den // c.denominator) for c in v)
-                for v in complex_.vertices
-            ),
-        )
-    return complex_._memo["integer view"]
-
-
 def _from_integer_view(
     ambient_dim: int,
     den: int,
     nums: Sequence[Sequence[int]],
     maximal_faces: Iterable[Iterable[int]],
 ) -> SimplicialComplex:
-    """The complex with vertices ``nums`` / ``den``, its integer view kept
-    on the instance as ``_integer_view`` computes it: the lcm of the
-    coordinate denominators is den / g, g the gcd of den and every
-    numerator, and the numerators over it are ``nums`` / g."""
+    """The complex with vertices ``nums`` / ``den``, den > 0, stored in
+    lowest terms as the constructor stores it: the lcm of the coordinate
+    denominators is den / g, g the gcd of den and every numerator, and
+    the numerators over it are ``nums`` / g."""
     g = math.gcd(den, *chain.from_iterable(nums))
-    den //= g
-    view = tuple(tuple(x // g for x in v) for v in nums)
-    complex_ = SimplicialComplex(
-        ambient_dim, ([Fraction(x, den) for x in v] for v in view), maximal_faces
-    )
-    complex_._memo["integer view"] = (den, view)
+    complex_ = object.__new__(SimplicialComplex)
+    nums = tuple(tuple(x // g for x in v) for v in nums)
+    complex_._store(ambient_dim, den // g, nums, maximal_faces)
     return complex_
 
 

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .cofactor import spline_dim, spline_dims
-from .complexes import SimplicialComplex, _integer_view, adjacent_pairs, detect_orange
+from .complexes import SimplicialComplex, adjacent_pairs, detect_orange
 from .exact import binom
 from .projection import project_orange, standard_form
 
@@ -96,7 +96,7 @@ def star_dims_closed_form(star: SimplicialComplex, r: int, dmax: int) -> tuple[i
     # each shared edge runs from the centre to one more vertex; its slope
     # is its primitive integer direction up to sign
     (centre,) = set(faces[0]).intersection(*faces[1:])
-    nums = _integer_view(star)[1]
+    nums = star.nums
     slopes = set()
     for s, t in pairs:
         (v,) = set(faces[s]) & set(faces[t]) - {centre}

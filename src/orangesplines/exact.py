@@ -15,7 +15,7 @@ selection (``bernstein.compute_mds``) hands to ``_reduce`` itself.
 ``_integer_kernel`` (one primitive vector per free column) is read off
 it for walls, adapted frames, affine dependences and the pair test.
 The pair test and affine independence (``complexes``) pass the kernel
-the integer view's rows, zeros dropped.  ``_integer_row`` clears
+the complex's integer rows, zeros dropped.  ``_integer_row`` clears
 ``Fraction`` rows first for the rational paths: ``RationalMatrix``, its
 nullspace, and the ``Fraction`` solvers.  No projection path uses those
 solvers: ``solve_linear`` serves

@@ -8,12 +8,12 @@ is where the dimension reduction happens.
 
 The projection is one integer computation.  The frame's first i rows are
 read off one kernel of the medial edge vectors on the complex's integer
-view (``adapt_coordinates``); each vertex image is an integer vector over
-one common denominator, and the star's tests run on those.  ``Fraction``
-coordinates are built once per distinct image, and the star keeps those
-integers as its own integer view.  The projection is computed once per
-complex instance, and the standard model built by ``standard_form``
-inherits it instead of computing it again.
+numerators (``adapt_coordinates``); each vertex image is an integer
+vector over one common denominator, the star's tests run on those, and
+the star is stored as those integers.  The projection is computed once
+per complex instance, and the standard model built by ``standard_form``,
+again from the star's integers, inherits it instead of computing it
+again.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .complexes import (
     _affinely_independent,
     _check_pairs,
     _from_integer_view,
-    _integer_view,
     _overlap,
     detect_orange,
 )
@@ -91,13 +90,14 @@ def adapt_coordinates(complex_: SimplicialComplex) -> AdaptedFrame:
     directions come from a greedy completion by standard basis vectors
     (lowest index first), so the construction is deterministic.  The first
     i rows of M are one ``_integer_kernel`` of the medial edges N_m - N_0
-    on the integer view, columns reversed: its free columns are then the
-    completion, and each vector, primitive and positive at its own free
-    column f and zero at the others, is row t of M times its entry at f.
+    on the numerators ``nums``, columns reversed: its free columns are then
+    the completion, and each vector, primitive and positive at its own
+    free column f and zero at the others, is row t of M times its entry at
+    f.
     """
     profile = detect_orange(complex_)
     k = complex_.ambient_dim
-    _, nums = _integer_view(complex_)
+    nums = complex_.nums
     base = nums[profile.medial[0]]
     edges = [
         {k - 1 - c: x - b for c, (x, b) in enumerate(zip(nums[m], base)) if x != b}
@@ -115,7 +115,7 @@ def adapt_coordinates(complex_: SimplicialComplex) -> AdaptedFrame:
             for vec in kernel
         ),
         scale=scale,
-        medial=tuple(complex_.vertices[m] for m in profile.medial),
+        medial=tuple(tuple(Fraction(x, complex_.den) for x in nums[m]) for m in profile.medial),
     )
 
 
@@ -140,8 +140,8 @@ def project_orange(complex_: SimplicialComplex) -> ProjectedOrange:
 
     Vertices that land on the same point are identified (the medial face
     collapses to the origin).  The images are computed on integers, as
-    R (N_v - N_0) over L * den: N is the complex's integer coordinate view
-    over den, and R and L the frame's ``rows`` and ``scale``.  The call
+    R (N_v - N_0) over L * den: N_v is the complex's ``nums[v]`` over
+    ``den``, and R and L the frame's ``rows`` and ``scale``.  The call
     checks the whole orange, through the lemma of the ``complexes`` module
     docstring: every face must project onto an i-simplex, no two segments
     or vertices off the medial face may share an image, and the star must
@@ -160,7 +160,7 @@ def _project(complex_: SimplicialComplex) -> ProjectedOrange:
     # the complex may never have been validated: reading its face points
     # needs the right arity and index bounds
     complex_._check_shape()
-    den, nums = _integer_view(complex_)
+    den, nums = complex_.den, complex_.nums
     i = profile.i
     if i == 0:
         # the whole orange is a single simplex, its medial face; the
@@ -170,7 +170,7 @@ def _project(complex_: SimplicialComplex) -> ProjectedOrange:
         star = SimplicialComplex(0, [()], [[0]])
         return ProjectedOrange(complex=star, central_vertex=0, face_map=(0,), frame=None)
     frame = adapt_coordinates(complex_)
-    # the image of vertex v is R (N_v - N_0) over L * den, N the integer view
+    # the image of vertex v is R (N_v - N_0) over L * den
     base = nums[profile.medial[0]]
     vids = sorted({v for f in complex_.maximal_faces for v in f})
     image_of = {vid: _image(frame, nums[vid], base) for vid in vids}
@@ -221,15 +221,15 @@ def project_face(complex_: SimplicialComplex, face: Sequence[int]) -> tuple[Poin
     dimension is one less than the number of returned points.  A face that
     names a missing vertex raises InvalidComplexError.
     """
-    if any(not 0 <= v < len(complex_.vertices) for v in face):
+    if any(not 0 <= v < len(complex_.nums) for v in face):
         raise InvalidComplexError(f"face {tuple(face)} references a missing vertex")
     frame = project_orange(complex_).frame
     if frame is None:
         return ((),)
-    den, nums = _integer_view(complex_)
+    nums = complex_.nums
     base = nums[detect_orange(complex_).medial[0]]
     images = {_image(frame, nums[v], base) for v in face}
-    return tuple(sorted(tuple(Fraction(x, frame.scale * den) for x in p) for p in images))
+    return tuple(sorted(tuple(Fraction(x, frame.scale * complex_.den) for x in p) for p in images))
 
 
 def _image(frame: AdaptedFrame, num: Sequence[int], base: Sequence[int]) -> tuple[int, ...]:
@@ -252,10 +252,10 @@ def standard_orange(
         raise ValueError("fiber dimension must be nonnegative")
     i = star.ambient_dim
     k = i + fiber_dim
-    vertices = [tuple(v) + (Fraction(0),) * fiber_dim for v in star.vertices]
-    vertices += [tuple(Fraction(int(c == i + t)) for c in range(k)) for t in range(fiber_dim)]
-    tail = tuple(range(len(star.vertices), len(vertices)))
-    return SimplicialComplex(k, vertices, [tuple(f) + tail for f in star.maximal_faces])
+    nums = [v + (0,) * fiber_dim for v in star.nums]
+    nums += [tuple(star.den if c == i + t else 0 for c in range(k)) for t in range(fiber_dim)]
+    tail = tuple(range(len(star.nums), len(nums)))
+    return _from_integer_view(k, star.den, nums, [f + tail for f in star.maximal_faces])
 
 
 @dataclass(frozen=True)
@@ -282,10 +282,12 @@ def standard_form(complex_: SimplicialComplex) -> StandardForm:
     std = standard_orange(star, profile.k - profile.i)
     frame = None
     if profile.i:
+        # the identity frame at the origin; the medial face is 0, e_{i+1}, ..., e_k
+        identity = [tuple(int(r == c) for c in range(profile.k)) for r in range(profile.k)]
         frame = AdaptedFrame(
-            rows=tuple(tuple(int(r == c) for c in range(profile.k)) for r in range(profile.i)),
+            rows=tuple(identity[: profile.i]),
             scale=1,
-            medial=(std.vertices[0], *std.vertices[len(star.vertices):]),
+            medial=tuple(tuple(map(Fraction, e)) for e in [(0,) * profile.k, *identity[profile.i :]]),
         )
     std._memo["projected"] = ProjectedOrange(
         complex=star,

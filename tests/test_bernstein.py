@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -37,7 +39,6 @@ from orangesplines.complexes import (
     InvalidComplexError,
     SimplicialComplex,
     UnsupportedOrangeError,
-    _integer_view,
     adjacent_pairs,
     affine_image,
     barycentric_coordinates,
@@ -141,6 +142,32 @@ def test_round_trip_on_random_polynomials(two_triangle):
         p = Polynomial(2, coeffs)
         back = bb_to_monomial(monomial_to_bb(p, verts, d), verts, d)
         assert back == p
+
+
+def test_the_basis_change_cache_is_bounded():
+    cubic = Polynomial.variable(2, 0) ** 3
+    maxsize = bernstein._bernstein_data.cache_info().maxsize
+    triangles = [[(0, 0), (n + 1, 0), (Fraction(1, n + 2), 1)] for n in range(2 * maxsize)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for verts in triangles[:maxsize]:
+            monomial_to_bb(cubic, verts, 3)
+        gc.collect()
+        full = tracemalloc.get_traced_memory()[0]
+        for verts in triangles[maxsize:]:
+            monomial_to_bb(cubic, verts, 3)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - full
+    finally:
+        tracemalloc.stop()
+    # unbounded, each distinct triangle kept about 10 KB
+    assert retained < 32 * 1024, retained
+    info = bernstein._bernstein_data.cache_info()
+    assert info.currsize == maxsize
+    # the most recent simplex is still kept
+    assert monomial_to_bb(cubic, triangles[-1], 3) == monomial_to_bb(cubic, triangles[-1], 3)
+    assert bernstein._bernstein_data.cache_info().hits == info.hits + 2
 
 
 def test_layer_decomposition_two_tetrahedra():
@@ -545,7 +572,7 @@ def test_integer_layers_and_lifts_match_the_fraction_reference(random_affine_map
     dens = []
     for name, cx in models:
         star = project_orange(cx).complex
-        dens.append((_integer_view(cx)[0], _integer_view(star)[0]))
+        dens.append((cx.den, star.den))
         _assert_layers_and_lifts_match(cx, 4, name)
     # rational models, and one whose star has a smaller denominator
     assert any(den > 1 for den, _ in dens)

@@ -15,7 +15,9 @@ has scale 0), all with ``--json``.  After them come 11 entries keyed
 catalog entry (the key shows ``PATH``; the file's bytes do not depend on
 it), so the cofactor system itself is pinned, not only its nullity.
 Regenerate it with ``python tests/test_cli_stability.py`` only when an
-output change is intended.
+output change is intended.  The file must keep at least its 199 entries
+(188 commands and 11 files): a regeneration that drops commands fails
+the test, and the script refuses to write it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from orangesplines.catalog import names
 from orangesplines.cli import main
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
+MIN_ENTRIES = 199
 
 
 def _commands() -> list[list[str]]:
@@ -88,6 +91,7 @@ def _digests() -> dict[str, dict[str, object]]:
 
 def test_cli_output_matches_the_recorded_digests():
     expected = json.loads(DIGESTS.read_text())
+    assert len(expected) >= MIN_ENTRIES, len(expected)
     got = _digests()
     assert len(got) == 199
     assert list(got) == list(expected)
@@ -96,4 +100,7 @@ def test_cli_output_matches_the_recorded_digests():
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(_digests(), indent=1) + "\n")
+    digests = _digests()
+    if len(digests) < MIN_ENTRIES:
+        raise SystemExit(f"{len(digests)} digests, fewer than {MIN_ENTRIES}: not written")
+    DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")

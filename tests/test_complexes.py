@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import math
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -21,7 +22,6 @@ from orangesplines.complexes import (
     UnsupportedOrangeError,
     _affinely_independent,
     _from_integer_view,
-    _integer_view,
     _intersection_within_hull,
     adjacent_pairs,
     affine_image,
@@ -481,4 +481,67 @@ def test_from_integer_view_keeps_the_view_that_integer_view_computes(den, nums):
     assert cx.vertices == tuple(tuple(Fraction(x, den) for x in v) for v in nums)
     fresh = SimplicialComplex(cx.ambient_dim, cx.vertices, faces)
     assert cx == fresh
-    assert _integer_view(cx) == _integer_view(fresh)
+    assert (cx.den, cx.nums) == (fresh.den, fresh.nums)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1/2", None])
+def test_the_constructor_takes_only_ints_and_fractions(bad):
+    with pytest.raises(InvalidComplexError, match=r"vertex 2 has a coordinate .* Fraction"):
+        SimplicialComplex(2, [(0, 0), (1, 0), (Fraction(1, 3), bad)], [[0, 1, 2]])
+
+
+def _fraction_value(ambient_dim, vertices, faces):
+    """A complex's value as it was when complexes stored ``Fraction``
+    vertices: the ambient dimension, the vertices as ``Fraction`` tuples
+    and the sorted faces."""
+    return (
+        ambient_dim,
+        tuple(tuple(Fraction(c) for c in v) for v in vertices),
+        tuple(sorted(tuple(sorted(f)) for f in faces)),
+    )
+
+
+def test_integer_storage_keeps_the_fraction_value_semantics(random_affine_map):
+    rng = random.Random(21)
+    # (value, complex) pairs: every catalog orange and three rational
+    # images of each, each built from Fraction vertices, from int cells
+    # where a coordinate is integral, and from integers over an unreduced
+    # denominator, with the faces given in another order
+    built = []
+    int_cells = 0
+    for entry in CATALOG:
+        k = entry.complex.ambient_dim
+        faces = entry.complex.maximal_faces
+        point_sets = [entry.complex.vertices]
+        for _ in range(3):
+            matrix, translation = random_affine_map(k, rng)
+            point_sets.append([
+                tuple(sum(m * c for m, c in zip(row, v)) + t for row, t in zip(matrix, translation))
+                for v in entry.complex.vertices
+            ])
+        for points in point_sets:
+            value = _fraction_value(k, points, faces)
+            mixed = [[int(c) if c.denominator == 1 else c for c in v] for v in points]
+            int_cells += sum(type(c) is int for v in mixed for c in v)
+            den = math.lcm(*(c.denominator for v in points for c in v))
+            variants = [
+                SimplicialComplex(k, points, faces),
+                SimplicialComplex(k, mixed, [f[::-1] for f in reversed(faces)]),
+            ]
+            for m in (1, 6):
+                nums = [[int(c * den) * m for c in v] for v in points]
+                variants.append(_from_integer_view(k, den * m, nums, faces))
+            for cx in variants:
+                assert cx.vertices == value[1]
+                assert all(type(c) is Fraction for v in cx.vertices for c in v)
+                assert math.lcm(*(c.denominator for v in cx.vertices for c in v)) == cx.den
+                built.append((value, cx))
+    assert any(cx.den > 1 for _, cx in built)
+    assert int_cells
+    for (value_a, a), (value_b, b) in combinations(built, 2):
+        assert (a == b) == (value_a == value_b)
+        if a == b:
+            assert hash(a) == hash(b)
+    # equal values from different routes, and different values, both occur
+    assert sum(value_a == value_b for (value_a, _), (value_b, _) in combinations(built, 2))
+    assert len({value for value, _ in built}) > 3 * len(CATALOG)

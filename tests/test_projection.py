@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from test_complexes import _integer_points, lifted_oranges
 from test_generated_oranges import generated_oranges
 
-from orangesplines import bernstein, exact, projection
+from orangesplines import bernstein, cofactor, exact, projection
 from orangesplines.bernstein import layer_decomposition, lift_mds, verify_mds
 from orangesplines.catalog import CATALOG, get
 from orangesplines.cofactor import spline_dim
@@ -466,6 +467,28 @@ def test_validating_many_images_retains_no_memory():
     assert retained < 64 * 1024, retained
 
 
+def _one_op_of_each_workload(wire: dict) -> None:
+    """What an op of each benchmark workload does, on one wire complex."""
+    # dim_general
+    dim = complex_from_dict(wire)
+    assert spline_dim(dim, 1, 3) == orange_dim_formula(dim, 1, 3)
+    # series_adapted
+    series = complex_from_dict(wire)
+    report = run_sweep(series, [1], range(4))
+    assert [c.formula for c in report.cells] == [c.oracle for c in report.cells]
+    assert verify_hilbert_identity(series, 1, 3)[0]
+    # mds_lift, without validation
+    cx = SimplicialComplex(
+        wire["ambient_dim"],
+        [[Fraction(c) for c in v] for v in wire["vertices"]],
+        wire["maximal_faces"],
+    )
+    standard = standard_form(cx).standard
+    assert lift_mds(standard, 1, 3).total == orange_dim_formula(cx, 1, 3)
+    assert verify_mds(standard, 1, 3)
+    layer_decomposition(standard, 3)
+
+
 def test_workload_ops_call_no_fraction_solver(monkeypatch, random_affine_map):
     calls = Counter()
 
@@ -487,21 +510,34 @@ def test_workload_ops_call_no_fraction_solver(monkeypatch, random_affine_map):
     entry = get("fan-4d")
     image = affine_image(entry.complex, *random_affine_map(4, random.Random(18)))
     for cx in (_fresh(entry.complex), image):
-        wire = complex_to_dict(cx)
-        # dim_general
-        dim = complex_from_dict(wire)
-        assert spline_dim(dim, 1, 3) == orange_dim_formula(dim, 1, 3)
-        # series_adapted
-        series = complex_from_dict(wire)
-        report = run_sweep(series, [1], range(4))
-        assert [c.formula for c in report.cells] == [c.oracle for c in report.cells]
-        assert verify_hilbert_identity(series, 1, 3)[0]
-        # mds_lift, without validation
-        standard = standard_form(_fresh(cx)).standard
-        assert lift_mds(standard, 1, 3).total == orange_dim_formula(cx, 1, 3)
-        assert verify_mds(standard, 1, 3)
-        layer_decomposition(standard, 3)
+        _one_op_of_each_workload(complex_to_dict(cx))
     assert calls == Counter(), calls
     # the counters see the calls that do happen: the frame's matrix view
     assert adapt_coordinates(image).matrix
     assert calls == Counter({"invert_matrix": 1}), calls
+
+
+def test_workload_ops_build_no_fraction_vertices(monkeypatch, random_affine_map):
+    rng = random.Random(19)
+    wires = [complex_to_dict(get(name).complex) for name in ("fan-4d", "vertex-star-3d")]
+    for name in ("fan-4d", "vertex-star-3d", "planar-star"):
+        base = get(name).complex
+        wires.append(complex_to_dict(affine_image(base, *random_affine_map(base.ambient_dim, rng))))
+    builds = []
+    view = SimplicialComplex.vertices
+
+    def counted(cx):
+        builds.append(cx)
+        return view.func(cx)
+
+    counting = cached_property(counted)
+    counting.__set_name__(SimplicialComplex, "vertices")
+    monkeypatch.setattr(SimplicialComplex, "vertices", counting)
+    # a cold prefix cache: every system is built
+    monkeypatch.setattr(cofactor, "_prefixes", {})
+    for wire in wires:
+        _one_op_of_each_workload(wire)
+    assert builds == []
+    # the counter sees a view that is read
+    assert complex_from_dict(wires[0]).vertices
+    assert len(builds) == 1
