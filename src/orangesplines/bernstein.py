@@ -63,6 +63,7 @@ from .complexes import (
     OrangeProfile,
     Point,
     SimplicialComplex,
+    _check_coordinates,
     adjacent_pairs,
     detect_orange,
 )
@@ -162,13 +163,22 @@ def _coordinates(key: Sequence[int], scale: int) -> Point:
     return tuple(Fraction(n, scale) for n in key)
 
 
+def _simplex_vertices(vertices: Sequence[Sequence[Fraction | int]]) -> tuple[Point, ...]:
+    """The vertices as ``Fraction`` points; a coordinate that is not an
+    ``int`` or a ``Fraction`` raises InvalidComplexError, as in the
+    ``SimplicialComplex`` constructor."""
+    verts = [tuple(v) for v in vertices]
+    _check_coordinates(verts)
+    return tuple(tuple(Fraction(c) for c in v) for v in verts)
+
+
 def simplex_domain_points(
     vertices: tuple[Point, ...] | list[Point], d: int, face: int = 0
 ) -> list[DomainPoint]:
     """Degree-d lattice of one simplex: binom(d + m, m) points, m = dim."""
     if d < 0:
         raise ValueError("degree must take a nonnegative value")
-    verts = tuple(tuple(Fraction(c) for c in v) for v in vertices)
+    verts = _simplex_vertices(vertices)
     # integer numerators over one common denominator: one Fraction per coordinate
     den = lcm(*(c.denominator for v in verts for c in v))
     nums = [[c.numerator * (den // c.denominator) for c in v] for v in verts]
@@ -432,7 +442,7 @@ def monomial_to_bb(
     """Bernstein coefficients (by multi-index) of a degree <= d polynomial."""
     if poly.degree() > d:
         raise ValueError(f"degree {poly.degree()} exceeds the target degree {d}")
-    verts = tuple(tuple(Fraction(c) for c in v) for v in vertices)
+    verts = _simplex_vertices(vertices)
     indices, _, inverse = _bernstein_data(verts, d)
     ambient = len(verts[0])
     monos = monomials_upto(ambient, d)
@@ -450,7 +460,7 @@ def bb_to_monomial(
     d: int,
 ) -> Polynomial:
     """Polynomial with the given Bernstein coefficients on the simplex."""
-    verts = tuple(tuple(Fraction(c) for c in v) for v in vertices)
+    verts = _simplex_vertices(vertices)
     indices, matrix, _ = _bernstein_data(verts, d)
     ambient = len(verts[0])
     monos = monomials_upto(ambient, d)

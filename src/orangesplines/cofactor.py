@@ -64,13 +64,13 @@ first use, for ``dimension``, ``matrix``, ``describe`` and
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement
 from operator import add
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .complexes import (
     InvalidComplexError,
@@ -332,10 +332,12 @@ def spline_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ..
     numerators, maximal faces) and r: plain ints, which hash fast and
     determine the vertices, as den is the lcm of their denominators.  No
     entry keeps a complex and its memo alive, equal complexes share
-    entries, and a query through any degree already known is a hit.  A miss first checks the
-    complex's shape (coordinate arity, face indices), which an entry equal
-    by value shares, and raises InvalidComplexError on a ragged complex;
-    affine independence of the faces stays ``validate``'s check.  The
+    entries, and a query through any degree already known is a hit.  The
+    cache holds the 256 entries used last and evicts the oldest beyond
+    that.  A miss first checks the complex's shape (coordinate arity, face
+    indices), which an entry equal by value shares, and raises
+    InvalidComplexError on a ragged complex; affine independence of the
+    faces stays ``validate``'s check.  The
     translation to the shared vertex and the walls run on those integers.
     ``spline_dim.cache_info()`` reports the cache as
     ``functools.lru_cache`` would.
@@ -345,25 +347,57 @@ def spline_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ..
     if dmax < 0:
         return ()
     key = (complex_.ambient_dim, complex_.den, complex_.nums, complex_.maximal_faces, r)
-    dims = _prefixes.get(key, ())
-    if len(dims) > dmax:
-        _cache_counts[0] += 1
-    else:
-        _cache_counts[1] += 1
+    dims = _prefixes.lookup(key, dmax)
+    if dims is None:
         # an entry equal by value has the same shape, so a hit needs no check
         complex_._check_shape()
-        dims = _prefixes[key] = _graded_dims(complex_, r, dmax)
+        dims = _graded_dims(complex_, r, dmax)
+        _prefixes.put(key, dims)
     return dims[: dmax + 1]
 
 
-# one lookup per hit, on the complex's integer fields
-_prefixes: dict[tuple, tuple[int, ...]] = {}
-_cache_counts = [0, 0]
+class _PrefixCache:
+    """A least-recently-used map from keys to dimension prefixes, where a
+    prefix answers every query through a degree it reaches.  It counts
+    hits, misses and evictions."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self.hits = self.misses = self.evictions = 0
+        self._entries: OrderedDict[tuple, tuple[int, ...]] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self._entries)
+
+    def lookup(self, key: tuple, dmax: int) -> tuple[int, ...] | None:
+        """The prefix stored under ``key`` if it reaches degree ``dmax``."""
+        dims = self._entries.get(key, ())
+        if len(dims) <= dmax:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self._entries.move_to_end(key)
+        return dims
+
+    def put(self, key: tuple, dims: tuple[int, ...]) -> None:
+        self._entries[key] = dims
+        self._entries.move_to_end(key)
+        if len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+
+
+# a perfbench round (100-odd ops on distinct complexes) fills at most 189
+# entries, so no op evicts an entry that a later op of its round reads
+_prefixes = _PrefixCache(maxsize=256)
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def _cache_info() -> _CacheInfo:
-    return _CacheInfo(*_cache_counts, None, len(_prefixes))
+    return _CacheInfo(_prefixes.hits, _prefixes.misses, _prefixes.maxsize, len(_prefixes))
 
 
 def _dual_forest(

@@ -23,6 +23,22 @@ share an image, a point near relint(F) in the direction of both lies in
 two faces but not in the hull of their common vertices.
 ``projection.project_orange`` applies the lemma; every other complex is
 pair-tested directly.
+
+For i <= 2 the star is a fan at the origin, and ``_check_fan`` decides
+it from the cyclic order of its faces, with no pair test.  Fan lemma: in
+R^1 the faces are segments from the origin, and the star is geometric
+exactly when no two lie on one side.  In R^2 the faces are sectors
+conv(0, a, b) with a x b > 0 (each spans less than a half-turn); sort
+them by start ray a.  The star is geometric exactly when each
+consecutive pair, the last and the first included, has the next start
+ray neither strictly inside the current sector nor on its start ray,
+and, when it lies on the current end ray, the same vertex there.
+Proof sketch: then the arcs [a, b] follow each other around the circle
+without overlap, so two sectors meet at the origin or along one bounding
+ray, whose segment is the hull of their common vertices when the vertex
+on it is shared.  Conversely, overlapping interiors, or one ray carrying
+the vertices of two sectors at different lengths, give a point near the
+origin in both sectors but not in that hull.
 """
 
 from __future__ import annotations
@@ -30,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
@@ -79,6 +95,18 @@ def _affinely_independent(points: Sequence[Sequence[int]]) -> bool:
     # rank of the edge vectors must equal their number
     vecs = [{j: x - b for j, (x, b) in enumerate(zip(p, base)) if x != b} for p in points[1:]]
     return len(_echelon(vecs)) == len(vecs)
+
+
+def _check_coordinates(points: Sequence[Sequence[object]]) -> None:
+    """Raise InvalidComplexError naming the first vertex with a coordinate
+    that is not an ``int`` or a ``Fraction``: floats, bools and strings
+    are not exact rationals to be read as given."""
+    for vid, p in enumerate(points):
+        for c in p:
+            if type(c) is not int and type(c) is not Fraction:
+                raise InvalidComplexError(
+                    f"vertex {vid} has a coordinate that is not an int or a Fraction: {c!r}"
+                )
 
 
 def barycentric_coordinates(
@@ -150,6 +178,51 @@ def _intersection_within_hull(
     return True
 
 
+def _cross(u: Sequence[int], v: Sequence[int]) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _same_ray(u: Sequence[int], v: Sequence[int]) -> bool:
+    return _cross(u, v) == 0 and u[0] * v[0] + u[1] * v[1] > 0
+
+
+def _angle_order(u: Sequence[int], v: Sequence[int]) -> int:
+    """Compare two nonzero vectors by angle from the positive x-axis, in
+    [0, 2 pi): half-plane first, then the sign of the cross product."""
+    lower_u = u[1] < 0 or (u[1] == 0 and u[0] < 0)
+    lower_v = v[1] < 0 or (v[1] == 0 and v[0] < 0)
+    if lower_u != lower_v:
+        return 1 if lower_u else -1
+    return -_cross(u, v)
+
+
+def _check_fan(star: SimplicialComplex) -> bool:
+    """Whether a star in R^1 or R^2 is a geometric complex, by the fan
+    lemma of the module docstring: O(n log n) on exact integer cross
+    products of ``nums``, no kernel.
+
+    Precondition, which ``projection.project_orange`` checks first: vertex
+    0 is the origin and lies in every face, every face is affinely
+    independent, and distinct vertices are distinct points.
+    """
+    nums = star.nums
+    if star.ambient_dim == 1:
+        sides = [nums[v][0] > 0 for _, v in star.maximal_faces]
+        return len(set(sides)) == len(sides)
+    # each sector counter-clockwise from its start ray a to its end ray b
+    sectors = [(a, b) if _cross(nums[a], nums[b]) > 0 else (b, a) for _, a, b in star.maximal_faces]
+    if len(sectors) < 2:
+        return True
+    sectors.sort(key=cmp_to_key(lambda s, t: _angle_order(nums[s[0]], nums[t[0]])))
+    for (a, b), (c, _) in zip(sectors, sectors[1:] + sectors[:1]):
+        start, end, after = nums[a], nums[b], nums[c]
+        if _cross(start, after) > 0 and _cross(after, end) > 0:
+            return False
+        if _same_ray(start, after) or (c != b and _same_ray(end, after)):
+            return False
+    return True
+
+
 def _overlap(face_a: Simplex, face_b: Simplex) -> InvalidComplexError:
     face_a, face_b = sorted((face_a, face_b))
     return InvalidComplexError(
@@ -216,12 +289,7 @@ class SimplicialComplex:
         maximal_faces: Iterable[Iterable[int]],
     ) -> None:
         pts = [tuple(v) for v in vertices]
-        for vid, p in enumerate(pts):
-            for c in p:
-                if type(c) is not int and type(c) is not Fraction:
-                    raise InvalidComplexError(
-                        f"vertex {vid} has a coordinate that is not an int or a Fraction: {c!r}"
-                    )
+        _check_coordinates(pts)
         fracs = [[(c.numerator, c.denominator) for c in p] for p in pts]
         den = math.lcm(*(q for p in fracs for _, q in p))
         nums = tuple(tuple(n * (den // q) for n, q in p) for p in fracs)
@@ -281,10 +349,11 @@ class SimplicialComplex:
         every pair of maximal simplices, which suffices: any two faces lie
         inside maximal ones, and the condition is inherited by subsets.
 
-        For an orange (``detect_orange`` succeeds) the pair test runs on the
-        projected star, through ``project_orange``; the module docstring
-        gives the lemma that makes the two verdicts equal.  Every other
-        complex gets the direct test, ``_check_pairs``.
+        For an orange (``detect_orange`` succeeds) the test runs on the
+        projected star, through ``project_orange``: by cyclic order when
+        the star is a fan in R^1 or R^2, pair by pair in R^3; the module
+        docstring gives the lemmas that make the verdicts equal.  Every
+        other complex gets the direct test, ``_check_pairs``.
         """
         self._check_faces()
         try:

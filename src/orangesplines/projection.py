@@ -30,6 +30,7 @@ from .complexes import (
     Point,
     SimplicialComplex,
     _affinely_independent,
+    _check_fan,
     _check_pairs,
     _from_integer_view,
     _overlap,
@@ -145,9 +146,10 @@ def project_orange(complex_: SimplicialComplex) -> ProjectedOrange:
     checks the whole orange, through the lemma of the ``complexes`` module
     docstring: every face must project onto an i-simplex, no two segments
     or vertices off the medial face may share an image, and the star must
-    pass the pair test.  A failure raises InvalidComplexError naming the
-    orange's own faces.  The projection, with its one pair test, is
-    computed once per complex instance, and the standard model of
+    be proper: a fan (i <= 2) by its cyclic order (``_check_fan``), an
+    i = 3 star pair by pair.  A failure raises InvalidComplexError naming
+    the orange's own faces.  The projection, with its one properness test,
+    is computed once per complex instance, and the standard model of
     ``standard_form`` inherits it.
     """
     if "projected" not in complex_._memo:
@@ -207,10 +209,15 @@ def _project(complex_: SimplicialComplex) -> ProjectedOrange:
 
     star = _from_integer_view(i, frame.scale * den, images, new_faces)
     face_map = tuple(star.maximal_faces.index(nf) for nf in new_faces)
-    # the star is an (i, i)-orange whose projection is itself, so its pair
-    # test runs here and not through ``star.validate()``
+    # the star is an (i, i)-orange whose projection is itself, so its
+    # properness test runs here and not through ``star.validate()``: a fan
+    # (i <= 2) by its cyclic order, an i = 3 star pair by pair.  A rejected
+    # fan is pair-tested too, for an error naming the failing pair.
     names = [f for _, f in sorted(zip(face_map, complex_.maximal_faces))]
-    _check_pairs(star, names)
+    if i > 2 or not _check_fan(star):
+        _check_pairs(star, names)
+        if i <= 2:
+            raise RuntimeError(f"the fan test rejects the star {star} that the pair test accepts")
     return ProjectedOrange(complex=star, central_vertex=0, face_map=face_map, frame=frame)
 
 

@@ -122,6 +122,23 @@ def test_square_is_the_last_basis_member():
     assert [coeffs[a] for a in simplex_multiindices(2, 2)] == [0, 0, 1]
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1/2", None])
+@pytest.mark.parametrize(
+    "convert",
+    [
+        lambda verts: simplex_domain_points(verts, 1),
+        lambda verts: monomial_to_bb(Polynomial.variable(1, 0), verts, 1),
+        lambda verts: bb_to_monomial({(1, 0): 1, (0, 1): 0}, verts, 1),
+    ],
+    ids=["simplex_domain_points", "monomial_to_bb", "bb_to_monomial"],
+)
+def test_simplex_vertices_take_only_ints_and_fractions(convert, bad):
+    with pytest.raises(InvalidComplexError, match=r"vertex 1 has a coordinate .* Fraction"):
+        convert([(0,), (bad,)])
+    # ints and Fractions are read exactly
+    assert convert([(0,), (Fraction(1, 10),)]) == convert([(Fraction(0),), (Fraction(1, 10),)])
+
+
 def test_degree_overflow_is_rejected():
     x = Polynomial.variable(1, 0)
     with pytest.raises(ValueError):
@@ -295,7 +312,7 @@ def test_a_lift_builds_the_star_system_once(monkeypatch):
     # every level j = 0..3 asks for the star's degree-j dimension; one
     # system through degree 3 answers them all
     built = _recording_builds(monkeypatch)
-    monkeypatch.setattr(cofactor, "_prefixes", {})
+    monkeypatch.setattr(cofactor, "_prefixes", cofactor._PrefixCache(maxsize=256))
     sf = standard_form(get("tetrahedral-fan").complex)
     star = sf.projected.complex
     lift = lift_mds(sf.standard, 1, 3)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -569,7 +570,10 @@ def test_cache_keys_hold_only_ints():
     assert all(ints(key) for key in cofactor._prefixes)
 
 
-def test_equal_complexes_share_one_entry():
+def test_equal_complexes_share_one_entry(monkeypatch):
+    # an empty cache: a full one would evict an entry for the new one
+    monkeypatch.setattr(cofactor, "_prefixes", cofactor._PrefixCache(maxsize=256))
+
     def fresh() -> SimplicialComplex:
         return affine_image(
             get("planar-star").complex, [[3, 1], [1, 2]], [Fraction(2, 13), Fraction(-5, 17)]
@@ -583,6 +587,82 @@ def test_equal_complexes_share_one_entry():
     after = spline_dim.cache_info()
     assert len(cofactor._prefixes) == size + 1
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+
+
+def _scaled_two_triangle(n: int) -> SimplicialComplex:
+    """The n-th of a run of distinct positive diagonal images of
+    ``two-triangle``; their coordinates are ints of one size."""
+    base = get("two-triangle").complex
+    return SimplicialComplex(
+        2, [(x * (n + 1000), y * 1000) for x, y in base.vertices], base.maximal_faces
+    )
+
+
+@pytest.fixture
+def empty_prefix_cache(monkeypatch):
+    """An empty prefix cache of the size that ``spline_dims`` uses."""
+    cache = cofactor._PrefixCache(maxsize=cofactor._prefixes.maxsize)
+    monkeypatch.setattr(cofactor, "_prefixes", cache)
+    return cache
+
+
+def test_the_prefix_cache_is_bounded(empty_prefix_cache):
+    cache = empty_prefix_cache
+    assert spline_dim.cache_info().maxsize == cache.maxsize == 256
+    size = cache.maxsize
+    for n in range(size):
+        spline_dims(_scaled_two_triangle(n), 1, 3)
+    assert (len(cache), cache.evictions) == (size, 0)
+    # entries made while tracing replace the untraced ones, then each
+    # other; the interpreter's free lists and the table's resizes settle
+    # in the first two rounds
+    traced = []
+    tracemalloc.start()
+    try:
+        for start in range(size, 5 * size, size):
+            for n in range(start, start + size):
+                spline_dims(_scaled_two_triangle(n), 1, 3)
+            gc.collect()
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert (len(cache), cache.evictions) == (size, 4 * size)
+    # an unbounded cache kept 512 more entries, about 390 KB here
+    assert traced[3] - traced[1] < 8 * 1024, traced
+
+
+def test_an_evicted_prefix_recomputes_to_the_same_value(empty_prefix_cache, monkeypatch):
+    cache = empty_prefix_cache
+    first = _scaled_two_triangle(0)
+    dims = spline_dims(first, 1, 4)
+    # a longer prefix answers a shorter query, and the query keeps it
+    for n in range(1, cache.maxsize):
+        spline_dims(_scaled_two_triangle(n), 1, 2)
+        assert spline_dims(first, 1, 3) == dims[:4]
+    assert cache.evictions == 0
+    # one more entry evicts the one used last longest ago, not ``first``
+    spline_dims(_scaled_two_triangle(cache.maxsize), 1, 2)
+    assert cache.evictions == 1
+    built = _recording_builds(monkeypatch)
+    assert spline_dims(first, 1, 4) == dims
+    assert built == []
+    assert spline_dims(_scaled_two_triangle(1), 1, 2) == dims[:3]
+    assert [(system.complex.maximal_faces, system.d) for system in built] == [
+        (first.maximal_faces, 2)
+    ]
+
+
+def test_the_prefix_cache_counts_every_query(empty_prefix_cache):
+    cache = empty_prefix_cache
+    queries = 0
+    for n in range(2 * cache.maxsize):
+        for d in (2, 1, 3, n % 4):
+            spline_dims(_scaled_two_triangle(n % (cache.maxsize + 10)), 1, d)
+            queries += 1
+    info = spline_dim.cache_info()
+    assert info.hits + info.misses == queries
+    assert info.hits and info.misses and cache.evictions
+    assert info.currsize == len(cache) == cache.maxsize
 
 
 def test_build_system_walls_are_facet_linear_form():

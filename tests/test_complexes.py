@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from orangesplines import complexes
+from orangesplines import complexes, projection
 from orangesplines.complexes import (
     EmptyMedialFaceError,
     InvalidComplexError,
@@ -384,6 +384,92 @@ def test_star_route_matches_the_all_pairs_reference():
     assert outcomes["vertices"] > outcomes["valid"], outcomes
 
 
+# the primitive integer directions of the plane with entries in [-2, 2],
+# counter-clockwise from the positive x-axis
+DIRECTIONS = sorted(
+    {(x // math.gcd(x, y), y // math.gcd(x, y)) for x in range(-2, 3) for y in range(-2, 3) if x or y},
+    key=lambda v: math.atan2(v[1], v[0]) % (2 * math.pi),
+)
+
+
+def _cross(u, v) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+@st.composite
+def fans(draw):
+    """A star in R^1 or R^2 around vertex 0 at the origin, the kind of
+    fault drawn into it (None for none) and whether its sectors cover the
+    whole turn.
+
+    A plane fan starts proper: sectors between consecutive rays, closed
+    or not, each ray's vertex at one of two lengths.  The faults are a
+    sector whose vertex on a ray it shares with its neighbour lies at the
+    other length ("lengths"), one more sector on an existing start ray
+    ("shared start"), and one more arbitrary sector ("extra", proper when
+    it fills a gap).  A line fan has up to three segments; two on one side
+    are the fault "one side"."""
+    if draw(st.booleans()):
+        ends = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=3, unique=True))
+        kind = "one side" if len({e > 0 for e in ends}) < len(ends) else None
+        faces = [[0, v] for v in range(1, len(ends) + 1)]
+        return _from_integer_view(1, 1, [(0,)] + [(e,) for e in ends], faces), kind, False
+    points = [(0, 0)]
+
+    def vertex(ray: int, length: int) -> int:
+        p = tuple(length * c for c in DIRECTIONS[ray])
+        if p not in points:
+            points.append(p)
+        return points.index(p)
+
+    rays = sorted(draw(st.lists(st.integers(0, len(DIRECTIONS) - 1), min_size=2, max_size=7, unique=True)))
+    ends = [vertex(ray, draw(st.integers(1, 2))) for ray in rays]
+    closed = draw(st.booleans())
+    steps = list(zip(ends, ends[1:] + ends[:1] if closed else ends[1:]))
+    # a step of a half-turn or more spans no sector
+    sectors = [[0, a, b] for a, b in steps if _cross(points[a], points[b]) > 0]
+    assume(sectors)
+    whole_turn = closed and len(sectors) == len(steps)
+    kind = draw(st.sampled_from([None, "lengths", "shared start", "extra"]))
+    if kind == "lengths":
+        # the start vertex of a sector whose start ray ends the one before
+        touching = [t for t in range(len(sectors)) if sectors[t][1] == sectors[t - 1][2]]
+        assume(touching)
+        t = draw(st.sampled_from(touching))
+        x, y = points[sectors[t][1]]
+        g = math.gcd(x, y)
+        sectors[t][1] = vertex(DIRECTIONS.index((x // g, y // g)), 3 - g)
+    elif kind == "shared start":
+        start, end = draw(st.sampled_from(sectors))[1:]
+        targets = [v for v in range(1, len(points)) if v != end and _cross(points[start], points[v]) > 0]
+        assume(targets)
+        sectors.append([0, start, draw(st.sampled_from(targets))])
+    elif kind == "extra":
+        a, b = (vertex(draw(st.integers(0, len(DIRECTIONS) - 1)), draw(st.integers(1, 2))) for _ in range(2))
+        assume(_cross(points[a], points[b]) and [0, *sorted((a, b))] not in map(sorted, sectors))
+        sectors.append([0, a, b])
+    return _from_integer_view(2, 1, points, sectors), kind, whole_turn
+
+
+def test_the_fan_test_matches_the_all_pairs_reference():
+    outcomes = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(fans())
+    def check(drawn):
+        star, kind, whole_turn = drawn
+        proper = _verdict(complexes._check_pairs, star) is None
+        assert complexes._check_fan(star) == proper, star
+        outcomes[kind, proper] += 1
+        outcomes["whole turn", proper] += whole_turn
+
+    check()
+    for kind in ("one side", "lengths", "shared start", "extra"):
+        assert outcomes[kind, False], outcomes
+    assert outcomes[None, True] and outcomes["extra", True], outcomes
+    assert outcomes["whole turn", True] and outcomes["whole turn", False], outcomes
+
+
 def test_two_vertices_with_one_projection_make_an_orange_invalid():
     # three tetrahedra around the z-axis edge; the last one's apex (1, 0, 1/2)
     # projects onto that of the first, (1, 0, 0).  The projected triangles
@@ -431,20 +517,43 @@ def _counting_pair_tests(monkeypatch) -> list[int]:
     return dims
 
 
+def _counting_star_tests(monkeypatch) -> list[tuple[str, int]]:
+    """Record each properness test of a projected star: the test's name
+    and the star's dimension."""
+    tests = []
+    for name in ("_check_fan", "_check_pairs"):
+        original = getattr(projection, name)
+
+        def counted(star, *names, name=name, original=original):
+            tests.append((name, star.ambient_dim))
+            return original(star, *names)
+
+        monkeypatch.setattr(projection, name, counted)
+    return tests
+
+
 def test_an_orange_is_pair_tested_once_through_its_star(monkeypatch):
+    tests = _counting_star_tests(monkeypatch)
     dims = _counting_pair_tests(monkeypatch)
     entry = get("fan-4d")
     m = [[Fraction(int(r == c) + (c == r + 1) * (r + 2)) for c in range(4)] for r in range(4)]
     image = affine_image(entry.complex, m, [Fraction(1, 3), -2, 5, Fraction(-7, 2)])
     cx = complex_from_dict(complex_to_dict(image))
-    n = len(cx.maximal_faces)
     assert entry.profile.i == 2
-    assert dims == [2] * math.comb(n, 2)
+    # one test of the star, by its cyclic order: no pair of faces is tested
+    assert tests == [("_check_fan", 2)]
     orange_dim_formula(cx, 1, 3)
     spline_dim(cx, 1, 3)
     # the standard model inherits the projection: its star is not tested again
     standard_form(standard_form(cx).standard)
-    assert dims == [2] * math.comb(n, 2)
+    assert tests == [("_check_fan", 2)]
+    assert dims == []
+    # an i = 3 star is still tested pair by pair, once
+    vertex_star = complex_from_dict(complex_to_dict(get("vertex-star-3d").complex))
+    n = len(vertex_star.maximal_faces)
+    standard_form(standard_form(vertex_star).standard)
+    assert tests == [("_check_fan", 2), ("_check_pairs", 3)]
+    assert dims == [3] * math.comb(n, 2)
 
 
 MORGAN_SCOTT = [(0, 0), (12, 0), (6, 12), (8, Fraction(16, 3)), (4, Fraction(16, 3)), (6, Fraction(4, 3))]

@@ -278,7 +278,7 @@ def test_closed_form_edge_cases():
 def test_the_formula_eliminates_only_stars_in_r3(monkeypatch):
     built = _recording_builds(monkeypatch)
     # an empty cache, so that every star the formula eliminates is built
-    monkeypatch.setattr(cofactor, "_prefixes", {})
+    monkeypatch.setattr(cofactor, "_prefixes", cofactor._PrefixCache(maxsize=256))
     dense = affine_image(
         get("fan-4d").complex,
         [[2, 1, 0, 1], [0, 3, 1, 0], [1, 0, 2, 1], [0, 1, 0, 1]],

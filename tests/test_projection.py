@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from test_complexes import _integer_points, lifted_oranges
 from test_generated_oranges import generated_oranges
 
-from orangesplines import bernstein, cofactor, exact, projection
+from orangesplines import bernstein, cofactor, complexes, exact, projection
 from orangesplines.bernstein import layer_decomposition, lift_mds, verify_mds
 from orangesplines.catalog import CATALOG, get
 from orangesplines.cofactor import spline_dim
@@ -341,11 +341,13 @@ def test_skew_orange_has_skew_frame_but_clean_star():
 def test_each_orange_is_recognized_and_projected_once(monkeypatch):
     # a fresh copy, so no earlier test has filled its memo
     cx = _fresh(get("two-tetrahedron").complex)
-    # star pair tests and frames built
-    pair_tests, frames = [], []
-    check_pairs, adapt = projection._check_pairs, projection.adapt_coordinates
+    # star properness tests (by cyclic order or pair by pair) and frames built
+    star_tests, frames = [], []
+    check_fan, check_pairs = projection._check_fan, projection._check_pairs
+    adapt = projection.adapt_coordinates
+    monkeypatch.setattr(projection, "_check_fan", lambda c: star_tests.append(c) or check_fan(c))
     monkeypatch.setattr(
-        projection, "_check_pairs", lambda c, names: pair_tests.append(c) or check_pairs(c, names)
+        projection, "_check_pairs", lambda c, names: star_tests.append(c) or check_pairs(c, names)
     )
     monkeypatch.setattr(projection, "adapt_coordinates", lambda c: frames.append(c) or adapt(c))
     # Bernstein systems by (complex, r, d); lattices by (complex, degree),
@@ -374,8 +376,8 @@ def test_each_orange_is_recognized_and_projected_once(monkeypatch):
     layer_decomposition(sf.standard, 3)
     # the standard model inherits its projection: one frame per op
     assert frames == [cx]
-    # one star pair test for the orange and its standard model together
-    assert pair_tests == [sf.projected.complex]
+    # one star test for the orange and its standard model together
+    assert star_tests == [sf.projected.complex]
     # each system and each lattice built once per complex instance
     assert systems and len(set(systems)) == len(systems), systems
     builds = list(lattices.values())
@@ -517,6 +519,31 @@ def test_workload_ops_call_no_fraction_solver(monkeypatch, random_affine_map):
     assert calls == Counter({"invert_matrix": 1}), calls
 
 
+def test_workload_ops_pair_test_only_stars_in_r3(monkeypatch, random_affine_map):
+    calls = []
+    within = complexes._intersection_within_hull
+    monkeypatch.setattr(
+        complexes, "_intersection_within_hull", lambda *args: calls.append(1) or within(*args)
+    )
+    rng = random.Random(20)
+    counts = {}
+    for name in ("fan-4d", "planar-star", "two-triangle", "vertex-star-3d"):
+        base = get(name).complex
+        image = affine_image(base, *random_affine_map(base.ambient_dim, rng))
+        before = len(calls)
+        _one_op_of_each_workload(complex_to_dict(image))
+        counts[name] = len(calls) - before
+    # a fan (i <= 2) is decided by its cyclic order; an i = 3 star pair by pair
+    assert counts.pop("vertex-star-3d") > 0
+    assert counts == {"fan-4d": 0, "planar-star": 0, "two-triangle": 0}
+
+
+def test_a_fan_rejected_only_by_the_fan_test_raises(monkeypatch):
+    monkeypatch.setattr(projection, "_check_fan", lambda star: False)
+    with pytest.raises(RuntimeError, match="the fan test rejects"):
+        project_orange(_fresh(get("planar-star").complex))
+
+
 def test_workload_ops_build_no_fraction_vertices(monkeypatch, random_affine_map):
     rng = random.Random(19)
     wires = [complex_to_dict(get(name).complex) for name in ("fan-4d", "vertex-star-3d")]
@@ -534,7 +561,7 @@ def test_workload_ops_build_no_fraction_vertices(monkeypatch, random_affine_map)
     counting.__set_name__(SimplicialComplex, "vertices")
     monkeypatch.setattr(SimplicialComplex, "vertices", counting)
     # a cold prefix cache: every system is built
-    monkeypatch.setattr(cofactor, "_prefixes", {})
+    monkeypatch.setattr(cofactor, "_prefixes", cofactor._PrefixCache(maxsize=256))
     for wire in wires:
         _one_op_of_each_workload(wire)
     assert builds == []
