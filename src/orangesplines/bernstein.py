@@ -63,7 +63,6 @@ from .complexes import (
     OrangeProfile,
     Point,
     SimplicialComplex,
-    _check_coordinates,
     adjacent_pairs,
     detect_orange,
 )
@@ -163,31 +162,29 @@ def _coordinates(key: Sequence[int], scale: int) -> Point:
     return tuple(Fraction(n, scale) for n in key)
 
 
-def _simplex_vertices(vertices: Sequence[Sequence[Fraction | int]]) -> tuple[Point, ...]:
-    """The vertices as ``Fraction`` points; a coordinate that is not an
-    ``int`` or a ``Fraction`` raises InvalidComplexError, as in the
-    ``SimplicialComplex`` constructor."""
+def _simplex(vertices: Sequence[Sequence[Fraction | int]]) -> SimplicialComplex:
+    """The one-face complex on ``vertices``, validated: ragged, dependent or
+    duplicate vertices, or inexact coordinates, raise InvalidComplexError."""
     verts = [tuple(v) for v in vertices]
-    _check_coordinates(verts)
-    return tuple(tuple(Fraction(c) for c in v) for v in verts)
+    simplex = SimplicialComplex(len(verts[0]) if verts else 0, verts, [range(len(verts))])
+    simplex.validate()
+    return simplex
 
 
 def simplex_domain_points(
     vertices: tuple[Point, ...] | list[Point], d: int, face: int = 0
 ) -> list[DomainPoint]:
-    """Degree-d lattice of one simplex: binom(d + m, m) points, m = dim."""
+    """Degree-d lattice of one simplex, which ``_simplex`` checks:
+    binom(d + m, m) points, m = dim."""
     if d < 0:
         raise ValueError("degree must take a nonnegative value")
-    verts = _simplex_vertices(vertices)
-    # integer numerators over one common denominator: one Fraction per coordinate
-    den = lcm(*(c.denominator for v in verts for c in v))
-    nums = [[c.numerator * (den // c.denominator) for c in v] for v in verts]
-    scale = den * max(d, 1)
+    simplex = _simplex(vertices)
+    scale = simplex.den * max(d, 1)
     return [
         DomainPoint(
             coordinates=_coordinates(point, scale), face=face, multi_index=a
         )
-        for a, point in _lattice_numerators(nums, d)
+        for a, point in _lattice_numerators(simplex.nums, d)
     ]
 
 
@@ -321,7 +318,8 @@ def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecompositi
     of the orange's and the star's common denominators (both lattices'
     keys are scaled to it by the quotient).  The star's degree-j key over
     den * j, scaled by j/d, is the same integer tuple over den * d; at
-    j = 0 (and so at d = 0) every base point is the origin.  A tail shift
+    j = 0 (and so at d = 0) the star's degree-0 lattice is the origin by
+    convention.  A tail shift
     beta/d is beta * L over L * d, and a layer point is a base head
     followed by a shift tail.  The disjointness and coverage checks
     compare these tuples with the orange's own lattice keys, and each
@@ -341,7 +339,7 @@ def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecompositi
     total = 0
     for j in range(d + 1):
         # sorted, as the star's lattice keys are
-        heads = _scaled(_lattice(star, j)[0], common // star_den) if j else [(0,) * i]
+        heads = _scaled(_lattice(star, j)[0], common // star_den)
         tails = [tuple(common * b for b in beta) for beta in _tails(fiber, d - j)]
         for tail in tails:
             for head in heads:
@@ -439,13 +437,15 @@ def _bernstein_data(
 def monomial_to_bb(
     poly: Polynomial, vertices: tuple[Point, ...] | list[Point], d: int
 ) -> dict[tuple[int, ...], Fraction]:
-    """Bernstein coefficients (by multi-index) of a degree <= d polynomial."""
+    """Bernstein coefficients (by multi-index) of a degree <= d polynomial
+    in the coordinates of the simplex, which ``_simplex`` checks."""
     if poly.degree() > d:
         raise ValueError(f"degree {poly.degree()} exceeds the target degree {d}")
-    verts = _simplex_vertices(vertices)
-    indices, _, inverse = _bernstein_data(verts, d)
-    ambient = len(verts[0])
-    monos = monomials_upto(ambient, d)
+    simplex = _simplex(vertices)
+    if poly.nvars != simplex.ambient_dim:
+        raise ValueError(f"polynomial in {poly.nvars} variables on a simplex in R^{simplex.ambient_dim}")
+    indices, _, inverse = _bernstein_data(simplex.vertices, d)
+    monos = monomials_upto(simplex.ambient_dim, d)
     terms = [(c, v) for c, v in enumerate(poly.coefficient(m) for m in monos) if v]
     out = {}
     for row, alpha in enumerate(indices):
@@ -459,14 +459,17 @@ def bb_to_monomial(
     vertices: tuple[Point, ...] | list[Point],
     d: int,
 ) -> Polynomial:
-    """Polynomial with the given Bernstein coefficients on the simplex."""
-    verts = _simplex_vertices(vertices)
-    indices, matrix, _ = _bernstein_data(verts, d)
-    ambient = len(verts[0])
+    """Polynomial with the given Bernstein coefficients on the simplex,
+    which ``_simplex`` checks; a multi-index off the lattice raises."""
+    simplex = _simplex(vertices)
+    indices, matrix, _ = _bernstein_data(simplex.vertices, d)
+    ambient = simplex.ambient_dim
     monos = monomials_upto(ambient, d)
     col_of = {alpha: c for c, alpha in enumerate(indices)}
     vec = [Fraction(0)] * len(indices)
     for alpha, v in coeffs.items():
+        if tuple(alpha) not in col_of:
+            raise ValueError(f"multi-index {tuple(alpha)} is not on the degree-{d} lattice")
         vec[col_of[tuple(alpha)]] = Fraction(v)
     out = {}
     for row, mono in enumerate(monos):

@@ -76,6 +76,7 @@ from .complexes import (
     InvalidComplexError,
     Point,
     SimplicialComplex,
+    _dual_forest,
     _from_integer_view,
     adjacent_pairs,
 )
@@ -400,51 +401,6 @@ def _cache_info() -> _CacheInfo:
     return _CacheInfo(_prefixes.hits, _prefixes.misses, _prefixes.maxsize, len(_prefixes))
 
 
-def _dual_forest(
-    n_faces: int, pairs: Sequence[tuple[int, int]]
-) -> tuple[int, dict[int, dict[int, int]]]:
-    """A spanning forest of the dual graph: faces joined by their pairs.
-
-    Write g_p = c_p * L_p**(r+1), so pair p = (s, t) asks f_s - f_t = g_p.
-    Along the forest every face u has f_u = f_root + sum_q pi_u[q] * g_q,
-    with pi_u the signed tree path from its component's root.  Returns the
-    number of components and, per pair p = (s, t) off the forest, its cycle
-    condition as {q: sign}: sum_q (pi_s - pi_t)[q] * g_q - g_p = 0.
-    """
-    neighbours: list[list[tuple[int, int, int]]] = [[] for _ in range(n_faces)]
-    for p, (s, t) in enumerate(pairs):
-        # reached from s, f_t = f_s - g_p; reached from t, f_s = f_t + g_p
-        neighbours[s].append((p, t, -1))
-        neighbours[t].append((p, s, 1))
-    path: list[dict[int, int] | None] = [None] * n_faces
-    components = 0
-    for root in range(n_faces):
-        if path[root] is not None:
-            continue
-        components += 1
-        path[root] = {}
-        queue = [root]
-        for u in queue:
-            for p, v, sign in neighbours[u]:
-                if path[v] is None:
-                    path[v] = {**path[u], p: sign}
-                    queue.append(v)
-    tree = {q for pi in path for q in pi}
-    cycles = {}
-    for p, (s, t) in enumerate(pairs):
-        if p in tree:
-            continue
-        # a tree pair keeps its sign on every path through it, so the
-        # pairs above the two faces' common ancestor cancel
-        cycle = dict(path[s])
-        for q, sign in path[t].items():
-            if cycle.pop(q, None) is None:
-                cycle[q] = -sign
-        cycle[p] = -1
-        cycles[p] = cycle
-    return components, cycles
-
-
 def _graded_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
     faces = complex_.maximal_faces
     shared = set(faces[0]).intersection(*faces[1:])
@@ -461,6 +417,7 @@ def _graded_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, .
     m, mc = len(face_mons), len(cof_mons)
     base = system.n_faces * m
     ncols = system.ncols
+    # the forest and cycle conditions of the module docstring: x_p = g_p
     components, cycles = _dual_forest(system.n_faces, system.pairs)
     cofactor_degrees = [sum(u) + r + 1 for u in cof_mons]
     # cofactor column base + q*mc + i, of degree j, is eliminated as column

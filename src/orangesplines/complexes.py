@@ -21,8 +21,13 @@ of the star, pulled toward the origin as t*y with t small, lifts into
 both faces near relint(F) and is improper there.  If two vertices off F
 share an image, a point near relint(F) in the direction of both lies in
 two faces but not in the hull of their common vertices.
-``projection.project_orange`` applies the lemma; every other complex is
-pair-tested directly.
+The face checks follow too.  T_s is independent exactly when F is and
+conv(pi(F), pi(W_s)) is an i-simplex, as pi kills just the directions
+of F.  In a pure complex a nested pair is two identical faces, which
+project onto identical segments.  So ``projection.project_orange``
+validates an orange alone, with the shape and duplicate-vertex checks
+in front; every other complex gets ``_check_faces`` and is pair-tested
+directly.
 
 For i <= 2 the star is a fan at the origin, and ``_check_fan`` decides
 it from the cyclic order of its faces, with no pair test.  Fan lemma: in
@@ -95,18 +100,6 @@ def _affinely_independent(points: Sequence[Sequence[int]]) -> bool:
     # rank of the edge vectors must equal their number
     vecs = [{j: x - b for j, (x, b) in enumerate(zip(p, base)) if x != b} for p in points[1:]]
     return len(_echelon(vecs)) == len(vecs)
-
-
-def _check_coordinates(points: Sequence[Sequence[object]]) -> None:
-    """Raise InvalidComplexError naming the first vertex with a coordinate
-    that is not an ``int`` or a ``Fraction``: floats, bools and strings
-    are not exact rationals to be read as given."""
-    for vid, p in enumerate(points):
-        for c in p:
-            if type(c) is not int and type(c) is not Fraction:
-                raise InvalidComplexError(
-                    f"vertex {vid} has a coordinate that is not an int or a Fraction: {c!r}"
-                )
 
 
 def barycentric_coordinates(
@@ -289,7 +282,13 @@ class SimplicialComplex:
         maximal_faces: Iterable[Iterable[int]],
     ) -> None:
         pts = [tuple(v) for v in vertices]
-        _check_coordinates(pts)
+        for vid, p in enumerate(pts):
+            for c in p:
+                # floats, bools and strings are not exact rationals to read as given
+                if type(c) is not int and type(c) is not Fraction:
+                    raise InvalidComplexError(
+                        f"vertex {vid} has a coordinate that is not an int or a Fraction: {c!r}"
+                    )
         fracs = [[(c.numerator, c.denominator) for c in p] for p in pts]
         den = math.lcm(*(q for p in fracs for _, q in p))
         nums = tuple(tuple(n * (den // q) for n, q in p) for p in fracs)
@@ -342,23 +341,19 @@ class SimplicialComplex:
     def validate(self) -> None:
         """Raise InvalidComplexError unless this is a geometric complex.
 
-        Cheap checks run on every complex: coordinate arity, duplicate
-        vertices, index bounds, duplicate or nested maximal faces, and
-        affine independence of every maximal face (on the integer
-        coordinate view).  The intersection condition is then checked on
-        every pair of maximal simplices, which suffices: any two faces lie
-        inside maximal ones, and the condition is inherited by subsets.
-
-        For an orange (``detect_orange`` succeeds) the test runs on the
-        projected star, through ``project_orange``: by cyclic order when
-        the star is a fan in R^1 or R^2, pair by pair in R^3; the module
-        docstring gives the lemmas that make the verdicts equal.  Every
-        other complex gets the direct test, ``_check_pairs``.
+        An orange (``detect_orange`` succeeds) is validated by its
+        projection alone, ``project_orange``: shape and duplicate vertices,
+        the medial face, each face's image and the star, by cyclic order
+        when it is a fan in R^1 or R^2, pair by pair in R^3; the module
+        docstring gives the lemmas that make this the whole check.  Every
+        other complex gets ``_check_faces`` and then the pair test on every
+        two maximal faces, ``_check_pairs``, which suffices: any two faces
+        lie inside maximal ones, and the condition is inherited by subsets.
         """
-        self._check_faces()
         try:
             detect_orange(self)
         except (NotPureError, EmptyMedialFaceError, UnsupportedOrangeError):
+            self._check_faces()
             _check_pairs(self)
         else:
             from .projection import project_orange  # projection imports this module
@@ -366,7 +361,8 @@ class SimplicialComplex:
             project_orange(self)
 
     def _check_faces(self) -> None:
-        """The cheap checks of ``validate``: all but the pair test."""
+        """``validate`` on a complex that is no orange, before the pair test:
+        shape, distinct vertices, no nested faces, independent faces."""
         self._check_shape()
         if len(set(self.nums)) != len(self.nums):
             raise InvalidComplexError("duplicate vertex coordinates")
@@ -418,8 +414,9 @@ def detect_orange(complex_: SimplicialComplex) -> OrangeProfile:
     The medial face is the intersection of all maximal vertex sets; the
     defining property makes it unique, so set intersection recovers it.
     Supported oranges are full-dimensional (k equals the ambient dimension)
-    and connected through shared facets; anything else with a medial face
-    raises UnsupportedOrangeError.  Smoothness is imposed across facets
+    and connected through shared facets (one component of the dual graph,
+    ``_dual_forest``); anything else with a medial face raises
+    UnsupportedOrangeError.  Smoothness is imposed across facets
     only, so on a complex whose faces meet in lower-dimensional faces the
     dimension formula and the determining sets do not apply.  The profile
     is computed once per complex instance.
@@ -438,16 +435,8 @@ def detect_orange(complex_: SimplicialComplex) -> OrangeProfile:
         raise UnsupportedOrangeError(
             f"faces have dimension {k}, ambient dimension is {complex_.ambient_dim}"
         )
-    reached = {0}
-    pairs = adjacent_pairs(complex_)
-    grew = True
-    while grew:
-        grew = False
-        for s, t in pairs:
-            if (s in reached) != (t in reached):
-                reached.update((s, t))
-                grew = True
-    if len(reached) != len(complex_.maximal_faces):
+    components, _ = _dual_forest(len(complex_.maximal_faces), adjacent_pairs(complex_))
+    if components != 1:
         raise UnsupportedOrangeError("maximal faces are not connected through shared facets")
     medial = tuple(sorted(shared))
     i = k - (len(medial) - 1)
@@ -464,6 +453,52 @@ def adjacent_pairs(complex_: SimplicialComplex) -> list[tuple[int, int]]:
         if len(set(faces[s]) & set(faces[t])) == len(faces[s]) - 1:
             out.append((s, t))
     return out
+
+
+def _dual_forest(
+    n_faces: int, pairs: Sequence[tuple[int, int]]
+) -> tuple[int, dict[int, dict[int, int]]]:
+    """A breadth-first spanning forest of the dual graph: faces joined by
+    their pairs.
+
+    Give pair p = (s, t) the value x_p = x_s - x_t of some face values x.
+    Along the forest every face u has x_u = x_root + sum_q pi_u[q] * x_q,
+    with pi_u the signed tree path from its component's root.  Returns the
+    number of components and, per pair p = (s, t) off the forest, the
+    cycle it closes as {q: sign}: sum_q (pi_s - pi_t)[q] * x_q - x_p = 0.
+    """
+    neighbours: list[list[tuple[int, int, int]]] = [[] for _ in range(n_faces)]
+    for p, (s, t) in enumerate(pairs):
+        # reached from s, x_t = x_s - x_p; reached from t, x_s = x_t + x_p
+        neighbours[s].append((p, t, -1))
+        neighbours[t].append((p, s, 1))
+    path: list[dict[int, int] | None] = [None] * n_faces
+    components = 0
+    for root in range(n_faces):
+        if path[root] is not None:
+            continue
+        components += 1
+        path[root] = {}
+        queue = [root]
+        for u in queue:
+            for p, v, sign in neighbours[u]:
+                if path[v] is None:
+                    path[v] = {**path[u], p: sign}
+                    queue.append(v)
+    tree = {q for pi in path for q in pi}
+    cycles = {}
+    for p, (s, t) in enumerate(pairs):
+        if p in tree:
+            continue
+        # a tree pair keeps its sign on every path through it, so the
+        # pairs above the two faces' common ancestor cancel
+        cycle = dict(path[s])
+        for q, sign in path[t].items():
+            if cycle.pop(q, None) is None:
+                cycle[q] = -sign
+        cycle[p] = -1
+        cycles[p] = cycle
+    return components, cycles
 
 
 def _from_integer_view(

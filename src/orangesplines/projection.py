@@ -143,11 +143,12 @@ def project_orange(complex_: SimplicialComplex) -> ProjectedOrange:
     collapses to the origin).  The images are computed on integers, as
     R (N_v - N_0) over L * den: N_v is the complex's ``nums[v]`` over
     ``den``, and R and L the frame's ``rows`` and ``scale``.  The call
-    checks the whole orange, through the lemma of the ``complexes`` module
-    docstring: every face must project onto an i-simplex, no two segments
-    or vertices off the medial face may share an image, and the star must
-    be proper: a fan (i <= 2) by its cyclic order (``_check_fan``), an
-    i = 3 star pair by pair.  A failure raises InvalidComplexError naming
+    is the orange's whole validation (``SimplicialComplex.validate``), by
+    the lemma of the ``complexes`` module docstring: arity, index bounds,
+    distinct vertices, an independent medial face, an i-simplex image of
+    each face, no two segments or vertices off the medial face sharing an
+    image, and a proper star: a fan (i <= 2) by its cyclic order
+    (``_check_fan``), an i = 3 star pair by pair.  A failure raises InvalidComplexError naming
     the orange's own faces.  The projection, with its one properness test,
     is computed once per complex instance, and the standard model of
     ``standard_form`` inherits it.
@@ -159,10 +160,12 @@ def project_orange(complex_: SimplicialComplex) -> ProjectedOrange:
 
 def _project(complex_: SimplicialComplex) -> ProjectedOrange:
     profile = detect_orange(complex_)
-    # the complex may never have been validated: reading its face points
-    # needs the right arity and index bounds
+    # this is the orange's whole validation: shape and distinct vertices
+    # first, then the medial face, the faces' images and the star
     complex_._check_shape()
     den, nums = complex_.den, complex_.nums
+    if len(set(nums)) != len(nums):
+        raise InvalidComplexError("duplicate vertex coordinates")
     i = profile.i
     if i == 0:
         # the whole orange is a single simplex, its medial face; the
@@ -187,7 +190,7 @@ def _project(complex_: SimplicialComplex) -> ProjectedOrange:
     # an i-simplex in R^i for each face stands for the affine independence
     # of the face, given that of the medial face; the star's other checks
     # (arity, distinct vertices, index bounds, no nesting) hold by
-    # construction once the segments are distinct
+    # construction once the segments, equal for identical faces, are distinct
     new_faces = []
     for f in complex_.maximal_faces:
         nf = tuple(sorted({new_ids[image_of[v]] for v in f}))

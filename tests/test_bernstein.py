@@ -139,6 +139,45 @@ def test_simplex_vertices_take_only_ints_and_fractions(convert, bad):
     assert convert([(0,), (Fraction(1, 10),)]) == convert([(Fraction(0),), (Fraction(1, 10),)])
 
 
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([(0, 0), (1,), (0, 1)], "arity"),
+        ([(0, 0), (1, 1), (2, 2)], "degenerate"),
+        ([(0, 0), (1, 0), (0, 0)], "duplicate vertex"),
+    ],
+    ids=["ragged", "dependent", "duplicate"],
+)
+@pytest.mark.parametrize(
+    "convert",
+    [
+        lambda verts: simplex_domain_points(verts, 2),
+        lambda verts: monomial_to_bb(Polynomial.variable(2, 0), verts, 1),
+        lambda verts: bb_to_monomial({(1, 0, 0): 1}, verts, 1),
+    ],
+    ids=["simplex_domain_points", "monomial_to_bb", "bb_to_monomial"],
+)
+def test_simplex_vertices_must_be_a_geometric_simplex(convert, vertices, message):
+    with pytest.raises(InvalidComplexError, match=message):
+        convert(vertices)
+    convert([(0, 0), (1, 0), (0, 1)])
+
+
+def test_a_polynomial_in_other_variables_is_not_converted():
+    # a second variable would be dropped, and x_1 read as all zeros
+    with pytest.raises(ValueError, match="polynomial in 2 variables on a simplex in R\\^1"):
+        monomial_to_bb(Polynomial.variable(2, 1), UNIT, 1)
+    with pytest.raises(ValueError, match="polynomial in 0 variables on a simplex in R\\^1"):
+        monomial_to_bb(Polynomial.constant(0, 1), UNIT, 1)
+
+
+def test_a_multi_index_off_the_lattice_is_named():
+    with pytest.raises(ValueError, match=r"multi-index \(2, 0\) is not on the degree-1 lattice"):
+        bb_to_monomial({(2, 0): 1}, UNIT, 1)
+    with pytest.raises(ValueError, match=r"multi-index \(1, 0, 0\) is not on the degree-1 lattice"):
+        bb_to_monomial({(1, 0, 0): 1}, UNIT, 1)
+
+
 def test_degree_overflow_is_rejected():
     x = Polynomial.variable(1, 0)
     with pytest.raises(ValueError):

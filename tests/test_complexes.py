@@ -12,6 +12,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from test_generated_oranges import generated_oranges
 
 from orangesplines import complexes, projection
 from orangesplines.complexes import (
@@ -572,6 +573,102 @@ def test_a_complex_that_is_no_orange_is_pair_tested_directly(monkeypatch):
     crossing = SimplicialComplex(2, MORGAN_SCOTT[:5] + [(6, -1)], MORGAN_SCOTT_FACES)
     with pytest.raises(InvalidComplexError, match="overlap"):
         crossing.validate()
+
+
+def _midpoint(p, q) -> list[Fraction]:
+    return [(a + b) / 2 for a, b in zip(p, q)]
+
+
+def _faulty_variants(cx: SimplicialComplex) -> dict[str, tuple[list, list]]:
+    """(vertices, faces) of invalid copies of an orange, by fault.  Each
+    keeps the faces' combinatorics or adds a face adjacent to one, so each
+    is still recognized as an orange; a fault that the orange's shape
+    cannot carry is left out."""
+    profile = detect_orange(cx)
+    verts = [list(v) for v in cx.vertices]
+    faces = [list(f) for f in cx.maximal_faces]
+    used = sorted({v for f in faces for v in f})
+    face = faces[0]
+    off = [v for v in face if v not in profile.medial]
+    out = {}
+
+    def moved(vid, point) -> list:
+        return [point if v == vid else p for v, p in enumerate(verts)]
+
+    if off and len(face) >= 3:
+        a, b = [v for v in face if v != off[0]][:2]
+        out["flat face"] = moved(off[0], _midpoint(verts[a], verts[b])), faces
+    if len(profile.medial) >= 3:
+        m, a, b = profile.medial[:3]
+        out["flat medial face"] = moved(m, _midpoint(verts[a], verts[b])), faces
+    out["duplicated used vertex"] = moved(used[-1], verts[used[0]]), faces
+    out["duplicated unused vertex"] = verts + [verts[used[0]]], faces
+    out["ragged vertex"] = moved(used[-1], verts[used[-1]] + [0]), faces
+    out["missing vertex"] = verts[: used[-1]], faces
+    if profile.i > 0:
+        out["identical faces"] = verts, faces + [face]
+        # a copy of the face with one vertex off the medial face moved
+        # inside it: the two faces share a facet and overlap
+        inside = _midpoint(verts[off[0]], [sum(c) / len(face) for c in zip(*(verts[v] for v in face))])
+        copy = [len(verts) if v == off[0] else v for v in face]
+        out["overlapping segments"] = verts + [inside], faces + [copy]
+    return out
+
+
+def _outcome(check, ambient_dim, vertices, faces) -> tuple[type, str] | None:
+    try:
+        check(SimplicialComplex(ambient_dim, vertices, faces))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_an_orange_is_validated_by_its_projection_alone(random_affine_map):
+    kinds = Counter()
+
+    def compare(cx):
+        variants = {"valid": (cx.vertices, cx.maximal_faces), **_faulty_variants(cx)}
+        for kind, (vertices, faces) in variants.items():
+            got = _outcome(SimplicialComplex.validate, cx.ambient_dim, vertices, faces)
+            assert got == _outcome(project_orange, cx.ambient_dim, vertices, faces), (kind, cx)
+            if kind == "valid":
+                assert got is None, got
+            else:
+                assert got is not None and got[0] is InvalidComplexError, (kind, got)
+            kinds[kind] += 1
+
+    rng = random.Random(23)
+    for entry in CATALOG:
+        compare(entry.complex)
+        compare(affine_image(entry.complex, *random_affine_map(entry.profile.k, rng)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(generated_oranges())
+    def check(generated):
+        compare(generated[0])
+
+    check()
+    # the valid inputs and all eight faults were checked; a flat medial
+    # face needs three medial vertices, which only the catalog has
+    assert len(kinds) == 9, kinds
+
+
+def test_check_faces_runs_only_off_the_orange_route(monkeypatch):
+    calls = []
+    original = SimplicialComplex._check_faces
+
+    def counted(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(SimplicialComplex, "_check_faces", counted)
+    for entry in CATALOG:
+        cx = entry.complex
+        SimplicialComplex(cx.ambient_dim, cx.vertices, cx.maximal_faces).validate()
+    assert calls == []
+    split = SimplicialComplex(2, MORGAN_SCOTT, MORGAN_SCOTT_FACES)
+    split.validate()
+    assert calls == [split]
 
 
 @pytest.mark.parametrize(
