@@ -4,7 +4,7 @@ Domain-point lattices, the layer structure of a standard orange's lattice,
 determining sets, and the lifting of determining sets from the projected
 star to the standard orange together with the cardinality bookkeeping that
 reproduces the closed-form dimension.  Lattices, systems, layers and lifts
-run on integers; ``Fraction`` coordinates are built once, for the output.
+run on integers; ``Fraction`` coordinates are derived only where read.
 
 A degree-d polynomial on a k-simplex is written in the Bernstein basis
 B_a = (d choose a) * lambda^a over barycentric coordinates lambda; its
@@ -21,11 +21,11 @@ Thm 2.28) across every shared facet.  A complex instance builds its
 lattice once per degree and that system once per (r, d), and everything
 about determining sets is read off the one system.  Both are built on the
 complex's stored integers (numerators ``nums`` over ``den``): lattice
-points are bucketed and sorted by integer numerators, which the lattice
-memo keeps as the points' keys, and the weights of each row come from
-Cramer's rule, lambda_l = Delta_l / Delta, read off one integer affine
-dependence.  The order-m rows are scaled by Delta^m (over a gcd), so they
-are integral as built and the elimination kernel takes them as they are.
+points are bucketed and sorted by their keys, the integer numerators over
+den * max(d, 1), and the weights of each row come from Cramer's rule,
+lambda_l = Delta_l / Delta, read off one integer affine dependence.  The
+order-m rows are scaled by Delta^m (over a gcd), so they are integral as
+built and the elimination kernel takes them as they are.
 A set M of points determines the spline space exactly when the system's
 columns outside M are independent, so by matroid duality the greedy
 hub-outward selection is the complement of the greedy column basis taken
@@ -53,7 +53,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, lcm, prod
 from typing import Sequence
 
@@ -103,23 +103,35 @@ class CardinalityMismatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class DomainPoint:
-    """One lattice point of one host simplex."""
+    """One lattice point of one host simplex: the integer numerators
+    ``key`` over ``scale``, the simplex's denominator times max(d, 1)."""
 
-    coordinates: Point
+    key: tuple[int, ...]
+    scale: int
     face: int
     multi_index: tuple[int, ...]
+
+    @cached_property
+    def coordinates(self) -> Point:
+        """The point as ``Fraction``s: ``key`` over ``scale``."""
+        return _coordinates(self.key, self.scale)
 
 
 @dataclass(frozen=True)
 class IdentifiedPoint:
-    """A lattice point of the whole complex.
+    """A lattice point of the whole complex: integer numerators ``key``
+    over ``scale``, the complex's denominator times max(d, 1), and in
+    ``occurrences`` every (maximal face index, multi-index) pair that has
+    it.  Within a lattice, equality and hashing are by coordinates."""
 
-    ``occurrences`` lists every (maximal face index, multi-index) pair whose
-    lattice point has these exact coordinates.
-    """
-
-    coordinates: Point
+    key: tuple[int, ...]
+    scale: int
     occurrences: tuple[tuple[int, tuple[int, ...]], ...]
+
+    @cached_property
+    def coordinates(self) -> Point:
+        """The point as ``Fraction``s: ``key`` over ``scale``."""
+        return _coordinates(self.key, self.scale)
 
 
 @lru_cache(maxsize=None)
@@ -181,51 +193,30 @@ def simplex_domain_points(
     simplex = _simplex(vertices)
     scale = simplex.den * max(d, 1)
     return [
-        DomainPoint(
-            coordinates=_coordinates(point, scale), face=face, multi_index=a
-        )
+        DomainPoint(key=point, scale=scale, face=face, multi_index=a)
         for a, point in _lattice_numerators(simplex.nums, d)
     ]
 
 
-def _lattice(
-    complex_: SimplicialComplex, d: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[IdentifiedPoint, ...]]:
-    """(keys, points) of the degree-d lattice, built once per complex
-    instance and degree.  ``keys[n]`` holds the integer numerators of
-    ``points[n]`` over den * max(d, 1), den the complex's common
-    denominator; both run in the same sorted order."""
-    key = ("lattice", d)
-    if key not in complex_._memo:
-        den, nums = complex_.den, complex_.nums
+def complex_domain_points(complex_: SimplicialComplex, d: int) -> tuple[IdentifiedPoint, ...]:
+    """Lattice of the whole complex, built once per complex instance and
+    degree: each point carries every host face and multi-index that
+    produces it, and the points are sorted by their keys, which orders them
+    as their coordinates do.  The coordinates are derived only where read.
+    """
+    memo = ("lattice", d)
+    if memo not in complex_._memo:
+        nums = complex_.nums
         buckets: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
         for fidx, face in enumerate(complex_.maximal_faces):
             for a, point in _lattice_numerators([nums[v] for v in face], d):
                 buckets.setdefault(point, []).append((fidx, a))
-        scale = den * max(d, 1)
-        keys = tuple(sorted(buckets))
-        complex_._memo[key] = keys, tuple(
-            IdentifiedPoint(
-                coordinates=_coordinates(point, scale),
-                occurrences=tuple(sorted(buckets[point])),
-            )
-            for point in keys
+        scale = complex_.den * max(d, 1)
+        complex_._memo[memo] = tuple(
+            IdentifiedPoint(key=key, scale=scale, occurrences=tuple(sorted(buckets[key])))
+            for key in sorted(buckets)
         )
-    return complex_._memo[key]
-
-
-def complex_domain_points(complex_: SimplicialComplex, d: int) -> tuple[IdentifiedPoint, ...]:
-    """Lattice of the whole complex, identified by exact coordinates.
-
-    Points are returned sorted by coordinates; each carries every host face
-    and multi-index that produces it.  Points are bucketed and sorted by
-    their integer numerators over the complex's common denominator ``den``
-    times d, which orders them as their coordinates do; each point's
-    ``Fraction`` coordinates are built once.
-    The lattice is built once per complex instance and degree; the memo
-    keeps those integer keys next to the points (see ``_lattice``).
-    """
-    return _lattice(complex_, d)[1]
+    return complex_._memo[memo]
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +289,11 @@ def _tails(fiber: int, m: int) -> tuple[tuple[int, ...], ...]:
     return simplex_multiindices(fiber, m)
 
 
-def _scaled(keys: Sequence[tuple[int, ...]], q: int) -> Sequence[tuple[int, ...]]:
-    """Integer keys times q: the same points over a q times larger
-    denominator."""
-    if q == 1:
-        return keys
-    return [tuple(q * n for n in key) for key in keys]
+def _keys(complex_: SimplicialComplex, d: int, q: int) -> list[tuple[int, ...]]:
+    """The degree-d lattice's keys times q: the same points over a q times
+    larger denominator."""
+    points = complex_domain_points(complex_, d)
+    return [p.key for p in points] if q == 1 else [tuple(q * n for n in p.key) for p in points]
 
 
 def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecomposition:
@@ -329,17 +319,16 @@ def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecompositi
         raise ValueError("degree must take a nonnegative value")
     profile, star = _standard_split(complex_)
     i, fiber = profile.i, profile.k - profile.i
-    den, star_den = complex_.den, star.den
-    common = lcm(den, star_den)
+    common = lcm(complex_.den, star.den)
     scale = common * max(d, 1)
-    lattice = set(_scaled(_lattice(complex_, d)[0], common // den))
+    lattice = set(_keys(complex_, d, common // complex_.den))
     zero_head, zero_tail = (Fraction(0),) * i, (Fraction(0),) * fiber
     layers = []
     covered: dict[tuple[int, ...], int] = {}
     total = 0
     for j in range(d + 1):
         # sorted, as the star's lattice keys are
-        heads = _scaled(_lattice(star, j)[0], common // star_den)
+        heads = _keys(star, j, common // star.den)
         tails = [tuple(common * b for b in beta) for beta in _tails(fiber, d - j)]
         for tail in tails:
             for head in heads:
@@ -735,8 +724,8 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
     CardinalityMismatchError.
 
     Each lifted point is read off the orange's degree-d lattice by its
-    key, the star point's head followed by the tail beta, on integers over
-    L * d as in ``layer_decomposition``; a key off the lattice raises
+    key, the star point's own key followed by the tail beta, on integers
+    over L * d as in ``layer_decomposition``; a key off the lattice raises
     CardinalityMismatchError.  ``_project`` numbers the star's vertices in
     the orange's order, so the lattice point's first occurrence, its face
     and multi-index, lies on the lift of the star point's own face.
@@ -745,11 +734,9 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
 
     profile, star = _standard_split(complex_)
     fiber = profile.k - profile.i
-    den = complex_.den
-    star_den, star_nums = star.den, star.nums
-    common = lcm(den, star_den)
-    keys, lattice = _lattice(complex_, d)
-    keys = _scaled(keys, common // den)
+    common = lcm(complex_.den, star.den)
+    lattice = complex_domain_points(complex_, d)
+    keys = _keys(complex_, d, common // complex_.den)
 
     # one star system through degree d answers every level's dimension
     spline_dims(star, r, d)
@@ -763,12 +750,7 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
         mds_j = compute_mds(star, r, j)
         per_level.append((j, len(mds_j.points), len(betas)))
         for star_point in mds_j.points:
-            sfidx, alpha = star_point.occurrences[0]
-            hosts = [star_nums[v] for v in star.maximal_faces[sfidx]]
-            head = tuple(
-                common // star_den * sum(a * n for a, n in zip(alpha, column))
-                for column in zip(*hosts)
-            )
+            head = tuple(common // star.den * n for n in star_point.key)
             for beta in betas:
                 key = head + tuple(common * b for b in beta)
                 at = bisect_left(keys, key)

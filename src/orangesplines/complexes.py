@@ -265,9 +265,9 @@ class SimplicialComplex:
     Every maximal face is a sorted tuple of vertex indices.  Instances are
     immutable, and (den, nums) is canonical, so the generated equality and
     hash are by value.  Derived structure is computed once per instance
-    and kept in ``_memo``: the profile (``detect_orange``), the projection
-    (``project_orange``, or inherited from ``standard_form``), and the
-    domain-point lattices and Bernstein C^r systems of ``bernstein``.
+    and kept in ``_memo``: the profile, the projection (both inherited
+    from ``standard_form``), the ``adjacent_pairs``, and the domain-point
+    lattices and Bernstein C^r systems of ``bernstein``.
     """
 
     ambient_dim: int
@@ -446,13 +446,20 @@ def detect_orange(complex_: SimplicialComplex) -> OrangeProfile:
 
 
 def adjacent_pairs(complex_: SimplicialComplex) -> list[tuple[int, int]]:
-    """Indices (s, t), s < t, of maximal faces sharing a facet (k vertices)."""
-    out = []
-    faces = complex_.maximal_faces
-    for s, t in combinations(range(len(faces)), 2):
-        if len(set(faces[s]) & set(faces[t])) == len(faces[s]) - 1:
-            out.append((s, t))
-    return out
+    """Indices (s, t), s < t, of maximal faces sharing a facet (k vertices),
+    found once per complex instance."""
+    if "adjacent pairs" not in complex_._memo:
+        complex_._memo["adjacent pairs"] = _facet_pairs(complex_.maximal_faces)
+    return list(complex_._memo["adjacent pairs"])
+
+
+def _facet_pairs(faces: Sequence[Simplex]) -> tuple[tuple[int, int], ...]:
+    """The O(F^2) scan behind ``adjacent_pairs``."""
+    return tuple(
+        (s, t)
+        for s, t in combinations(range(len(faces)), 2)
+        if len(set(faces[s]) & set(faces[t])) == len(faces[s]) - 1
+    )
 
 
 def _dual_forest(
@@ -523,9 +530,16 @@ def affine_image(
     matrix: Sequence[Sequence[Fraction]],
     translation: Sequence[Fraction],
 ) -> SimplicialComplex:
-    """Apply x -> M x + b to every vertex (M must be square invertible for
-    the image to remain a simplicial complex; the caller owns that)."""
+    """Apply x -> M x + b to every vertex.  M must be k x k and b of length
+    k, k the ambient dimension, or ValueError says so, and the complex
+    must pass ``_check_shape``; the image is a simplicial complex only for
+    an invertible M, which the caller owns."""
+    complex_._check_shape()
     k = complex_.ambient_dim
+    if len(matrix) != k or any(len(row) != k for row in matrix) or len(translation) != k:
+        raise ValueError(
+            f"an affine map of R^{k} needs a {k} x {k} matrix and a translation of length {k}"
+        )
     new_vertices = []
     for v in complex_.vertices:
         img = [

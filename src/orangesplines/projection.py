@@ -12,14 +12,14 @@ numerators (``adapt_coordinates``); each vertex image is an integer
 vector over one common denominator, the star's tests run on those, and
 the star is stored as those integers.  The projection is computed once
 per complex instance, and the standard model built by ``standard_form``,
-again from the star's integers, inherits it instead of computing it
-again.
+again from the star's integers, inherits it and the orange profile
+instead of computing them again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -280,11 +280,12 @@ class StandardForm:
 def standard_form(complex_: SimplicialComplex) -> StandardForm:
     """Detect, project, and rebuild the standard orange in one pass.
 
-    The standard model inherits its projection: the star it is built from,
-    with the identity face map and, for i > 0, the identity frame at the
-    origin, which is what ``adapt_coordinates`` builds for it.  By the
-    lemma of the ``complexes`` module docstring its checks are the star's,
-    which the star passed when the orange was projected.
+    The standard model inherits its profile, with the medial face the
+    star's origin and the tail vertices, and its projection: the star it
+    is built from, with the identity face map and, for i > 0, the identity
+    frame at the origin, which is what ``adapt_coordinates`` builds for it.
+    By the lemma of the ``complexes`` module docstring its checks are the
+    star's, which the star passed when the orange was projected.
     """
     profile = detect_orange(complex_)
     projected = project_orange(complex_)
@@ -299,6 +300,8 @@ def standard_form(complex_: SimplicialComplex) -> StandardForm:
             scale=1,
             medial=tuple(tuple(map(Fraction, e)) for e in [(0,) * profile.k, *identity[profile.i :]]),
         )
+    tail = range(len(star.nums), len(std.nums))
+    std._memo["profile"] = replace(profile, medial=(0, *tail))
     std._memo["projected"] = ProjectedOrange(
         complex=star,
         central_vertex=0,

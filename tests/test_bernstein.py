@@ -737,12 +737,12 @@ def test_lift_reads_its_points_off_the_lattice(monkeypatch):
         assert p.coordinates is point.coordinates
         assert (p.face, p.multi_index) == point.occurrences[0]
     compute = bernstein.compute_mds
-    # level-1 star points whose multi-indices leave their face's degree-1
-    # lattice (the star's faces run from 0 to -1 and to 1): with a tail of
-    # sum 1 their keys fall before the first lattice key, past the last one
-    # and between two of them
-    for host in ((0, (0, 3)), (1, (0, 3)), (0, (0, 2))):
-        fake = bernstein.IdentifiedPoint(coordinates=(Fraction(9),), occurrences=(host,))
+    # level-1 star points off the star's degree-1 lattice (the star's faces
+    # run from 0 to -1 and to 1, so its keys over 1 are -1, 0 and 1): with a
+    # tail of sum 1 their keys fall before the first lattice key, past the
+    # last one and between two of them
+    for key, host in (((-3,), (0, (0, 3))), ((3,), (1, (0, 3))), ((-2,), (0, (0, 2)))):
+        fake = bernstein.IdentifiedPoint(key=key, scale=1, occurrences=(host,))
 
         def patched(cx, r, j):
             ds = compute(cx, r, j)
@@ -890,6 +890,34 @@ def _reference_domain_points(complex_, d):
                 )
             buckets.setdefault(coords, []).append((fidx, alpha))
     return [(coords, tuple(sorted(buckets[coords]))) for coords in sorted(buckets)]
+
+
+def test_lattice_points_derive_the_reference_coordinates(random_affine_map):
+    rng = random.Random(24)
+    models = []
+    for entry in CATALOG:
+        models.append((entry.name, _fresh(entry.complex)))
+        for _ in range(2):
+            image = affine_image(entry.complex, *random_affine_map(entry.complex.ambient_dim, rng))
+            models.append((entry.name, image))
+    assert len(models) == 33
+    assert any(cx.den > 1 for _, cx in models)
+    for name, cx in models:
+        for d in range(4):
+            lattice = complex_domain_points(cx, d)
+            # nothing has read the coordinates yet; a read derives them once
+            assert not any("coordinates" in vars(p) for p in lattice), (name, d)
+            assert all(p.coordinates is p.coordinates for p in lattice), (name, d)
+            assert [(p.coordinates, p.occurrences) for p in lattice] == _reference_domain_points(
+                cx, d
+            ), (name, d)
+            # equality and hashing follow (coordinates, occurrences): a
+            # fresh copy's lattice is equal point by point, hash included,
+            # and distinct points stay distinct
+            copy = complex_domain_points(_fresh(cx), d)
+            assert copy == lattice and copy is not lattice, (name, d)
+            assert [hash(p) for p in copy] == [hash(p) for p in lattice], (name, d)
+            assert len(set(lattice)) == len(lattice), (name, d)
 
 
 def _reference_ordered_points(complex_, d):

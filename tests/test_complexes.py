@@ -189,6 +189,34 @@ def test_affine_image_preserves_structure():
     assert detect_orange(img).i == entry.profile.i
 
 
+@pytest.mark.parametrize(
+    "matrix, translation",
+    [
+        # a 3 x 3 map on a complex in R^2 once used its top-left block
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0]),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0]),
+        ([[1, 0], [0, 1]], [0, 0, 0]),
+        # short or ragged matrices and short translations raised IndexError
+        ([[1, 0]], [0, 0]),
+        ([[1, 0], [0]], [0, 0]),
+        ([[1], [0, 1]], [0, 0]),
+        ([[1, 0], [0, 1]], [0]),
+    ],
+)
+def test_affine_image_rejects_a_map_of_the_wrong_shape(matrix, translation):
+    message = "needs a 2 x 2 matrix and a translation of length 2"
+    with pytest.raises(ValueError, match=message):
+        affine_image(get("two-triangle").complex, matrix, translation)
+
+
+@pytest.mark.parametrize("vertex", [(1,), (1, 0, 5)])
+def test_affine_image_checks_the_shape_of_its_complex(vertex):
+    # a short vertex raised IndexError, a long one lost its last coordinate
+    cx = SimplicialComplex(2, [(0, 0), vertex, (0, 1)], [[0, 1, 2]])
+    with pytest.raises(InvalidComplexError, match="vertex 1 has arity"):
+        affine_image(cx, [[1, 0], [0, 1]], [0, 0])
+
+
 def test_normalization_sorts_faces_and_vertices_in_faces():
     cx = SimplicialComplex(1, [[0], [1], [2]], [[2, 1], [1, 0]])
     assert cx.maximal_faces == ((0, 1), (1, 2))

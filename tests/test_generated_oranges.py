@@ -4,7 +4,9 @@ Random stars (1-D stars {-a, 0, b} and planar fans of rational rays around
 the origin) are joined with a coordinate simplex by ``standard_orange`` and
 moved by random invertible integer affine maps.  On every such orange the
 three derivations of the dimension must agree, and the Hilbert series of
-the orange must reduce to that of its star.
+the orange must reduce to that of its star.  Stars in R^3, cones over
+perturbed hexagons and perturbed octahedral stars, are joined with fibers
+of dimension 0 and 1 and checked the same way, determining sets included.
 """
 
 from __future__ import annotations
@@ -134,3 +136,61 @@ def test_octahedral_standard_oranges_agree_on_every_count():
                 assert dim == orange_dim_formula(orange, r, d), (fiber, r, d)
                 assert dim == lift_mds(orange, r, d).total, (fiber, r, d)
                 assert verify_mds(orange, r, d) is True, (fiber, r, d)
+
+
+small_rationals = st.builds(Fraction, st.integers(-1, 1), st.integers(2, 4))
+HEXAGON = ((2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2))
+
+
+@st.composite
+def boundary_stars_3d(draw) -> SimplicialComplex:
+    """The cone from the origin over a perturbed rational hexagon in z = 1,
+    triangulated as a central triangle and three ears, so that no hexagon
+    vertex lies in every face: a boundary star in R^3."""
+    hexagon = [(x + draw(small_rationals), y + draw(small_rationals), 1) for x, y in HEXAGON]
+    faces = [[0, 1, 3, 5], [0, 1, 2, 3], [0, 3, 4, 5], [0, 5, 6, 1]]
+    star = SimplicialComplex(3, [(0, 0, 0), *hexagon], faces)
+    try:
+        star.validate()
+    except ValueError:
+        assume(False)
+    return star
+
+
+@st.composite
+def closed_stars_3d(draw) -> SimplicialComplex:
+    """A rational perturbation of ``octahedral_star`` that ``validate``
+    accepts: a closed star in R^3."""
+    octahedral = octahedral_star()
+    vertices = [(0, 0, 0)] + [
+        tuple(c + draw(small_rationals) for c in v) for v in octahedral.vertices[1:]
+    ]
+    star = SimplicialComplex(3, vertices, octahedral.maximal_faces)
+    try:
+        star.validate()
+    except ValueError:
+        assume(False)
+    return star
+
+
+def test_generated_stars_in_r3_agree_on_every_count():
+    profiles = []
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(boundary_stars_3d(), closed_stars_3d()))
+    def check(star):
+        closed = len(adjacent_pairs(star)) > len(star.maximal_faces)
+        for fiber, dmax in ((0, 3), (1, 2)):
+            orange = standard_orange(star, fiber)
+            profile = detect_orange(orange)
+            profiles.append((profile.k, profile.i, closed))
+            for r in range(2):
+                for d in range(dmax + 1):
+                    dim = spline_dim(orange, r, d)
+                    assert dim == bernstein_dim(orange, r, d), (fiber, r, d)
+                    assert dim == orange_dim_formula(orange, r, d), (fiber, r, d)
+                    assert verify_mds(orange, r, d) is True, (fiber, r, d)
+
+    check()
+    # boundary and closed stars, each joined with no fiber and with one
+    assert set(profiles) == {(k, 3, closed) for k in (3, 4) for closed in (False, True)}, profiles

@@ -19,7 +19,7 @@ from test_complexes import _integer_points, lifted_oranges
 from test_generated_oranges import generated_oranges
 
 from orangesplines import bernstein, cofactor, complexes, exact, projection
-from orangesplines.bernstein import layer_decomposition, lift_mds, verify_mds
+from orangesplines.bernstein import IdentifiedPoint, layer_decomposition, lift_mds, verify_mds
 from orangesplines.catalog import CATALOG, get
 from orangesplines.cofactor import spline_dim
 from orangesplines.complexes import (
@@ -389,6 +389,48 @@ def test_each_orange_is_recognized_and_projected_once(monkeypatch):
     assert sf.projected.frame is not None
 
 
+def _assert_the_seeded_profile_is_detected(cx: SimplicialComplex) -> None:
+    standard = standard_form(cx).standard
+    assert "profile" in standard._memo
+    assert detect_orange(standard) == detect_orange(_fresh(standard))
+
+
+def test_standard_form_seeds_the_profile_it_would_detect():
+    for entry in CATALOG:
+        _assert_the_seeded_profile_is_detected(_fresh(entry.complex))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(generated_oranges())
+    def check(generated):
+        _assert_the_seeded_profile_is_detected(generated[0])
+
+    check()
+
+
+def test_one_mds_lift_op_scans_each_complex_for_pairs_once(monkeypatch, random_affine_map):
+    # the faces tuples scanned, kept alive so that their ids stay unique;
+    # every complex instance stores a faces tuple of its own
+    scanned = []
+    scan = complexes._facet_pairs
+    monkeypatch.setattr(
+        complexes, "_facet_pairs", lambda faces: scanned.append(faces) or scan(faces)
+    )
+    rng = random.Random(21)
+    for name in ("fan-4d", "vertex-star-3d", "planar-star", "two-triangle"):
+        base = get(name).complex
+        cx = _fresh(affine_image(base, *random_affine_map(base.ambient_dim, rng)))
+        scanned.clear()
+        sf = standard_form(cx)
+        lift_mds(sf.standard, 1, 3)
+        verify_mds(sf.standard, 1, 3)
+        layer_decomposition(sf.standard, 3)
+        ids = [id(faces) for faces in scanned]
+        assert len(set(ids)) == len(ids), (name, scanned)
+        # the orange, its standard model and their star, each scanned once
+        assert len(ids) == 3, (name, scanned)
+        assert {id(sf.standard.maximal_faces), id(sf.projected.complex.maximal_faces)} < set(ids)
+
+
 def _assert_frame_is_the_reference(cx: SimplicialComplex) -> None:
     """(L, R), the derived matrix and ``project_face`` equal the ``Fraction``
     reference, or both frames raise the same error."""
@@ -568,3 +610,38 @@ def test_workload_ops_build_no_fraction_vertices(monkeypatch, random_affine_map)
     # the counter sees a view that is read
     assert complex_from_dict(wires[0]).vertices
     assert len(builds) == 1
+
+
+def test_workload_ops_derive_coordinates_only_for_lifted_points(monkeypatch, random_affine_map):
+    builds, before_lift, lifts = [], [], []
+    view = IdentifiedPoint.coordinates
+
+    def counted(point):
+        builds.append(point)
+        return view.func(point)
+
+    counting = cached_property(counted)
+    counting.__set_name__(IdentifiedPoint, "coordinates")
+    monkeypatch.setattr(IdentifiedPoint, "coordinates", counting)
+
+    lift = lift_mds
+
+    def recording(cx, r, d):
+        # the dim_general and series_adapted steps and standard_form are done
+        before_lift.append(len(builds))
+        lifts.append(lift(cx, r, d))
+        return lifts[-1]
+
+    monkeypatch.setattr(sys.modules[__name__], "lift_mds", recording)
+    rng = random.Random(22)
+    for name in ("fan-4d", "vertex-star-3d", "planar-star"):
+        base = get(name).complex
+        builds.clear()
+        _one_op_of_each_workload(
+            complex_to_dict(affine_image(base, *random_affine_map(base.ambient_dim, rng)))
+        )
+        assert before_lift[-1] == 0, name
+        # the lift reads each of its points' coordinates, and nothing else does
+        lifted = lifts[-1].points
+        assert lifted and len(builds) == len(lifted), (name, len(builds), len(lifted))
+        assert all(b.coordinates is p.coordinates for b, p in zip(builds, lifted)), name
