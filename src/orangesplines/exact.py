@@ -4,25 +4,25 @@ Rationals are ``fractions.Fraction``; the geometry and the systems that
 the package eliminates run on plain integers, and nothing in this package
 touches floating point.
 
-All elimination goes through one fraction-free kernel on integer rows:
-``_reduce`` cancels a row's lowest column against the pivot stored there
-until the row vanishes or becomes a new pivot, and ``_echelon`` runs it
-over rows already built over the integers: the cofactor oracle's cycle
-conditions (and ``CofactorSystem.dimension``'s full system), the
-Bernstein oracle's C^r conditions, and the columns the determining-set
-selection (``bernstein.compute_mds``) hands to ``_reduce`` itself.
-``_integer_rref`` back-substitutes through the same update step, and
-``_integer_kernel`` (one primitive vector per free column) is read off
-it for walls, adapted frames, affine dependences and the pair test.
-The pair test and affine independence (``complexes``) pass the kernel
-the complex's integer rows, zeros dropped.  ``_integer_row`` clears
-``Fraction`` rows first for the rational paths: ``RationalMatrix``, its
-nullspace, and the ``Fraction`` solvers.  No projection path uses those
-solvers: ``solve_linear`` serves
-``complexes.barycentric_coordinates``, ``invert_matrix`` the Bernstein
-basis change and ``projection.AdaptedFrame.matrix``, and ``EchelonBasis``
-has no caller in the package.  Results are exact regardless of
-conditioning.
+All elimination goes through one fraction-free kernel on integer rows.
+Its update step ``_eliminate`` cancels a row's lowest column against the
+pivot stored there by cross-multiplying, with no gcd pass; ``_reduce``
+repeats it until the row vanishes or is stored as a new pivot, its
+content stripped once then if an update changed it.  Scaling a row keeps
+whether it vanishes and its lowest column, so every rank and pivot column
+is exact.  ``_echelon`` runs ``_reduce`` over the cofactor oracle's cycle
+conditions (and ``CofactorSystem.dimension``'s full system) and the
+Bernstein oracle's C^r conditions; the determining-set selection
+(``bernstein.compute_mds``) calls ``_reduce`` itself.  ``_integer_rref``
+back-substitutes through the same step, stripping each row once after its
+last update, and ``_integer_kernel`` (one primitive vector per free
+column) is read off it for walls, adapted frames, affine dependences and
+the pair test.  ``_integer_row`` clears ``Fraction`` rows for
+``RationalMatrix`` and the ``Fraction`` solvers, which no projection path
+uses: ``solve_linear`` serves ``complexes.barycentric_coordinates``,
+``invert_matrix`` the Bernstein basis change and
+``projection.AdaptedFrame.matrix``, and ``EchelonBasis`` has no caller in
+the package.  Results are exact regardless of conditioning.
 """
 
 from __future__ import annotations
@@ -56,21 +56,24 @@ def binom(n: int, k: int) -> int:
 
 
 def parse_rational(value: str | int) -> Fraction:
-    """Parse a rational from the wire form "p/q" (or "p", or a bare int).
+    """Parse a rational from the wire form "p/q" (or "p", or a bare int):
+    integer numerators and positive integer denominators, no decimals."""
+    return Fraction(*_rational_pair(value))
 
-    Only integer numerators and positive integer denominators are accepted;
-    decimal notation and zero denominators are rejected.
-    """
-    if isinstance(value, bool):
+
+def _rational_pair(value: str | int) -> tuple[int, int]:
+    """``parse_rational`` as (numerator, denominator) in lowest terms."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    if not isinstance(value, str):
         raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if _RATIONAL_RE.match(text):
-            return Fraction(text)
+    text = value.strip()
+    if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational 'p/q' string: {value!r}")
-    raise ValueError(f"not a rational: {value!r}")
+    p, _, q = text.partition("/")
+    p, q = int(p), int(q or 1)
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def format_rational(q: Fraction) -> str:
@@ -94,55 +97,49 @@ def _strip_content(row: IntRow) -> IntRow:
         g = math.gcd(g, v)
         if g == 1:
             return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 def _integer_row(row: Mapping[int, Fraction]) -> IntRow:
     """Clear denominators and strip gcd content; {} for a zero row."""
-    den = 1
-    for v in row.values():
-        den = den * v.denominator // math.gcd(den, v.denominator)
+    den = math.lcm(*(v.denominator for v in row.values()))
     return _strip_content(
         {c: int(v.numerator * (den // v.denominator)) for c, v in row.items() if v}
     )
 
 
 def _eliminate(row: IntRow, col: int, pivot: IntRow) -> IntRow:
-    """Cancel ``row[col]`` against ``pivot`` (nonzero at ``col``).
-
-    The update step of the kernel: cross-multiply by the two entries (over
-    their gcd), subtract, then strip content, so every stored integer stays
-    near the size of the minors involved (Bareiss, Math. Comp. 22, 1968).
-    """
+    """Cancel ``row[col]`` against ``pivot`` (nonzero at ``col``): p * row -
+    a * pivot, a / p the two entries at ``col`` in lowest terms.  No gcd
+    pass: the callers strip a row's content once, when they store it."""
     g = math.gcd(row[col], pivot[col])
     a, p = row[col] // g, pivot[col] // g
-    out = {c: p * v for c, v in row.items() if c != col}
+    out = dict(row) if p == 1 else {c: p * v for c, v in row.items()}
+    # the entry at col itself cancels: p * row[col] = a * pivot[col]
     for c, v in pivot.items():
-        if c == col:
-            continue
         w = out.get(c, 0) - a * v
         if w:
             out[c] = w
         else:
-            out.pop(c, None)
-    return _strip_content(out)
+            del out[c]
+    return out
 
 
 def _reduce(row: IntRow, pivots: dict[int, IntRow]) -> bool:
     """Reduce ``row`` against ``pivots`` (keyed by their lowest column).
 
-    A row that does not vanish is kept as a new pivot at its lowest column;
-    returns whether it was kept.  Updates only ever touch columns at or
-    beyond the pivot's, so rows in independent blocks never interact.
+    A row that does not vanish is kept as a new pivot at its lowest column,
+    as is or, if an update changed it, content stripped; returns whether it
+    was kept.  Updates only touch columns at or beyond the pivot's, so rows
+    in independent blocks never interact.
     """
-    while row:
-        c = min(row)
+    reduced = row
+    while reduced:
+        c = min(reduced)
         if c not in pivots:
-            pivots[c] = row
+            pivots[c] = reduced if reduced is row else _strip_content(reduced)
             return True
-        row = _eliminate(row, c, pivots[c])
+        reduced = _eliminate(reduced, c, pivots[c])
     return False
 
 
@@ -165,15 +162,17 @@ def _integer_rref(rows: Iterable[IntRow]) -> dict[int, IntRow]:
 
     The echelon form back-substitutes on integers through the same update
     step, from the last pivot up, so each row is nonzero only at its pivot
-    and at non-pivot columns.  Rows come in pivot-column order; each is a
-    nonzero multiple of the canonical RREF row, regardless of input order.
+    and at non-pivot columns; each row is stripped once, when its own pivot
+    is reached, after its last update.  Rows come in pivot-column order;
+    each is a nonzero multiple of the canonical RREF row.
     """
     pivots = _echelon(rows)
     cols = sorted(pivots)
     for at, p in reversed(list(enumerate(cols))):
+        pivot = pivots[p] = _strip_content(pivots[p])
         for q in cols[:at]:
             if p in pivots[q]:
-                pivots[q] = _eliminate(pivots[q], p, pivots[p])
+                pivots[q] = _eliminate(pivots[q], p, pivot)
     return {p: pivots[p] for p in cols}
 
 

@@ -15,10 +15,11 @@ integers are accepted on input, floats are not.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
-from .complexes import SimplicialComplex
-from .exact import format_rational, parse_rational
+from .complexes import SimplicialComplex, _from_integer_view
+from .exact import _rational_pair, format_rational
 
 __all__ = ["ComplexFormatError", "complex_from_dict", "complex_to_dict", "load_complex", "save_complex"]
 
@@ -28,7 +29,11 @@ class ComplexFormatError(ValueError):
 
 
 def complex_from_dict(data: object) -> SimplicialComplex:
-    """Build and validate a complex from parsed JSON."""
+    """Build and validate a complex from parsed JSON.
+
+    Each cell is read as a numerator and a denominator in lowest terms,
+    and the complex is built from the numerators over their lcm, with no
+    ``Fraction`` per cell."""
     if not isinstance(data, dict):
         raise ComplexFormatError("top level must be a JSON object")
     for key in ("ambient_dim", "vertices", "maximal_faces"):
@@ -51,7 +56,7 @@ def complex_from_dict(data: object) -> SimplicialComplex:
         coords = []
         for ci, cell in enumerate(row):
             try:
-                coords.append(parse_rational(cell))
+                coords.append(_rational_pair(cell))
             except ValueError as exc:
                 raise ComplexFormatError(f"vertices[{vi}][{ci}]: {exc}") from exc
         vertices.append(coords)
@@ -81,7 +86,9 @@ def complex_from_dict(data: object) -> SimplicialComplex:
                 f"maximal_faces[{fi}] duplicates maximal_faces[{seen[f]}]"
             )
         seen[f] = fi
-    complex_ = SimplicialComplex(ambient, vertices, faces)
+    den = math.lcm(*(q for row in vertices for _, q in row))
+    nums = [tuple(p * (den // q) for p, q in row) for row in vertices]
+    complex_ = _from_integer_view(ambient, den, nums, faces)
     complex_.validate()
     return complex_
 

@@ -56,14 +56,21 @@ class AdaptedFrame:
 
     ``rows`` is R, the first i rows of M over their least common
     denominator L, ``scale``: the projection onto R^i is x -> R (x - v0) / L.
-    ``medial`` holds the medial face's vertices, v0 first; M sends the
-    others to e_{i+1}, ..., e_k.  The full ``matrix`` M, read by
-    ``apply_point`` on ``Fraction`` coordinates, is derived on first use.
+    ``medial_nums`` holds the medial face's vertices, v0 first, as the
+    complex's integer numerators over its ``den``; M sends the others to
+    e_{i+1}, ..., e_k.  The ``Fraction`` points ``medial`` and the full
+    ``matrix`` M, read by ``apply_point``, are derived on first use.
     """
 
     rows: tuple[tuple[int, ...], ...]
     scale: int
-    medial: tuple[Point, ...]
+    den: int
+    medial_nums: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def medial(self) -> tuple[Point, ...]:
+        """The medial vertices as ``Fraction`` points: ``medial_nums`` over ``den``."""
+        return tuple(tuple(Fraction(x, self.den) for x in v) for v in self.medial_nums)
 
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -116,7 +123,8 @@ def adapt_coordinates(complex_: SimplicialComplex) -> AdaptedFrame:
             for vec in kernel
         ),
         scale=scale,
-        medial=tuple(tuple(Fraction(x, complex_.den) for x in nums[m]) for m in profile.medial),
+        den=complex_.den,
+        medial_nums=tuple(nums[m] for m in profile.medial),
     )
 
 
@@ -291,17 +299,17 @@ def standard_form(complex_: SimplicialComplex) -> StandardForm:
     projected = project_orange(complex_)
     star = projected.complex
     std = standard_orange(star, profile.k - profile.i)
+    medial = (0, *range(len(star.nums), len(std.nums)))
     frame = None
     if profile.i:
         # the identity frame at the origin; the medial face is 0, e_{i+1}, ..., e_k
-        identity = [tuple(int(r == c) for c in range(profile.k)) for r in range(profile.k)]
         frame = AdaptedFrame(
-            rows=tuple(identity[: profile.i]),
+            rows=tuple(tuple(int(r == c) for c in range(profile.k)) for r in range(profile.i)),
             scale=1,
-            medial=tuple(tuple(map(Fraction, e)) for e in [(0,) * profile.k, *identity[profile.i :]]),
+            den=std.den,
+            medial_nums=tuple(std.nums[m] for m in medial),
         )
-    tail = range(len(star.nums), len(std.nums))
-    std._memo["profile"] = replace(profile, medial=(0, *tail))
+    std._memo["profile"] = replace(profile, medial=medial)
     std._memo["projected"] = ProjectedOrange(
         complex=star,
         central_vertex=0,

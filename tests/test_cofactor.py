@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import gc
+import json
 import math
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orangesplines import cofactor
+from orangesplines import cofactor, exact
 from orangesplines.catalog import CATALOG, get
 from orangesplines.cofactor import (
     build_system,
@@ -502,6 +504,43 @@ def test_the_kernel_sees_only_cycle_rows(monkeypatch):
         }
         assert len(degrees) == 1
     assert len(rows) <= _cycle_rank(cx) * len(monomials_upto(2, dmax))
+
+
+def _dense_image(cx: SimplicialComplex) -> SimplicialComplex:
+    """x -> H x + b with H the Hilbert matrix 1 / (a + b + 1), invertible and
+    nonzero everywhere, and b_a = (a + 1) / (a + 2): every wall is dense and
+    none passes through the origin."""
+    k = cx.ambient_dim
+    hilbert = [[Fraction(1, a + b + 1) for b in range(k)] for a in range(k)]
+    return affine_image(cx, hilbert, [Fraction(a + 1, a + 2) for a in range(k)])
+
+
+def test_dense_images_match_the_reference_table_at_its_top_degree(empty_prefix_cache):
+    # the largest cells of the benchmark's table: where coefficient growth in
+    # the kernel would first show as a wrong count
+    table = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+    )
+    dmax, rmax = table["grid"]["d_max"], table["grid"]["r_max"]
+    for name in ("tetrahedral-fan", "vertex-star-3d", "fan-4d"):
+        cx = _dense_image(get(name).complex)
+        for r in range(rmax + 1):
+            assert list(spline_dims(cx, r, dmax)) == table["dims"][name][r], (name, r)
+
+
+def test_the_kernel_strips_content_once_per_stored_pivot(monkeypatch, empty_prefix_cache):
+    sent = _spying_echelon(monkeypatch)
+    cx = _dense_image(get("vertex-star-3d").complex)
+    dims = spline_dims(cx, 1, 5)
+    (rows,) = sent
+    assert dims == _per_degree_reference(cx, 1, 5)
+    strips, updates = [], []
+    strip, eliminate = exact._strip_content, exact._eliminate
+    monkeypatch.setattr(exact, "_strip_content", lambda row: strips.append(1) or strip(row))
+    monkeypatch.setattr(exact, "_eliminate", lambda *args: updates.append(1) or eliminate(*args))
+    pivots = exact._echelon(rows)
+    # many updates per pivot, but one content pass at most for each
+    assert 0 < len(strips) <= len(pivots) < len(updates)
 
 
 def _translated(cx: SimplicialComplex) -> SimplicialComplex:

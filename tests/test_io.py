@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from orangesplines.catalog import CATALOG
+from orangesplines.complexes import SimplicialComplex
 from orangesplines.io import (
     ComplexFormatError,
     complex_from_dict,
@@ -56,6 +58,46 @@ def test_schema_errors_name_the_field(mutation, fragment):
     with pytest.raises(ComplexFormatError) as exc:
         complex_from_dict(base)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("cell", ["2/4", "-0", "+3", " 7 ", "-6/4", "0/5", "+12/8", 5, -2, 0])
+@pytest.mark.parametrize("other", ["0", "1/6", "-5/3"])
+def test_cells_build_the_complex_their_fractions_build(cell, other):
+    data = {
+        "ambient_dim": 2,
+        "vertices": [[other, "0"], ["4", "0"], [cell, "1/2"]],
+        "maximal_faces": [[0, 1, 2]],
+    }
+    points = [[Fraction(c.strip() if isinstance(c, str) else c) for c in v] for v in data["vertices"]]
+    expected = SimplicialComplex(2, points, data["maximal_faces"])
+    got = complex_from_dict(data)
+    assert got == expected
+    assert hash(got) == hash(expected)
+    assert (got.den, got.nums) == (expected.den, expected.nums)
+    assert all(type(x) is int for v in got.nums for x in v)
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("1/0", "vertices[1][1]: not a rational 'p/q' string: '1/0'"),
+        (" 1.5", "vertices[1][1]: not a rational 'p/q' string: ' 1.5'"),
+        ("1/-2", "vertices[1][1]: not a rational 'p/q' string: '1/-2'"),
+        ("", "vertices[1][1]: not a rational 'p/q' string: ''"),
+        (True, "vertices[1][1]: not a rational: True"),
+        (2.5, "vertices[1][1]: not a rational: 2.5"),
+        (None, "vertices[1][1]: not a rational: None"),
+    ],
+)
+def test_a_bad_cell_is_reported_word_for_word(cell, message):
+    data = {
+        "ambient_dim": 2,
+        "vertices": [["0", "0"], ["1", cell], ["0", "1"]],
+        "maximal_faces": [[0, 1, 2]],
+    }
+    with pytest.raises(ComplexFormatError) as exc:
+        complex_from_dict(data)
+    assert str(exc.value) == message
 
 
 def test_missing_key_is_reported():

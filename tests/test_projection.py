@@ -36,6 +36,7 @@ from orangesplines.dimension import orange_dim_formula, verify_hilbert_identity
 from orangesplines.exact import EchelonBasis, invert_matrix
 from orangesplines.io import complex_from_dict, complex_to_dict
 from orangesplines.projection import (
+    AdaptedFrame,
     ProjectedOrange,
     adapt_coordinates,
     project_face,
@@ -610,6 +611,37 @@ def test_workload_ops_build_no_fraction_vertices(monkeypatch, random_affine_map)
     # the counter sees a view that is read
     assert complex_from_dict(wires[0]).vertices
     assert len(builds) == 1
+
+
+def test_workload_ops_derive_no_medial_points(monkeypatch, random_affine_map):
+    rng = random.Random(23)
+    wires = []
+    for name in ("fan-4d", "vertex-star-3d", "planar-star", "two-triangle"):
+        base = get(name).complex
+        wires.append(complex_to_dict(affine_image(base, *random_affine_map(base.ambient_dim, rng))))
+    builds = []
+    view = AdaptedFrame.medial
+
+    def counted(frame):
+        builds.append(frame)
+        return view.func(frame)
+
+    counting = cached_property(counted)
+    counting.__set_name__(AdaptedFrame, "medial")
+    monkeypatch.setattr(AdaptedFrame, "medial", counting)
+    monkeypatch.setattr(cofactor, "_prefixes", cofactor._PrefixCache(maxsize=256))
+    for wire in wires:
+        _one_op_of_each_workload(wire)
+    assert builds == []
+    # the derived points are the medial vertices, on the orange and on its
+    # standard model, and the counter sees them read
+    cx = complex_from_dict(wires[0])
+    sf = standard_form(cx)
+    frames = [(cx, adapt_coordinates(cx)), (sf.standard, sf.standard._memo["projected"].frame)]
+    for owner, frame in frames:
+        medial = detect_orange(owner).medial
+        assert frame.medial == tuple(owner.vertices[m] for m in medial)
+    assert len(builds) == 2
 
 
 def test_workload_ops_derive_coordinates_only_for_lifted_points(monkeypatch, random_affine_map):
