@@ -66,7 +66,10 @@ from .complexes import (
     adjacent_pairs,
     detect_orange,
 )
-from .exact import IntRow, _echelon, _integer_kernel, _reduce, _strip_content, invert_matrix
+from .exact import (
+    IntRow, _check_int, _check_nonnegative, _echelon, _integer_kernel, _reduce, _strip_content,
+    invert_matrix,
+)
 from .polynomials import Polynomial, monomials_upto
 from .projection import project_orange
 
@@ -188,8 +191,7 @@ def simplex_domain_points(
 ) -> list[DomainPoint]:
     """Degree-d lattice of one simplex, which ``_simplex`` checks:
     binom(d + m, m) points, m = dim."""
-    if d < 0:
-        raise ValueError("degree must take a nonnegative value")
+    _check_nonnegative(d, "degree")
     simplex = _simplex(vertices)
     scale = simplex.den * max(d, 1)
     return [
@@ -204,7 +206,7 @@ def complex_domain_points(complex_: SimplicialComplex, d: int) -> tuple[Identifi
     produces it, and the points are sorted by their keys, which orders them
     as their coordinates do.  The coordinates are derived only where read.
     """
-    memo = ("lattice", d)
+    memo = ("lattice", _check_int(d, "degree"))
     if memo not in complex_._memo:
         nums = complex_.nums
         buckets: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
@@ -225,20 +227,39 @@ def complex_domain_points(complex_: SimplicialComplex, d: int) -> tuple[Identifi
 
 @dataclass(frozen=True)
 class Layer:
-    """Level-j slice of the standard orange's lattice.
-
-    ``base_points`` is the degree-j lattice of the projected star scaled by
-    j/d and embedded with zero tail coordinates; every point of the layer is
-    a base point plus one of the ``shifts`` (tail vectors with index sum
-    d - j).  A base point is zero on the tail and a shift on the first i
-    coordinates, so a point is a base head followed by a shift tail.
+    """Level-j slice of the standard orange's lattice: integer keys over
+    ``scale`` (see ``layer_decomposition``), the star's sorted degree-j keys
+    ``heads`` and the tail shifts ``tails`` (|beta| = d - j, lex descending).
+    A point is a head followed by a tail.  The ``Fraction`` views, derived
+    on first read, are ``factor`` = j/d, the ``base_points`` (heads, zero
+    tail), the ``shifts`` (zero head, tails) and the ``points``, sorted.
     """
 
     level: int
-    factor: Fraction
-    base_points: tuple[Point, ...]
-    shifts: tuple[Point, ...]
-    points: tuple[Point, ...]
+    d: int
+    scale: int
+    heads: tuple[tuple[int, ...], ...]
+    tails: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def factor(self) -> Fraction:
+        return Fraction(self.level, max(self.d, 1))
+
+    @cached_property
+    def base_points(self) -> tuple[Point, ...]:
+        zero = (0,) * len(self.tails[0]) if self.tails else ()
+        return tuple(_coordinates(h + zero, self.scale) for h in self.heads)
+
+    @cached_property
+    def shifts(self) -> tuple[Point, ...]:
+        zero = (0,) * len(self.heads[0])
+        return tuple(_coordinates(zero + t, self.scale) for t in self.tails)
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        # ascending heads, then ascending (reversed lex descending) tails
+        tails = self.tails[::-1]
+        return tuple(_coordinates(h + t, self.scale) for h in self.heads for t in tails)
 
 
 @dataclass(frozen=True)
@@ -313,23 +334,20 @@ def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecompositi
     beta/d is beta * L over L * d, and a layer point is a base head
     followed by a shift tail.  The disjointness and coverage checks
     compare these tuples with the orange's own lattice keys, and each
-    output coordinate becomes a ``Fraction`` once.
+    ``Layer`` keeps its keys; no ``Fraction`` is built until a view is read.
     """
-    if d < 0:
-        raise ValueError("degree must take a nonnegative value")
+    _check_nonnegative(d, "degree")
     profile, star = _standard_split(complex_)
-    i, fiber = profile.i, profile.k - profile.i
+    fiber = profile.k - profile.i
     common = lcm(complex_.den, star.den)
     scale = common * max(d, 1)
     lattice = set(_keys(complex_, d, common // complex_.den))
-    zero_head, zero_tail = (Fraction(0),) * i, (Fraction(0),) * fiber
     layers = []
     covered: dict[tuple[int, ...], int] = {}
-    total = 0
     for j in range(d + 1):
         # sorted, as the star's lattice keys are
-        heads = _keys(star, j, common // star.den)
-        tails = [tuple(common * b for b in beta) for beta in _tails(fiber, d - j)]
+        heads = tuple(_keys(star, j, common // star.den))
+        tails = tuple(tuple(common * b for b in beta) for beta in _tails(fiber, d - j))
         for tail in tails:
             for head in heads:
                 key = head + tail
@@ -339,20 +357,7 @@ def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecompositi
                         f"{_coordinates(key, scale)}"
                     )
                 covered[key] = j
-        head_points = [_coordinates(h, scale) for h in heads]
-        tail_points = [_coordinates(t, scale) for t in tails]
-        total += len(heads) * len(tails)
-        layers.append(
-            Layer(
-                level=j,
-                factor=Fraction(j, d) if d else Fraction(0),
-                base_points=tuple(h + zero_tail for h in head_points),
-                shifts=tuple(zero_head + t for t in tail_points),
-                # ascending heads, then ascending (reversed lex descending)
-                # tails: the points in sorted order
-                points=tuple(h + t for h in head_points for t in reversed(tail_points)),
-            )
-        )
+        layers.append(Layer(level=j, d=d, scale=scale, heads=heads, tails=tails))
 
     if covered.keys() != lattice:
         missing = lattice - covered.keys()
@@ -362,7 +367,7 @@ def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecompositi
             f"adds {len(extra)} foreign ones"
         )
     return LayerDecomposition(
-        d=d, fiber_dim=fiber, star=star, layers=tuple(layers), total=total
+        d=d, fiber_dim=fiber, star=star, layers=tuple(layers), total=len(covered)
     )
 
 
@@ -608,12 +613,14 @@ def _system(
     complex_: SimplicialComplex, r: int, d: int
 ) -> tuple[tuple[IdentifiedPoint, ...], list[IntRow]]:
     """(points in hub order, C^r conditions on them), built once per complex
-    instance and (r, d).  ``_ordered_points`` rejects non-oranges first.
+    instance and (r, d), after r and d are checked; ``_ordered_points``
+    rejects non-oranges before anything is built.
     The conditions are integer rows as built, each the rational condition
     scaled by D^m (see ``_smoothness_rows``); row scaling keeps the row
     space and the column matroid, so every rank and greedy pick is that of
     the rational system."""
-    key = ("system", r, d)
+    _check_nonnegative(r, "smoothness order")
+    key = ("system", r, _check_int(d, "degree"))
     if key not in complex_._memo:
         points = _ordered_points(complex_, d)
         complex_._memo[key] = (points, _smoothness_rows(complex_, r, d, points))
@@ -637,12 +644,8 @@ def _determines(
 
 def bernstein_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
     """dim S^r_d of an orange as the nullity of the Bernstein-form system:
-    the number of domain points minus the rank of the C^r conditions."""
-    if r < 0:
-        raise ValueError("smoothness order must be nonnegative")
-    detect_orange(complex_)
-    if d < 0:
-        return 0
+    the number of domain points minus the rank of the C^r conditions; 0 at
+    a negative degree, whose lattice is empty."""
     points, rows = _system(complex_, r, d)
     return len(points) - len(_echelon(rows))
 

@@ -20,7 +20,7 @@ from .bernstein import complex_domain_points, layer_decomposition, lift_mds
 from .cofactor import build_system, spline_dim, spline_dims
 from .complexes import SimplicialComplex, detect_orange
 from .dimension import orange_dim_formula, verify_hilbert_identity
-from .exact import format_rational
+from .exact import _check_nonnegative, format_rational
 from .io import complex_to_dict, load_complex
 from .projection import project_orange, standard_form
 from .sweep import run_sweep
@@ -36,8 +36,8 @@ def _coords(point) -> list[str]:
     return [format_rational(c) for c in point]
 
 
-def _add_input_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
+def _add_input_options(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    group = parser.add_mutually_exclusive_group(required=required)
     group.add_argument("-i", "--input", help="path to a JSON complex")
     group.add_argument(
         "-c", "--catalog", help="name of a built-in catalog entry",
@@ -119,8 +119,6 @@ def _cmd_standard_orange(args: argparse.Namespace) -> int:
 
 
 def _cmd_dim(args: argparse.Namespace) -> int:
-    if args.d < 0:
-        raise ValueError("degree must be nonnegative")
     complex_ = _resolve_complex(args)
     payload: dict = {"r": args.r, "d": args.d, "method": args.method}
     rc = 0
@@ -172,8 +170,6 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 def _cmd_domain_points(args: argparse.Namespace) -> int:
-    if args.d < 0:
-        raise ValueError("degree must be nonnegative")
     complex_ = _resolve_complex(args)
     points = complex_domain_points(complex_, args.d)
     payload = {
@@ -190,18 +186,13 @@ def _cmd_domain_points(args: argparse.Namespace) -> int:
         ],
     }
     if args.csv:
-        k = complex_.ambient_dim
-        rows = []
-        for p in points:
-            for f, a in p.occurrences:
-                rows.append(
-                    _coords(p.coordinates) + [f, " ".join(map(str, a))]
-                )
-        _write_csv(
-            args.csv,
-            [f"x{c + 1}" for c in range(k)] + ["face", "multi_index"],
-            rows,
-        )
+        rows = [
+            _coords(p.coordinates) + [f, " ".join(map(str, a))]
+            for p in points
+            for f, a in p.occurrences
+        ]
+        header = [f"x{c + 1}" for c in range(complex_.ambient_dim)]
+        _write_csv(args.csv, header + ["face", "multi_index"], rows)
     if args.json:
         _emit_json(payload)
     else:
@@ -213,8 +204,6 @@ def _cmd_domain_points(args: argparse.Namespace) -> int:
 
 
 def _cmd_layers(args: argparse.Namespace) -> int:
-    if args.d < 0:
-        raise ValueError("degree must be nonnegative")
     complex_ = _resolve_complex(args)
     sf = standard_form(complex_)
     decomposition = layer_decomposition(sf.standard, args.d)
@@ -226,8 +215,8 @@ def _cmd_layers(args: argparse.Namespace) -> int:
             {
                 "level": layer.level,
                 "factor": format_rational(layer.factor),
-                "size": len(layer.base_points),
-                "multiplicity": len(layer.shifts),
+                "size": len(layer.heads),
+                "multiplicity": len(layer.tails),
                 "shifts": [_coords(s) for s in layer.shifts],
                 "points": [_coords(p) for p in layer.points],
             }
@@ -235,12 +224,9 @@ def _cmd_layers(args: argparse.Namespace) -> int:
         ],
     }
     if args.csv:
-        k = sf.standard.ambient_dim
-        rows = []
-        for layer in decomposition.layers:
-            for p in layer.points:
-                rows.append([layer.level] + _coords(p))
-        _write_csv(args.csv, ["level"] + [f"x{c + 1}" for c in range(k)], rows)
+        rows = [[layer.level] + _coords(p) for layer in decomposition.layers for p in layer.points]
+        header = [f"x{c + 1}" for c in range(sf.standard.ambient_dim)]
+        _write_csv(args.csv, ["level"] + header, rows)
     if args.json:
         _emit_json(payload)
     else:
@@ -250,15 +236,13 @@ def _cmd_layers(args: argparse.Namespace) -> int:
         )
         for layer in decomposition.layers:
             print(
-                f"  level {layer.level}: {len(layer.base_points)} points "
-                f"x {len(layer.shifts)} shifts (scale {format_rational(layer.factor)})"
+                f"  level {layer.level}: {len(layer.heads)} points "
+                f"x {len(layer.tails)} shifts (scale {format_rational(layer.factor)})"
             )
     return 0
 
 
 def _cmd_mds(args: argparse.Namespace) -> int:
-    if args.d < 0:
-        raise ValueError("degree must be nonnegative")
     complex_ = _resolve_complex(args)
     sf = standard_form(complex_)
     lifted = lift_mds(sf.standard, args.r, args.d)
@@ -279,16 +263,12 @@ def _cmd_mds(args: argparse.Namespace) -> int:
         ],
     }
     if args.csv:
-        k = sf.standard.ambient_dim
         rows = [
             [p.level, p.face, " ".join(map(str, p.multi_index))] + _coords(p.coordinates)
             for p in lifted.points
         ]
-        _write_csv(
-            args.csv,
-            ["level", "face", "multi_index"] + [f"x{c + 1}" for c in range(k)],
-            rows,
-        )
+        header = [f"x{c + 1}" for c in range(sf.standard.ambient_dim)]
+        _write_csv(args.csv, ["level", "face", "multi_index"] + header, rows)
     if args.json:
         _emit_json(payload)
     else:
@@ -299,10 +279,8 @@ def _cmd_mds(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.catalog:
-        targets = [(args.catalog, catalog_mod.get(args.catalog).complex)]
-    elif args.input:
-        targets = [(args.input, load_complex(args.input))]
+    if args.catalog or args.input:
+        targets = [(args.catalog or args.input, _resolve_complex(args))]
     else:
         targets = [
             (name, catalog_mod.get(name).complex) for name in catalog_mod.SWEEP_NAMES
@@ -464,12 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mds)
 
     p = sub.add_parser("sweep", help="formula-versus-oracle sweep")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("-i", "--input", help="path to a JSON complex")
-    group.add_argument(
-        "-c", "--catalog", help="name of a built-in catalog entry",
-        choices=catalog_mod.names(), metavar="NAME",
-    )
+    _add_input_options(p, required=False)
     p.add_argument("--r-max", type=int, default=2)
     p.add_argument("--d-max", type=int, default=5)
     p.add_argument("--json", action="store_true")
@@ -493,8 +466,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "d"):
+            # every command with --d rejects d < 0 before it reads its input
+            _check_nonnegative(args.d, "degree")
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:  # ComplexFormatError is a ValueError
+    except (ValueError, OSError) as exc:  # ComplexFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

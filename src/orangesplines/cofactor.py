@@ -81,7 +81,8 @@ from .complexes import (
     adjacent_pairs,
 )
 from .exact import (
-    IntRow, RationalMatrix, _echelon, _integer_kernel, format_rational
+    IntRow, RationalMatrix, _check_int, _check_nonnegative, _echelon, _integer_kernel,
+    format_rational,
 )
 from .polynomials import Polynomial, divisible_by_linear_power, monomials_upto
 
@@ -273,10 +274,8 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
     the complex's integers by ``_wall``, and a shared facet that spans no
     hyperplane raises InvalidComplexError naming the two faces.
     """
-    if r < 0:
-        raise ValueError("smoothness order must be nonnegative")
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
+    _check_nonnegative(r, "smoothness order")
+    _check_nonnegative(d, "degree")
     complex_._check_shape()
     k = complex_.ambient_dim
     faces = complex_.maximal_faces
@@ -343,9 +342,8 @@ def spline_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ..
     ``spline_dim.cache_info()`` reports the cache as
     ``functools.lru_cache`` would.
     """
-    if r < 0:
-        raise ValueError("smoothness order must be nonnegative")
-    if dmax < 0:
+    _check_nonnegative(r, "smoothness order")
+    if _check_int(dmax, "dmax") < 0:
         return ()
     key = (complex_.ambient_dim, complex_.den, complex_.nums, complex_.maximal_faces, r)
     dims = _prefixes.lookup(key, dmax)
@@ -467,7 +465,7 @@ def spline_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
     the origin, equals the orange, so there the formula's star dimensions
     and the oracle's values are one entry.
     """
-    dims = spline_dims(complex_, r, d)
+    dims = spline_dims(complex_, r, _check_int(d, "degree"))
     return dims[d] if d >= 0 else 0
 
 

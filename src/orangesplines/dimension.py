@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .cofactor import spline_dim, spline_dims
 from .complexes import SimplicialComplex, adjacent_pairs, detect_orange
-from .exact import binom
+from .exact import _check_int, _check_nonnegative, binom
 from .projection import project_orange, standard_form
 
 __all__ = [
@@ -78,12 +78,11 @@ def star_dims_closed_form(star: SimplicialComplex, r: int, dmax: int) -> tuple[i
 
     No system is built.  A star in R^3 or beyond raises ValueError.
     """
-    if r < 0:
-        raise ValueError("smoothness order must be nonnegative")
+    _check_nonnegative(r, "smoothness order")
     i = star.ambient_dim
     if i > 2:
         raise ValueError(f"no closed form for a star in R^{i}")
-    if dmax < 0:
+    if _check_int(dmax, "dmax") < 0:
         return ()
     faces = star.maximal_faces
     pairs = adjacent_pairs(star)
@@ -114,15 +113,14 @@ def star_dims_closed_form(star: SimplicialComplex, r: int, dmax: int) -> tuple[i
 
 def orange_dim_formula(complex_: SimplicialComplex, r: int, d: int) -> int:
     """dim S^r_d of an orange via the reduction to its projected star."""
-    coeffs = _formula_coeffs(complex_, r, d)
+    coeffs = _formula_coeffs(complex_, r, _check_int(d, "degree"))
     return coeffs[d] if d >= 0 else 0
 
 
 def _formula_coeffs(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
     """The reduction formula in degrees 0..dmax, from one star prefix:
     closed forms for i <= 2, one ``spline_dims`` call for i = 3."""
-    if r < 0:
-        raise ValueError("smoothness order must be nonnegative")
+    _check_nonnegative(r, "smoothness order")
     profile = detect_orange(complex_)
     fiber = profile.k - profile.i
     # the projection validates the star, which the closed forms rely on
@@ -147,18 +145,13 @@ class HilbertPrefix:
             raise ValueError("coefficient count does not match dmax")
 
 
-def _check_dmax(dmax: int) -> None:
-    if dmax < 0:
-        raise ValueError(f"dmax must be nonnegative, got {dmax}")
-
-
 def hilbert_prefix(complex_: SimplicialComplex, r: int, dmax: int) -> HilbertPrefix:
     """Spline dimensions in degrees 0..dmax, by the cofactor computation.
 
     One ``spline_dims`` call, so one cofactor system at dmax for any
     complex, or none when a prefix through dmax is already cached.
     """
-    _check_dmax(dmax)
+    _check_nonnegative(dmax, "dmax")
     return HilbertPrefix(r=r, dmax=dmax, coeffs=spline_dims(complex_, r, dmax))
 
 
@@ -166,7 +159,7 @@ def orange_hilbert_prefix(
     complex_: SimplicialComplex, r: int, dmax: int
 ) -> HilbertPrefix:
     """Spline dimensions in degrees 0..dmax, by the reduction formula."""
-    _check_dmax(dmax)
+    _check_nonnegative(dmax, "dmax")
     return HilbertPrefix(r=r, dmax=dmax, coeffs=_formula_coeffs(complex_, r, dmax))
 
 
@@ -180,7 +173,7 @@ def verify_hilbert_identity(
     independent consequence of the decomposition.  Returns (ok, residuals)
     where residuals[d] is the degree-d coefficient of LHS - RHS.
     """
-    _check_dmax(dmax)
+    _check_nonnegative(dmax, "dmax")
     profile = detect_orange(complex_)
     fiber = profile.k - profile.i
     star = project_orange(complex_).complex

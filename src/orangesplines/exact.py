@@ -23,6 +23,11 @@ uses: ``solve_linear`` serves ``complexes.barycentric_coordinates``,
 ``invert_matrix`` the Bernstein basis change and
 ``projection.AdaptedFrame.matrix``, and ``EchelonBasis`` has no caller in
 the package.  Results are exact regardless of conditioning.
+
+Smoothness orders, degrees, dmax and fiber dimensions are checked by
+``_check_int`` (TypeError unless the type is int, so not a bool) and
+``_check_nonnegative`` (also ValueError below 0); nothing else in the
+package raises for those arguments.
 """
 
 from __future__ import annotations
@@ -81,6 +86,21 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def _check_int(value: int, name: str) -> int:
+    """``value`` if its type is int; otherwise TypeError naming ``name``."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    return value
+
+
+def _check_nonnegative(value: int, name: str) -> int:
+    """``value`` if it is an int >= 0; otherwise ``_check_int``'s TypeError
+    or a ValueError naming ``name``."""
+    if _check_int(value, name) < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .complexes import (
     _overlap,
     detect_orange,
 )
-from .exact import _integer_kernel, invert_matrix
+from .exact import _check_nonnegative, _integer_kernel, invert_matrix
 
 __all__ = [
     "AdaptedFrame",
@@ -266,8 +266,7 @@ def standard_orange(
     origin's partners e_{i+1}, ..., e_k.  The origin of C itself serves as
     the remaining medial vertex.  A negative ``fiber_dim`` raises ValueError.
     """
-    if fiber_dim < 0:
-        raise ValueError("fiber dimension must be nonnegative")
+    _check_nonnegative(fiber_dim, "fiber dimension")
     i = star.ambient_dim
     k = i + fiber_dim
     nums = [v + (0,) * fiber_dim for v in star.nums]

@@ -15,6 +15,7 @@ from typing import Iterable
 from .cofactor import spline_dims
 from .complexes import SimplicialComplex
 from .dimension import orange_hilbert_prefix
+from .exact import _check_int, _check_nonnegative
 
 __all__ = ["SweepCell", "SweepReport", "run_sweep"]
 
@@ -49,11 +50,13 @@ def run_sweep(
     r_values: Iterable[int],
     d_values: Iterable[int],
 ) -> SweepReport:
-    grid = sorted((r, d) for r in set(r_values) for d in set(d_values))
+    # checked before the sets, where True and 1 would merge
+    r_values = {_check_int(r, "smoothness order") for r in r_values}
+    d_values = {_check_int(d, "degree") for d in d_values}
+    grid = sorted((r, d) for r in r_values for d in d_values)
     if not grid:
         raise ValueError("sweep grid is empty: no r or no d values")
-    if any(d < 0 for _, d in grid):
-        raise ValueError("sweep degrees must be nonnegative")
+    _check_nonnegative(min(d_values), "degree")
     top = dict(grid)  # grid is sorted, so each r keeps its largest d
     formula = {r: orange_hilbert_prefix(complex_, r, dmax).coeffs for r, dmax in top.items()}
     oracle = {r: spline_dims(complex_, r, dmax) for r, dmax in top.items()}

@@ -1,0 +1,117 @@
+"""Every public function that takes a smoothness order, degree, dmax or
+fiber dimension checks it the same way: the value must be an int (a bool
+is not one), and a negative value raises unless a negative degree has a
+meaning there (an empty lattice or prefix, or dimension 0)."""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+
+import orangesplines
+from orangesplines import (
+    bernstein_dim,
+    build_system,
+    complex_domain_points,
+    compute_mds,
+    hilbert_prefix,
+    layer_decomposition,
+    lift_mds,
+    orange_dim_formula,
+    orange_hilbert_prefix,
+    run_sweep,
+    simplex_domain_points,
+    spline_basis,
+    spline_dim,
+    spline_dims,
+    standard_form,
+    standard_orange,
+    star_dims_closed_form,
+    verify_hilbert_identity,
+    verify_mds,
+    verify_standard_orange,
+)
+from orangesplines.catalog import get
+
+ORANGE = get("planar-star").complex
+STAR = standard_form(ORANGE).projected.complex
+STANDARD = standard_form(get("two-triangle").complex).standard
+TRIANGLE = [(0, 0), (1, 0), (0, 1)]
+
+R, D, DMAX = "smoothness order", "degree", "dmax"
+
+# name: (call with r and d, the name each argument is checked under, the
+# outcome at d = -1: a value, or ValueError)
+CASES = {
+    "build_system": (lambda r, d: build_system(ORANGE, r, d), {"r": R, "d": D}, ValueError),
+    "spline_dims": (lambda r, d: spline_dims(ORANGE, r, d), {"r": R, "d": DMAX}, ()),
+    "spline_dim": (lambda r, d: spline_dim(ORANGE, r, d), {"r": R, "d": D}, 0),
+    "spline_basis": (lambda r, d: spline_basis(ORANGE, r, d), {"r": R, "d": D}, ValueError),
+    "star_dims_closed_form": (
+        lambda r, d: star_dims_closed_form(STAR, r, d), {"r": R, "d": DMAX}, ()
+    ),
+    "orange_dim_formula": (lambda r, d: orange_dim_formula(ORANGE, r, d), {"r": R, "d": D}, 0),
+    "hilbert_prefix": (lambda r, d: hilbert_prefix(ORANGE, r, d), {"r": R, "d": DMAX}, ValueError),
+    "orange_hilbert_prefix": (
+        lambda r, d: orange_hilbert_prefix(ORANGE, r, d), {"r": R, "d": DMAX}, ValueError
+    ),
+    "verify_hilbert_identity": (
+        lambda r, d: verify_hilbert_identity(ORANGE, r, d), {"r": R, "d": DMAX}, ValueError
+    ),
+    "verify_standard_orange": (
+        lambda r, d: verify_standard_orange(ORANGE, r, d), {"r": R, "d": D}, (True, 0, 0)
+    ),
+    "simplex_domain_points": (lambda r, d: simplex_domain_points(TRIANGLE, d), {"d": D}, ValueError),
+    "complex_domain_points": (lambda r, d: complex_domain_points(ORANGE, d), {"d": D}, ()),
+    "layer_decomposition": (lambda r, d: layer_decomposition(STANDARD, d), {"d": D}, ValueError),
+    "bernstein_dim": (lambda r, d: bernstein_dim(ORANGE, r, d), {"r": R, "d": D}, 0),
+    "compute_mds": (lambda r, d: compute_mds(ORANGE, r, d).points, {"r": R, "d": D}, ()),
+    "verify_mds": (lambda r, d: verify_mds(ORANGE, r, d), {"r": R, "d": D}, True),
+    "lift_mds": (lambda r, d: lift_mds(STANDARD, r, d).points, {"r": R, "d": D}, ()),
+    "standard_orange": (
+        lambda r, d: standard_orange(STAR, d), {"d": "fiber dimension"}, ValueError
+    ),
+    "run_sweep": (lambda r, d: run_sweep(ORANGE, [r], [d]), {"r": R, "d": D}, ValueError),
+}
+
+
+def test_the_table_covers_the_public_functions():
+    assert len(CASES) == 19
+    assert set(CASES) <= set(orangesplines.__all__)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=repr)
+@pytest.mark.parametrize("name", CASES)
+def test_a_non_int_argument_is_a_type_error_naming_it(name, bad):
+    call, checked, _ = CASES[name]
+    for arg, label in checked.items():
+        args = {"r": 1, "d": 2, arg: bad}
+        with pytest.raises(TypeError, match=f"^{label} must be an int, got {re.escape(repr(bad))}$"):
+            call(**args)
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if "r" in CASES[name][1]])
+def test_a_negative_order_is_a_value_error(name):
+    with pytest.raises(ValueError, match="^smoothness order must be nonnegative$"):
+        CASES[name][0](r=-1, d=2)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_a_negative_degree_keeps_its_meaning(name):
+    call, checked, outcome = CASES[name]
+    if outcome is ValueError:
+        with pytest.raises(ValueError, match=f"^{checked['d']} must be nonnegative$"):
+            call(r=1, d=-1)
+    else:
+        assert call(r=1, d=-1) == outcome
+
+
+def test_a_sweep_checks_each_value_before_merging_them():
+    # as a set, {True, 1} is {True}; the check sees both
+    with pytest.raises(TypeError, match="^smoothness order must be an int, got True$"):
+        run_sweep(ORANGE, [1, True], [2])
+    with pytest.raises(TypeError, match="^degree must be an int, got '1'$"):
+        run_sweep(ORANGE, [1], iter([2, "1"]))
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        run_sweep(ORANGE, [0, 1], [3, -1, 2])

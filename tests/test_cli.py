@@ -281,6 +281,22 @@ def test_missing_input_file(capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "-i", "DIR"],
+        ["domain-points", "-c", "two-triangle", "--d", "1", "--csv", "DIR"],
+        ["sweep", "-c", "two-triangle", "--r-max", "0", "--d-max", "1", "--csv", "DIR"],
+    ],
+)
+def test_a_directory_for_a_file_is_reported(tmp_path, capsys, argv):
+    # IsADirectoryError, an OSError, on reading the input or writing the CSV
+    rc, out, err = run(capsys, [str(tmp_path) if a == "DIR" else a for a in argv])
+    assert (rc, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "Is a directory" in line
+
+
 def test_non_orange_input_is_reported(tmp_path, capsys):
     # a chain of three intervals has no face common to all segments
     path = tmp_path / "notorange.json"
