@@ -28,6 +28,7 @@ from .bernstein import (
     lift_mds,
     monomial_to_bb,
     simplex_domain_points,
+    simplex_multiindices,
     verify_mds,
 )
 from .catalog import CATALOG, CatalogEntry, SWEEP_NAMES
@@ -125,6 +126,7 @@ __all__ = [
     "run_sweep",
     "save_complex",
     "simplex_domain_points",
+    "simplex_multiindices",
     "spline_basis",
     "spline_dim",
     "spline_dims",

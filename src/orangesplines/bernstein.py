@@ -55,6 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .cofactor import spline_dim, spline_dims
@@ -137,10 +138,16 @@ class IdentifiedPoint:
         return _coordinates(self.key, self.scale)
 
 
-@lru_cache(maxsize=None)
 def simplex_multiindices(nverts: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All multi-indices of length nverts summing to d, lex descending;
-    none when d < 0, so every lattice is empty at a negative degree."""
+    none when d < 0, so every lattice is empty at a negative degree.  The
+    degree must be an int."""
+    return _multiindices(nverts, _check_int(d, "degree"))
+
+
+@lru_cache(maxsize=None)
+def _multiindices(nverts: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """``simplex_multiindices`` for callers that pass an int degree."""
     if nverts <= 0:
         raise ValueError("a simplex has at least one vertex")
     if d < 0:
@@ -149,7 +156,7 @@ def simplex_multiindices(nverts: int, d: int) -> tuple[tuple[int, ...], ...]:
         return ((d,),)
     out = []
     for first in range(d, -1, -1):
-        for rest in simplex_multiindices(nverts - 1, d - first):
+        for rest in _multiindices(nverts - 1, d - first):
             out.append((first,) + rest)
     return tuple(out)
 
@@ -162,14 +169,11 @@ def _lattice_numerators(
     a_l * nums[l] over d times the vertices' denominator, and at degree 0
     the origin if it is a vertex, else the first vertex, over that
     denominator alone."""
-    indices = simplex_multiindices(len(nums), d)
+    indices = _multiindices(len(nums), d)
     if d == 0:
         return [(indices[0], tuple(next((n for n in nums if not any(n)), nums[0])))]
     columns = list(zip(*nums))
-    return [
-        (a, tuple(sum(x * n for x, n in zip(a, col)) for col in columns))
-        for a in indices
-    ]
+    return [(a, tuple(sum(map(mul, a, col)) for col in columns)) for a in indices]
 
 
 def _coordinates(key: Sequence[int], scale: int) -> Point:
@@ -307,7 +311,7 @@ def _tails(fiber: int, m: int) -> tuple[tuple[int, ...], ...]:
     fiber, only the empty one at m = 0."""
     if fiber == 0:
         return ((),) if m == 0 else ()
-    return simplex_multiindices(fiber, m)
+    return _multiindices(fiber, m)
 
 
 def _keys(complex_: SimplicialComplex, d: int, q: int) -> list[tuple[int, ...]]:
@@ -403,7 +407,7 @@ def _bernstein_data(
             if ambient
             else Polynomial.constant(0, ainv[l][0])
         )
-    indices = simplex_multiindices(nv, d)
+    indices = _multiindices(nv, d)
     monos = monomials_upto(ambient, d)
     mono_pos = {m: r for r, m in enumerate(monos)}
     n = len(monos)
@@ -433,6 +437,7 @@ def monomial_to_bb(
 ) -> dict[tuple[int, ...], Fraction]:
     """Bernstein coefficients (by multi-index) of a degree <= d polynomial
     in the coordinates of the simplex, which ``_simplex`` checks."""
+    _check_nonnegative(d, "degree")
     if poly.degree() > d:
         raise ValueError(f"degree {poly.degree()} exceeds the target degree {d}")
     simplex = _simplex(vertices)
@@ -455,6 +460,7 @@ def bb_to_monomial(
 ) -> Polynomial:
     """Polynomial with the given Bernstein coefficients on the simplex,
     which ``_simplex`` checks; a multi-index off the lattice raises."""
+    _check_nonnegative(d, "degree")
     simplex = _simplex(vertices)
     indices, matrix, _ = _bernstein_data(simplex.vertices, d)
     ambient = simplex.ambient_dim
@@ -560,8 +566,10 @@ def _smoothness_rows(
     c^t_(beta, m) = sum over |gamma| = m of (m! / gamma!) lambda^gamma
     c^s_(beta, 0) + gamma (Lai & Schumaker, *Spline Functions on
     Triangulations*, 2007, Thm 2.28).  Coefficients are looked up through
-    the points' occurrences; rows that cancel to zero are dropped (the
-    m = 0 rows, except at d = 0 where two pieces' points can differ).
+    the points' occurrences.  At d > 0 the m = 0 conditions are not
+    built: both sides are one identified point of the shared facet.  At
+    d = 0 two pieces' points can differ, and a row that cancels to zero is
+    dropped.
 
     The rows are built over the integers.  The affine dependence of T_s's
     vertices and w, on the complex's stored integers, is one primitive
@@ -584,15 +592,15 @@ def _smoothness_rows(
         n = len(face_s)
         pos_s = [face_s.index(v) for v in shared]
         pos_t = [face_t.index(v) for v in shared]
-        for m in range(min(r, d) + 1):
+        for m in range(1 if d else 0, min(r, d) + 1):
             weights = []
-            for gamma in simplex_multiindices(n, m):
+            for gamma in _multiindices(n, m):
                 weight = factorial(m) // prod(map(factorial, gamma)) * prod(
                     x**g for x, g in zip(lam, gamma)
                 )
                 if weight:
                     weights.append((gamma, weight))
-            for beta in simplex_multiindices(len(shared), d - m):
+            for beta in _multiindices(len(shared), d - m):
                 alpha_t = [0] * len(face_t)
                 alpha_t[face_t.index(w)] = m
                 base_s = [0] * n

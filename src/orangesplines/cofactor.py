@@ -16,11 +16,15 @@ degree plus r + 1), so ``spline_dims`` builds one system at the top degree
 and reads every lower degree off one echelon pass with the columns in
 degree order.  When the maximal faces share a vertex (every orange does:
 the medial face lies in all of them), every wall passes through it, and
-``spline_dims`` first translates that vertex to the origin, on the
-complex's stored integers (numerators N_v = ``nums[v]`` over the common
-denominator ``den``) as N_v - N_o over den; the translated complex is
-built from those integers (``complexes._from_integer_view``).  Every
-wall form is then homogeneous
+``spline_dims`` works on the complex with that vertex moved to the
+origin (``_moved``, once per complex instance), on the stored integers
+(numerators N_v = ``nums[v]`` over the common denominator ``den``) as
+N_v - N_o over den, built from those integers
+(``complexes._from_integer_view``).  The moved complex is also what the
+dimension cache is keyed on, so translates of one complex share an
+entry, and an i = 3 orange whose adapted frame is the identity
+(``vertex-star-3d``) shares one with its projected star.  Every wall
+form is then homogeneous
 and the system splits into independent blocks by exact degree j: the
 face columns of degree j, the cofactor columns of degree j - r - 1 and
 the rows of degree j.  S^r_d is the sum of the blocks j <= d (Billera &
@@ -67,15 +71,16 @@ import math
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations_with_replacement
-from operator import add
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .complexes import (
     InvalidComplexError,
     Point,
     SimplicialComplex,
+    _affinely_independent,
     _dual_forest,
     _from_integer_view,
     adjacent_pairs,
@@ -267,12 +272,23 @@ class CofactorSystem:
         }
 
 
+@lru_cache(maxsize=None)
+def _face_monomials(k: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """``monomials_upto(k, d)`` as a tuple, listed once per (k, d): every
+    miss asks for one, and listing it anew took about a fifth of
+    ``build_system``'s time."""
+    return tuple(monomials_upto(k, d))
+
+
 def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
     """The smoothness system of ``complex_`` at order r and degree <= d.
 
     The complex's shape is checked first.  Each pair's wall is read off
     the complex's integers by ``_wall``, and a shared facet that spans no
-    hyperplane raises InvalidComplexError naming the two faces.
+    hyperplane raises InvalidComplexError naming the two faces.  Then a
+    flat maximal face raises InvalidComplexError: a face of k + 1 vertices
+    across a wall is flat exactly when its opposite vertex lies on the
+    wall, and any other face is checked by an echelon pass.
     """
     _check_nonnegative(r, "smoothness order")
     _check_nonnegative(d, "degree")
@@ -280,13 +296,15 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
     k = complex_.ambient_dim
     faces = complex_.maximal_faces
     den, nums = complex_.den, complex_.nums
-    face_mons = tuple(monomials_upto(k, d))
+    face_mons = _face_monomials(k, d)
     # grlex runs through the degrees in order: the cofactor monomials, of
     # degree <= d - r - 1, are a prefix
     cof_mons = face_mons[: math.comb(k + d - r - 1, k)] if d > r else ()
     pairs = tuple(adjacent_pairs(complex_))
     powers = []
     scales = []
+    unsettled = set(range(len(faces)))
+    flat = []
     for s, t in pairs:
         shared = sorted(set(faces[s]) & set(faces[t]))
         try:
@@ -295,9 +313,22 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
             raise InvalidComplexError(
                 f"faces {faces[s]} and {faces[t]} share a facet that spans no hyperplane"
             ) from None
+        if len(shared) == k:
+            # the wall spans the k shared vertices, so they are affinely
+            # independent, and a face of k + 1 vertices through them is
+            # flat exactly when its one other vertex w lies on the wall
+            for f in (s, t):
+                if f in unsettled and len(faces[f]) == k + 1:
+                    unsettled.discard(f)
+                    w = sum(faces[f]) - sum(shared)
+                    if not sum(map(mul, form, nums[w])) + form[k] * den:
+                        flat.append(f)
         lead = next(a for a in form if a)
         scales.append(lead ** (r + 1))
         powers.append(tuple(_power_terms(form, r + 1)))
+    flat += (f for f in unsettled if not _affinely_independent([nums[v] for v in faces[f]]))
+    if flat:
+        raise InvalidComplexError(f"face {faces[min(flat)]} is geometrically degenerate")
     return CofactorSystem(
         complex=complex_,
         r=r,
@@ -322,37 +353,59 @@ def spline_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ..
     column) leaves dim S^r_d non-pivot columns of degree <= d.  The pass
     runs on the dual graph's cycle conditions only (see the module
     docstring): a spanning forest's rows pivot on the non-root face
-    columns, so they are counted, not eliminated.  When the maximal faces
-    share a vertex, it is first moved to the origin: every wall form is
-    then homogeneous, the system splits into degree blocks and the
+    columns, so they are counted, not eliminated.  The system is that of
+    the complex moved to its shared vertex (``_moved``), where every wall
+    form is homogeneous, the system splits into degree blocks and the
     elimination never mixes them, which is much faster.
 
     The cache keeps the longest prefix computed so far, keyed by value on
-    the complex's fields (ambient dimension, common denominator,
+    the moved complex's fields (ambient dimension, common denominator,
     numerators, maximal faces) and r: plain ints, which hash fast and
-    determine the vertices, as den is the lcm of their denominators.  No
-    entry keeps a complex and its memo alive, equal complexes share
-    entries, and a query through any degree already known is a hit.  The
-    cache holds the 256 entries used last and evicts the oldest beyond
-    that.  A miss first checks the complex's shape (coordinate arity, face
-    indices), which an entry equal by value shares, and raises
-    InvalidComplexError on a ragged complex; affine independence of the
-    faces stays ``validate``'s check.  The
-    translation to the shared vertex and the walls run on those integers.
+    determine the vertices, as den is the lcm of their denominators.  The
+    dimensions depend only on the moved complex, so translates of one
+    complex share an entry, and so do an i = 3 orange and its projected
+    star when the adapted frame is the identity (``vertex-star-3d``).  No
+    entry keeps a complex and its memo alive, and a query through any
+    degree already known is a hit.  The cache holds the 256 entries used
+    last and evicts the oldest beyond that.  The complex's shape
+    (coordinate arity, face indices) is checked once per instance, before
+    the move, and raises InvalidComplexError on a ragged complex.  A miss
+    also checks, once ``build_system`` has read the walls, that every
+    maximal face is affinely independent, and stores nothing for a flat
+    one.
     ``spline_dim.cache_info()`` reports the cache as
     ``functools.lru_cache`` would.
     """
     _check_nonnegative(r, "smoothness order")
     if _check_int(dmax, "dmax") < 0:
         return ()
-    key = (complex_.ambient_dim, complex_.den, complex_.nums, complex_.maximal_faces, r)
+    moved = _moved(complex_)
+    key = (moved.ambient_dim, moved.den, moved.nums, moved.maximal_faces, r)
     dims = _prefixes.lookup(key, dmax)
     if dims is None:
-        # an entry equal by value has the same shape, so a hit needs no check
-        complex_._check_shape()
-        dims = _graded_dims(complex_, r, dmax)
+        dims = _graded_dims(moved, r, dmax)
         _prefixes.put(key, dims)
     return dims[: dmax + 1]
+
+
+def _moved(complex_: SimplicialComplex) -> SimplicialComplex:
+    """The complex with its lowest shared vertex moved to the origin, once
+    per instance, after its shape is checked: N_v - N_o over den, on the
+    stored integers, built as the constructor builds it.  The complex
+    itself when its faces share no vertex or that vertex is the origin
+    already (a projected star, a standard orange)."""
+    memo = complex_._memo
+    if "moved" not in memo:
+        complex_._check_shape()
+        faces = complex_.maximal_faces
+        shared = set(faces[0]).intersection(*faces[1:])
+        origin = complex_.nums[min(shared)] if shared else ()
+        # None stands for the complex itself, so that no memo holds its owner
+        memo["moved"] = None
+        if any(origin):
+            nums = [[x - o for x, o in zip(v, origin)] for v in complex_.nums]
+            memo["moved"] = _from_integer_view(complex_.ambient_dim, complex_.den, nums, faces)
+    return memo["moved"] or complex_
 
 
 class _PrefixCache:
@@ -400,16 +453,7 @@ def _cache_info() -> _CacheInfo:
 
 
 def _graded_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
-    faces = complex_.maximal_faces
-    shared = set(faces[0]).intersection(*faces[1:])
-    origin = complex_.nums[min(shared)] if shared else ()
-    if any(origin):
-        # the shared vertex to the origin on the integers: N_v - N_o over
-        # den is the translated complex itself, equal by value to the
-        # rational move, and its walls are read off those integers; a
-        # projected star or a standard orange has it there already
-        moved = [[x - o for x, o in zip(v, origin)] for v in complex_.nums]
-        complex_ = _from_integer_view(complex_.ambient_dim, complex_.den, moved, faces)
+    """The prefix through dmax of ``complex_``, eliminated as given."""
     system = build_system(complex_, r, dmax)
     face_mons, cof_mons = system.face_monomials, system.cofactor_monomials
     m, mc = len(face_mons), len(cof_mons)
@@ -460,10 +504,12 @@ def spline_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
     reads ``spline_dims(complex_, r, d)[d]``, so ``spline_dim.cache_info()``
     answers for the ``spline_dims`` cache (a hit whenever the prefix through
     degree d is already known).  The formula side reads closed forms for
-    stars in R^i with i <= 2, so only an i = 3 star still shares this
-    oracle's entry: the projected star of ``vertex-star-3d``, centred at
-    the origin, equals the orange, so there the formula's star dimensions
-    and the oracle's values are one entry.
+    stars in R^i with i <= 2, so only an i = 3 star can share this
+    oracle's entry: when the orange's adapted frame is the identity (any
+    affine image of ``vertex-star-3d``), its projected star is the orange
+    moved to its medial vertex, the complex this oracle eliminates, so the
+    formula's star dimensions and the oracle's values are one entry.
+    ``bernstein.bernstein_dim`` is the independent count there.
     """
     dims = spline_dims(complex_, r, _check_int(d, "degree"))
     return dims[d] if d >= 0 else 0

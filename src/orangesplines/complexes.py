@@ -266,8 +266,10 @@ class SimplicialComplex:
     immutable, and (den, nums) is canonical, so the generated equality and
     hash are by value.  Derived structure is computed once per instance
     and kept in ``_memo``: the profile, the projection (both inherited
-    from ``standard_form``), the ``adjacent_pairs``, and the domain-point
-    lattices and Bernstein C^r systems of ``bernstein``.
+    from ``standard_form``), the ``adjacent_pairs``, the complex moved to
+    its shared vertex that ``cofactor.spline_dims`` eliminates and keys
+    its cache on, and the domain-point lattices and Bernstein C^r systems
+    of ``bernstein``.
     """
 
     ambient_dim: int

@@ -49,8 +49,12 @@ def layer_count(d: int, j: int, fiber_dim: int) -> int:
 
     This is the multiplicity with which degree-j projected splines appear in
     degree d on the orange.  With no tail variables (fiber_dim = 0) only the
-    top layer j = d survives.
+    top layer j = d survives.  d and j must be ints and ``fiber_dim`` a
+    nonnegative int.
     """
+    _check_int(d, "degree")
+    _check_int(j, "layer")
+    _check_nonnegative(fiber_dim, "fiber dimension")
     if j < 0 or j > d:
         return 0
     if fiber_dim == 0:
@@ -126,9 +130,10 @@ def _formula_coeffs(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int
     # the projection validates the star, which the closed forms rely on
     star = project_orange(complex_).complex
     star_dims = (star_dims_closed_form if profile.i <= 2 else spline_dims)(star, r, dmax)
+    # the multiplicity of layer j in degree d depends on d - j alone
+    mult = [layer_count(e, 0, fiber) for e in range(dmax + 1)]
     return tuple(
-        sum(layer_count(d, j, fiber) * star_dims[j] for j in range(d + 1))
-        for d in range(dmax + 1)
+        sum(mult[d - j] * star_dims[j] for j in range(d + 1)) for d in range(dmax + 1)
     )
 
 

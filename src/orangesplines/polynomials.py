@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterator, Mapping, Sequence
 
+from .exact import _check_int
+
 __all__ = [
     "Polynomial",
     "monomials_upto",
@@ -29,8 +31,9 @@ def _grlex_key(e: Exponent) -> tuple[int, Exponent]:
 
 
 def monomials_of_degree(nvars: int, d: int) -> list[Exponent]:
-    """All exponent vectors of total degree exactly ``d``, in grlex order."""
-    if d < 0:
+    """All exponent vectors of total degree exactly ``d``, in grlex order;
+    none when d < 0.  The degree must be an int."""
+    if _check_int(d, "degree") < 0:
         return []
     if nvars == 0:
         return [()] if d == 0 else []
@@ -45,9 +48,10 @@ def monomials_of_degree(nvars: int, d: int) -> list[Exponent]:
 
 
 def monomials_upto(nvars: int, d: int) -> list[Exponent]:
-    """All exponent vectors of total degree at most ``d``, in grlex order."""
+    """All exponent vectors of total degree at most ``d``, in grlex order;
+    none when d < 0.  The degree must be an int."""
     out: list[Exponent] = []
-    for j in range(d + 1):
+    for j in range(_check_int(d, "degree") + 1):
         out.extend(monomials_of_degree(nvars, j))
     return out
 

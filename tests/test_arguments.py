@@ -1,7 +1,8 @@
 """Every public function that takes a smoothness order, degree, dmax or
 fiber dimension checks it the same way: the value must be an int (a bool
 is not one), and a negative value raises unless a negative degree has a
-meaning there (an empty lattice or prefix, or dimension 0)."""
+meaning there (an empty lattice, prefix or monomial list, or dimension
+0)."""
 
 from __future__ import annotations
 
@@ -11,17 +12,23 @@ import pytest
 
 import orangesplines
 from orangesplines import (
+    Polynomial,
+    bb_to_monomial,
     bernstein_dim,
     build_system,
     complex_domain_points,
     compute_mds,
     hilbert_prefix,
+    layer_count,
     layer_decomposition,
     lift_mds,
+    monomial_to_bb,
+    monomials_upto,
     orange_dim_formula,
     orange_hilbert_prefix,
     run_sweep,
     simplex_domain_points,
+    simplex_multiindices,
     spline_basis,
     spline_dim,
     spline_dims,
@@ -33,6 +40,7 @@ from orangesplines import (
     verify_standard_orange,
 )
 from orangesplines.catalog import get
+from orangesplines.polynomials import monomials_of_degree
 
 ORANGE = get("planar-star").complex
 STAR = standard_form(ORANGE).projected.complex
@@ -73,11 +81,18 @@ CASES = {
         lambda r, d: standard_orange(STAR, d), {"d": "fiber dimension"}, ValueError
     ),
     "run_sweep": (lambda r, d: run_sweep(ORANGE, [r], [d]), {"r": R, "d": D}, ValueError),
+    "simplex_multiindices": (lambda r, d: simplex_multiindices(3, d), {"d": D}, ()),
+    "monomials_upto": (lambda r, d: monomials_upto(2, d), {"d": D}, []),
+    "layer_count": (lambda r, d: layer_count(d, 0, 1), {"d": D}, 0),
+    "monomial_to_bb": (
+        lambda r, d: monomial_to_bb(Polynomial.constant(2, 1), TRIANGLE, d), {"d": D}, ValueError
+    ),
+    "bb_to_monomial": (lambda r, d: bb_to_monomial({}, TRIANGLE, d), {"d": D}, ValueError),
 }
 
 
 def test_the_table_covers_the_public_functions():
-    assert len(CASES) == 19
+    assert len(CASES) == 24
     assert set(CASES) <= set(orangesplines.__all__)
 
 
@@ -115,3 +130,33 @@ def test_a_sweep_checks_each_value_before_merging_them():
         run_sweep(ORANGE, [1], iter([2, "1"]))
     with pytest.raises(ValueError, match="^degree must be nonnegative$"):
         run_sweep(ORANGE, [0, 1], [3, -1, 2])
+
+
+def test_layer_count_checks_its_layer_and_fiber_dimension():
+    with pytest.raises(TypeError, match="^layer must be an int, got 1.0$"):
+        layer_count(3, 1.0, 1)
+    with pytest.raises(TypeError, match="^fiber dimension must be an int, got True$"):
+        layer_count(3, 1, True)
+    with pytest.raises(ValueError, match="^fiber dimension must be nonnegative$"):
+        layer_count(3, 1, -1)
+
+
+def test_a_warm_cache_does_not_read_a_float_degree():
+    # the multi-index table and the basis change are cached by degree, and
+    # 1.0 == 1 would find the degree-1 entry
+    assert simplex_multiindices(2, 1) == ((1, 0), (0, 1))
+    one = Polynomial.constant(2, 1)
+    assert monomial_to_bb(one, TRIANGLE, 1) == dict.fromkeys([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 1)
+    with pytest.raises(TypeError, match="^degree must be an int, got 1.0$"):
+        simplex_multiindices(2, 1.0)
+    with pytest.raises(TypeError, match="^degree must be an int, got True$"):
+        monomial_to_bb(one, TRIANGLE, True)
+
+
+def test_monomials_of_degree_checks_its_degree():
+    assert monomials_of_degree(2, 1) == [(0, 1), (1, 0)]
+    assert monomials_of_degree(2, -1) == []
+    with pytest.raises(TypeError, match="^degree must be an int, got True$"):
+        monomials_of_degree(2, True)
+    with pytest.raises(TypeError, match="^degree must be an int, got 1.0$"):
+        monomials_of_degree(2, 1.0)

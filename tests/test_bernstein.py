@@ -47,7 +47,7 @@ from orangesplines.complexes import (
     detect_orange,
 )
 from orangesplines.dimension import orange_dim_formula
-from orangesplines.exact import EchelonBasis, RationalMatrix, _integer_row, binom
+from orangesplines.exact import EchelonBasis, RationalMatrix, _integer_row, _strip_content, binom
 from orangesplines.polynomials import Polynomial
 from orangesplines.projection import project_orange, standard_form
 
@@ -694,14 +694,16 @@ def test_layer_errors_match_the_reference(monkeypatch):
     assert kind is SetMismatchError
     assert message == "layer union misses 0 lattice points and adds 1 foreign ones"
     # level 1 handed the tails of level 0: its origin head meets level 0's
-    indices = bernstein.simplex_multiindices
+    # the public ``simplex_multiindices`` and the layers' tails both read
+    # the unchecked table
+    indices = bernstein._multiindices
     fakes = {(2, 1): indices(2, 2)}
     outcomes = []
     for function in (layer_decomposition, _reference_layer_decomposition):
         cx = _fresh(std)
         function(cx, 2)  # lattices built before the tails are faked
         with monkeypatch.context() as m:
-            m.setattr(bernstein, "simplex_multiindices", lambda n, d: fakes.get((n, d)) or indices(n, d))
+            m.setattr(bernstein, "_multiindices", lambda n, d: fakes.get((n, d)) or indices(n, d))
             outcomes.append(_raised(function, cx, 2))
     assert outcomes[0] == outcomes[1] == (
         SetMismatchError,
@@ -1043,6 +1045,68 @@ def test_system_rows_are_integer_multiples_of_the_conditions(random_affine_map):
                 )
     # a fractional weight means some lambda = Delta_l / Delta with Delta not +-1
     assert fractional
+
+
+def _full_loop_rows(complex_, r, d, points):
+    """The integer conditions for every m = 0..min(r, d), each row with its
+    content stripped and dropped when it cancels to zero."""
+    column = {occ: col for col, p in enumerate(points) for occ in p.occurrences}
+    faces = complex_.maximal_faces
+    rows = []
+    for s, t, scale, lam in bernstein._affine_dependences(complex_):
+        face_s, face_t = faces[s], faces[t]
+        shared = [v for v in face_s if v in face_t]
+        (w,) = [v for v in face_t if v not in face_s]
+        for m in range(min(r, d) + 1):
+            weights = [
+                (gamma, math.factorial(m) // math.prod(map(math.factorial, gamma))
+                 * math.prod(x**g for x, g in zip(lam, gamma)))
+                for gamma in simplex_multiindices(len(face_s), m)
+            ]
+            for beta in simplex_multiindices(len(shared), d - m):
+                alpha_t = [0] * len(face_t)
+                alpha_t[face_t.index(w)] = m
+                base_s = [0] * len(face_s)
+                for b, v in zip(beta, shared):
+                    alpha_t[face_t.index(v)] = b
+                    base_s[face_s.index(v)] = b
+                row = {column[(t, tuple(alpha_t))]: scale**m}
+                for gamma, weight in weights:
+                    col = column[(s, tuple(a + g for a, g in zip(base_s, gamma)))]
+                    row[col] = row.get(col, 0) - weight
+                row = _strip_content({c: v for c, v in row.items() if v})
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def test_smoothness_rows_leave_out_only_vacuous_conditions(random_affine_map):
+    # the faces' first vertices differ and neither is the origin, so the
+    # two degree-0 points differ and the d = 0 condition is a row
+    off_origin = SimplicialComplex(2, [(1, 1), (2, 1), (1, 2), (2, 2)], [[0, 1, 2], [1, 2, 3]])
+    models = [*_catalog_models(), ("off origin", "", off_origin)]
+    rng = random.Random(29)
+    for entry in CATALOG:
+        image = affine_image(entry.complex, *random_affine_map(entry.complex.ambient_dim, rng))
+        models += [(entry.name, "image", image), (entry.name, "standard", standard_form(image).standard)]
+    degree_zero_rows = 0
+    for name, kind, cx in models:
+        for d in range(5):
+            points = _ordered_points(cx, d)
+            for r in range(3):
+                got = bernstein._smoothness_rows(cx, r, d, points)
+                want = _full_loop_rows(cx, r, d, points)
+                assert len(got) == len(want), (name, kind, r, d)
+                assert {frozenset(row.items()) for row in got} == {
+                    frozenset(row.items()) for row in want
+                }, (name, kind, r, d)
+                degree_zero_rows += len(got) if d == 0 else 0
+    assert degree_zero_rows
+    assert bernstein_dim(off_origin, 1, 0) == 1
+    # with no condition left to build at r = 0, a flat face still raises
+    flat = SimplicialComplex(2, [(0, 0), (1, 1), (2, 2), (1, 0)], [[0, 1, 2], [0, 1, 3]])
+    with pytest.raises(InvalidComplexError, match="geometrically degenerate"):
+        bernstein_dim(flat, 0, 2)
 
 
 def test_affine_dependences_are_built_once_per_pair(monkeypatch):

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orangesplines import cofactor, exact
+from orangesplines.bernstein import bernstein_dim
 from orangesplines.catalog import CATALOG, get
 from orangesplines.cofactor import (
     build_system,
@@ -30,7 +31,7 @@ from orangesplines.complexes import (
     affine_image,
 )
 from orangesplines.dimension import orange_dim_formula
-from orangesplines.projection import project_orange
+from orangesplines.projection import project_orange, standard_form
 from orangesplines.exact import RationalMatrix, binom
 from orangesplines.polynomials import Polynomial, divisible_by_linear_power, monomials_upto
 
@@ -555,12 +556,12 @@ def _translated(cx: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(cx.ambient_dim, moved, faces)
 
 
-def test_a_shared_vertex_at_the_origin_is_not_moved(monkeypatch):
+def test_a_shared_vertex_at_the_origin_is_not_moved(monkeypatch, empty_prefix_cache):
     # a projected star has its centre at the origin already: the system is
     # built on the star itself, not on a copy equal to it
     built = _recording_builds(monkeypatch)
     star = project_orange(get("tetrahedral-fan").complex).complex
-    cofactor._graded_dims(star, 1, 3)
+    spline_dims(star, 1, 3)
     (system,) = built
     assert system.complex is star
 
@@ -571,7 +572,7 @@ def test_the_graded_system_is_the_reference_system_of_the_translated_complex(mon
 
     def check(cx, r, dmax):
         built.clear()
-        cofactor._graded_dims(cx, r, dmax)
+        cofactor._graded_dims(cofactor._moved(cx), r, dmax)
         (system,) = built
         moved = _translated(cx)
         assert system.complex == moved
@@ -783,3 +784,100 @@ def test_a_shared_facet_that_spans_no_hyperplane_names_its_faces():
         spline_dims(cx, 1, 3)
     with pytest.raises(InvalidComplexError, match="codimension 2"):
         facet_linear_form(cx.face_points((0, 1)))
+
+
+def test_a_flat_face_raises_on_the_miss_path_and_stores_nothing(empty_prefix_cache):
+    # two vertices coincide and both faces lie on one line, but the shared
+    # facet still spans a hyperplane, so the walls are read without error
+    cx = affine_image(get("two-triangle").complex, [[1, 1], [1, 1]], [0, 0])
+    with pytest.raises(InvalidComplexError, match=r"^face \(0, 1, 2\) is geometrically degenerate$"):
+        spline_dims(cx, 1, 3)
+    with pytest.raises(InvalidComplexError, match="geometrically degenerate"):
+        spline_dim(cx, 0, 1)
+    assert len(empty_prefix_cache) == 0
+
+
+def test_the_face_check_reads_the_walls_and_checks_other_faces_in_full(
+    monkeypatch, empty_prefix_cache
+):
+    checked = []
+    original = cofactor._affinely_independent
+
+    def counting(points):
+        checked.append(len(points))
+        return original(points)
+
+    monkeypatch.setattr(cofactor, "_affinely_independent", counting)
+    # every face of an orange lies across a wall, so no echelon pass runs
+    matrix = [[2, 1, 0], [0, 1, 1], [1, 0, 3]]
+    orange = affine_image(get("two-tetrahedron").complex, matrix, [Fraction(1, 3), -2, 5])
+    for cx in (orange, _morgan_scott((6, Fraction(4, 3)), shift=(Fraction(3, 11), 2))):
+        spline_dims(cx, 1, 3)
+    assert checked == []
+    # vertex 4 lies on the plane of the shared facet (0, 1, 2)
+    flat = SimplicialComplex(
+        3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)], [[0, 1, 2, 3], [0, 1, 2, 4]]
+    )
+    with pytest.raises(InvalidComplexError, match=r"^face \(0, 1, 2, 4\) is geometrically degenerate$"):
+        spline_dims(flat, 0, 2)
+    assert checked == []
+    # a face across no wall gets the full check
+    line = SimplicialComplex(2, [(0, 0), (1, 1), (3, 3)], [[0, 1, 2]])
+    with pytest.raises(InvalidComplexError, match=r"^face \(0, 1, 2\) is geometrically degenerate$"):
+        spline_dims(line, 0, 2)
+    assert checked == [3]
+    spline_dims(SimplicialComplex(2, [(0, 0), (1, 1), (3, 4)], [[0, 1, 2]]), 0, 2)
+    assert checked == [3, 3]
+    # the two oranges and the last triangle; the flat complexes store nothing
+    assert len(empty_prefix_cache) == 3
+
+
+def test_an_i3_orange_and_its_star_read_one_entry(empty_prefix_cache):
+    # the adapted frame of vertex-star-3d is the identity, so its star is
+    # the orange moved to its medial vertex, as the oracle moves it
+    cx = _dense_image(get("vertex-star-3d").complex)
+    dim = orange_dim_formula(cx, 1, 4)
+    assert spline_dim(cx, 1, 4) == dim
+    info = spline_dim.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert len(empty_prefix_cache) == 1
+
+
+def test_translates_share_one_entry_and_a_dilation_does_not(empty_prefix_cache):
+    matrix = [[3, 1], [1, 2]]
+    base = get("planar-star").complex
+    a = affine_image(base, matrix, [Fraction(2, 13), Fraction(-5, 17)])
+    b = affine_image(base, matrix, [1, Fraction(1, 3)])
+    dilated = affine_image(base, [[6, 2], [2, 4]], [1, Fraction(1, 3)])
+    assert a != b
+    dims = spline_dims(a, 1, 4)
+    assert spline_dims(b, 1, 4) == dims
+    assert (len(empty_prefix_cache), empty_prefix_cache.hits) == (1, 1)
+    assert spline_dims(dilated, 1, 4) == dims
+    assert (len(empty_prefix_cache), empty_prefix_cache.misses) == (2, 2)
+
+
+def test_bernstein_dim_is_the_independent_count_on_dense_i3_images(empty_prefix_cache):
+    # the formula's star term and the oracle read one entry on these, so
+    # the Bernstein nullity is the count they are checked against
+    table = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+    )["dims"]["vertex-star-3d"]
+    base = get("vertex-star-3d").complex
+    images = [
+        _dense_image(base),
+        affine_image(
+            base, [[2, 1, 1], [1, 3, 1], [1, 1, 4]], [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5)]
+        ),
+        affine_image(
+            base,
+            [[Fraction(1, 2), -2, 3], [2, Fraction(1, 3), -1], [3, 1, Fraction(2, 5)]],
+            [Fraction(-7, 4), 5, Fraction(1, 9)],
+        ),
+    ]
+    for n, cx in enumerate(images):
+        for r in range(3):
+            for d in range(6):
+                want = table[r][d]
+                assert bernstein_dim(cx, r, d) == spline_dim(cx, r, d) == want, (n, r, d)
+                assert orange_dim_formula(cx, r, d) == want, (n, r, d)
