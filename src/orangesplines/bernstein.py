@@ -622,7 +622,9 @@ def _system(
 ) -> tuple[tuple[IdentifiedPoint, ...], list[IntRow]]:
     """(points in hub order, C^r conditions on them), built once per complex
     instance and (r, d), after r and d are checked; ``_ordered_points``
-    rejects non-oranges before anything is built.
+    rejects non-oranges before anything is built, and two vertices at one
+    point raise InvalidComplexError, as ``validate`` does, before the
+    system is kept.
     The conditions are integer rows as built, each the rational condition
     scaled by D^m (see ``_smoothness_rows``); row scaling keeps the row
     space and the column matroid, so every rank and greedy pick is that of
@@ -631,7 +633,10 @@ def _system(
     key = ("system", r, _check_int(d, "degree"))
     if key not in complex_._memo:
         points = _ordered_points(complex_, d)
-        complex_._memo[key] = (points, _smoothness_rows(complex_, r, d, points))
+        rows = _smoothness_rows(complex_, r, d, points)
+        if len(set(complex_.nums)) != len(complex_.nums):
+            raise InvalidComplexError("duplicate vertex coordinates")
+        complex_._memo[key] = (points, rows)
     return complex_._memo[key]
 
 

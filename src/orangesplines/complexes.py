@@ -44,6 +44,30 @@ ray, whose segment is the hull of their common vertices when the vertex
 on it is shared.  Conversely, overlapping interiors, or one ray carrying
 the vertices of two sectors at different lengths, give a point near the
 origin in both sectors but not in that hull.
+
+For i = 3 the faces are cones conv(0, a, b, c), and their link is the
+complex of the triangles abc.  A closed star, one whose every link edge
+lies in two cones, is decided by ``_check_cone3`` from local orientation
+tests on integer determinants, with no pair test.  Cone lemma: a closed
+star in R^3 whose cones are connected through shared walls is geometric
+exactly when (1) every cone is nondegenerate, det(a, b, c) != 0; (2) the
+two cones at every wall conv(0, a, b) lie on opposite sides of it, that
+is, with each link triangle oriented by the sign of its determinant,
+every directed link edge lies in exactly one triangle; and (3) around
+every ray a the cones form one proper fan: on the plane normal to a
+their sectors make one cycle that winds once.  Proof sketch: (1) to (3)
+make the radial map from the link, a connected closed surface, to the
+sphere S^2 a local homeomorphism: inside a triangle by (1), across an
+edge by (2), at a vertex by (3).  The link is compact, so the map is a
+covering map, and S^2 is simply connected, so the covering has one
+sheet: the map is an embedding.  Two cones then meet in the cone over
+the common face of their spherical triangles, cut off by both, which is
+the hull of their common vertices; in particular no two vertices share a
+ray.  Conversely, a flat cone, two cones on one side of a wall, or
+sectors that cover the plane normal to a ray more than once give two
+cones a common point outside that hull.  A boundary star, some link edge
+in one cone only, also needs its boundary curve to be simple on S^2, a
+global condition: it is pair-tested, ``_check_pairs``.
 """
 
 from __future__ import annotations
@@ -53,6 +77,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import chain, combinations
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import _echelon, _integer_kernel, solve_linear
@@ -97,9 +122,14 @@ def _affinely_independent(points: Sequence[Sequence[int]]) -> bool:
     if not points:
         return True
     base = points[0]
+    edges = [[x - b for x, b in zip(p, base)] for p in points[1:]]
+    n = len(edges)
+    if n == len(base) and 1 <= n <= 3:
+        # n edge vectors in R^n: independent exactly when their determinant is nonzero
+        return bool(edges[0][0] if n == 1 else _cross(*edges) if n == 2 else _det3(*edges))
     # rank of the edge vectors must equal their number
-    vecs = [{j: x - b for j, (x, b) in enumerate(zip(p, base)) if x != b} for p in points[1:]]
-    return len(_echelon(vecs)) == len(vecs)
+    vecs = [{j: x for j, x in enumerate(e) if x} for e in edges]
+    return len(_echelon(vecs)) == n
 
 
 def barycentric_coordinates(
@@ -175,6 +205,15 @@ def _cross(u: Sequence[int], v: Sequence[int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
+def _cross3(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _det3(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> int:
+    """det[u; v; w] = u . (v x w), for u, v, w in R^3."""
+    return sum(map(mul, u, _cross3(v, w)))
+
+
 def _same_ray(u: Sequence[int], v: Sequence[int]) -> bool:
     return _cross(u, v) == 0 and u[0] * v[0] + u[1] * v[1] > 0
 
@@ -212,6 +251,61 @@ def _check_fan(star: SimplicialComplex) -> bool:
         if _cross(start, after) > 0 and _cross(after, end) > 0:
             return False
         if _same_ray(start, after) or (c != b and _same_ray(end, after)):
+            return False
+    return True
+
+
+def _check_cone3(star: SimplicialComplex) -> bool | None:
+    """Whether a closed star in R^3 is a geometric complex, by the cone
+    lemma of the module docstring: O(n) exact integer determinants of
+    ``nums`` and the angular order of ``_check_fan``, no kernel.  None
+    when some link edge lies in one cone only: a boundary star, which only
+    the pair test decides.  A repeated directed edge rejects either way.
+
+    Condition (3) reads the fan around ray a on a's normal plane, in the
+    integer coordinates q(b) = (b . u, b . v) with u = a x e_j, e_j the
+    axis of a's smallest entry, and v = a x u.  Then q(b) x q(c) =
+    (u x v) . (b x c) = |u|^2 det(a, b, c) > 0 for an oriented triangle
+    a -> b -> c, so each sector turns counter-clockwise by less than a
+    half-turn.  The sectors around a form cycles, each winding at least
+    once, and the number of sectors that go down in angle is their total
+    winding: it is 1 exactly when they form one cycle that winds once.
+
+    Precondition, which ``projection.project_orange`` checks first:
+    vertex 0 is the origin and lies in every face, distinct vertices are
+    distinct points, and the cones are connected through shared walls
+    (``detect_orange``).
+    """
+    nums = star.nums
+    # apex[a, b] = c for the link triangle a -> b -> c, det(a, b, c) > 0
+    apex: dict[tuple[int, int], int] = {}
+    for _, a, b, c in star.maximal_faces:
+        det = _det3(nums[a], nums[b], nums[c])
+        if not det:
+            return False
+        if det < 0:
+            b, c = c, b
+        for edge, w in (((a, b), c), ((b, c), a), ((c, a), b)):
+            if edge in apex:
+                # two cones on one side of a wall, or three on it
+                return False
+            apex[edge] = w
+    if any((b, a) not in apex for a, b in apex):
+        return None
+    # around ray a, the triangle a -> b -> c is the sector from b to c; in
+    # a closed star with no repeated directed edge the sectors form cycles
+    sectors: dict[int, list[tuple[int, int]]] = {}
+    for (a, b), c in apex.items():
+        sectors.setdefault(a, []).append((b, c))
+    for a, around in sectors.items():
+        x = nums[a]
+        j = min(range(3), key=lambda c: abs(x[c]))
+        u = _cross3(x, [int(c == j) for c in range(3)])
+        v = _cross3(x, u)
+        q = {b: (sum(map(mul, nums[b], u)), sum(map(mul, nums[b], v))) for b, _ in around}
+        # each cycle winds at least once, so one descent means one cycle
+        # that winds once
+        if sum(_angle_order(q[c], q[b]) < 0 for b, c in around) != 1:
             return False
     return True
 
@@ -346,7 +440,8 @@ class SimplicialComplex:
         An orange (``detect_orange`` succeeds) is validated by its
         projection alone, ``project_orange``: shape and duplicate vertices,
         the medial face, each face's image and the star, by cyclic order
-        when it is a fan in R^1 or R^2, pair by pair in R^3; the module
+        when it is a fan in R^1 or R^2, by local orientation tests when it
+        is a closed star in R^3 and pair by pair otherwise; the module
         docstring gives the lemmas that make this the whole check.  Every
         other complex gets ``_check_faces`` and then the pair test on every
         two maximal faces, ``_check_pairs``, which suffices: any two faces

@@ -30,6 +30,7 @@ from .complexes import (
     Point,
     SimplicialComplex,
     _affinely_independent,
+    _check_cone3,
     _check_fan,
     _check_pairs,
     _from_integer_view,
@@ -156,7 +157,9 @@ def project_orange(complex_: SimplicialComplex) -> ProjectedOrange:
     distinct vertices, an independent medial face, an i-simplex image of
     each face, no two segments or vertices off the medial face sharing an
     image, and a proper star: a fan (i <= 2) by its cyclic order
-    (``_check_fan``), an i = 3 star pair by pair.  A failure raises InvalidComplexError naming
+    (``_check_fan``), a closed i = 3 star by local orientation tests
+    (``_check_cone3``), and a boundary i = 3 star, or a star in R^4 or
+    beyond, pair by pair.  A failure raises InvalidComplexError naming
     the orange's own faces.  The projection, with its one properness test,
     is computed once per complex instance, and the standard model of
     ``standard_form`` inherits it.
@@ -222,13 +225,16 @@ def _project(complex_: SimplicialComplex) -> ProjectedOrange:
     face_map = tuple(star.maximal_faces.index(nf) for nf in new_faces)
     # the star is an (i, i)-orange whose projection is itself, so its
     # properness test runs here and not through ``star.validate()``: a fan
-    # (i <= 2) by its cyclic order, an i = 3 star pair by pair.  A rejected
-    # fan is pair-tested too, for an error naming the failing pair.
+    # (i <= 2) by its cyclic order, a closed i = 3 star by local orientation
+    # tests, any other star (verdict None) pair by pair.  A star the local
+    # test rejects is pair-tested too, for an error naming the failing pair.
     names = [f for _, f in sorted(zip(face_map, complex_.maximal_faces))]
-    if i > 2 or not _check_fan(star):
+    verdict = _check_fan(star) if i <= 2 else _check_cone3(star) if i == 3 else None
+    if not verdict:
         _check_pairs(star, names)
-        if i <= 2:
-            raise RuntimeError(f"the fan test rejects the star {star} that the pair test accepts")
+        if verdict is False:
+            test = "fan" if i <= 2 else "cone"
+            raise RuntimeError(f"the {test} test rejects the star {star} that the pair test accepts")
     return ProjectedOrange(complex=star, central_vertex=0, face_map=face_map, frame=frame)
 
 

@@ -2,7 +2,8 @@
 fiber dimension checks it the same way: the value must be an int (a bool
 is not one), and a negative value raises unless a negative degree has a
 meaning there (an empty lattice, prefix or monomial list, or dimension
-0)."""
+0).  Every public function that counts or builds on a complex rejects a
+complex that is none with InvalidComplexError, never with a number."""
 
 from __future__ import annotations
 
@@ -12,7 +13,9 @@ import pytest
 
 import orangesplines
 from orangesplines import (
+    InvalidComplexError,
     Polynomial,
+    SimplicialComplex,
     bb_to_monomial,
     bernstein_dim,
     build_system,
@@ -160,3 +163,32 @@ def test_monomials_of_degree_checks_its_degree():
         monomials_of_degree(2, True)
     with pytest.raises(TypeError, match="^degree must be an int, got 1.0$"):
         monomials_of_degree(2, 1.0)
+
+
+# name: a call that counts or builds on the complex, cx, at r = 1, d = 2
+COMPLEX_CASES = {
+    "build_system": lambda cx: build_system(cx, 1, 2),
+    "spline_dims": lambda cx: spline_dims(cx, 1, 2),
+    "spline_dim": lambda cx: spline_dim(cx, 1, 2),
+    "spline_basis": lambda cx: spline_basis(cx, 1, 2),
+    "orange_dim_formula": lambda cx: orange_dim_formula(cx, 1, 2),
+    "hilbert_prefix": lambda cx: hilbert_prefix(cx, 1, 2),
+    "orange_hilbert_prefix": lambda cx: orange_hilbert_prefix(cx, 1, 2),
+    "verify_hilbert_identity": lambda cx: verify_hilbert_identity(cx, 1, 2),
+    "verify_standard_orange": lambda cx: verify_standard_orange(cx, 1, 2),
+    "bernstein_dim": lambda cx: bernstein_dim(cx, 1, 2),
+    "compute_mds": lambda cx: compute_mds(cx, 1, 2),
+    "verify_mds": lambda cx: verify_mds(cx, 1, 2),
+    "lift_mds": lambda cx: lift_mds(cx, 1, 2),
+    "layer_decomposition": lambda cx: layer_decomposition(cx, 2),
+    "run_sweep": lambda cx: run_sweep(cx, [1], [2]),
+    "standard_form": standard_form,
+}
+
+
+@pytest.mark.parametrize("name", COMPLEX_CASES)
+def test_a_complex_with_a_duplicated_vertex_is_invalid(name):
+    # vertices 1 and 3 are both (1, 0): the two triangles lie on one another
+    cx = SimplicialComplex(2, [(0, 0), (1, 0), (0, 1), (1, 0)], [[0, 1, 2], [0, 2, 3]])
+    with pytest.raises(InvalidComplexError, match="^duplicate vertex coordinates$"):
+        COMPLEX_CASES[name](cx)

@@ -8,10 +8,12 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from stars_3d import bipyramid_stars_3d, closed_stars_3d, octahedral_star
 from test_generated_oranges import generated_oranges
 
 from orangesplines import complexes, projection
@@ -22,6 +24,7 @@ from orangesplines.complexes import (
     SimplicialComplex,
     UnsupportedOrangeError,
     _affinely_independent,
+    _cross3,
     _from_integer_view,
     _intersection_within_hull,
     adjacent_pairs,
@@ -499,6 +502,71 @@ def test_the_fan_test_matches_the_all_pairs_reference():
     assert outcomes["whole turn", True] and outcomes["whole turn", False], outcomes
 
 
+@st.composite
+def faulty_closed_stars(draw):
+    """A closed star in R^3 from the shared generators and the fault drawn
+    into it (None for none), with every cone nondegenerate.
+
+    The faults: one vertex of a cone reflected through the plane of the
+    other two and the origin ("flipped cone"), one more cone on a link
+    edge ("extra cone"), a bipyramid whose ring goes twice around its axis
+    ("winds twice"), and one vertex moved onto the ray of another,
+    non-adjacent one at a different length ("shared ray")."""
+    kind = draw(st.sampled_from([None, "flipped cone", "extra cone", "winds twice", "shared ray"]))
+    if kind == "winds twice":
+        return draw(bipyramid_stars_3d(turns=2)), kind
+    star = draw(st.one_of(closed_stars_3d(), bipyramid_stars_3d()))
+    points = [tuple(Fraction(x, star.den) for x in v) for v in star.nums]
+    faces = [list(f) for f in star.maximal_faces]
+    if kind == "flipped cone":
+        _, a, b, c = draw(st.sampled_from(faces))
+        a, b, c = draw(st.permutations([a, b, c]))
+        # c reflected through the plane spanned by a and b
+        n = _cross3(points[a], points[b])
+        t = 2 * sum(map(mul, n, points[c])) / sum(map(mul, n, n))
+        points[c] = tuple(x - t * y for x, y in zip(points[c], n))
+    elif kind == "extra cone":
+        _, a, b, _ = draw(st.sampled_from(faces))
+        w = draw(st.sampled_from([v for v in range(1, len(points)) if v not in (a, b)]))
+        assume(sorted([0, a, b, w]) not in faces)
+        faces.append([0, a, b, w])
+    elif kind == "shared ray":
+        linked = {frozenset(e) for f in faces for e in combinations(f[1:], 2)}
+        v, u = draw(st.sampled_from([
+            (v, u) for v, u in permutations(range(1, len(points)), 2) if {v, u} not in linked
+        ]))
+        points[v] = tuple(draw(st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(3)])) * x
+                          for x in points[u])
+    star = SimplicialComplex(3, points, faces)
+    assume(len(set(star.nums)) == len(star.nums))
+    assume(all(_affinely_independent([star.nums[v] for v in f]) for f in star.maximal_faces))
+    return star, kind
+
+
+def test_the_cone_test_matches_the_all_pairs_reference():
+    outcomes = Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(faulty_closed_stars())
+    def check(drawn):
+        star, kind = drawn
+        proper = _verdict(complexes._check_pairs, star) is None
+        assert complexes._check_cone3(star) is proper, (star, kind)
+        outcomes[kind, proper] += 1
+
+    check()
+    assert outcomes[None, True], outcomes
+    for kind in ("flipped cone", "extra cone", "winds twice", "shared ray"):
+        assert outcomes[kind, False], outcomes
+
+
+def test_the_cone_test_rejects_a_flat_cone():
+    # vertex 1 moved onto the plane of vertices 3 and 5: the cone (0, 1, 3, 5) is flat
+    star = octahedral_star()
+    vertices = [(0, 1, 1) if v == 1 else p for v, p in enumerate(star.nums)]
+    assert complexes._check_cone3(SimplicialComplex(3, vertices, star.maximal_faces)) is False
+
+
 def test_two_vertices_with_one_projection_make_an_orange_invalid():
     # three tetrahedra around the z-axis edge; the last one's apex (1, 0, 1/2)
     # projects onto that of the first, (1, 0, 0).  The projected triangles
@@ -550,7 +618,7 @@ def _counting_star_tests(monkeypatch) -> list[tuple[str, int]]:
     """Record each properness test of a projected star: the test's name
     and the star's dimension."""
     tests = []
-    for name in ("_check_fan", "_check_pairs"):
+    for name in ("_check_fan", "_check_cone3", "_check_pairs"):
         original = getattr(projection, name)
 
         def counted(star, *names, name=name, original=original):
@@ -561,7 +629,7 @@ def _counting_star_tests(monkeypatch) -> list[tuple[str, int]]:
     return tests
 
 
-def test_an_orange_is_pair_tested_once_through_its_star(monkeypatch):
+def test_an_orange_is_tested_once_through_its_star(monkeypatch):
     tests = _counting_star_tests(monkeypatch)
     dims = _counting_pair_tests(monkeypatch)
     entry = get("fan-4d")
@@ -577,12 +645,18 @@ def test_an_orange_is_pair_tested_once_through_its_star(monkeypatch):
     standard_form(standard_form(cx).standard)
     assert tests == [("_check_fan", 2)]
     assert dims == []
-    # an i = 3 star is still tested pair by pair, once
+    # a closed i = 3 star is tested once, by local orientation tests: no
+    # pair of faces is tested either
     vertex_star = complex_from_dict(complex_to_dict(get("vertex-star-3d").complex))
-    n = len(vertex_star.maximal_faces)
     standard_form(standard_form(vertex_star).standard)
-    assert tests == [("_check_fan", 2), ("_check_pairs", 3)]
-    assert dims == [3] * math.comb(n, 2)
+    assert tests == [("_check_fan", 2), ("_check_cone3", 3)]
+    assert dims == []
+    # a boundary i = 3 star is left to the pair test, once
+    hexagon = [(0, 0, 0), (2, 0, 1), (1, 2, 1), (-1, 2, 1), (-2, 0, 1), (-1, -2, 1), (1, -2, 1)]
+    cone = SimplicialComplex(3, hexagon, [[0, 1, 3, 5], [0, 1, 2, 3], [0, 3, 4, 5], [0, 5, 6, 1]])
+    standard_form(standard_form(cone).standard)
+    assert tests[2:] == [("_check_cone3", 3), ("_check_pairs", 3)]
+    assert dims == [3] * math.comb(len(cone.maximal_faces), 2)
 
 
 MORGAN_SCOTT = [(0, 0), (12, 0), (6, 12), (8, Fraction(16, 3)), (4, Fraction(16, 3)), (6, Fraction(4, 3))]

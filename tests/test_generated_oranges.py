@@ -5,8 +5,9 @@ the origin) are joined with a coordinate simplex by ``standard_orange`` and
 moved by random invertible integer affine maps.  On every such orange the
 three derivations of the dimension must agree, and the Hilbert series of
 the orange must reduce to that of its star.  Stars in R^3, cones over
-perturbed hexagons and perturbed octahedral stars, are joined with fibers
-of dimension 0 and 1 and checked the same way, determining sets included.
+perturbed hexagons and perturbed octahedral stars (``stars_3d``), are
+joined with fibers of dimension 0 and 1, moved by random invertible
+affine maps and checked the same way, determining sets included.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from stars_3d import boundary_stars_3d, closed_stars_3d, octahedral_star
 
 from orangesplines.bernstein import bernstein_dim, lift_mds, verify_mds
 from orangesplines.cofactor import spline_dim
@@ -96,19 +99,6 @@ def test_three_dimension_counts_and_the_hilbert_identity_agree():
     assert closed_fans
 
 
-def octahedral_star() -> SimplicialComplex:
-    """The star of the origin over the octahedron: one tetrahedron per
-    octant, a closed star in R^3 that is not an Alfeld split."""
-    vertices = [(0, 0, 0)]
-    for axis in range(3):
-        for sign in (1, -1):
-            e = [0, 0, 0]
-            e[axis] = sign
-            vertices.append(tuple(e))
-    faces = [[0, 1 + sx, 3 + sy, 5 + sz] for sx in (0, 1) for sy in (0, 1) for sz in (0, 1)]
-    return SimplicialComplex(3, vertices, faces)
-
-
 def test_octahedral_star_has_the_tensor_product_dimension():
     star = octahedral_star()
     star.validate()
@@ -138,58 +128,26 @@ def test_octahedral_standard_oranges_agree_on_every_count():
                 assert verify_mds(orange, r, d) is True, (fiber, r, d)
 
 
-small_rationals = st.builds(Fraction, st.integers(-1, 1), st.integers(2, 4))
-HEXAGON = ((2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2))
-
-
-@st.composite
-def boundary_stars_3d(draw) -> SimplicialComplex:
-    """The cone from the origin over a perturbed rational hexagon in z = 1,
-    triangulated as a central triangle and three ears, so that no hexagon
-    vertex lies in every face: a boundary star in R^3."""
-    hexagon = [(x + draw(small_rationals), y + draw(small_rationals), 1) for x, y in HEXAGON]
-    faces = [[0, 1, 3, 5], [0, 1, 2, 3], [0, 3, 4, 5], [0, 5, 6, 1]]
-    star = SimplicialComplex(3, [(0, 0, 0), *hexagon], faces)
-    try:
-        star.validate()
-    except ValueError:
-        assume(False)
-    return star
-
-
-@st.composite
-def closed_stars_3d(draw) -> SimplicialComplex:
-    """A rational perturbation of ``octahedral_star`` that ``validate``
-    accepts: a closed star in R^3."""
-    octahedral = octahedral_star()
-    vertices = [(0, 0, 0)] + [
-        tuple(c + draw(small_rationals) for c in v) for v in octahedral.vertices[1:]
-    ]
-    star = SimplicialComplex(3, vertices, octahedral.maximal_faces)
-    try:
-        star.validate()
-    except ValueError:
-        assume(False)
-    return star
-
-
-def test_generated_stars_in_r3_agree_on_every_count():
+def test_generated_stars_in_r3_agree_on_every_count(random_affine_map):
     profiles = []
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(st.one_of(boundary_stars_3d(), closed_stars_3d()))
-    def check(star):
+    @given(st.one_of(boundary_stars_3d(), closed_stars_3d()), st.randoms(use_true_random=False))
+    def check(star, rng):
         closed = len(adjacent_pairs(star)) > len(star.maximal_faces)
         for fiber, dmax in ((0, 3), (1, 2)):
-            orange = standard_orange(star, fiber)
-            profile = detect_orange(orange)
-            profiles.append((profile.k, profile.i, closed))
-            for r in range(2):
-                for d in range(dmax + 1):
-                    dim = spline_dim(orange, r, d)
-                    assert dim == bernstein_dim(orange, r, d), (fiber, r, d)
-                    assert dim == orange_dim_formula(orange, r, d), (fiber, r, d)
-                    assert verify_mds(orange, r, d) is True, (fiber, r, d)
+            joined = standard_orange(star, fiber)
+            image = affine_image(joined, *random_affine_map(joined.ambient_dim, rng))
+            image.validate()
+            for orange in (joined, image):
+                profile = detect_orange(orange)
+                profiles.append((profile.k, profile.i, closed))
+                for r in range(2):
+                    for d in range(dmax + 1):
+                        dim = spline_dim(orange, r, d)
+                        assert dim == bernstein_dim(orange, r, d), (fiber, r, d)
+                        assert dim == orange_dim_formula(orange, r, d), (fiber, r, d)
+                        assert verify_mds(orange, r, d) is True, (fiber, r, d)
 
     check()
     # boundary and closed stars, each joined with no fiber and with one

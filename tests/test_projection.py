@@ -562,7 +562,7 @@ def test_workload_ops_call_no_fraction_solver(monkeypatch, random_affine_map):
     assert calls == Counter({"invert_matrix": 1}), calls
 
 
-def test_workload_ops_pair_test_only_stars_in_r3(monkeypatch, random_affine_map):
+def test_workload_ops_pair_test_no_star(monkeypatch, random_affine_map):
     calls = []
     within = complexes._intersection_within_hull
     monkeypatch.setattr(
@@ -576,9 +576,29 @@ def test_workload_ops_pair_test_only_stars_in_r3(monkeypatch, random_affine_map)
         before = len(calls)
         _one_op_of_each_workload(complex_to_dict(image))
         counts[name] = len(calls) - before
-    # a fan (i <= 2) is decided by its cyclic order; an i = 3 star pair by pair
-    assert counts.pop("vertex-star-3d") > 0
-    assert counts == {"fan-4d": 0, "planar-star": 0, "two-triangle": 0}
+    # a fan (i <= 2) is decided by its cyclic order, a closed i = 3 star by
+    # local orientation tests
+    assert counts == {"fan-4d": 0, "planar-star": 0, "two-triangle": 0, "vertex-star-3d": 0}
+    # the counter sees the pair tests that do happen: a star the cone test rejects
+    monkeypatch.setattr(projection, "_check_cone3", lambda star: False)
+    with pytest.raises(RuntimeError, match="the cone test rejects"):
+        project_orange(_fresh(get("vertex-star-3d").complex))
+    assert len(calls) == math.comb(len(get("vertex-star-3d").complex.maximal_faces), 2)
+
+
+def test_a_dim_general_op_scans_each_face_list_once(monkeypatch, random_affine_map):
+    scans = []
+    facet_pairs = complexes._facet_pairs
+    monkeypatch.setattr(complexes, "_facet_pairs", lambda faces: scans.append(faces) or facet_pairs(faces))
+    # a cold prefix cache: the system is built
+    monkeypatch.setattr(cofactor, "_prefixes", cofactor._PrefixCache(maxsize=256))
+    base = get("fan-4d").complex
+    image = affine_image(base, *random_affine_map(4, random.Random(24)))
+    cx = complex_from_dict(complex_to_dict(image))
+    assert spline_dim(cx, 1, 3) == orange_dim_formula(cx, 1, 3)
+    # the orange's faces, which the system of the moved orange shares, and
+    # the star's, which the closed form reads
+    assert scans == [cx.maximal_faces, project_orange(cx).complex.maximal_faces]
 
 
 def test_a_fan_rejected_only_by_the_fan_test_raises(monkeypatch):
