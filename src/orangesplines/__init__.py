@@ -20,7 +20,6 @@ from .bernstein import (
     LiftedDeterminingSet,
     LiftedPoint,
     SetMismatchError,
-    bb_to_monomial,
     bernstein_dim,
     complex_domain_points,
     compute_mds,
@@ -103,7 +102,6 @@ __all__ = [
     "adapt_coordinates",
     "adjacent_pairs",
     "affine_image",
-    "bb_to_monomial",
     "bernstein_dim",
     "binom",
     "build_system",

@@ -44,8 +44,8 @@ reads the coordinates, face and multi-index off the lattice point.
 The system's nullity, ``bernstein_dim``, is the third derivation of the
 dimension, next to the cofactor oracle (``cofactor.spline_dim``) and the
 closed form through the projected star (``dimension.orange_dim_formula``).
-The monomial-to-Bernstein conversions stay available for single
-polynomials; no determining-set computation uses them.
+The monomial-to-Bernstein conversion (``monomial_to_bb``) stays available
+for single polynomials; no determining-set computation uses it.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ __all__ = [
     "SetMismatchError",
     "layer_decomposition",
     "monomial_to_bb",
-    "bb_to_monomial",
     "DeterminingSet",
     "bernstein_dim",
     "compute_mds",
@@ -382,15 +381,13 @@ def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecompositi
 @lru_cache(maxsize=32)
 def _bernstein_data(
     vertices: tuple[Point, ...], d: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[Fraction, ...], ...], tuple[tuple[Fraction, ...], ...]]:
-    """(multi-indices, monomial matrix, inverse) for one simplex and degree.
-
-    The monomial matrix's column a holds the Bernstein polynomial B_a in
-    monomial coordinates (rows ordered like monomials_upto); the inverse
-    therefore converts monomial coefficient vectors to Bernstein ones.
-    The cache keeps the 32 most recently used (simplex, degree) pairs,
-    about 10 KB each at d = 3, so converting on ever new simplices holds a
-    bounded amount of memory.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[Fraction, ...], ...]]:
+    """(multi-indices, inverse) for one simplex and degree: the inverse of
+    the matrix whose column a holds the Bernstein polynomial B_a in
+    monomial coordinates (rows ordered like monomials_upto), which converts
+    monomial coefficient vectors to Bernstein ones.  The cache keeps the 32
+    most recently used (simplex, degree) pairs, a few KB each at d = 3, so
+    converting on ever new simplices holds a bounded amount of memory.
     """
     nv = len(vertices)
     ambient = len(vertices[0]) if nv else 0
@@ -424,12 +421,7 @@ def _bernstein_data(
                 b = b * lambdas[l] ** x
         for e, v in b.coeffs.items():
             matrix[mono_pos[e]][col] = v
-    inverse = invert_matrix(matrix)
-    return (
-        indices,
-        tuple(tuple(row) for row in matrix),
-        tuple(tuple(row) for row in inverse),
-    )
+    return indices, tuple(map(tuple, invert_matrix(matrix)))
 
 
 def monomial_to_bb(
@@ -443,7 +435,7 @@ def monomial_to_bb(
     simplex = _simplex(vertices)
     if poly.nvars != simplex.ambient_dim:
         raise ValueError(f"polynomial in {poly.nvars} variables on a simplex in R^{simplex.ambient_dim}")
-    indices, _, inverse = _bernstein_data(simplex.vertices, d)
+    indices, inverse = _bernstein_data(simplex.vertices, d)
     monos = monomials_upto(simplex.ambient_dim, d)
     terms = [(c, v) for c, v in enumerate(poly.coefficient(m) for m in monos) if v]
     out = {}
@@ -451,32 +443,6 @@ def monomial_to_bb(
         inv = inverse[row]
         out[alpha] = sum((inv[c] * v for c, v in terms if inv[c]), Fraction(0))
     return out
-
-
-def bb_to_monomial(
-    coeffs: dict[tuple[int, ...], Fraction],
-    vertices: tuple[Point, ...] | list[Point],
-    d: int,
-) -> Polynomial:
-    """Polynomial with the given Bernstein coefficients on the simplex,
-    which ``_simplex`` checks; a multi-index off the lattice raises."""
-    _check_nonnegative(d, "degree")
-    simplex = _simplex(vertices)
-    indices, matrix, _ = _bernstein_data(simplex.vertices, d)
-    ambient = simplex.ambient_dim
-    monos = monomials_upto(ambient, d)
-    col_of = {alpha: c for c, alpha in enumerate(indices)}
-    vec = [Fraction(0)] * len(indices)
-    for alpha, v in coeffs.items():
-        if tuple(alpha) not in col_of:
-            raise ValueError(f"multi-index {tuple(alpha)} is not on the degree-{d} lattice")
-        vec[col_of[tuple(alpha)]] = Fraction(v)
-    out = {}
-    for row, mono in enumerate(monos):
-        val = sum((matrix[row][c] * vec[c] for c in range(len(vec))), Fraction(0))
-        if val:
-            out[mono] = val
-    return Polynomial(ambient, out)
 
 
 # ---------------------------------------------------------------------------

@@ -98,10 +98,7 @@ __all__ = [
     "spline_dims",
     "spline_dim",
     "spline_basis",
-    "Spline",
 ]
-
-Spline = tuple[Polynomial, ...]
 
 
 def facet_linear_form(points: Sequence[Point]) -> tuple[int, ...]:
@@ -527,7 +524,7 @@ def spline_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
 spline_dim.cache_info = _cache_info  # type: ignore[attr-defined]
 
 
-def spline_basis(complex_: SimplicialComplex, r: int, d: int) -> list[Spline]:
+def spline_basis(complex_: SimplicialComplex, r: int, d: int) -> list[tuple[Polynomial, ...]]:
     """Canonical basis of the spline space, one polynomial per maximal face.
 
     Comes from the reduced-echelon nullspace of the smoothness system, so
@@ -538,7 +535,7 @@ def spline_basis(complex_: SimplicialComplex, r: int, d: int) -> list[Spline]:
     k = complex_.ambient_dim
     m = system.face_block_size
     nf = system.n_faces
-    basis: list[Spline] = []
+    basis: list[tuple[Polynomial, ...]] = []
     for vec in system.matrix.nullspace():
         pieces = []
         for s in range(nf):

@@ -80,7 +80,7 @@ from itertools import chain, combinations
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exact import _echelon, _integer_kernel, solve_linear
+from .exact import _echelon, _integer_kernel
 
 __all__ = [
     "Point",
@@ -130,25 +130,6 @@ def _affinely_independent(points: Sequence[Sequence[int]]) -> bool:
     # rank of the edge vectors must equal their number
     vecs = [{j: x for j, x in enumerate(e) if x} for e in edges]
     return len(_echelon(vecs)) == n
-
-
-def barycentric_coordinates(
-    point: Point, vertices: Sequence[Point]
-) -> list[Fraction] | None:
-    """Exact barycentric coordinates of ``point`` w.r.t. an affinely
-    independent vertex tuple, or None when the point is off the affine hull."""
-    m = len(vertices)
-    dim = len(point)
-    matrix = [[vertices[j][i] for j in range(m)] for i in range(dim)]
-    matrix.append([Fraction(1)] * m)
-    rhs = [Fraction(c) for c in point] + [Fraction(1)]
-    sol = solve_linear(matrix, rhs)
-    if sol is None:
-        return None
-    particular, basis = sol
-    if basis:
-        raise InvalidComplexError("vertices are affinely dependent")
-    return particular
 
 
 def _intersection_within_hull(

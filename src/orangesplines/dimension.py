@@ -28,7 +28,15 @@ import math
 from dataclasses import dataclass
 
 from .cofactor import spline_dim, spline_dims
-from .complexes import SimplicialComplex, adjacent_pairs, detect_orange
+from .complexes import (
+    EmptyMedialFaceError,
+    InvalidComplexError,
+    NotPureError,
+    SimplicialComplex,
+    UnsupportedOrangeError,
+    adjacent_pairs,
+    detect_orange,
+)
 from .exact import _check_int, _check_nonnegative, binom
 from .projection import project_orange, standard_form
 
@@ -80,14 +88,30 @@ def star_dims_closed_form(star: SimplicialComplex, r: int, dmax: int) -> tuple[i
       of piecewise polynomials in two variables", 1979; Lai & Schumaker,
       *Spline Functions on Triangulations*, 2007, ch. 9).
 
-    No system is built.  A star in R^3 or beyond raises ValueError.
+    No system is built.  A star in R^3 or beyond raises ValueError.  Any
+    other complex that is no such star raises InvalidComplexError: the
+    star must be an orange (``detect_orange``: its maximal faces share a
+    vertex, so it is the star of that vertex, and are full-dimensional and
+    joined through shared facets) and a geometric complex (its projection,
+    ``project_orange``, validates it).
     """
     _check_nonnegative(r, "smoothness order")
-    i = star.ambient_dim
-    if i > 2:
-        raise ValueError(f"no closed form for a star in R^{i}")
-    if _check_int(dmax, "dmax") < 0:
+    if star.ambient_dim > 2:
+        raise ValueError(f"no closed form for a star in R^{star.ambient_dim}")
+    _check_int(dmax, "dmax")
+    try:
+        project_orange(star)
+    except (NotPureError, EmptyMedialFaceError, UnsupportedOrangeError) as error:
+        raise InvalidComplexError(f"not a star of one vertex: {error}") from None
+    return _closed_form(star, r, dmax)
+
+
+def _closed_form(star: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
+    """``star_dims_closed_form`` on a star known to be valid: a projected
+    star, which ``project_orange`` has validated."""
+    if dmax < 0:
         return ()
+    i = star.ambient_dim
     faces = star.maximal_faces
     pairs = adjacent_pairs(star)
     n = len(pairs)
@@ -129,7 +153,7 @@ def _formula_coeffs(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int
     fiber = profile.k - profile.i
     # the projection validates the star, which the closed forms rely on
     star = project_orange(complex_).complex
-    star_dims = (star_dims_closed_form if profile.i <= 2 else spline_dims)(star, r, dmax)
+    star_dims = (_closed_form if profile.i <= 2 else spline_dims)(star, r, dmax)
     # the multiplicity of layer j in degree d depends on d - j alone
     mult = [layer_count(e, 0, fiber) for e in range(dmax + 1)]
     return tuple(

@@ -18,11 +18,13 @@ back-substitutes through the same step, stripping each row once after its
 last update, and ``_integer_kernel`` (one primitive vector per free
 column) is read off it for walls, adapted frames, affine dependences and
 the pair test.  ``_integer_row`` clears ``Fraction`` rows for
-``RationalMatrix`` and the ``Fraction`` solvers, which no projection path
-uses: ``solve_linear`` serves ``complexes.barycentric_coordinates``,
-``invert_matrix`` the Bernstein basis change and
-``projection.AdaptedFrame.matrix``, and ``EchelonBasis`` has no caller in
-the package.  Results are exact regardless of conditioning.
+``RationalMatrix`` and the solvers that take and return ``Fraction``s,
+which no workload path uses: ``invert_matrix`` serves the Bernstein basis
+change and ``projection.AdaptedFrame.matrix``, ``RationalMatrix.nullspace``
+the monomial spline basis, and ``solve_linear`` and ``EchelonBasis`` have
+no caller in the package.  They eliminate through the same kernel and
+read its integer rows as ``Fraction``s.  Results are exact regardless of
+conditioning.
 
 Smoothness orders, degrees, dmax and fiber dimensions are checked by
 ``_check_int`` (TypeError unless the type is int, so not a bool) and
@@ -196,16 +198,6 @@ def _integer_rref(rows: Iterable[IntRow]) -> dict[int, IntRow]:
     return {p: pivots[p] for p in cols}
 
 
-def _rref(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, SparseRow]:
-    """Reduced row echelon form, returned as {pivot column: row}: the
-    integer form of ``_integer_rref`` with every row normalized (pivot
-    entry 1).  The result is canonical regardless of input row order."""
-    return {
-        p: {c: Fraction(v, row[p]) for c, v in row.items()}
-        for p, row in _integer_rref(map(_integer_row, rows)).items()
-    }
-
-
 def _integer_kernel(rows: Iterable[IntRow], ncols: int) -> list[IntRow]:
     """Kernel basis of integer rows, one primitive vector per free column.
 
@@ -236,18 +228,6 @@ def _integer_kernel(rows: Iterable[IntRow], ncols: int) -> list[IntRow]:
     return basis
 
 
-def _nullspace_of_rows(
-    rows: Iterable[Mapping[int, Fraction]], ncols: int
-) -> list[SparseRow]:
-    """Canonical nullspace basis: ``_integer_kernel`` with each vector
-    divided by its entry at its free column."""
-    basis: list[SparseRow] = []
-    for vec in _integer_kernel(map(_integer_row, rows), ncols):
-        free = vec[max(vec)]
-        basis.append({c: Fraction(v, free) for c, v in vec.items()})
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # public matrix type
 # ---------------------------------------------------------------------------
@@ -256,30 +236,14 @@ def _nullspace_of_rows(
 class RationalMatrix:
     """Immutable rational matrix stored as sparse rows.
 
-    ``rows[i]`` maps column index to a nonzero Fraction; anything absent is
-    zero.  All linear algebra on it is exact.
+    ``rows[i]`` holds the (column, nonzero Fraction) pairs of row i in
+    column order; anything absent is zero.  All linear algebra on it is
+    exact.
     """
 
     nrows: int
     ncols: int
     rows: tuple[tuple[tuple[int, Fraction], ...], ...]
-
-    @classmethod
-    def from_rows(cls, dense: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
-        nrows = len(dense)
-        ncols = len(dense[0]) if nrows else 0
-        rows = []
-        for rvals in dense:
-            if len(rvals) != ncols:
-                raise ValueError("ragged rows")
-            rows.append(
-                tuple(
-                    (j, Fraction(v))
-                    for j, v in enumerate(rvals)
-                    if v
-                )
-            )
-        return cls(nrows, ncols, tuple(rows))
 
     @classmethod
     def from_sparse(
@@ -294,22 +258,22 @@ class RationalMatrix:
                 raise ValueError("column index out of range")
         return cls(len(packed), ncols, packed)
 
-    def sparse_rows(self) -> list[SparseRow]:
-        return [dict(row) for row in self.rows]
-
     def rank(self) -> int:
-        return len(_echelon(map(_integer_row, self.sparse_rows())))
-
-    def nullity(self) -> int:
-        return self.ncols - self.rank()
+        return len(_echelon(_integer_row(dict(row)) for row in self.rows))
 
     def nullspace(self) -> list[SparseRow]:
-        """Canonical nullspace basis, one sparse vector per free column."""
-        return _nullspace_of_rows(self.sparse_rows(), self.ncols)
+        """Canonical nullspace basis, one sparse vector per free column:
+        ``_integer_kernel`` with each vector divided by its entry at its
+        free column, its last."""
+        basis: list[SparseRow] = []
+        for vec in _integer_kernel((_integer_row(dict(row)) for row in self.rows), self.ncols):
+            free = vec[max(vec)]
+            basis.append({c: Fraction(v, free) for c, v in vec.items()})
+        return basis
 
 
 # ---------------------------------------------------------------------------
-# small dense solvers (frames, barycentric coordinates, basis changes)
+# small dense solvers (frames, basis changes)
 # ---------------------------------------------------------------------------
 
 def solve_linear(
@@ -318,60 +282,52 @@ def solve_linear(
     """Solve M x = b exactly.
 
     Returns ``(particular, homogeneous_basis)`` or None when inconsistent.
-    The particular solution sets every free variable to zero.  No
-    projection path uses it; ``complexes.barycentric_coordinates`` does.
+    The particular solution sets every free variable to zero.  Nothing in
+    the package calls it.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     if len(rhs) != nrows:
         raise ValueError("rhs length mismatch")
-    aug = []
-    for i in range(nrows):
-        row: SparseRow = {j: Fraction(v) for j, v in enumerate(matrix[i]) if v}
-        if rhs[i]:
-            row[ncols] = Fraction(rhs[i])
-        aug.append(row)
-    pivots = _rref(aug)
+    # the integer RREF of [M | b]: each row is a multiple of the canonical
+    # one, so an entry over the row's pivot entry is the RREF entry
+    pivots = _integer_rref(
+        _integer_row({**{j: Fraction(v) for j, v in enumerate(row)}, ncols: Fraction(b)})
+        for row, b in zip(matrix, rhs)
+    )
     if ncols in pivots:
         return None
     particular = [Fraction(0)] * ncols
-    for p, pr in pivots.items():
-        particular[p] = pr.get(ncols, Fraction(0))
+    for p, row in pivots.items():
+        particular[p] = Fraction(row.get(ncols, 0), row[p])
     basis = []
     for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for p, pr in pivots.items():
-            if f in pr:
-                vec[p] = -pr[f]
-        basis.append(vec)
+        if f not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[f] = Fraction(1)
+            for p, row in pivots.items():
+                if f in row:
+                    vec[p] = Fraction(-row[f], row[p])
+            basis.append(vec)
     return particular, basis
 
 
 def invert_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix (ValueError if singular).
+    """Exact inverse of a square rational matrix (ValueError if singular),
+    read off the integer RREF of [M | I] as ``solve_linear`` reads its own.
 
     No projection path uses it: only the Bernstein basis change and the
     full matrix view ``projection.AdaptedFrame.matrix`` do."""
     n = len(matrix)
-    aug = []
-    for i in range(n):
-        if len(matrix[i]) != n:
-            raise ValueError("matrix not square")
-        row: SparseRow = {j: Fraction(v) for j, v in enumerate(matrix[i]) if v}
-        row[n + i] = Fraction(1)
-        aug.append(row)
-    pivots = _rref(aug)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix not square")
+    pivots = _integer_rref(
+        _integer_row({**{j: Fraction(v) for j, v in enumerate(row)}, n + i: Fraction(1)})
+        for i, row in enumerate(matrix)
+    )
     if any(j not in pivots for j in range(n)):
         raise ValueError("matrix is singular")
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for p, pr in pivots.items():
-        for c, v in pr.items():
-            if c >= n:
-                inv[p][c - n] = v
-    return inv
+    return [[Fraction(pivots[p].get(n + j, 0), pivots[p][p]) for j in range(n)] for p in range(n)]
 
 
 class EchelonBasis:

@@ -18,7 +18,6 @@ __all__ = [
     "Polynomial",
     "monomials_upto",
     "monomials_of_degree",
-    "linear_power",
     "divide_by_linear",
     "divisible_by_linear_power",
 ]
@@ -220,13 +219,6 @@ class Polynomial:
             else:
                 parts.append(str(v))
         return " + ".join(parts)
-
-
-def linear_power(ell: Polynomial, e: int) -> Polynomial:
-    """ell**e for an affine-linear form (degree-1 input enforced)."""
-    if ell.degree() != 1:
-        raise ValueError("linear_power expects a polynomial of degree 1")
-    return ell ** e
 
 
 def divide_by_linear(p: Polynomial, ell: Polynomial) -> tuple[Polynomial, Polynomial]:

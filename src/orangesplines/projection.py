@@ -35,6 +35,7 @@ from .complexes import (
     _check_pairs,
     _from_integer_view,
     _overlap,
+    adjacent_pairs,
     detect_orange,
 )
 from .exact import _check_nonnegative, _integer_kernel, invert_matrix
@@ -294,9 +295,10 @@ def standard_form(complex_: SimplicialComplex) -> StandardForm:
     """Detect, project, and rebuild the standard orange in one pass.
 
     The standard model inherits its profile, with the medial face the
-    star's origin and the tail vertices, and its projection: the star it
-    is built from, with the identity face map and, for i > 0, the identity
-    frame at the origin, which is what ``adapt_coordinates`` builds for it.
+    star's origin and the tail vertices, its projection: the star it is
+    built from, with the identity face map and, for i > 0, the identity
+    frame at the origin, which is what ``adapt_coordinates`` builds for it,
+    and the star's ``adjacent_pairs``.
     By the lemma of the ``complexes`` module docstring its checks are the
     star's, which the star passed when the orange was projected.
     """
@@ -315,6 +317,9 @@ def standard_form(complex_: SimplicialComplex) -> StandardForm:
             medial_nums=tuple(std.nums[m] for m in medial),
         )
     std._memo["profile"] = replace(profile, medial=medial)
+    # the faces are the star's, each followed by the same tail, in the
+    # star's order: the facet pairs are the star's
+    std._memo["adjacent pairs"] = tuple(adjacent_pairs(star))
     std._memo["projected"] = ProjectedOrange(
         complex=star,
         central_vertex=0,

@@ -16,7 +16,7 @@ from orangesplines import (
     InvalidComplexError,
     Polynomial,
     SimplicialComplex,
-    bb_to_monomial,
+    affine_image,
     bernstein_dim,
     build_system,
     complex_domain_points,
@@ -90,12 +90,11 @@ CASES = {
     "monomial_to_bb": (
         lambda r, d: monomial_to_bb(Polynomial.constant(2, 1), TRIANGLE, d), {"d": D}, ValueError
     ),
-    "bb_to_monomial": (lambda r, d: bb_to_monomial({}, TRIANGLE, d), {"d": D}, ValueError),
 }
 
 
 def test_the_table_covers_the_public_functions():
-    assert len(CASES) == 24
+    assert len(CASES) == 23
     assert set(CASES) <= set(orangesplines.__all__)
 
 
@@ -171,6 +170,7 @@ COMPLEX_CASES = {
     "spline_dims": lambda cx: spline_dims(cx, 1, 2),
     "spline_dim": lambda cx: spline_dim(cx, 1, 2),
     "spline_basis": lambda cx: spline_basis(cx, 1, 2),
+    "star_dims_closed_form": lambda cx: star_dims_closed_form(cx, 1, 2),
     "orange_dim_formula": lambda cx: orange_dim_formula(cx, 1, 2),
     "hilbert_prefix": lambda cx: hilbert_prefix(cx, 1, 2),
     "orange_hilbert_prefix": lambda cx: orange_hilbert_prefix(cx, 1, 2),
@@ -192,3 +192,21 @@ def test_a_complex_with_a_duplicated_vertex_is_invalid(name):
     cx = SimplicialComplex(2, [(0, 0), (1, 0), (0, 1), (1, 0)], [[0, 1, 2], [0, 2, 3]])
     with pytest.raises(InvalidComplexError, match="^duplicate vertex coordinates$"):
         COMPLEX_CASES[name](cx)
+
+
+@pytest.mark.parametrize("name", COMPLEX_CASES)
+def test_a_flattened_complex_is_invalid(name):
+    # the image of two-triangle under a singular map: two vertices coincide
+    # and both triangles are flat
+    cx = affine_image(get("two-triangle").complex, [[1, 1], [1, 1]], [0, 0])
+    # these two take a standard orange, which the image is not either
+    standard = name in ("lift_mds", "layer_decomposition")
+    with pytest.raises(ValueError if standard else InvalidComplexError):
+        COMPLEX_CASES[name](cx)
+
+
+def test_the_closed_form_takes_only_a_star():
+    vertices = [(0, 0), (1, 0), (0, 1), (5, 5), (6, 5), (5, 6)]
+    disjoint = SimplicialComplex(2, vertices, [[0, 1, 2], [3, 4, 5]])
+    with pytest.raises(InvalidComplexError, match="^not a star of one vertex: maximal faces share no"):
+        star_dims_closed_form(disjoint, 1, 2)

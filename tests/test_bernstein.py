@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_algebra import Echelon, barycentric_coordinates, bb_to_monomial, rank
 from test_cofactor import _recording_builds
 from test_generated_oranges import generated_oranges
 from test_projection import _fresh
@@ -29,7 +30,6 @@ from orangesplines.bernstein import (
     compute_mds,
     layer_decomposition,
     lift_mds,
-    bb_to_monomial,
     monomial_to_bb,
     simplex_domain_points,
     simplex_multiindices,
@@ -43,11 +43,10 @@ from orangesplines.complexes import (
     UnsupportedOrangeError,
     adjacent_pairs,
     affine_image,
-    barycentric_coordinates,
     detect_orange,
 )
 from orangesplines.dimension import orange_dim_formula
-from orangesplines.exact import EchelonBasis, RationalMatrix, _integer_row, _strip_content, binom
+from orangesplines.exact import _integer_row, _strip_content, binom
 from orangesplines.polynomials import Polynomial
 from orangesplines.projection import project_orange, standard_form
 
@@ -799,7 +798,7 @@ def _reference_mds(complex_, r, d):
     hub order and keep each one whose functionals raise the rank."""
     basis = spline_basis(complex_, r, d)
     bb_cache = {}
-    tracker = EchelonBasis()
+    tracker = Echelon()
     selected = []
     for point in _ordered_points(complex_, d):
         if tracker.rank == len(basis):
@@ -821,7 +820,7 @@ def _reference_verify(complex_, r, d, points):
         return False
     bb_cache = {}
     rows = [_reference_rows(complex_, basis, d, p, bb_cache)[0] for p in points]
-    return RationalMatrix.from_rows(rows).rank() == len(basis)
+    return rank(rows) == len(basis)
 
 
 def _catalog_models():
@@ -850,7 +849,7 @@ def integer_images(draw):
     k = entry.complex.ambient_dim
     entries = st.integers(-2, 2)
     matrix = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k))
-    assume(RationalMatrix.from_rows(matrix).rank() == k)
+    assume(rank(matrix) == k)
     translation = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
     return affine_image(entry.complex, matrix, translation)
 

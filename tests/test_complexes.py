@@ -13,6 +13,7 @@ from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from reference_algebra import barycentric_coordinates, solve
 from stars_3d import bipyramid_stars_3d, closed_stars_3d, octahedral_star
 from test_generated_oranges import generated_oranges
 
@@ -29,14 +30,12 @@ from orangesplines.complexes import (
     _intersection_within_hull,
     adjacent_pairs,
     affine_image,
-    barycentric_coordinates,
     detect_orange,
 )
 from orangesplines.bernstein import bernstein_dim, compute_mds
 from orangesplines.catalog import CATALOG, get
 from orangesplines.cofactor import spline_dim
 from orangesplines.dimension import orange_dim_formula
-from orangesplines.exact import solve_linear
 from orangesplines.io import complex_from_dict, complex_to_dict
 from orangesplines.projection import project_orange, standard_form
 
@@ -246,7 +245,7 @@ def _within_hull_by_vertex_enumeration(verts_a, verts_b, common):
     eq_rows.append([Fraction(1)] * na + [Fraction(0)] * nb)
     eq_rows.append([Fraction(0)] * na + [Fraction(1)] * nb)
     eq_rhs += [Fraction(1), Fraction(1)]
-    sol = solve_linear(eq_rows, eq_rhs)
+    sol = solve(eq_rows, eq_rhs)
     if sol is None:
         return True
     particular, basis = sol
@@ -254,7 +253,7 @@ def _within_hull_by_vertex_enumeration(verts_a, verts_b, common):
     cand = []
     for active in combinations(range(nvars), f):
         mat = [[basis[t][idx] for t in range(f)] for idx in active]
-        s = solve_linear(mat, [-particular[idx] for idx in active])
+        s = solve(mat, [-particular[idx] for idx in active])
         if s is None or s[1]:
             continue
         x = list(particular)

@@ -8,14 +8,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_algebra import Echelon, nullspace, rank, rref
 
 from orangesplines.exact import (
     EchelonBasis,
     RationalMatrix,
     _integer_kernel,
     _integer_row,
-    _nullspace_of_rows,
-    _rref,
+    _integer_rref,
     binom,
     format_rational,
     invert_matrix,
@@ -71,37 +71,15 @@ def test_format_round_trip():
     assert format_rational(Fraction(-1, 3)) == "-1/3"
 
 
-def _reference_rank(rows: list[list[Fraction]]) -> int:
-    """Plain dense Gaussian elimination, used as a cross-check."""
-    work = [list(r) for r in rows]
-    rank = 0
+def _matrix(rows) -> RationalMatrix:
+    """Dense rows as a ``RationalMatrix``."""
     ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col] / pv
-                for j in range(col, ncols):
-                    work[i][j] -= f * work[rank][j]
-        rank += 1
-        col += 1
-    return rank
+    return RationalMatrix.from_sparse([dict(enumerate(row)) for row in rows], ncols)
 
 
 def test_rank_small_cases():
-    m = RationalMatrix.from_rows([[1, 2], [2, 4]])
-    assert m.rank() == 1
-    assert m.nullity() == 1
-    m = RationalMatrix.from_rows([[1, 0], [0, 1]])
-    assert m.rank() == 2
-    m = RationalMatrix.from_rows([[0, 0], [0, 0]])
-    assert m.rank() == 0
+    for rows, expected in [([[1, 2], [2, 4]], 1), ([[1, 0], [0, 1]], 2), ([[0, 0], [0, 0]], 0)]:
+        assert _matrix(rows).rank() == rank(rows) == expected
 
 
 def test_from_sparse_rejects_out_of_range_columns():
@@ -109,7 +87,9 @@ def test_from_sparse_rejects_out_of_range_columns():
         with pytest.raises(ValueError, match="out of range"):
             RationalMatrix.from_sparse([{col: Fraction(1)}], 2)
     # a 1 x 2 zero matrix, for contrast
-    assert RationalMatrix.from_sparse([{}], 2).nullity() == 2
+    zero = RationalMatrix.from_sparse([{}], 2)
+    assert (zero.nrows, zero.ncols, zero.rows) == (1, 2, ((),))
+    assert (zero.rank(), len(zero.nullspace())) == (0, 2)
 
 
 def test_rank_matches_reference_on_random_matrices():
@@ -121,8 +101,7 @@ def test_rank_matches_reference_on_random_matrices():
             [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
             for _ in range(nrows)
         ]
-        m = RationalMatrix.from_rows(rows)
-        assert m.rank() == _reference_rank(rows)
+        assert _matrix(rows).rank() == rank(rows)
 
 
 def test_nullspace_vectors_are_in_the_kernel():
@@ -133,9 +112,9 @@ def test_nullspace_vectors_are_in_the_kernel():
         rows = [
             [Fraction(rng.randint(-2, 2)) for _ in range(ncols)] for _ in range(nrows)
         ]
-        m = RationalMatrix.from_rows(rows)
+        m = _matrix(rows)
         basis = m.nullspace()
-        assert len(basis) == m.nullity()
+        assert len(basis) == m.ncols - rank(rows)
         for vec in basis:
             for row in rows:
                 total = sum(row[c] * v for c, v in vec.items())
@@ -144,9 +123,9 @@ def test_nullspace_vectors_are_in_the_kernel():
 
 def test_nullspace_is_canonical():
     rows = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]
-    a = RationalMatrix.from_rows(rows).nullspace()
-    b = RationalMatrix.from_rows(list(reversed(rows))).nullspace()
-    assert a == b
+    a = _matrix(rows).nullspace()
+    b = _matrix(list(reversed(rows))).nullspace()
+    assert a == b == nullspace(rows, 3)
 
 
 def test_solve_linear_unique():
@@ -175,6 +154,8 @@ def test_solve_linear_underdetermined():
     assert particular[0] + particular[1] == 5
     assert len(basis) == 1
     assert basis[0][0] + basis[0][1] == 0
+    # the integer RREF row (2, 1 | 1) is read over its pivot entry
+    assert solve_linear([[2, 1]], [1]) == ([Fraction(1, 2), 0], [[Fraction(-1, 2), 1]])
 
 
 def test_invert_matrix():
@@ -202,54 +183,7 @@ def test_echelon_basis_tracks_rank():
         ]
         tracker = EchelonBasis()
         added = sum(1 for row in rows if tracker.add(row))
-        assert added == tracker.rank == RationalMatrix.from_rows(rows).rank()
-
-
-def _reference_add(pivots: dict[int, dict[int, Fraction]], row: dict[int, Fraction]) -> bool:
-    """Forward step of the reference RREF: reduce ``row`` against the
-    normalized pivot rows and keep it, normalized, if anything is left."""
-    r = {c: v for c, v in row.items() if v}
-    while r:
-        c = min(r)
-        if c not in pivots:
-            inv = r[c]
-            pivots[c] = {cc: vv / inv for cc, vv in r.items()}
-            return True
-        f = r.pop(c)
-        for cc, vv in pivots[c].items():
-            if cc == c:
-                continue
-            w = r.get(cc, 0) - f * vv
-            if w:
-                r[cc] = w
-            elif cc in r:
-                del r[cc]
-    return False
-
-
-def _reference_rref(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Reduced row echelon form over Fraction, row by row in input order."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        _reference_add(pivots, row)
-    for p in sorted(pivots, reverse=True):
-        pr = pivots[p]
-        for q in pivots:
-            if q >= p:
-                continue
-            qr = pivots[q]
-            if p not in qr:
-                continue
-            f = qr.pop(p)
-            for cc, vv in pr.items():
-                if cc == p:
-                    continue
-                w = qr.get(cc, 0) - f * vv
-                if w:
-                    qr[cc] = w
-                elif cc in qr:
-                    del qr[cc]
-    return pivots
+        assert added == tracker.rank == _matrix(rows).rank() == rank(rows)
 
 
 @st.composite
@@ -278,15 +212,17 @@ def test_kernel_matches_fraction_reference():
     def check(matrix):
         ncols, rows = matrix
         sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-        assert _rref(sparse) == _reference_rref(sparse)
-        rank = _reference_rank(rows)
-        assert RationalMatrix.from_sparse(sparse, ncols).rank() == rank
-        tracker = EchelonBasis()
-        reference: dict[int, dict[int, Fraction]] = {}
+        reference = rref(sparse)
+        # each integer RREF row is a multiple of the canonical one
+        integer = _integer_rref(map(_integer_row, sparse))
+        normalized = {p: {c: Fraction(v, row[p]) for c, v in row.items()} for p, row in integer.items()}
+        assert normalized == reference
+        assert RationalMatrix.from_sparse(sparse, ncols).rank() == len(reference)
+        tracker, echelon = EchelonBasis(), Echelon()
         for row in sparse:
-            assert tracker.add(row) == _reference_add(reference, row)
-        assert tracker.rank == rank
-        full_rank.append(rank == min(len(rows), ncols))
+            assert tracker.add(row) == echelon.add(row)
+        assert tracker.rank == len(reference)
+        full_rank.append(len(reference) == min(len(rows), ncols))
 
     check()
     # a run without both kinds of matrix would leave a branch unchecked
@@ -301,16 +237,11 @@ def test_integer_kernel_scales_the_fraction_rref_basis():
     def check(matrix):
         ncols, rows = matrix
         sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-        reference = _reference_rref(sparse)
         # the RREF basis over Fraction: 1 at the free column f, minus the
         # RREF entries of column f at the pivots
-        expected = [
-            {f: Fraction(1), **{p: -row[f] for p, row in sorted(reference.items()) if f in row}}
-            for f in range(ncols)
-            if f not in reference
-        ]
+        expected = nullspace(sparse, ncols)
         basis = _integer_kernel(map(_integer_row, sparse), ncols)
-        assert len(basis) == len(_nullspace_of_rows(sparse, ncols)) == len(expected)
+        assert len(basis) == len(expected)
         for vec, ref in zip(basis, expected):
             f = max(ref)
             assert max(vec) == f and vec[f] > 0

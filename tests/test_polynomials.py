@@ -6,13 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference_algebra import linear_power
 
 from orangesplines.exact import binom
 from orangesplines.polynomials import (
     Polynomial,
     divide_by_linear,
     divisible_by_linear_power,
-    linear_power,
     monomials_of_degree,
     monomials_upto,
 )

@@ -15,6 +15,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from reference_algebra import Echelon, inverse
 from test_complexes import _integer_points, lifted_oranges
 from test_generated_oranges import generated_oranges
 
@@ -29,11 +30,16 @@ from orangesplines.complexes import (
     _affinely_independent,
     _intersection_within_hull,
     _overlap,
+    adjacent_pairs,
     affine_image,
     detect_orange,
 )
-from orangesplines.dimension import orange_dim_formula, verify_hilbert_identity
-from orangesplines.exact import EchelonBasis, invert_matrix
+from orangesplines.dimension import (
+    orange_dim_formula,
+    star_dims_closed_form,
+    verify_hilbert_identity,
+)
+from orangesplines.exact import EchelonBasis
 from orangesplines.io import complex_from_dict, complex_to_dict
 from orangesplines.projection import (
     AdaptedFrame,
@@ -62,7 +68,7 @@ def _reference_frame(complex_: SimplicialComplex) -> tuple[tuple[Fraction, ...],
     medial_edges = [
         tuple(complex_.vertices[m][c] - v0[c] for c in range(k)) for m in profile.medial[1:]
     ]
-    span = EchelonBasis()
+    span = Echelon()
     if not all(span.add(e) for e in medial_edges):
         raise InvalidComplexError("medial face is geometrically degenerate")
     completion = []
@@ -71,7 +77,7 @@ def _reference_frame(complex_: SimplicialComplex) -> tuple[tuple[Fraction, ...],
         if span.rank < k and span.add(cand):
             completion.append(cand)
     cols = completion + medial_edges
-    return tuple(map(tuple, invert_matrix([[col[r] for col in cols] for r in range(k)])))
+    return tuple(map(tuple, inverse([[col[r] for col in cols] for r in range(k)])))
 
 
 def _reference_images(complex_: SimplicialComplex, face) -> list[Point]:
@@ -408,30 +414,6 @@ def test_standard_form_seeds_the_profile_it_would_detect():
     check()
 
 
-def test_one_mds_lift_op_scans_each_complex_for_pairs_once(monkeypatch, random_affine_map):
-    # the faces tuples scanned, kept alive so that their ids stay unique;
-    # every complex instance stores a faces tuple of its own
-    scanned = []
-    scan = complexes._facet_pairs
-    monkeypatch.setattr(
-        complexes, "_facet_pairs", lambda faces: scanned.append(faces) or scan(faces)
-    )
-    rng = random.Random(21)
-    for name in ("fan-4d", "vertex-star-3d", "planar-star", "two-triangle"):
-        base = get(name).complex
-        cx = _fresh(affine_image(base, *random_affine_map(base.ambient_dim, rng)))
-        scanned.clear()
-        sf = standard_form(cx)
-        lift_mds(sf.standard, 1, 3)
-        verify_mds(sf.standard, 1, 3)
-        layer_decomposition(sf.standard, 3)
-        ids = [id(faces) for faces in scanned]
-        assert len(set(ids)) == len(ids), (name, scanned)
-        # the orange, its standard model and their star, each scanned once
-        assert len(ids) == 3, (name, scanned)
-        assert {id(sf.standard.maximal_faces), id(sf.projected.complex.maximal_faces)} < set(ids)
-
-
 def _assert_frame_is_the_reference(cx: SimplicialComplex) -> None:
     """(L, R), the derived matrix and ``project_face`` equal the ``Fraction``
     reference, or both frames raise the same error."""
@@ -599,6 +581,51 @@ def test_a_dim_general_op_scans_each_face_list_once(monkeypatch, random_affine_m
     # the orange's faces, which the system of the moved orange shares, and
     # the star's, which the closed form reads
     assert scans == [cx.maximal_faces, project_orange(cx).complex.maximal_faces]
+
+
+def test_one_mds_lift_op_scans_each_complex_for_pairs_once(monkeypatch, random_affine_map):
+    # the faces tuples scanned, kept alive so that their ids stay unique;
+    # every complex instance stores a faces tuple of its own
+    scanned = []
+    scan = complexes._facet_pairs
+    monkeypatch.setattr(
+        complexes, "_facet_pairs", lambda faces: scanned.append(faces) or scan(faces)
+    )
+    rng = random.Random(21)
+    for name in ("fan-4d", "vertex-star-3d", "planar-star", "two-triangle"):
+        base = get(name).complex
+        cx = _fresh(affine_image(base, *random_affine_map(base.ambient_dim, rng)))
+        scanned.clear()
+        sf = standard_form(cx)
+        lift_mds(sf.standard, 1, 3)
+        verify_mds(sf.standard, 1, 3)
+        layer_decomposition(sf.standard, 3)
+        # the orange and its star, each scanned once: the standard model
+        # is seeded with the star's pairs, which a scan of its faces gives
+        star = sf.projected.complex
+        assert [id(faces) for faces in scanned] == [id(cx.maximal_faces), id(star.maximal_faces)]
+        assert adjacent_pairs(sf.standard) == list(scan(sf.standard.maximal_faces))
+
+
+def test_a_dim_general_op_validates_once(monkeypatch, random_affine_map):
+    calls = []
+    fan, validate = projection._check_fan, SimplicialComplex.validate
+    monkeypatch.setattr(projection, "_check_fan", lambda star: calls.append("fan") or fan(star))
+    monkeypatch.setattr(SimplicialComplex, "validate", lambda cx: calls.append("all") or validate(cx))
+    rng = random.Random(25)
+    for name in ("fan-4d", "planar-star", "two-triangle"):
+        base = get(name).complex
+        wire = complex_to_dict(affine_image(base, *random_affine_map(base.ambient_dim, rng)))
+        calls.clear()
+        cx = complex_from_dict(wire)
+        assert spline_dim(cx, 1, 3) == orange_dim_formula(cx, 1, 3)
+        # the orange's validation is its star's one fan test; the closed form
+        # reads the projected star without checking it again
+        assert calls == ["all", "fan"], name
+    # the counter sees the check that the public closed form makes, once
+    star = project_orange(cx).complex
+    assert star_dims_closed_form(star, 1, 3) == star_dims_closed_form(star, 1, 3)
+    assert calls == ["all", "fan", "fan"]
 
 
 def test_a_fan_rejected_only_by_the_fan_test_raises(monkeypatch):
