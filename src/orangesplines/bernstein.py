@@ -60,7 +60,6 @@ from typing import Sequence
 
 from .cofactor import spline_dim, spline_dims
 from .complexes import (
-    InvalidComplexError,
     OrangeProfile,
     Point,
     SimplicialComplex,
@@ -72,6 +71,7 @@ from .exact import (
     invert_matrix,
 )
 from .polynomials import Polynomial, monomials_upto
+from .polynomials import _exponents as _multiindices  # length n, sum d, lex descending
 from .projection import project_orange
 
 __all__ = [
@@ -140,24 +140,11 @@ class IdentifiedPoint:
 def simplex_multiindices(nverts: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All multi-indices of length nverts summing to d, lex descending;
     none when d < 0, so every lattice is empty at a negative degree.  The
-    degree must be an int."""
-    return _multiindices(nverts, _check_int(d, "degree"))
-
-
-@lru_cache(maxsize=None)
-def _multiindices(nverts: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """``simplex_multiindices`` for callers that pass an int degree."""
+    degree must be an int, and a simplex has at least one vertex."""
+    _check_int(d, "degree")
     if nverts <= 0:
         raise ValueError("a simplex has at least one vertex")
-    if d < 0:
-        return ()
-    if nverts == 1:
-        return ((d,),)
-    out = []
-    for first in range(d, -1, -1):
-        for rest in _multiindices(nverts - 1, d - first):
-            out.append((first,) + rest)
-    return tuple(out)
+    return _multiindices(nverts, d)
 
 
 def _lattice_numerators(
@@ -182,7 +169,8 @@ def _coordinates(key: Sequence[int], scale: int) -> Point:
 
 def _simplex(vertices: Sequence[Sequence[Fraction | int]]) -> SimplicialComplex:
     """The one-face complex on ``vertices``, validated: ragged, dependent or
-    duplicate vertices, or inexact coordinates, raise InvalidComplexError."""
+    duplicate vertices raise InvalidComplexError, and inexact coordinates
+    TypeError."""
     verts = [tuple(v) for v in vertices]
     simplex = SimplicialComplex(len(verts[0]) if verts else 0, verts, [range(len(verts))])
     simplex.validate()
@@ -205,12 +193,14 @@ def simplex_domain_points(
 
 def complex_domain_points(complex_: SimplicialComplex, d: int) -> tuple[IdentifiedPoint, ...]:
     """Lattice of the whole complex, built once per complex instance and
-    degree: each point carries every host face and multi-index that
-    produces it, and the points are sorted by their keys, which orders them
-    as their coordinates do.  The coordinates are derived only where read.
+    degree, after ``SimplicialComplex._check_faces``: each point carries
+    every host face and multi-index that produces it, and the points are
+    sorted by their keys, which orders them as their coordinates do.  The
+    coordinates are derived only where read.
     """
     memo = ("lattice", _check_int(d, "degree"))
     if memo not in complex_._memo:
+        complex_._check_faces()
         nums = complex_.nums
         buckets: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
         for fidx, face in enumerate(complex_.maximal_faces):
@@ -279,11 +269,13 @@ def _standard_split(
 ) -> tuple[OrangeProfile, SimplicialComplex]:
     """Check standard position and return (profile, projected star).
 
-    Standard position: the medial face consists of the origin plus the unit
-    vectors of the last fiber coordinates, and every other vertex has zero
-    tail coordinates.  The check reads the stored integers, where the unit
-    vectors have the common denominator as their one nonzero entry.
+    After ``SimplicialComplex._check_faces``, standard position: the medial
+    face consists of the origin plus the unit vectors of the last fiber
+    coordinates, and every other vertex has zero tail coordinates.  The
+    check reads the stored integers, where the unit vectors have the common
+    denominator as their one nonzero entry.
     """
+    complex_._check_faces()
     profile = detect_orange(complex_)
     k, i = profile.k, profile.i
     den, nums = complex_.den, complex_.nums
@@ -303,14 +295,6 @@ def _standard_split(
     if any(any(nums[v][i:]) for f in complex_.maximal_faces for v in f if v not in medial):
         raise ValueError("non-medial vertex has nonzero coordinates in the medial span")
     return profile, project_orange(complex_).complex
-
-
-def _tails(fiber: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Tail multi-indices beta with |beta| = m, lex descending; with no
-    fiber, only the empty one at m = 0."""
-    if fiber == 0:
-        return ((),) if m == 0 else ()
-    return _multiindices(fiber, m)
 
 
 def _keys(complex_: SimplicialComplex, d: int, q: int) -> list[tuple[int, ...]]:
@@ -350,7 +334,7 @@ def layer_decomposition(complex_: SimplicialComplex, d: int) -> LayerDecompositi
     for j in range(d + 1):
         # sorted, as the star's lattice keys are
         heads = tuple(_keys(star, j, common // star.den))
-        tails = tuple(tuple(common * b for b in beta) for beta in _tails(fiber, d - j))
+        tails = tuple(tuple(common * b for b in beta) for beta in _multiindices(fiber, d - j))
         for tail in tails:
             for head in heads:
                 key = head + tail
@@ -490,7 +474,9 @@ def _affine_dependences(
     instance: v is the primitive affine dependence of T_s's vertices and
     w, the vertex of T_t off T_s, on the stored integers, with v_w = D > 0
     (see ``_smoothness_rows``).  It depends on the pair alone, not on
-    (r, d)."""
+    (r, d).  The caller has checked the faces: T_s is an independent
+    k-simplex in R^k, so its k + 1 vertices and w carry exactly one affine
+    dependence, and it is nonzero at w."""
     if "affine dependences" not in complex_._memo:
         faces = complex_.maximal_faces
         nums = complex_.nums
@@ -504,16 +490,9 @@ def _affine_dependences(
                 {j: x[c] for j, x in enumerate(hosts) if x[c]}
                 for c in range(complex_.ambient_dim)
             ]
-            kernel = _integer_kernel(
+            (dependence,) = _integer_kernel(
                 [*coordinate_rows, dict.fromkeys(range(n + 1), 1)], n + 1
             )
-            if len(kernel) != 1 or n not in kernel[0]:
-                # T_s is flat; w lies on its affine hull exactly when w's
-                # column is free, and only a free column's vector holds it
-                if any(n in vec for vec in kernel):
-                    raise InvalidComplexError("vertices are affinely dependent")
-                raise InvalidComplexError(f"face {face_s} is geometrically degenerate")
-            (dependence,) = kernel
             dependences.append(
                 (s, t, dependence[n], tuple(-dependence.get(l, 0) for l in range(n)))
             )
@@ -587,10 +566,11 @@ def _system(
     complex_: SimplicialComplex, r: int, d: int
 ) -> tuple[tuple[IdentifiedPoint, ...], list[IntRow]]:
     """(points in hub order, C^r conditions on them), built once per complex
-    instance and (r, d), after r and d are checked; ``_ordered_points``
-    rejects non-oranges before anything is built, and two vertices at one
-    point raise InvalidComplexError, as ``validate`` does, before the
-    system is kept.
+    instance and (r, d), after r and d are checked.  The complex's points
+    and faces are checked first (``SimplicialComplex._check_faces``): a
+    ragged or flat complex, a missing or duplicate vertex or nested faces
+    raise InvalidComplexError.  Then ``_ordered_points`` rejects
+    non-oranges before anything is built.
     The conditions are integer rows as built, each the rational condition
     scaled by D^m (see ``_smoothness_rows``); row scaling keeps the row
     space and the column matroid, so every rank and greedy pick is that of
@@ -598,11 +578,9 @@ def _system(
     _check_nonnegative(r, "smoothness order")
     key = ("system", r, _check_int(d, "degree"))
     if key not in complex_._memo:
+        complex_._check_faces()
         points = _ordered_points(complex_, d)
-        rows = _smoothness_rows(complex_, r, d, points)
-        if len(set(complex_.nums)) != len(complex_.nums):
-            raise InvalidComplexError("duplicate vertex coordinates")
-        complex_._memo[key] = (points, rows)
+        complex_._memo[key] = (points, _smoothness_rows(complex_, r, d, points))
     return complex_._memo[key]
 
 
@@ -726,7 +704,7 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
     seen: dict[int, int] = {}
     per_level = []
     for j in range(d + 1):
-        betas = _tails(fiber, d - j)
+        betas = _multiindices(fiber, d - j)
         if not betas:
             continue
         mds_j = compute_mds(star, r, j)

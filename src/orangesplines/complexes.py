@@ -25,9 +25,11 @@ The face checks follow too.  T_s is independent exactly when F is and
 conv(pi(F), pi(W_s)) is an i-simplex, as pi kills just the directions
 of F.  In a pure complex a nested pair is two identical faces, which
 project onto identical segments.  So ``projection.project_orange``
-validates an orange alone, with the shape and duplicate-vertex checks
-in front; every other complex gets ``_check_faces`` and is pair-tested
-directly.
+validates an orange alone, with ``_check_shape`` (arity, index bounds,
+distinct vertices) in front, and a projection that succeeds marks the
+orange and its star as passing ``_check_faces``, the check of a
+complex's points and faces.  Every other complex gets ``_check_faces``
+and is pair-tested directly.
 
 For i <= 2 the star is a fan at the origin, and ``_check_fan`` decides
 it from the cyclic order of its faces, with no pair test.  Fan lemma: in
@@ -80,7 +82,7 @@ from itertools import chain, combinations
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exact import _echelon, _integer_kernel
+from .exact import _check_exact, _echelon, _integer_kernel
 
 __all__ = [
     "Point",
@@ -336,15 +338,19 @@ class SimplicialComplex:
     and the lattices read those, as a dilation keeps every affine
     dependence, sign and lattice order.  The ``Fraction`` points
     ``vertices`` are derived on first read.  The constructor takes ``int``
-    or ``Fraction`` coordinates; ``_from_integer_view`` takes integers.
+    or ``Fraction`` coordinates (``exact._check_exact``: TypeError
+    otherwise); ``_from_integer_view`` takes integers.
     Every maximal face is a sorted tuple of vertex indices.  Instances are
     immutable, and (den, nums) is canonical, so the generated equality and
     hash are by value.  Derived structure is computed once per instance
-    and kept in ``_memo``: the profile, the projection (both inherited
-    from ``standard_form``), the ``adjacent_pairs``, the complex moved to
-    its shared vertex that ``cofactor.spline_dims`` eliminates and keys
-    its cache on, and the domain-point lattices and Bernstein C^r systems
-    of ``bernstein``.
+    and kept in ``_memo``: the pass of ``_check_faces`` (set by the check
+    itself, by ``project_orange`` on an orange it validates and its star,
+    and handed on to the complexes the package derives), the profile, the
+    projection (both inherited from ``standard_form``), the
+    ``adjacent_pairs``, the complex moved to its shared vertex that
+    ``cofactor.spline_dims`` eliminates and keys its cache on, and the
+    domain-point lattices, affine dependences and Bernstein C^r systems of
+    ``bernstein``.
     """
 
     ambient_dim: int
@@ -358,15 +364,11 @@ class SimplicialComplex:
         vertices: Iterable[Iterable[Fraction | int]],
         maximal_faces: Iterable[Iterable[int]],
     ) -> None:
-        pts = [tuple(v) for v in vertices]
-        for vid, p in enumerate(pts):
-            for c in p:
-                # floats, bools and strings are not exact rationals to read as given
-                if type(c) is not int and type(c) is not Fraction:
-                    raise InvalidComplexError(
-                        f"vertex {vid} has a coordinate that is not an int or a Fraction: {c!r}"
-                    )
-        fracs = [[(c.numerator, c.denominator) for c in p] for p in pts]
+        fracs = [
+            [_check_exact(c, "vertex {} coordinate {}", vid, j).as_integer_ratio()
+             for j, c in enumerate(v)]
+            for vid, v in enumerate(vertices)
+        ]
         den = math.lcm(*(q for p in fracs for _, q in p))
         nums = tuple(tuple(n * (den // q) for n, q in p) for p in fracs)
         self._store(ambient_dim, den, nums, maximal_faces)
@@ -424,14 +426,14 @@ class SimplicialComplex:
         when it is a fan in R^1 or R^2, by local orientation tests when it
         is a closed star in R^3 and pair by pair otherwise; the module
         docstring gives the lemmas that make this the whole check.  Every
-        other complex gets ``_check_faces`` and then the pair test on every
-        two maximal faces, ``_check_pairs``, which suffices: any two faces
-        lie inside maximal ones, and the condition is inherited by subsets.
+        other complex has passed ``_check_faces`` when ``detect_orange``
+        rejects it, and then gets the pair test on every two maximal faces,
+        ``_check_pairs``, which suffices: any two faces lie inside maximal
+        ones, and the condition is inherited by subsets.
         """
         try:
             detect_orange(self)
         except (NotPureError, EmptyMedialFaceError, UnsupportedOrangeError):
-            self._check_faces()
             _check_pairs(self)
         else:
             from .projection import project_orange  # projection imports this module
@@ -439,11 +441,16 @@ class SimplicialComplex:
             project_orange(self)
 
     def _check_faces(self) -> None:
-        """``validate`` on a complex that is no orange, before the pair test:
-        shape, distinct vertices, no nested faces, independent faces."""
+        """The one check of a complex's points and faces, which every
+        reading of its geometry relies on: ``_check_shape``, no nested
+        faces, affinely independent faces.  Raises InvalidComplexError;
+        a pass is kept in ``_memo``, so it runs at most once per instance.
+        ``project_orange`` marks the orange it validates and its star, as
+        its own tests imply this one (module docstring), and the package
+        hands the mark on to the complexes it derives from checked ones."""
+        if "checked" in self._memo:
+            return
         self._check_shape()
-        if len(set(self.nums)) != len(self.nums):
-            raise InvalidComplexError("duplicate vertex coordinates")
         fsets = [frozenset(f) for f in self.maximal_faces]
         for a, b in combinations(range(len(fsets)), 2):
             if fsets[a] <= fsets[b] or fsets[b] <= fsets[a]:
@@ -453,10 +460,11 @@ class SimplicialComplex:
         for f in self.maximal_faces:
             if not _affinely_independent([self.nums[v] for v in f]):
                 raise InvalidComplexError(f"face {f} is geometrically degenerate")
+        self._memo["checked"] = True
 
     def _check_shape(self) -> None:
-        """Coordinate arity and face index bounds: what any reading of the
-        vertices of the faces relies on."""
+        """Coordinate arity, face index bounds and distinct vertices: what
+        any reading of the vertices of the faces relies on."""
         for vid, v in enumerate(self.nums):
             if len(v) != self.ambient_dim:
                 raise InvalidComplexError(
@@ -470,6 +478,8 @@ class SimplicialComplex:
                 raise InvalidComplexError("empty face")
             if f[0] < 0 or f[-1] >= nv:
                 raise InvalidComplexError(f"face {f} references a missing vertex")
+        if len(set(self.nums)) != nv:
+            raise InvalidComplexError("duplicate vertex coordinates")
 
 @dataclass(frozen=True)
 class OrangeProfile:
@@ -497,10 +507,21 @@ def detect_orange(complex_: SimplicialComplex) -> OrangeProfile:
     UnsupportedOrangeError.  Smoothness is imposed across facets
     only, so on a complex whose faces meet in lower-dimensional faces the
     dimension formula and the determining sets do not apply.  The profile
-    is computed once per complex instance.
+    is computed once per complex instance.  A complex that is no orange
+    must first pass ``_check_faces``: broken points or faces raise
+    InvalidComplexError, never one of the errors above.
     """
-    if "profile" in complex_._memo:
-        return complex_._memo["profile"]
+    if "profile" not in complex_._memo:
+        try:
+            complex_._memo["profile"] = _profile(complex_)
+        except (NotPureError, EmptyMedialFaceError, UnsupportedOrangeError):
+            complex_._check_faces()
+            raise
+    return complex_._memo["profile"]
+
+
+def _profile(complex_: SimplicialComplex) -> OrangeProfile:
+    """``detect_orange``'s recognition, uncached."""
     if not complex_.is_pure:
         raise NotPureError("maximal faces have differing dimensions")
     k = complex_.dim
@@ -517,10 +538,7 @@ def detect_orange(complex_: SimplicialComplex) -> OrangeProfile:
     if components != 1:
         raise UnsupportedOrangeError("maximal faces are not connected through shared facets")
     medial = tuple(sorted(shared))
-    i = k - (len(medial) - 1)
-    profile = OrangeProfile(k=k, i=i, medial=medial, n=len(complex_.maximal_faces))
-    complex_._memo["profile"] = profile
-    return profile
+    return OrangeProfile(k=k, i=k - (len(medial) - 1), medial=medial, n=len(complex_.maximal_faces))
 
 
 def adjacent_pairs(complex_: SimplicialComplex) -> list[tuple[int, int]]:

@@ -29,7 +29,11 @@ conditioning.
 Smoothness orders, degrees, dmax and fiber dimensions are checked by
 ``_check_int`` (TypeError unless the type is int, so not a bool) and
 ``_check_nonnegative`` (also ValueError below 0); nothing else in the
-package raises for those arguments.
+package raises for those arguments.  Rational entries (vertex
+coordinates, polynomial coefficients, the entries of ``RationalMatrix``
+and of the solvers' matrices) are checked by ``_check_exact``: TypeError
+unless the type is int or Fraction, so a float is never read as the
+binary fraction it stores.
 """
 
 from __future__ import annotations
@@ -94,6 +98,16 @@ def _check_int(value: int, name: str) -> int:
     """``value`` if its type is int; otherwise TypeError naming ``name``."""
     if type(value) is not int:
         raise TypeError(f"{name} must be an int, got {value!r}")
+    return value
+
+
+def _check_exact(value: int | Fraction, name: str, *fields: object) -> int | Fraction:
+    """``value`` if its type is int or Fraction; otherwise TypeError naming
+    it as ``name.format(*fields)``, formatted only then.  A float, a bool or
+    a string is no exact rational to read as given: ``Fraction(0.1)`` is
+    3602879701896397/36028797018963968."""
+    if type(value) is not int and type(value) is not Fraction:
+        raise TypeError(f"{name.format(*fields)} must be an int or a Fraction, got {value!r}")
     return value
 
 
@@ -250,8 +264,10 @@ class RationalMatrix:
         cls, rows: Sequence[Mapping[int, Fraction]], ncols: int
     ) -> "RationalMatrix":
         packed = tuple(
-            tuple(sorted((c, Fraction(v)) for c, v in row.items() if v))
-            for row in rows
+            tuple(sorted(
+                (c, Fraction(v)) for c, v in row.items() if _check_exact(v, "entry ({}, {})", i, c)
+            ))
+            for i, row in enumerate(rows)
         )
         for row in packed:
             if row and (row[0][0] < 0 or row[-1][0] >= ncols):
@@ -276,6 +292,11 @@ class RationalMatrix:
 # small dense solvers (frames, basis changes)
 # ---------------------------------------------------------------------------
 
+def _exact_row(row: Sequence[Fraction], i: int) -> dict[int, int | Fraction]:
+    """Row i of a matrix argument as {column: entry}, each entry checked."""
+    return {j: _check_exact(v, "matrix entry ({}, {})", i, j) for j, v in enumerate(row)}
+
+
 def solve_linear(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[list[Fraction], list[list[Fraction]]] | None:
@@ -292,8 +313,8 @@ def solve_linear(
     # the integer RREF of [M | b]: each row is a multiple of the canonical
     # one, so an entry over the row's pivot entry is the RREF entry
     pivots = _integer_rref(
-        _integer_row({**{j: Fraction(v) for j, v in enumerate(row)}, ncols: Fraction(b)})
-        for row, b in zip(matrix, rhs)
+        _integer_row({**_exact_row(row, i), ncols: _check_exact(b, "right-hand side entry {}", i)})
+        for i, (row, b) in enumerate(zip(matrix, rhs))
     )
     if ncols in pivots:
         return None
@@ -322,8 +343,7 @@ def invert_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix not square")
     pivots = _integer_rref(
-        _integer_row({**{j: Fraction(v) for j, v in enumerate(row)}, n + i: Fraction(1)})
-        for i, row in enumerate(matrix)
+        _integer_row({**_exact_row(row, i), n + i: 1}) for i, row in enumerate(matrix)
     )
     if any(j not in pivots for j in range(n)):
         raise ValueError("matrix is singular")
@@ -350,4 +370,5 @@ class EchelonBasis:
     def add(self, vector: Sequence[Fraction] | Mapping[int, Fraction]) -> bool:
         if not isinstance(vector, Mapping):
             vector = dict(enumerate(vector))
-        return _reduce(_integer_row(vector), self._pivots)
+        row = {c: _check_exact(v, "entry {}", c) for c, v in vector.items()}
+        return _reduce(_integer_row(row), self._pivots)

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-from .exact import _check_int
+from .exact import _check_exact, _check_int
 
 __all__ = [
     "Polynomial",
@@ -29,35 +29,40 @@ def _grlex_key(e: Exponent) -> tuple[int, Exponent]:
     return (sum(e), e)
 
 
+@lru_cache(maxsize=None)
+def _exponents(nvars: int, d: int) -> tuple[Exponent, ...]:
+    """All exponent vectors in ``nvars`` >= 0 variables of total degree
+    exactly d, lex descending; none when d < 0.  The package's one
+    enumeration of them, listed once per (nvars, d) for an int d: the
+    Bernstein multi-indices and tail shifts read it as it is, and the
+    grlex monomial lists (``monomials_of_degree``, ``monomials_upto``, the
+    cofactor columns) read it reversed."""
+    if d < 0:
+        return ()
+    if nvars == 0:
+        return ((),) if d == 0 else ()
+    return tuple(
+        (first, *rest) for first in range(d, -1, -1) for rest in _exponents(nvars - 1, d - first)
+    )
+
+
 def monomials_of_degree(nvars: int, d: int) -> list[Exponent]:
     """All exponent vectors of total degree exactly ``d``, in grlex order;
     none when d < 0.  The degree must be an int."""
-    if _check_int(d, "degree") < 0:
-        return []
-    if nvars == 0:
-        return [()] if d == 0 else []
-    out = []
-    for bars in combinations_with_replacement(range(nvars), d):
-        e = [0] * nvars
-        for b in bars:
-            e[b] += 1
-        out.append(tuple(e))
-    out.sort()
-    return out
+    return list(reversed(_exponents(nvars, _check_int(d, "degree"))))
 
 
 def monomials_upto(nvars: int, d: int) -> list[Exponent]:
     """All exponent vectors of total degree at most ``d``, in grlex order;
     none when d < 0.  The degree must be an int."""
-    out: list[Exponent] = []
-    for j in range(_check_int(d, "degree") + 1):
-        out.extend(monomials_of_degree(nvars, j))
-    return out
+    return [e for j in range(_check_int(d, "degree") + 1) for e in reversed(_exponents(nvars, j))]
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Immutable polynomial: a map from exponent tuple to nonzero Fraction."""
+    """Immutable polynomial: a map from exponent tuple to nonzero Fraction.
+    Coefficients are read by ``exact._check_exact``, so each must be an int
+    or a Fraction."""
 
     nvars: int
     coeffs: Mapping[Exponent, Fraction] = field(default_factory=dict)
@@ -69,9 +74,8 @@ class Polynomial:
                 raise ValueError(f"exponent {e} has wrong arity for {self.nvars} vars")
             if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e}")
-            f = Fraction(v)
-            if f:
-                clean[tuple(e)] = f
+            if _check_exact(v, "coefficient of {}", tuple(e)):
+                clean[tuple(e)] = Fraction(v)
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
@@ -80,31 +84,26 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value: Fraction | int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
         e = [0] * nvars
         e[index] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, exponent: Sequence[int], coeff: Fraction | int = 1) -> "Polynomial":
         e = tuple(exponent)
-        return cls(len(e), {e: Fraction(coeff)})
+        return cls(len(e), {e: coeff})
 
     @classmethod
     def linear(cls, coeffs: Sequence[Fraction | int], constant: Fraction | int = 0) -> "Polynomial":
         """a_1 x_1 + ... + a_n x_n + b."""
         n = len(coeffs)
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Fraction | int] = {(0,) * n: constant}
         for i, a in enumerate(coeffs):
-            if a:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = Fraction(a)
-        if constant:
-            terms[(0,) * n] = Fraction(constant)
+            terms[tuple(int(c == i) for c in range(n))] = a
         return cls(n, terms)
 
     def is_zero(self) -> bool:
@@ -149,8 +148,8 @@ class Polynomial:
         return Polynomial(self.nvars, {e: -v for e, v in self.coeffs.items()})
 
     def __mul__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
-        if isinstance(other, (Fraction, int)):
-            f = Fraction(other)
+        if not isinstance(other, Polynomial):
+            f = Fraction(_check_exact(other, "scalar factor"))
             if not f:
                 return Polynomial.zero(self.nvars)
             return Polynomial(self.nvars, {e: v * f for e, v in self.coeffs.items()})
@@ -183,12 +182,13 @@ class Polynomial:
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("point arity mismatch")
+        point = [_check_exact(x, "point coordinate {}", j) for j, x in enumerate(point)]
         total = Fraction(0)
         for e, v in self.coeffs.items():
             term = v
             for x, p in zip(point, e):
                 if p:
-                    term *= Fraction(x) ** p
+                    term *= x**p
             total += term
         return total
 

@@ -103,9 +103,11 @@ def adapt_coordinates(complex_: SimplicialComplex) -> AdaptedFrame:
     on the numerators ``nums``, columns reversed: its free columns are then
     the completion, and each vector, primitive and positive at its own
     free column f and zero at the others, is row t of M times its entry at
-    f.
+    f.  The complex's shape is checked first (``_check_shape``), and a
+    dependent medial face raises InvalidComplexError.
     """
     profile = detect_orange(complex_)
+    complex_._check_shape()
     k = complex_.ambient_dim
     nums = complex_.nums
     base = nums[profile.medial[0]]
@@ -163,30 +165,31 @@ def project_orange(complex_: SimplicialComplex) -> ProjectedOrange:
     beyond, pair by pair.  A failure raises InvalidComplexError naming
     the orange's own faces.  The projection, with its one properness test,
     is computed once per complex instance, and the standard model of
-    ``standard_form`` inherits it.
+    ``standard_form`` inherits it.  By that lemma these tests imply
+    ``SimplicialComplex._check_faces``, so a projection that succeeds
+    marks the orange and its star as passing it.
     """
-    if "projected" not in complex_._memo:
-        complex_._memo["projected"] = _project(complex_)
-    return complex_._memo["projected"]
+    memo = complex_._memo
+    if "projected" not in memo:
+        projected = _project(complex_)
+        memo["checked"] = projected.complex._memo["checked"] = True
+        memo["projected"] = projected
+    return memo["projected"]
 
 
 def _project(complex_: SimplicialComplex) -> ProjectedOrange:
     profile = detect_orange(complex_)
-    # this is the orange's whole validation: shape and distinct vertices
-    # first, then the medial face, the faces' images and the star
-    complex_._check_shape()
+    # this is the orange's whole validation: the frame checks the shape,
+    # distinct vertices and the medial face, then come the faces' images
+    # and the star
+    frame = adapt_coordinates(complex_)
     den, nums = complex_.den, complex_.nums
-    if len(set(nums)) != len(nums):
-        raise InvalidComplexError("duplicate vertex coordinates")
     i = profile.i
     if i == 0:
         # the whole orange is a single simplex, its medial face; the
         # projection is the one-point complex in R^0
-        if not _affinely_independent([nums[v] for v in profile.medial]):
-            raise InvalidComplexError("medial face is geometrically degenerate")
         star = SimplicialComplex(0, [()], [[0]])
         return ProjectedOrange(complex=star, central_vertex=0, face_map=(0,), frame=None)
-    frame = adapt_coordinates(complex_)
     # the image of vertex v is R (N_v - N_0) over L * den
     base = nums[profile.medial[0]]
     vids = sorted({v for f in complex_.maximal_faces for v in f})
@@ -300,7 +303,8 @@ def standard_form(complex_: SimplicialComplex) -> StandardForm:
     frame at the origin, which is what ``adapt_coordinates`` builds for it,
     and the star's ``adjacent_pairs``.
     By the lemma of the ``complexes`` module docstring its checks are the
-    star's, which the star passed when the orange was projected.
+    star's, which the star passed when the orange was projected, so it is
+    marked as passing ``SimplicialComplex._check_faces``.
     """
     profile = detect_orange(complex_)
     projected = project_orange(complex_)
@@ -316,6 +320,7 @@ def standard_form(complex_: SimplicialComplex) -> StandardForm:
             den=std.den,
             medial_nums=tuple(std.nums[m] for m in medial),
         )
+    std._memo["checked"] = True
     std._memo["profile"] = replace(profile, medial=medial)
     # the faces are the star's, each followed by the same tail, in the
     # star's order: the facet pairs are the star's

@@ -8,6 +8,7 @@ complex that is none with InvalidComplexError, never with a number."""
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,8 @@ from orangesplines import (
     verify_standard_orange,
 )
 from orangesplines.catalog import get
+from orangesplines.cofactor import facet_linear_form
+from orangesplines.exact import EchelonBasis, RationalMatrix, invert_matrix, solve_linear
 from orangesplines.polynomials import monomials_of_degree
 
 ORANGE = get("planar-star").complex
@@ -199,10 +202,71 @@ def test_a_flattened_complex_is_invalid(name):
     # the image of two-triangle under a singular map: two vertices coincide
     # and both triangles are flat
     cx = affine_image(get("two-triangle").complex, [[1, 1], [1, 1]], [0, 0])
-    # these two take a standard orange, which the image is not either
-    standard = name in ("lift_mds", "layer_decomposition")
-    with pytest.raises(ValueError if standard else InvalidComplexError):
+    with pytest.raises(InvalidComplexError):
         COMPLEX_CASES[name](cx)
+
+
+# name: (vertices in R^2, maximal faces, the error), none of them validated
+BROKEN_COMPLEXES = {
+    "ragged": (
+        [(0, 0), (1, 0), (0, 1, 5), (1, 1)], [[0, 1, 2], [1, 2, 3]],
+        "^vertex 2 has arity 3, ambient dimension is 2$",
+    ),
+    "missing vertex": (
+        [(0, 0), (1, 0), (0, 1), (1, 1)], [[0, 1, 2], [1, 2, 7]],
+        r"^face \(1, 2, 7\) references a missing vertex$",
+    ),
+    # a projection reports it as two identical segments
+    "repeated face": (
+        [(0, 0), (1, 0), (0, 1), (1, 1)], [[0, 1, 2], [0, 1, 2], [1, 2, 3]],
+        r"^faces \(0, 1, 2\) and \(0, 1, 2\) are nested$|^projection identifies two segments$",
+    ),
+    "nested": (
+        [(0, 0), (1, 0), (0, 1)], [[0, 1, 2], [0, 1]],
+        r"^faces \(0, 1\) and \(0, 1, 2\) are nested$",
+    ),
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_COMPLEXES)
+@pytest.mark.parametrize("name", COMPLEX_CASES)
+def test_a_broken_complex_is_invalid(name, broken):
+    vertices, faces, message = BROKEN_COMPLEXES[broken]
+    with pytest.raises(InvalidComplexError, match=message):
+        COMPLEX_CASES[name](SimplicialComplex(2, vertices, faces))
+
+
+# name: a call that reads a rational entry, the inexact value given to it
+INEXACT_CASES = {
+    "SimplicialComplex": (
+        lambda x: SimplicialComplex(1, [(0,), (x,)], [[0, 1]]), "vertex 1 coordinate 0"
+    ),
+    "Polynomial": (lambda x: Polynomial(1, {(1,): x}), r"coefficient of \(1,\)"),
+    "solve_linear": (lambda x: solve_linear([[x]], [1]), r"matrix entry \(0, 0\)"),
+    "solve_linear rhs": (lambda x: solve_linear([[1]], [x]), "right-hand side entry 0"),
+    "invert_matrix": (lambda x: invert_matrix([[x]]), r"matrix entry \(0, 0\)"),
+    "RationalMatrix.from_sparse": (
+        lambda x: RationalMatrix.from_sparse([{0: x}], 1), r"entry \(0, 0\)"
+    ),
+    "EchelonBasis.add": (lambda x: EchelonBasis().add([1, x]), "entry 1"),
+    "Polynomial.evaluate": (
+        lambda x: Polynomial.variable(2, 1).evaluate([0, x]), "point coordinate 1"
+    ),
+    "facet_linear_form": (
+        lambda x: facet_linear_form([(0, 0), (1, x)]), "vertex 1 coordinate 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, 0.25, True, "1/2"], ids=repr)
+@pytest.mark.parametrize("name", INEXACT_CASES)
+def test_an_inexact_entry_is_a_type_error_naming_it(name, bad):
+    call, label = INEXACT_CASES[name]
+    message = f"^{label} must be an int or a Fraction, got {re.escape(repr(bad))}$"
+    with pytest.raises(TypeError, match=message):
+        call(bad)
+    # ints and Fractions are read exactly
+    assert call(Fraction(1, 2)) == call(Fraction(2, 4))
 
 
 def test_the_closed_form_takes_only_a_star():

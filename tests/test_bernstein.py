@@ -134,7 +134,7 @@ def test_square_is_the_last_basis_member():
     ids=["simplex_domain_points", "monomial_to_bb", "bb_to_monomial"],
 )
 def test_simplex_vertices_take_only_ints_and_fractions(convert, bad):
-    with pytest.raises(InvalidComplexError, match=r"vertex 1 has a coordinate .* Fraction"):
+    with pytest.raises(TypeError, match=r"^vertex 1 coordinate 0 must be an int or a Fraction, got "):
         convert([(0,), (bad,)])
     # ints and Fractions are read exactly
     assert convert([(0,), (Fraction(1, 10),)]) == convert([(Fraction(0),), (Fraction(1, 10),)])
@@ -1156,8 +1156,8 @@ def test_verify_checks_the_domain_before_the_set():
     [
         # (0, 1, 2) is flat and the apex (1, 0) of the other face is off its line
         ([(0, 0), (1, 1), (2, 2), (1, 0)], r"face \(0, 1, 2\) is geometrically degenerate"),
-        # both faces are flat, on one line
-        ([(0, 0), (1, 1), (2, 2), (3, 3)], "affinely dependent"),
+        # both faces are flat, on one line: the first is named
+        ([(0, 0), (1, 1), (2, 2), (3, 3)], r"face \(0, 1, 2\) is geometrically degenerate"),
     ],
 )
 def test_bernstein_rows_on_a_flat_face_raise_a_typed_error(vertices, message):

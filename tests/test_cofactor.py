@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from reference_algebra import nullspace, rank
 
 from orangesplines import cofactor, exact
-from orangesplines.bernstein import bernstein_dim
+from orangesplines.bernstein import bernstein_dim, complex_domain_points
 from orangesplines.catalog import CATALOG, get
 from orangesplines.cofactor import (
     build_system,
@@ -776,61 +776,53 @@ def test_build_system_checks_the_shape_of_an_unvalidated_complex(vertices, faces
 
 
 def test_a_shared_facet_that_spans_no_hyperplane_names_its_faces():
-    # vertices 0 and 1 coincide, so the shared facet (0, 1) is a point
-    cx = SimplicialComplex(2, [(0, 0), (0, 0), (1, 0), (0, 1)], [[0, 1, 2], [0, 1, 3]])
-    message = r"faces \(0, 1, 2\) and \(0, 1, 3\) share a facet that spans no hyperplane"
+    # two segments in R^2 share the vertex 0, a point and no line
+    cx = SimplicialComplex(2, [(0, 0), (1, 0), (0, 1)], [[0, 1], [0, 2]])
+    message = r"^faces \(0, 1\) and \(0, 2\) share a facet that spans no hyperplane$"
     with pytest.raises(InvalidComplexError, match=message):
         build_system(cx, 1, 3)
     with pytest.raises(InvalidComplexError, match=message):
         spline_dims(cx, 1, 3)
     with pytest.raises(InvalidComplexError, match="codimension 2"):
-        facet_linear_form(cx.face_points((0, 1)))
+        facet_linear_form(cx.face_points((0,)))
 
 
 def test_a_flat_face_raises_on_the_miss_path_and_stores_nothing(empty_prefix_cache):
-    # two vertices coincide and both faces lie on one line, but the shared
-    # facet still spans a hyperplane, so the walls are read without error
+    # two vertices coincide and both faces lie on one line: the points are
+    # checked before the faces
     cx = affine_image(get("two-triangle").complex, [[1, 1], [1, 1]], [0, 0])
-    with pytest.raises(InvalidComplexError, match=r"^face \(0, 1, 2\) is geometrically degenerate$"):
+    with pytest.raises(InvalidComplexError, match="^duplicate vertex coordinates$"):
         spline_dims(cx, 1, 3)
-    with pytest.raises(InvalidComplexError, match="geometrically degenerate"):
+    with pytest.raises(InvalidComplexError, match="^duplicate vertex coordinates$"):
         spline_dim(cx, 0, 1)
+    # distinct points, and (0, 1, 2) lies on one line
+    flat = SimplicialComplex(2, [(0, 0), (1, 1), (2, 2), (1, 0)], [[0, 1, 2], [0, 1, 3]])
+    with pytest.raises(InvalidComplexError, match=r"^face \(0, 1, 2\) is geometrically degenerate$"):
+        spline_dims(flat, 1, 3)
     assert len(empty_prefix_cache) == 0
 
 
-def test_the_face_check_reads_the_walls_and_checks_other_faces_in_full(
-    monkeypatch, empty_prefix_cache
-):
-    checked = []
-    original = cofactor._affinely_independent
+def test_an_unvalidated_complex_is_checked_once_across_the_oracles(monkeypatch, empty_prefix_cache):
+    shapes, loops = [], []
+    check_shape, check_faces = SimplicialComplex._check_shape, SimplicialComplex._check_faces
 
-    def counting(points):
-        checked.append(len(points))
-        return original(points)
+    def counted(cx):
+        if "checked" not in cx._memo:
+            loops.append(cx)
+        check_faces(cx)
 
-    monkeypatch.setattr(cofactor, "_affinely_independent", counting)
-    # every face of an orange lies across a wall, so no echelon pass runs
+    monkeypatch.setattr(SimplicialComplex, "_check_shape", lambda cx: shapes.append(cx) or check_shape(cx))
+    monkeypatch.setattr(SimplicialComplex, "_check_faces", counted)
     matrix = [[2, 1, 0], [0, 1, 1], [1, 0, 3]]
-    orange = affine_image(get("two-tetrahedron").complex, matrix, [Fraction(1, 3), -2, 5])
-    for cx in (orange, _morgan_scott((6, Fraction(4, 3)), shift=(Fraction(3, 11), 2))):
-        spline_dims(cx, 1, 3)
-    assert checked == []
-    # vertex 4 lies on the plane of the shared facet (0, 1, 2)
-    flat = SimplicialComplex(
-        3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)], [[0, 1, 2, 3], [0, 1, 2, 4]]
-    )
-    with pytest.raises(InvalidComplexError, match=r"^face \(0, 1, 2, 4\) is geometrically degenerate$"):
-        spline_dims(flat, 0, 2)
-    assert checked == []
-    # a face across no wall gets the full check
-    line = SimplicialComplex(2, [(0, 0), (1, 1), (3, 3)], [[0, 1, 2]])
-    with pytest.raises(InvalidComplexError, match=r"^face \(0, 1, 2\) is geometrically degenerate$"):
-        spline_dims(line, 0, 2)
-    assert checked == [3]
-    spline_dims(SimplicialComplex(2, [(0, 0), (1, 1), (3, 4)], [[0, 1, 2]]), 0, 2)
-    assert checked == [3, 3]
-    # the two oranges and the last triangle; the flat complexes store nothing
-    assert len(empty_prefix_cache) == 3
+    image = affine_image(get("two-tetrahedron").complex, matrix, [Fraction(1, 3), -2, 5])
+    # affine_image checks the shape of the complex it maps
+    shapes.clear()
+    build_system(image, 1, 2)
+    spline_dims(image, 1, 3)
+    assert bernstein_dim(image, 1, 2) == spline_dim(image, 1, 2)
+    assert complex_domain_points(image, 2)
+    # one check, and the moved complex that spline_dims eliminates inherits it
+    assert (shapes, loops) == ([image], [image])
 
 
 def test_an_i3_orange_and_its_star_read_one_entry(empty_prefix_cache):

@@ -793,7 +793,8 @@ def test_from_integer_view_keeps_the_view_that_integer_view_computes(den, nums):
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1/2", None])
 def test_the_constructor_takes_only_ints_and_fractions(bad):
-    with pytest.raises(InvalidComplexError, match=r"vertex 2 has a coordinate .* Fraction"):
+    message = f"^vertex 2 coordinate 1 must be an int or a Fraction, got {re.escape(repr(bad))}$"
+    with pytest.raises(TypeError, match=message):
         SimplicialComplex(2, [(0, 0), (1, 0), (Fraction(1, 3), bad)], [[0, 1, 2]])
 
 

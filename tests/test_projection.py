@@ -245,6 +245,13 @@ def test_invalid_orange_raises_a_typed_error_on_every_path(vertices, message):
             path(_two_simplices(vertices))
 
 
+def test_the_frame_checks_the_shape_first():
+    # the medial vertex 2 has three coordinates
+    ragged = SimplicialComplex(2, [(0, 0), (1, 0), (0, 1, 5), (1, 1)], [[0, 1, 2], [1, 2, 3]])
+    with pytest.raises(InvalidComplexError, match="^vertex 2 has arity 3, ambient dimension is 2$"):
+        adapt_coordinates(ragged)
+
+
 def test_integer_projection_matches_the_fraction_reference(random_affine_map):
     rng = random.Random(15)
     for entry in CATALOG:
@@ -494,17 +501,20 @@ def test_validating_many_images_retains_no_memory():
     assert retained < 64 * 1024, retained
 
 
-def _one_op_of_each_workload(wire: dict) -> None:
-    """What an op of each benchmark workload does, on one wire complex."""
-    # dim_general
+def _dim_general_op(wire: dict) -> None:
     dim = complex_from_dict(wire)
     assert spline_dim(dim, 1, 3) == orange_dim_formula(dim, 1, 3)
-    # series_adapted
+
+
+def _series_adapted_op(wire: dict) -> None:
     series = complex_from_dict(wire)
     report = run_sweep(series, [1], range(4))
     assert [c.formula for c in report.cells] == [c.oracle for c in report.cells]
     assert verify_hilbert_identity(series, 1, 3)[0]
-    # mds_lift, without validation
+
+
+def _mds_lift_op(wire: dict) -> None:
+    # without validation
     cx = SimplicialComplex(
         wire["ambient_dim"],
         [[Fraction(c) for c in v] for v in wire["vertices"]],
@@ -514,6 +524,51 @@ def _one_op_of_each_workload(wire: dict) -> None:
     assert lift_mds(standard, 1, 3).total == orange_dim_formula(cx, 1, 3)
     assert verify_mds(standard, 1, 3)
     layer_decomposition(standard, 3)
+
+
+# what an op of each benchmark workload does, on one wire complex
+WORKLOAD_OPS = {
+    "dim_general": _dim_general_op,
+    "series_adapted": _series_adapted_op,
+    "mds_lift": _mds_lift_op,
+}
+
+
+def _one_op_of_each_workload(wire: dict) -> None:
+    for op in WORKLOAD_OPS.values():
+        op(wire)
+
+
+def test_a_workload_op_checks_the_shape_once_and_runs_no_face_loop(monkeypatch, random_affine_map):
+    shapes, loops = [], []
+    check_shape, check_faces = SimplicialComplex._check_shape, SimplicialComplex._check_faces
+
+    def counted(cx):
+        if "checked" not in cx._memo:
+            loops.append(cx)
+        check_faces(cx)
+
+    monkeypatch.setattr(SimplicialComplex, "_check_shape", lambda cx: shapes.append(cx) or check_shape(cx))
+    monkeypatch.setattr(SimplicialComplex, "_check_faces", counted)
+    # a cold prefix cache: every system is built
+    monkeypatch.setattr(cofactor, "_prefixes", cofactor._PrefixCache(maxsize=256))
+    rng = random.Random(26)
+    for name in ("fan-4d", "vertex-star-3d", "planar-star", "two-triangle"):
+        base = get(name).complex
+        wire = complex_to_dict(affine_image(base, *random_affine_map(base.ambient_dim, rng)))
+        for workload, op in WORKLOAD_OPS.items():
+            shapes.clear()
+            loops.clear()
+            op(wire)
+            # the projection checks the orange's shape, and its pass marks
+            # the orange, its star and the complexes derived from them
+            assert (len(shapes), loops) == (1, []), (name, workload)
+    # the counters see a face loop that does run, on a complex no
+    # projection has marked
+    shapes.clear()
+    unvalidated = SimplicialComplex(2, [(0, 0), (1, 0), (0, 1), (1, 1)], [[0, 1, 2], [1, 2, 3]])
+    spline_dim(unvalidated, 1, 3)
+    assert (shapes, loops) == ([unvalidated], [unvalidated])
 
 
 def test_workload_ops_call_no_fraction_solver(monkeypatch, random_affine_map):
