@@ -36,6 +36,7 @@ from .complexes import (
     EmptyMedialFaceError,
     InvalidComplexError,
     NotPureError,
+    NotStandardOrangeError,
     OrangeProfile,
     SimplicialComplex,
     UnsupportedOrangeError,
@@ -88,6 +89,7 @@ __all__ = [
     "LiftedDeterminingSet",
     "LiftedPoint",
     "NotPureError",
+    "NotStandardOrangeError",
     "OrangeProfile",
     "Polynomial",
     "ProjectedOrange",

@@ -60,6 +60,7 @@ from typing import Sequence
 
 from .cofactor import spline_dim, spline_dims
 from .complexes import (
+    NotStandardOrangeError,
     OrangeProfile,
     Point,
     SimplicialComplex,
@@ -281,19 +282,19 @@ def _standard_split(
     den, nums = complex_.den, complex_.nums
     medial_points = {nums[m] for m in profile.medial}
     if (0,) * k not in medial_points:
-        raise ValueError("standard orange must have a medial vertex at the origin")
+        raise NotStandardOrangeError("standard orange must have a medial vertex at the origin")
     for t in range(k - i):
         if tuple(den if c == i + t else 0 for c in range(k)) not in medial_points:
-            raise ValueError(
+            raise NotStandardOrangeError(
                 "standard orange must have medial vertices at the last unit vectors"
             )
     if len(medial_points) != k - i + 1:
-        raise ValueError("medial face of a standard orange has extra vertices")
+        raise NotStandardOrangeError("medial face of a standard orange has extra vertices")
     # the medial face is the origin and the unit vectors, so only the
     # other vertices can leave the star's span
     medial = set(profile.medial)
     if any(any(nums[v][i:]) for f in complex_.maximal_faces for v in f if v not in medial):
-        raise ValueError("non-medial vertex has nonzero coordinates in the medial span")
+        raise NotStandardOrangeError("non-medial vertex has nonzero coordinates in the medial span")
     return profile, project_orange(complex_).complex
 
 
@@ -476,8 +477,22 @@ def _affine_dependences(
     (see ``_smoothness_rows``).  It depends on the pair alone, not on
     (r, d).  The caller has checked the faces: T_s is an independent
     k-simplex in R^k, so its k + 1 vertices and w carry exactly one affine
-    dependence, and it is nonzero at w."""
-    if "affine dependences" not in complex_._memo:
+    dependence, and it is nonzero at w.
+
+    A standard model built by ``projection.standard_form`` takes its
+    star's dependences, zero-padded over the tail: its faces are the
+    star's, each followed by the tail vertices den * e_j, and every other
+    vertex has a zero tail, so the tail coordinates force each tail
+    entry of the dependence to 0 and leave the star's, which ``lift_mds``
+    reads anyway."""
+    memo = complex_._memo
+    if "affine dependences" in memo:
+        return memo["affine dependences"]
+    star = memo.get("standard of")
+    if star is not None:
+        pad = (0,) * (complex_.ambient_dim - star.ambient_dim)
+        dependences = [(s, t, scale, lam + pad) for s, t, scale, lam in _affine_dependences(star)]
+    else:
         faces = complex_.maximal_faces
         nums = complex_.nums
         dependences = []
@@ -496,8 +511,8 @@ def _affine_dependences(
             dependences.append(
                 (s, t, dependence[n], tuple(-dependence.get(l, 0) for l in range(n)))
             )
-        complex_._memo["affine dependences"] = tuple(dependences)
-    return complex_._memo["affine dependences"]
+    memo["affine dependences"] = tuple(dependences)
+    return memo["affine dependences"]
 
 
 def _smoothness_rows(

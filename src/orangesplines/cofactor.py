@@ -33,6 +33,30 @@ elimination never mixes blocks.  A complex with no shared
 vertex (two disjoint segments, the Morgan-Scott split) is eliminated as
 given, in one pass all the same.
 
+The walls are then eliminated in a basis of their own (``_wall_basis``).
+Lemma: for an invertible k x k matrix E, x -> E^{-T} x maps the complex
+onto one with the same graded dimensions, and its wall q is
+(E a_q).y + c_q when the original's is a_q.x + c_q.  Composing with an
+invertible linear map keeps degrees and the divisibility of f_s - f_t by
+a wall power, so it maps S^r_d onto S^r_d degree by degree (Lai &
+Schumaker, *Spline Functions on Triangulations*, 2007), and x = E^T y
+turns a_q.x into (E a_q).y.  The system reads nothing of the complex but
+the wall forms and the facet adjacency (Billera & Rose, 1991), and a
+wall may be scaled by any nonzero constant.  Construction: the integer
+RREF (``exact._integer_rref``) of the k x p matrix N^T whose column q is
+a_q is E N^T for an invertible E (row operations), so wall q becomes
+column q of that RREF, with c_q carried, and the whole form is made
+primitive with a positive lead.  The map itself is never formed.  The
+greedy independent walls, the RREF's pivot columns in pair order, become
+coordinate hyperplanes, and every wall involves only the first rank(N)
+coordinates.  On an orange every wall contains the medial face, so none
+involves its k - i directions: a dense affine image's wall powers are as
+sparse as those of an axis-aligned one, and its elimination as short.
+When every wall lies on the coordinates that single-coordinate walls
+name, the map would only permute and scale coordinates, and the walls
+are used as built.  ``build_system`` and every view of ``CofactorSystem``
+stay in input coordinates; only the elimination reads the new walls.
+
 That pass sees only the conformality conditions of the dual graph (faces
 joined by their facet-adjacent pairs).  Write g_p = c_p * L_p**(r+1) for
 pair p.  Along a spanning forest of the dual graph, each face's polynomial
@@ -60,16 +84,16 @@ are scaled by D**(r+1), so every row is integral as built and goes to the
 elimination kernel as it is.  Column scaling changes no rank and no pivot
 column, so every dimension is that of the rational system, which
 ``CofactorSystem.matrix`` derives by dividing the scales back out.  The
-system keeps only the per-pair wall powers; its full rows are derived on
-first use, for ``dimension``, ``matrix``, ``describe`` and
-``spline_basis``.
+system keeps only the per-pair walls; their powers and scales, and from
+them its full rows, are derived on first use, for ``dimension``,
+``matrix``, ``describe`` and ``spline_basis``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement
@@ -86,7 +110,7 @@ from .complexes import (
 )
 from .exact import (
     IntRow, RationalMatrix, _check_int, _check_nonnegative, _echelon, _integer_kernel,
-    format_rational,
+    _integer_rref, format_rational,
 )
 from .polynomials import Polynomial, divisible_by_linear_power, monomials_upto
 
@@ -168,12 +192,13 @@ class CofactorSystem:
     <= d - r - 1) per facet-adjacent pair.  Rows: one per pair per monomial
     of degree <= d, expressing f_s - f_t - c * l**(r+1) = 0 coefficientwise.
 
-    The system is kept as its per-pair data: ``wall_powers[p]`` holds the
-    integer terms (exponent, coefficient) of L**(r+1), with L = D*l the
-    pair's primitive integer wall (lead D, l the wall form with lead 1),
-    and the pair's cofactor columns are scaled by ``cofactor_scales[p]`` =
-    D**(r+1).  ``rows`` is the system over the integers derived from them
-    on first use, as {column: nonzero int} dicts that the elimination
+    The system is kept as its per-pair data: ``walls[p]`` is the pair's
+    primitive integer wall L = D*l (lead D, l the wall form with lead 1).
+    Derived from them on first read, ``wall_powers[p]`` holds the integer
+    terms (exponent, coefficient) of L**(r+1), and the pair's cofactor
+    columns are scaled by ``cofactor_scales[p]`` = D**(r+1).  ``rows`` is
+    the system over the integers derived from those on first use, as
+    {column: nonzero int} dicts that the elimination
     kernel takes as they are (and must not be modified): face entries are
     +1 and -1 and cofactor entries are minus the coefficients of L**(r+1),
     so no row has a denominator to clear.  Scaling a column by a nonzero
@@ -187,12 +212,21 @@ class CofactorSystem:
     complex: SimplicialComplex
     r: int
     d: int
-    wall_powers: tuple[tuple[tuple[tuple[int, ...], int], ...], ...] = field(hash=False)
-    cofactor_scales: tuple[int, ...]
+    walls: tuple[tuple[int, ...], ...]
     n_faces: int
     face_monomials: tuple[tuple[int, ...], ...]
     cofactor_monomials: tuple[tuple[int, ...], ...]
     pairs: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def wall_powers(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+        """The terms of L**(r+1), per pair."""
+        return tuple(tuple(_power_terms(form, self.r + 1)) for form in self.walls)
+
+    @cached_property
+    def cofactor_scales(self) -> tuple[int, ...]:
+        """D**(r+1) per pair, D the lead of the pair's wall."""
+        return tuple(next(a for a in form if a) ** (self.r + 1) for form in self.walls)
 
     @property
     def face_block_size(self) -> int:
@@ -291,25 +325,20 @@ def build_system(complex_: SimplicialComplex, r: int, d: int) -> CofactorSystem:
     # degree <= d - r - 1, are a prefix
     cof_mons = face_mons[: math.comb(k + d - r - 1, k)] if d > r else ()
     pairs = tuple(adjacent_pairs(complex_))
-    powers = []
-    scales = []
+    walls = []
     for s, t in pairs:
         shared = sorted(set(faces[s]) & set(faces[t]))
         try:
-            form = _wall([nums[v] for v in shared], den)
+            walls.append(_wall([nums[v] for v in shared], den))
         except InvalidComplexError:
             raise InvalidComplexError(
                 f"faces {faces[s]} and {faces[t]} share a facet that spans no hyperplane"
             ) from None
-        lead = next(a for a in form if a)
-        scales.append(lead ** (r + 1))
-        powers.append(tuple(_power_terms(form, r + 1)))
     return CofactorSystem(
         complex=complex_,
         r=r,
         d=d,
-        wall_powers=tuple(powers),
-        cofactor_scales=tuple(scales),
+        walls=tuple(walls),
         n_faces=len(faces),
         face_monomials=face_mons,
         cofactor_monomials=cof_mons,
@@ -331,7 +360,9 @@ def spline_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ..
     columns, so they are counted, not eliminated.  The system is that of
     the complex moved to its shared vertex (``_moved``), where every wall
     form is homogeneous, the system splits into degree blocks and the
-    elimination never mixes them, which is much faster.
+    elimination never mixes them, which is much faster; its walls are
+    eliminated in their own basis (``_wall_basis``), which keeps every
+    graded dimension.
 
     The cache keeps the longest prefix computed so far, keyed by value on
     the moved complex's fields (ambient dimension, common denominator,
@@ -433,9 +464,44 @@ def _cache_info() -> _CacheInfo:
     return _CacheInfo(_prefixes.hits, _prefixes.misses, _prefixes.maxsize, len(_prefixes))
 
 
+def _wall_basis(walls: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The walls (a_q, c_q) in a basis of their own normals: (E a_q, c_q),
+    each made primitive with a positive lead, where E N^T is the integer
+    RREF of the k x p matrix N^T whose column q is a_q.
+
+    E is invertible, so these are the walls of the complex's image under
+    the linear map x -> E^{-T} x, which keeps every graded dimension (see
+    the module docstring).  A pivot wall (the independent walls, taken
+    greedily in pair order) has one nonzero normal entry, and every normal
+    is supported on the first rank(N) coordinates.  When every wall's
+    normal lies on the coordinates that single-coordinate walls name, the
+    map would only permute and scale coordinates, and the walls are
+    returned as they are.
+    """
+    k = len(walls[0]) - 1 if walls else 0
+    supports = [[j for j in range(k) if form[j]] for form in walls]
+    axes = {support[0] for support in supports if len(support) == 1}
+    if all(axes.issuperset(support) for support in supports):
+        return walls
+    rref = list(_integer_rref(
+        {q: form[j] for q, form in enumerate(walls) if form[j]} for j in range(k)
+    ).values())
+    pad = (0,) * (k - len(rref))
+    basis = []
+    for q, form in enumerate(walls):
+        column = (*(row.get(q, 0) for row in rref), *pad, form[k])
+        g = math.gcd(*column)
+        if next(a for a in column if a) < 0:
+            g = -g
+        basis.append(tuple(a // g for a in column))
+    return tuple(basis)
+
+
 def _graded_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
-    """The prefix through dmax of ``complex_``, eliminated as given."""
+    """The prefix through dmax of ``complex_``, eliminated with its walls
+    in their own basis (``_wall_basis``)."""
     system = build_system(complex_, r, dmax)
+    powers = [_power_terms(form, r + 1) for form in _wall_basis(system.walls)]
     face_mons, cof_mons = system.face_monomials, system.cofactor_monomials
     m, mc = len(face_mons), len(cof_mons)
     base = system.n_faces * m
@@ -459,7 +525,7 @@ def _graded_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, .
         # pairs' columns are disjoint, so each entry is written once
         by_monomial: list[IntRow] = [{} for _ in range(m)]
         for q, sign in cycle.items():
-            for e, c in system.wall_powers[q]:
+            for e, c in powers[q]:
                 if e not in shifted:
                     shifted[e] = [mono_pos[tuple(map(add, u, e))] for u in cof_mons]
                 entry = sign * c

@@ -93,6 +93,7 @@ __all__ = [
     "NotPureError",
     "EmptyMedialFaceError",
     "UnsupportedOrangeError",
+    "NotStandardOrangeError",
     "detect_orange",
     "adjacent_pairs",
     "affine_image",
@@ -118,6 +119,12 @@ class UnsupportedOrangeError(ValueError):
     """The complex has a medial face but lies outside the supported domain:
     its maximal faces are not all connected through shared facets, or their
     dimension differs from the ambient dimension."""
+
+
+class NotStandardOrangeError(ValueError):
+    """The orange is not in the standard position that the layers and the
+    lifted determining sets are read in: its medial face is not the origin
+    and the last unit vectors, or another vertex leaves the star's span."""
 
 
 def _affinely_independent(points: Sequence[Sequence[int]]) -> bool:
@@ -346,8 +353,9 @@ class SimplicialComplex:
     and kept in ``_memo``: the pass of ``_check_faces`` (set by the check
     itself, by ``project_orange`` on an orange it validates and its star,
     and handed on to the complexes the package derives), the profile, the
-    projection (both inherited from ``standard_form``), the
-    ``adjacent_pairs``, the complex moved to its shared vertex that
+    projection (both inherited from ``standard_form``, which also names
+    the star a standard model is built from), the ``adjacent_pairs``, the
+    complex moved to its shared vertex that
     ``cofactor.spline_dims`` eliminates and keys its cache on, and the
     domain-point lattices, affine dependences and Bernstein C^r systems of
     ``bernstein``.

@@ -15,10 +15,12 @@ conditions (and ``CofactorSystem.dimension``'s full system) and the
 Bernstein oracle's C^r conditions; the determining-set selection
 (``bernstein.compute_mds``) calls ``_reduce`` itself.  ``_integer_rref``
 back-substitutes through the same step, stripping each row once after its
-last update, and ``_integer_kernel`` (one primitive vector per free
-column) is read off it for walls, adapted frames, affine dependences and
-the pair test.  ``_integer_row`` clears ``Fraction`` rows for
-``RationalMatrix`` and the solvers that take and return ``Fraction``s,
+last update.  The cofactor oracle reads its basis of the walls off it
+(``cofactor._wall_basis``), the solvers below read their answers off it,
+and ``_integer_kernel`` (one primitive vector per free column) is read
+off it for walls, adapted frames, affine dependences and the pair test.
+``_integer_row`` clears ``Fraction`` rows for ``RationalMatrix`` and the
+solvers that take and return ``Fraction``s,
 which no workload path uses: ``invert_matrix`` serves the Bernstein basis
 change and ``projection.AdaptedFrame.matrix``, ``RationalMatrix.nullspace``
 the monomial spline basis, and ``solve_linear`` and ``EchelonBasis`` have

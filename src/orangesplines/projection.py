@@ -301,7 +301,8 @@ def standard_form(complex_: SimplicialComplex) -> StandardForm:
     star's origin and the tail vertices, its projection: the star it is
     built from, with the identity face map and, for i > 0, the identity
     frame at the origin, which is what ``adapt_coordinates`` builds for it,
-    and the star's ``adjacent_pairs``.
+    and the star's ``adjacent_pairs``.  It also names that star under
+    ``"standard of"``, from which ``bernstein`` pads its affine dependences.
     By the lemma of the ``complexes`` module docstring its checks are the
     star's, which the star passed when the orange was projected, so it is
     marked as passing ``SimplicialComplex._check_faces``.
@@ -325,6 +326,7 @@ def standard_form(complex_: SimplicialComplex) -> StandardForm:
     # the faces are the star's, each followed by the same tail, in the
     # star's order: the facet pairs are the star's
     std._memo["adjacent pairs"] = tuple(adjacent_pairs(star))
+    std._memo["standard of"] = star
     std._memo["projected"] = ProjectedOrange(
         complex=star,
         central_vertex=0,

@@ -14,7 +14,9 @@ import pytest
 
 import orangesplines
 from orangesplines import (
+    EmptyMedialFaceError,
     InvalidComplexError,
+    NotStandardOrangeError,
     Polynomial,
     SimplicialComplex,
     affine_image,
@@ -234,6 +236,43 @@ def test_a_broken_complex_is_invalid(name, broken):
     vertices, faces, message = BROKEN_COMPLEXES[broken]
     with pytest.raises(InvalidComplexError, match=message):
         COMPLEX_CASES[name](SimplicialComplex(2, vertices, faces))
+
+
+# four triangles in a strip: a geometric complex whose maximal faces share
+# no vertex, so no orange
+STRIP = ([(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)], [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5]])
+# the generic oracles count any complex; every other entry needs an orange
+# (a star for the closed form)
+GENERIC = {"build_system", "spline_dims", "spline_dim", "spline_basis", "hilbert_prefix"}
+
+
+@pytest.mark.parametrize("name", COMPLEX_CASES)
+def test_a_complex_that_is_no_orange_is_a_typed_error(name):
+    cx = SimplicialComplex(2, *STRIP)
+    if name in GENERIC:
+        COMPLEX_CASES[name](cx)
+        return
+    error = InvalidComplexError if name == "star_dims_closed_form" else EmptyMedialFaceError
+    with pytest.raises(error, match="maximal faces share no common vertex$"):
+        COMPLEX_CASES[name](cx)
+
+
+# a translate of planar-star: an orange whose medial vertex is off the origin
+NOT_STANDARD = ([(1, 2), (2, 2), (1, 3), (0, 2), (1, 1)], [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]])
+# the entries that read a standard orange; every other entry takes any orange
+STANDARD_ONLY = {"lift_mds", "layer_decomposition"}
+
+
+@pytest.mark.parametrize("name", COMPLEX_CASES)
+def test_an_orange_off_standard_position_is_a_typed_error_where_one_is_needed(name):
+    cx = SimplicialComplex(2, *NOT_STANDARD)
+    if name not in STANDARD_ONLY:
+        COMPLEX_CASES[name](cx)
+        return
+    with pytest.raises(NotStandardOrangeError, match="^standard orange must have a medial vertex at the origin$"):
+        COMPLEX_CASES[name](cx)
+    # its standard model is accepted
+    COMPLEX_CASES[name](standard_form(cx).standard)
 
 
 # name: a call that reads a rational entry, the inexact value given to it

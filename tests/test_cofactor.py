@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import random
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference_algebra import nullspace, rank
+from reference_algebra import Echelon, nullspace, rank
+from stars_3d import boundary_stars_3d, closed_stars_3d
 
 from orangesplines import cofactor, exact
 from orangesplines.bernstein import bernstein_dim, complex_domain_points
@@ -874,3 +876,93 @@ def test_bernstein_dim_is_the_independent_count_on_dense_i3_images(empty_prefix_
                 want = table[r][d]
                 assert bernstein_dim(cx, r, d) == spline_dim(cx, r, d) == want, (n, r, d)
                 assert orange_dim_formula(cx, r, d) == want, (n, r, d)
+
+
+def test_a_dense_image_eliminates_with_small_entries(monkeypatch, empty_prefix_cache):
+    # the walls are eliminated in their own basis, so the dense image's
+    # entries stay near those of the catalog's axis-aligned walls
+    bits = []
+    eliminate = exact._eliminate
+
+    def measured(*args):
+        out = eliminate(*args)
+        bits.append(max(abs(v).bit_length() for v in out.values()) if out else 0)
+        return out
+
+    monkeypatch.setattr(exact, "_eliminate", measured)
+    catalog = get("vertex-star-3d").complex
+    dense = _dense_image(catalog)
+    dims = spline_dims(dense, 3, 12)
+    assert bits and max(bits) <= 128
+    assert dims == spline_dims(catalog, 3, 12)
+    # the catalog's walls lie on the coordinate axes, so it is eliminated
+    # as built, and the dense image's walls go through the RREF: the two
+    # prefixes come from two different code paths
+    walls = build_system(catalog, 4, 0).walls
+    assert cofactor._wall_basis(walls) is walls
+    dense_walls = build_system(cofactor._moved(dense), 4, 0).walls
+    assert cofactor._wall_basis(dense_walls) is not dense_walls
+    assert spline_dims(dense, 4, 18) == spline_dims(catalog, 4, 18)
+
+
+def _invertible(rng: random.Random, k: int) -> list[list[int]]:
+    """A random invertible integer k x k matrix with entries in -3..3."""
+    while True:
+        matrix = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        if rank(matrix) == k:
+            return matrix
+
+
+def _check_wall_basis(source: SimplicialComplex, image: SimplicialComplex, r: int) -> tuple:
+    """Check the image of ``source`` under a linear map against it and
+    against the reference; (walls used as built, some wall off the origin)."""
+    k = image.ambient_dim
+    dmax = {1: 6, 2: 5, 3: 4, 4: 3}[k]
+    assert spline_dims(image, r, dmax) == spline_dims(source, r, dmax)
+    # the input-coordinate system's nullity, by the Fraction reference
+    d = min(dmax, 3 if k < 4 else 2)
+    system = build_system(image, r, d)
+    assert system.ncols - rank(map(dict, system.matrix.rows)) == spline_dims(image, r, d)[d]
+    walls = build_system(cofactor._moved(image), r, d).walls
+    basis = cofactor._wall_basis(walls)
+    normals = rank(form[:k] for form in walls)
+    supports = [{j for j in range(k) if form[j]} for form in basis]
+    if basis is walls:
+        # the walls only need permuting and scaling: each lies on the
+        # coordinates that single-coordinate walls name
+        axes = set().union(*(support for support in supports if len(support) == 1))
+        assert all(support <= axes for support in supports)
+        assert len(axes) == normals
+    else:
+        independent = Echelon()
+        for form, support in zip(walls, supports):
+            # the greedy independent walls become coordinate hyperplanes
+            if independent.add(form[:k]):
+                assert len(support) == 1
+            assert support <= set(range(normals))
+    for form, new in zip(walls, basis):
+        assert math.gcd(*new) == 1 and next(a for a in new if a) > 0
+        assert (form[k] == 0) == (new[k] == 0)
+    return basis is walls, any(form[k] for form in walls)
+
+
+def test_the_wall_basis_keeps_every_dimension_on_linear_images():
+    kinds = set()
+    rng = random.Random(31)
+    splits = [_morgan_scott((6, Fraction(4, 3))), _morgan_scott((Fraction(13, 2), Fraction(4, 3)))]
+    for source in [entry.complex for entry in CATALOG] + splits:
+        for _ in range(2):
+            image = affine_image(source, _invertible(rng, source.ambient_dim), [0] * source.ambient_dim)
+            for r in range(3):
+                kinds.add(_check_wall_basis(source, image, r))
+    # walls used as built and walls moved to their own basis; walls through
+    # the origin and, on the Morgan-Scott splits, walls off it
+    assert {(True, False), (False, False), (False, True)} <= kinds, kinds
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(boundary_stars_3d(), closed_stars_3d()), st.integers(0, 2**31), st.integers(0, 2))
+    def check_stars(star, seed, r):
+        matrix = _invertible(random.Random(seed), 3)
+        _check_wall_basis(star, affine_image(star, matrix, [0, 0, 0]), r)
+
+    check_stars()

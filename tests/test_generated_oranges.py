@@ -20,14 +20,16 @@ from hypothesis import strategies as st
 from reference_algebra import rank
 from stars_3d import boundary_stars_3d, closed_stars_3d, octahedral_star
 
+from orangesplines import bernstein
 from orangesplines.bernstein import bernstein_dim, lift_mds, verify_mds
+from orangesplines.catalog import CATALOG
 from orangesplines.cofactor import spline_dim
 from orangesplines.complexes import (
     SimplicialComplex, adjacent_pairs, affine_image, detect_orange
 )
 from orangesplines.dimension import orange_dim_formula, verify_hilbert_identity
 from orangesplines.exact import binom
-from orangesplines.projection import project_orange, standard_orange
+from orangesplines.projection import project_orange, standard_form, standard_orange
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
@@ -152,3 +154,42 @@ def test_generated_stars_in_r3_agree_on_every_count(random_affine_map):
     check()
     # boundary and closed stars, each joined with no fiber and with one
     assert set(profiles) == {(k, 3, closed) for k in (3, 4) for closed in (False, True)}, profiles
+
+
+def test_a_standard_model_pads_its_stars_affine_dependences(monkeypatch):
+    kernels = []
+    integer_kernel = bernstein._integer_kernel
+    monkeypatch.setattr(
+        bernstein, "_integer_kernel", lambda rows, ncols: kernels.append(ncols) or integer_kernel(rows, ncols)
+    )
+    fibers = set()
+
+    def check(orange):
+        sf = standard_form(orange)
+        std, star = sf.standard, sf.projected.complex
+        bernstein._affine_dependences(star)
+        kernels.clear()
+        inherited = bernstein._affine_dependences(std)
+        # no kernel of its own: the star's dependences, padded over the tail
+        assert kernels == []
+        fresh = SimplicialComplex(std.ambient_dim, std.vertices, std.maximal_faces)
+        assert inherited == bernstein._affine_dependences(fresh)
+        fibers.add(std.ambient_dim - star.ambient_dim)
+
+    for entry in CATALOG:
+        check(entry.complex)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(generated_oranges())
+    def check_generated(generated):
+        check(generated[0])
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(boundary_stars_3d(), closed_stars_3d()), st.integers(0, 1))
+    def check_3d(star, fiber):
+        check(standard_orange(star, fiber))
+
+    check_generated()
+    check_3d()
+    # models with no tail and with tails of one and more coordinates
+    assert {0, 1, 2} <= fibers, fibers
