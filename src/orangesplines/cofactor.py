@@ -16,22 +16,35 @@ degree plus r + 1), so ``spline_dims`` builds one system at the top degree
 and reads every lower degree off one echelon pass with the columns in
 degree order.  When the maximal faces share a vertex (every orange does:
 the medial face lies in all of them), every wall passes through it, and
-``spline_dims`` works on the complex with that vertex moved to the
-origin (``_moved``, once per complex instance), on the stored integers
-(numerators N_v = ``nums[v]`` over the common denominator ``den``) as
-N_v - N_o over den, built from those integers
-(``complexes._from_integer_view``).  The moved complex is also what the
-dimension cache is keyed on, so translates of one complex share an
-entry, and an i = 3 orange whose adapted frame is the identity
-(``vertex-star-3d``) shares one with its projected star.  Every wall
-form is then homogeneous
-and the system splits into independent blocks by exact degree j: the
-face columns of degree j, the cofactor columns of degree j - r - 1 and
-the rows of degree j.  S^r_d is the sum of the blocks j <= d (Billera &
-Rose, "A dimension series for multivariate splines", 1991), and the
-elimination never mixes blocks.  A complex with no shared
-vertex (two disjoint segments, the Morgan-Scott split) is eliminated as
-given, in one pass all the same.
+``spline_dims`` works on the complex's affine normal form
+(``_normal_form``, once per complex instance), which has that vertex at
+the origin.  Every wall form is then homogeneous and the system splits
+into independent blocks by exact degree j: the face columns of degree j,
+the cofactor columns of degree j - r - 1 and the rows of degree j.
+S^r_d is the sum of the blocks j <= d (Billera & Rose, "A dimension
+series for multivariate splines", 1991), and the elimination never mixes
+blocks.  A complex with no shared vertex (two disjoint segments, the
+Morgan-Scott split) is eliminated as given, in one pass all the same.
+
+The normal form.  Let o be the lowest shared vertex and X the k x n
+matrix whose column v is N_v - N_o, on the stored integers (numerators
+N_v = ``nums[v]`` over the common denominator ``den``).  When X has rank
+k, vertex v becomes column v of the RREF of X (``exact._integer_rref``,
+each row divided by its pivot entry), over one common denominator, built
+from those integers (``complexes._from_integer_view``).  The pivot
+columns are the greedy independent vertices B, taken in vertex order,
+and the RREF is B^{-1} X: the normal form is the image of the complex
+under x -> B^{-1} (x - x_o), an invertible affine map, which keeps S^r_d
+degree by degree (Lai & Schumaker, *Spline Functions on
+Triangulations*, 2007; see the lemma below).  The RREF of A X is that of
+X for every invertible A, so every invertible affine image of a complex
+with the same vertex labels and faces has the same normal form, to the
+byte.  The dimension cache is keyed on it: all those images share one
+entry and one elimination, and so do an orange with i = k = 3 and its
+projected star.  When X has rank < k (faces of fewer than k + 1
+vertices), the vertices are only moved, N_v - N_o over den, and a
+complex whose faces share no vertex is kept as given.  The map is never
+formed.
 
 The walls are then eliminated in a basis of their own (``_wall_basis``).
 Lemma: for an invertible k x k matrix E, x -> E^{-T} x maps the complex
@@ -50,8 +63,8 @@ primitive with a positive lead.  The map itself is never formed.  The
 greedy independent walls, the RREF's pivot columns in pair order, become
 coordinate hyperplanes, and every wall involves only the first rank(N)
 coordinates.  On an orange every wall contains the medial face, so none
-involves its k - i directions: a dense affine image's wall powers are as
-sparse as those of an axis-aligned one, and its elimination as short.
+involves its k - i directions: the wall powers are as sparse as those of
+an axis-aligned orange, and the elimination as short.
 When every wall lies on the coordinates that single-coordinate walls
 name, the map would only permute and scale coordinates, and the walls
 are used as built.  ``build_system`` and every view of ``CofactorSystem``
@@ -358,23 +371,24 @@ def spline_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ..
     runs on the dual graph's cycle conditions only (see the module
     docstring): a spanning forest's rows pivot on the non-root face
     columns, so they are counted, not eliminated.  The system is that of
-    the complex moved to its shared vertex (``_moved``), where every wall
-    form is homogeneous, the system splits into degree blocks and the
-    elimination never mixes them, which is much faster; its walls are
-    eliminated in their own basis (``_wall_basis``), which keeps every
-    graded dimension.
+    the complex's affine normal form (``_normal_form``), which has the
+    shared vertex at the origin: every wall form is homogeneous, the
+    system splits into degree blocks and the elimination never mixes
+    them, which is much faster; its walls are eliminated in their own
+    basis (``_wall_basis``), which keeps every graded dimension.
 
     The cache keeps the longest prefix computed so far, keyed by value on
-    the moved complex's fields (ambient dimension, common denominator,
+    the normal form's fields (ambient dimension, common denominator,
     numerators, maximal faces) and r: plain ints, which hash fast and
     determine the vertices, as den is the lcm of their denominators.  The
-    dimensions depend only on the moved complex, so translates of one
-    complex share an entry, and so do an i = 3 orange and its projected
-    star when the adapted frame is the identity (``vertex-star-3d``).  No
-    entry keeps a complex and its memo alive, and a query through any
-    degree already known is a hit.  The cache holds the 256 entries used
-    last and evicts the oldest beyond that.  The complex's points and
-    faces are checked once per instance, before the move
+    normal form is an affine image of the complex, and every invertible
+    affine image with the same vertex labels and faces has the same one,
+    so all those images share an entry and one elimination, and so do an
+    orange with i = k = 3 and its projected star.  No entry keeps a
+    complex and its memo alive, and a query through any degree already
+    known is a hit.  The cache holds the 256 entries used last and evicts
+    the oldest beyond that.  The complex's points and faces are checked
+    once per instance, before the normal form is taken
     (``SimplicialComplex._check_faces``, which a validated orange has
     passed already): a ragged or flat complex, a missing or duplicate
     vertex or nested faces raise InvalidComplexError, and nothing is
@@ -385,39 +399,57 @@ def spline_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ..
     _check_nonnegative(r, "smoothness order")
     if _check_int(dmax, "dmax") < 0:
         return ()
-    moved = _moved(complex_)
-    key = (moved.ambient_dim, moved.den, moved.nums, moved.maximal_faces, r)
+    normal = _normal_form(complex_)
+    key = (normal.ambient_dim, normal.den, normal.nums, normal.maximal_faces, r)
     dims = _prefixes.lookup(key, dmax)
     if dims is None:
-        dims = _graded_dims(moved, r, dmax)
+        dims = _graded_dims(normal, r, dmax)
         _prefixes.put(key, dims)
     return dims[: dmax + 1]
 
 
-def _moved(complex_: SimplicialComplex) -> SimplicialComplex:
-    """The complex with its lowest shared vertex moved to the origin, once
-    per instance, after its points and faces are checked: N_v - N_o over
-    den, on the stored integers, built as the constructor builds it.  The
-    complex itself when its faces share no vertex or that vertex is the
-    origin already (a projected star, a standard orange).  The moved
-    complex has the original's faces, so its memo starts with the
-    original's ``adjacent_pairs`` and its pass of the check: the facet
-    pairs are scanned and the faces checked once for both."""
+def _normal_form(complex_: SimplicialComplex) -> SimplicialComplex:
+    """The affine normal form of the complex, once per instance, after its
+    points and faces are checked (see the module docstring).
+
+    With o the lowest shared vertex and M_v = N_v - N_o on the stored
+    integers, vertex v becomes column v of the RREF of the k x n matrix
+    whose column v is M_v: each integer RREF row divided by its pivot
+    entry, over their lcm, built as the constructor builds it.  When the
+    M_v have rank < k, the vertices are only moved, N_v - N_o over den;
+    when the faces share no vertex, the complex is kept as it is.  The
+    complex itself, too, when it is its own normal form (a projected star
+    often is).  The normal form has the original's faces, so its memo
+    starts with the original's ``adjacent_pairs`` and its pass of the
+    check, and it is its own normal form."""
     memo = complex_._memo
-    if "moved" not in memo:
+    if "normal form" not in memo:
         complex_._check_faces()
         faces = complex_.maximal_faces
         shared = set(faces[0]).intersection(*faces[1:])
-        origin = complex_.nums[min(shared)] if shared else ()
         # None stands for the complex itself, so that no memo holds its owner
-        memo["moved"] = None
-        if any(origin):
-            nums = [[x - o for x, o in zip(v, origin)] for v in complex_.nums]
-            moved = _from_integer_view(complex_.ambient_dim, complex_.den, nums, faces)
-            moved._memo["adjacent pairs"] = tuple(adjacent_pairs(complex_))
-            moved._memo["checked"] = True
-            memo["moved"] = moved
-    return memo["moved"] or complex_
+        memo["normal form"] = None
+        if not shared:
+            return complex_
+        k, nums = complex_.ambient_dim, complex_.nums
+        origin = nums[min(shared)]
+        rref = _integer_rref(
+            {v: n[j] - origin[j] for v, n in enumerate(nums) if n[j] != origin[j]}
+            for j in range(k)
+        )
+        if len(rref) == k:
+            den = math.lcm(*(row[p] for p, row in rref.items()))
+            scales = [(row, den // row[p]) for p, row in rref.items()]
+            moved = [[row.get(v, 0) * scale for row, scale in scales] for v in range(len(nums))]
+        else:
+            den, moved = complex_.den, [[x - o for x, o in zip(n, origin)] for n in nums]
+        normal = _from_integer_view(k, den, moved, faces)
+        if (normal.den, normal.nums) != (complex_.den, complex_.nums):
+            normal._memo["adjacent pairs"] = tuple(adjacent_pairs(complex_))
+            normal._memo["checked"] = True
+            normal._memo["normal form"] = None
+            memo["normal form"] = normal
+    return memo["normal form"] or complex_
 
 
 class _PrefixCache:
@@ -454,8 +486,9 @@ class _PrefixCache:
             self.evictions += 1
 
 
-# a perfbench round (100-odd ops on distinct complexes) fills at most 189
-# entries, so no op evicts an entry that a later op of its round reads
+# a perfbench round (100-odd ops on affine images of six oranges) fills 18,
+# 21 or 14 entries, whatever the seed, so no op evicts an entry that a later
+# op of its round reads
 _prefixes = _PrefixCache(maxsize=256)
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
@@ -552,9 +585,9 @@ def spline_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
     answers for the ``spline_dims`` cache (a hit whenever the prefix through
     degree d is already known).  The formula side reads closed forms for
     stars in R^i with i <= 2, so only an i = 3 star can share this
-    oracle's entry: when the orange's adapted frame is the identity (any
-    affine image of ``vertex-star-3d``), its projected star is the orange
-    moved to its medial vertex, the complex this oracle eliminates, so the
+    oracle's entry: an orange with i = k = 3 (any affine image of
+    ``vertex-star-3d``) is an affine image of its projected star, with the
+    same vertex labels and faces, so both have one normal form, and the
     formula's star dimensions and the oracle's values are one entry.
     ``bernstein.bernstein_dim`` is the independent count there.
     """

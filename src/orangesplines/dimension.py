@@ -88,21 +88,22 @@ def star_dims_closed_form(star: SimplicialComplex, r: int, dmax: int) -> tuple[i
       of piecewise polynomials in two variables", 1979; Lai & Schumaker,
       *Spline Functions on Triangulations*, 2007, ch. 9).
 
-    No system is built.  A star in R^3 or beyond raises ValueError.  Any
-    other complex that is no such star raises InvalidComplexError: the
-    star must be an orange (``detect_orange``: its maximal faces share a
-    vertex, so it is the star of that vertex, and are full-dimensional and
-    joined through shared facets) and a geometric complex (its projection,
-    ``project_orange``, validates it).
+    No system is built.  The complex is checked first: any complex that
+    is no such star raises InvalidComplexError, in every ambient
+    dimension.  The star must be an orange (``detect_orange``: its
+    maximal faces share a vertex, so it is the star of that vertex, and
+    are full-dimensional and joined through shared facets) and a
+    geometric complex (its projection, ``project_orange``, validates it).
+    A valid orange in R^3 or beyond then raises ValueError.
     """
     _check_nonnegative(r, "smoothness order")
-    if star.ambient_dim > 2:
-        raise ValueError(f"no closed form for a star in R^{star.ambient_dim}")
     _check_int(dmax, "dmax")
     try:
         project_orange(star)
     except (NotPureError, EmptyMedialFaceError, UnsupportedOrangeError) as error:
         raise InvalidComplexError(f"not a star of one vertex: {error}") from None
+    if star.ambient_dim > 2:
+        raise ValueError(f"no closed form for a star in R^{star.ambient_dim}")
     return _closed_form(star, r, dmax)
 
 
@@ -199,7 +200,9 @@ def verify_hilbert_identity(
 
     Both sides are computed as truncated integer series from the cofactor
     dimensions alone (no reduction formula involved), so this is a second,
-    independent consequence of the decomposition.  Returns (ok, residuals)
+    independent consequence of the decomposition when i < k.  When i = k
+    the orange is an affine image of its star, and both sides read one
+    cached elimination (``cofactor.spline_dims``).  Returns (ok, residuals)
     where residuals[d] is the degree-d coefficient of LHS - RHS.
     """
     _check_nonnegative(dmax, "dmax")
@@ -226,7 +229,12 @@ def verify_standard_orange(
 
     The standard model joins the projected star with a coordinate simplex;
     both dimensions are computed by the cofactor oracle, so agreement is a
-    nontrivial statement about the geometry mattering only through C.
+    nontrivial statement about the geometry mattering only through C when
+    0 < i < k.  When i = 0 (a single simplex) or i = k (an orange that is
+    its own star) the model is an affine image of the orange with the same
+    vertex labels and faces, so both read one cached elimination
+    (``cofactor.spline_dims`` keys its cache on the affine normal form),
+    and agreement holds by construction.
     Returns (equal, dim_original, dim_standard).
     """
     sf = standard_form(complex_)

@@ -7,9 +7,18 @@ from fractions import Fraction
 
 import pytest
 
+from orangesplines import cofactor
 from orangesplines.catalog import get
 from orangesplines.complexes import SimplicialComplex
 from orangesplines.exact import binom
+
+
+@pytest.fixture
+def empty_prefix_cache(monkeypatch):
+    """An empty prefix cache of the size that ``spline_dims`` uses."""
+    cache = cofactor._PrefixCache(maxsize=cofactor._prefixes.maxsize)
+    monkeypatch.setattr(cofactor, "_prefixes", cache)
+    return cache
 
 
 @pytest.fixture

@@ -7,7 +7,9 @@ The package eliminates on integers only, through one fraction-free kernel
 kernel, and what is built on it, against the plain computations here.
 ``Echelon.add`` is the forward step of Gauss-Jordan, ``rref`` adds the
 back substitution, and ``rank``, ``nullspace``, ``solve`` and ``inverse``
-are read off ``rref``.  ``bb_to_monomial`` sums the Bernstein polynomials
+are read off ``rref``, as is ``normal_form_vertices``, the affine normal
+form of a complex built from a matrix inverse (the package reads it off
+one integer RREF).  ``bb_to_monomial`` sums the Bernstein polynomials
 of one simplex with the package's ``Polynomial``, the inverse of
 ``bernstein.monomial_to_bb``.
 """
@@ -124,6 +126,30 @@ def inverse(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
     if any(j not in pivots for j in range(n)):
         raise ValueError("matrix is singular")
     return [[pivots[p].get(n + j, Fraction(0)) for j in range(n)] for p in range(n)]
+
+
+def normal_form_vertices(
+    vertices: Sequence[Sequence], maximal_faces: Sequence[Sequence[int]]
+) -> list[list[Fraction]]:
+    """The vertices B^{-1} (x_v - x_o): o the lowest vertex in every
+    maximal face, B the matrix whose columns are the first k differences
+    x_v - x_o, in vertex order, that are independent of those before.
+    Only the differences when fewer than k are independent, and the
+    vertices themselves when the faces share no vertex."""
+    shared = set(maximal_faces[0]).intersection(*maximal_faces[1:])
+    if not shared:
+        return [[Fraction(x) for x in v] for v in vertices]
+    origin = vertices[min(shared)]
+    moved = [[Fraction(x) - o for x, o in zip(v, origin)] for v in vertices]
+    k = len(origin)
+    independent, columns = Echelon(), []
+    for v in moved:
+        if independent.add(v):
+            columns.append(v)
+    if len(columns) < k:
+        return moved
+    back = inverse([[column[a] for column in columns] for a in range(k)])
+    return [[sum(row[b] * v[b] for b in range(k)) for row in back] for v in moved]
 
 
 def barycentric_coordinates(point: Sequence, vertices: Sequence[Sequence]) -> list[Fraction] | None:

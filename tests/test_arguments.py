@@ -208,24 +208,48 @@ def test_a_flattened_complex_is_invalid(name):
         COMPLEX_CASES[name](cx)
 
 
-# name: (vertices in R^2, maximal faces, the error), none of them validated
+# name: (ambient dimension, vertices, maximal faces, the error), none of
+# them validated.  In R^3 the complex is checked before anything reads its
+# ambient dimension, so the closed form, which has none there, raises the
+# same typed error
+TETRAHEDRA = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 BROKEN_COMPLEXES = {
     "ragged": (
-        [(0, 0), (1, 0), (0, 1, 5), (1, 1)], [[0, 1, 2], [1, 2, 3]],
+        2, [(0, 0), (1, 0), (0, 1, 5), (1, 1)], [[0, 1, 2], [1, 2, 3]],
         "^vertex 2 has arity 3, ambient dimension is 2$",
     ),
     "missing vertex": (
-        [(0, 0), (1, 0), (0, 1), (1, 1)], [[0, 1, 2], [1, 2, 7]],
+        2, [(0, 0), (1, 0), (0, 1), (1, 1)], [[0, 1, 2], [1, 2, 7]],
         r"^face \(1, 2, 7\) references a missing vertex$",
     ),
     # a projection reports it as two identical segments
     "repeated face": (
-        [(0, 0), (1, 0), (0, 1), (1, 1)], [[0, 1, 2], [0, 1, 2], [1, 2, 3]],
+        2, [(0, 0), (1, 0), (0, 1), (1, 1)], [[0, 1, 2], [0, 1, 2], [1, 2, 3]],
         r"^faces \(0, 1, 2\) and \(0, 1, 2\) are nested$|^projection identifies two segments$",
     ),
     "nested": (
-        [(0, 0), (1, 0), (0, 1)], [[0, 1, 2], [0, 1]],
+        2, [(0, 0), (1, 0), (0, 1)], [[0, 1, 2], [0, 1]],
         r"^faces \(0, 1\) and \(0, 1, 2\) are nested$",
+    ),
+    "duplicated vertex in R^3": (
+        3, [*TETRAHEDRA[:4], (1, 0, 0)], [[0, 1, 2, 3], [0, 2, 3, 4]],
+        "^duplicate vertex coordinates$",
+    ),
+    "ragged in R^3": (
+        3, [*TETRAHEDRA[:2], (0, 1), *TETRAHEDRA[3:]], [[0, 1, 2, 3], [1, 2, 3, 4]],
+        "^vertex 2 has arity 2, ambient dimension is 3$",
+    ),
+    "missing vertex in R^3": (
+        3, TETRAHEDRA, [[0, 1, 2, 3], [1, 2, 3, 9]],
+        r"^face \(1, 2, 3, 9\) references a missing vertex$",
+    ),
+    "repeated face in R^3": (
+        3, TETRAHEDRA, [[0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 4]],
+        r"^faces \(0, 1, 2, 3\) and \(0, 1, 2, 3\) are nested$|^projection identifies two segments$",
+    ),
+    "nested in R^3": (
+        3, TETRAHEDRA[:4], [[0, 1, 2, 3], [0, 1, 2]],
+        r"^faces \(0, 1, 2\) and \(0, 1, 2, 3\) are nested$",
     ),
 }
 
@@ -233,9 +257,9 @@ BROKEN_COMPLEXES = {
 @pytest.mark.parametrize("broken", BROKEN_COMPLEXES)
 @pytest.mark.parametrize("name", COMPLEX_CASES)
 def test_a_broken_complex_is_invalid(name, broken):
-    vertices, faces, message = BROKEN_COMPLEXES[broken]
+    dim, vertices, faces, message = BROKEN_COMPLEXES[broken]
     with pytest.raises(InvalidComplexError, match=message):
-        COMPLEX_CASES[name](SimplicialComplex(2, vertices, faces))
+        COMPLEX_CASES[name](SimplicialComplex(dim, vertices, faces))
 
 
 # four triangles in a strip: a geometric complex whose maximal faces share

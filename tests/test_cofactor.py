@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference_algebra import Echelon, nullspace, rank
+from reference_algebra import Echelon, normal_form_vertices, nullspace, rank
 from stars_3d import boundary_stars_3d, closed_stars_3d
+from test_generated_oranges import generated_oranges
 
 from orangesplines import cofactor, exact
 from orangesplines.bernstein import bernstein_dim, complex_domain_points
@@ -424,9 +425,9 @@ def _recording_builds(monkeypatch) -> list:
     return built
 
 
-def test_shared_vertex_system_is_block_diagonal_by_degree(monkeypatch):
-    # a fresh image whose walls miss the origin; the graded pass must move
-    # the shared vertex there, so that every row lies in one degree block
+def test_shared_vertex_system_is_block_diagonal_by_degree(monkeypatch, empty_prefix_cache):
+    # an image whose walls miss the origin; the graded pass must move the
+    # shared vertex there, so that every row lies in one degree block
     r, dmax = 1, 4
     matrix = [[2, 1, 0], [0, 1, 1], [1, 0, 3]]
     cx = affine_image(get("tetrahedral-fan").complex, matrix, [Fraction(5, 3), -2, Fraction(7, 4)])
@@ -434,7 +435,12 @@ def test_shared_vertex_system_is_block_diagonal_by_degree(monkeypatch):
     assert any(ell.coefficient((0, 0, 0)) for ell in walls)
     built = _recording_builds(monkeypatch)
     assert spline_dims(cx, r, dmax) == _per_degree_reference(cx, r, dmax)
-    system = built[0]
+    (system,) = built
+    # the system eliminated is the normal form's, which the key names
+    assert system.complex is cofactor._normal_form(cx)
+    assert list(empty_prefix_cache) == [
+        (3, system.complex.den, system.complex.nums, cx.maximal_faces, r)
+    ]
     face_degrees = [sum(mono) for mono in system.face_monomials]
     cofactor_degrees = [sum(mono) + r + 1 for mono in system.cofactor_monomials]
     degrees = face_degrees * system.n_faces + cofactor_degrees * len(system.pairs)
@@ -473,7 +479,7 @@ def _spying_echelon(monkeypatch) -> list:
     return sent
 
 
-def test_a_tree_dual_graph_sends_no_rows(monkeypatch):
+def test_a_tree_dual_graph_sends_no_rows(monkeypatch, empty_prefix_cache):
     cx = affine_image(
         get("two-tetrahedron").complex, [[1, 2, 0], [0, 1, 0], [3, 0, 1]], [Fraction(2, 9), 1, -4]
     )
@@ -484,7 +490,7 @@ def test_a_tree_dual_graph_sends_no_rows(monkeypatch):
     assert dims == _per_degree_reference(cx, 1, 5)
 
 
-def test_the_kernel_sees_only_cycle_rows(monkeypatch):
+def test_the_kernel_sees_only_cycle_rows(monkeypatch, empty_prefix_cache):
     r, dmax = 1, 5
     cx = affine_image(
         get("planar-star").complex, [[2, 1], [1, 3]], [Fraction(-4, 11), Fraction(3, 2)]
@@ -560,28 +566,45 @@ def _translated(cx: SimplicialComplex) -> SimplicialComplex:
 
 
 def test_a_shared_vertex_at_the_origin_is_not_moved(monkeypatch, empty_prefix_cache):
-    # a projected star has its centre at the origin already: the system is
-    # built on the star itself, not on a copy equal to it
+    # a projected star has its centre at the origin and its first rays on
+    # the axes already, so it is its own normal form: the system is built
+    # on the star itself, not on a copy equal to it
     built = _recording_builds(monkeypatch)
     star = project_orange(get("tetrahedral-fan").complex).complex
     spline_dims(star, 1, 3)
     (system,) = built
     assert system.complex is star
+    # the normal form of an image is its own normal form, and an equal
+    # complex is not copied either
+    image = _dense_image(get("tetrahedral-fan").complex)
+    normal = cofactor._normal_form(image)
+    assert normal is not image and cofactor._normal_form(normal) is normal
+    equal = SimplicialComplex(3, normal.vertices, normal.maximal_faces)
+    assert cofactor._normal_form(equal) is equal
+    spline_dims(equal, 1, 4)
+    assert len(built) == 2 and built[1].complex is equal
 
 
-def test_the_graded_system_is_the_reference_system_of_the_translated_complex(monkeypatch):
+def _reference_normal_form(cx: SimplicialComplex) -> SimplicialComplex:
+    """The normal form built by the constructor from the ``Fraction``
+    vertices B^{-1} (x - x_o) of ``reference_algebra``."""
+    vertices = normal_form_vertices(cx.vertices, cx.maximal_faces)
+    return SimplicialComplex(cx.ambient_dim, vertices, cx.maximal_faces)
+
+
+def test_the_graded_system_is_the_reference_system_of_the_normal_form(monkeypatch):
     built = _recording_builds(monkeypatch)
     dens = []
 
     def check(cx, r, dmax):
         built.clear()
-        cofactor._graded_dims(cofactor._moved(cx), r, dmax)
+        cofactor._graded_dims(cofactor._normal_form(cx), r, dmax)
         (system,) = built
-        moved = _translated(cx)
-        assert system.complex == moved
-        # the moved complex is stored as the constructor stores it
-        assert (system.complex.den, system.complex.nums) == (moved.den, moved.nums)
-        assert system.matrix == _reference_build_system(moved, r, dmax)
+        normal = _reference_normal_form(cx)
+        assert system.complex == normal
+        # the normal form is stored as the constructor stores it
+        assert (system.complex.den, system.complex.nums) == (normal.den, normal.nums)
+        assert system.matrix == _reference_build_system(normal, r, dmax)
         dens.append(cx.den)
 
     for entry in CATALOG:
@@ -632,21 +655,15 @@ def test_equal_complexes_share_one_entry(monkeypatch):
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
 
 
-def _scaled_two_triangle(n: int) -> SimplicialComplex:
-    """The n-th of a run of distinct positive diagonal images of
-    ``two-triangle``; their coordinates are ints of one size."""
+def _distinct_two_triangle(n: int) -> SimplicialComplex:
+    """The n-th of a run of affinely distinct copies of ``two-triangle``:
+    its fourth vertex moved along the line x = 1, to (1, n + 1000).  The
+    normal forms differ in that vertex, (n + 1000, -1), so each has an
+    entry of its own (scaled copies of one complex would share one), and
+    their coordinates are ints of one size."""
     base = get("two-triangle").complex
-    return SimplicialComplex(
-        2, [(x * (n + 1000), y * 1000) for x, y in base.vertices], base.maximal_faces
-    )
-
-
-@pytest.fixture
-def empty_prefix_cache(monkeypatch):
-    """An empty prefix cache of the size that ``spline_dims`` uses."""
-    cache = cofactor._PrefixCache(maxsize=cofactor._prefixes.maxsize)
-    monkeypatch.setattr(cofactor, "_prefixes", cache)
-    return cache
+    vertices = [*base.vertices[:3], (1, n + 1000)]
+    return SimplicialComplex(2, vertices, base.maximal_faces)
 
 
 def test_the_prefix_cache_is_bounded(empty_prefix_cache):
@@ -654,7 +671,7 @@ def test_the_prefix_cache_is_bounded(empty_prefix_cache):
     assert spline_dim.cache_info().maxsize == cache.maxsize == 256
     size = cache.maxsize
     for n in range(size):
-        spline_dims(_scaled_two_triangle(n), 1, 3)
+        spline_dims(_distinct_two_triangle(n), 1, 3)
     assert (len(cache), cache.evictions) == (size, 0)
     # entries made while tracing replace the untraced ones, then each
     # other; the interpreter's free lists and the table's resizes settle
@@ -664,7 +681,7 @@ def test_the_prefix_cache_is_bounded(empty_prefix_cache):
     try:
         for start in range(size, 5 * size, size):
             for n in range(start, start + size):
-                spline_dims(_scaled_two_triangle(n), 1, 3)
+                spline_dims(_distinct_two_triangle(n), 1, 3)
             gc.collect()
             traced.append(tracemalloc.get_traced_memory()[0])
     finally:
@@ -676,20 +693,20 @@ def test_the_prefix_cache_is_bounded(empty_prefix_cache):
 
 def test_an_evicted_prefix_recomputes_to_the_same_value(empty_prefix_cache, monkeypatch):
     cache = empty_prefix_cache
-    first = _scaled_two_triangle(0)
+    first = _distinct_two_triangle(0)
     dims = spline_dims(first, 1, 4)
     # a longer prefix answers a shorter query, and the query keeps it
     for n in range(1, cache.maxsize):
-        spline_dims(_scaled_two_triangle(n), 1, 2)
+        spline_dims(_distinct_two_triangle(n), 1, 2)
         assert spline_dims(first, 1, 3) == dims[:4]
     assert cache.evictions == 0
     # one more entry evicts the one used last longest ago, not ``first``
-    spline_dims(_scaled_two_triangle(cache.maxsize), 1, 2)
+    spline_dims(_distinct_two_triangle(cache.maxsize), 1, 2)
     assert cache.evictions == 1
     built = _recording_builds(monkeypatch)
     assert spline_dims(first, 1, 4) == dims
     assert built == []
-    assert spline_dims(_scaled_two_triangle(1), 1, 2) == dims[:3]
+    assert spline_dims(_distinct_two_triangle(1), 1, 2) == dims[:3]
     assert [(system.complex.maximal_faces, system.d) for system in built] == [
         (first.maximal_faces, 2)
     ]
@@ -700,7 +717,7 @@ def test_the_prefix_cache_counts_every_query(empty_prefix_cache):
     queries = 0
     for n in range(2 * cache.maxsize):
         for d in (2, 1, 3, n % 4):
-            spline_dims(_scaled_two_triangle(n % (cache.maxsize + 10)), 1, d)
+            spline_dims(_distinct_two_triangle(n % (cache.maxsize + 10)), 1, d)
             queries += 1
     info = spline_dim.cache_info()
     assert info.hits + info.misses == queries
@@ -823,13 +840,13 @@ def test_an_unvalidated_complex_is_checked_once_across_the_oracles(monkeypatch, 
     spline_dims(image, 1, 3)
     assert bernstein_dim(image, 1, 2) == spline_dim(image, 1, 2)
     assert complex_domain_points(image, 2)
-    # one check, and the moved complex that spline_dims eliminates inherits it
+    # one check, and the normal form that spline_dims eliminates inherits it
     assert (shapes, loops) == ([image], [image])
 
 
 def test_an_i3_orange_and_its_star_read_one_entry(empty_prefix_cache):
-    # the adapted frame of vertex-star-3d is the identity, so its star is
-    # the orange moved to its medial vertex, as the oracle moves it
+    # an orange with i = k = 3 is an affine image of its star, with the
+    # same vertex labels and faces, so both have one normal form
     cx = _dense_image(get("vertex-star-3d").complex)
     dim = orange_dim_formula(cx, 1, 4)
     assert spline_dim(cx, 1, 4) == dim
@@ -838,17 +855,23 @@ def test_an_i3_orange_and_its_star_read_one_entry(empty_prefix_cache):
     assert len(empty_prefix_cache) == 1
 
 
-def test_translates_share_one_entry_and_a_dilation_does_not(empty_prefix_cache):
+def test_affine_images_share_one_entry_and_a_perturbation_does_not(empty_prefix_cache):
     matrix = [[3, 1], [1, 2]]
     base = get("planar-star").complex
     a = affine_image(base, matrix, [Fraction(2, 13), Fraction(-5, 17)])
     b = affine_image(base, matrix, [1, Fraction(1, 3)])
     dilated = affine_image(base, [[6, 2], [2, 4]], [1, Fraction(1, 3)])
-    assert a != b
+    assert len({a, b, dilated}) == 3
     dims = spline_dims(a, 1, 4)
-    assert spline_dims(b, 1, 4) == dims
-    assert (len(empty_prefix_cache), empty_prefix_cache.hits) == (1, 1)
-    assert spline_dims(dilated, 1, 4) == dims
+    assert spline_dims(b, 1, 4) == spline_dims(dilated, 1, 4) == dims
+    assert (len(empty_prefix_cache), empty_prefix_cache.hits) == (1, 2)
+    # moving one vertex along its ray keeps every slope, so the dimensions,
+    # but no affine map moves it alone: another normal form, another entry
+    vertices = list(dilated.vertices)
+    vertices[4] = tuple(2 * x - o for x, o in zip(vertices[4], vertices[0]))
+    perturbed = SimplicialComplex(2, vertices, dilated.maximal_faces)
+    perturbed.validate()
+    assert spline_dims(perturbed, 1, 4) == dims
     assert (len(empty_prefix_cache), empty_prefix_cache.misses) == (2, 2)
 
 
@@ -892,17 +915,21 @@ def test_a_dense_image_eliminates_with_small_entries(monkeypatch, empty_prefix_c
     monkeypatch.setattr(exact, "_eliminate", measured)
     catalog = get("vertex-star-3d").complex
     dense = _dense_image(catalog)
-    dims = spline_dims(dense, 3, 12)
+    # the dense image and the catalog complex share a normal form, so the
+    # image is eliminated here in its own coordinates, moved to the shared
+    # vertex, as the graded pass would without the normal form
+    moved = _translated(dense)
+    dims = cofactor._graded_dims(moved, 3, 12)
     assert bits and max(bits) <= 128
-    assert dims == spline_dims(catalog, 3, 12)
+    assert dims == cofactor._graded_dims(catalog, 3, 12) == spline_dims(dense, 3, 12)
     # the catalog's walls lie on the coordinate axes, so it is eliminated
     # as built, and the dense image's walls go through the RREF: the two
     # prefixes come from two different code paths
     walls = build_system(catalog, 4, 0).walls
     assert cofactor._wall_basis(walls) is walls
-    dense_walls = build_system(cofactor._moved(dense), 4, 0).walls
+    dense_walls = build_system(moved, 4, 0).walls
     assert cofactor._wall_basis(dense_walls) is not dense_walls
-    assert spline_dims(dense, 4, 18) == spline_dims(catalog, 4, 18)
+    assert cofactor._graded_dims(moved, 4, 18) == spline_dims(catalog, 4, 18)
 
 
 def _invertible(rng: random.Random, k: int) -> list[list[int]]:
@@ -918,12 +945,16 @@ def _check_wall_basis(source: SimplicialComplex, image: SimplicialComplex, r: in
     against the reference; (walls used as built, some wall off the origin)."""
     k = image.ambient_dim
     dmax = {1: 6, 2: 5, 3: 4, 4: 3}[k]
-    assert spline_dims(image, r, dmax) == spline_dims(source, r, dmax)
+    # the image and its source share a normal form, so the image is
+    # eliminated here moved to its shared vertex, in its own coordinates
+    moved = _translated(image)
+    dims = cofactor._graded_dims(moved, r, dmax)
+    assert dims == spline_dims(source, r, dmax)
     # the input-coordinate system's nullity, by the Fraction reference
     d = min(dmax, 3 if k < 4 else 2)
     system = build_system(image, r, d)
-    assert system.ncols - rank(map(dict, system.matrix.rows)) == spline_dims(image, r, d)[d]
-    walls = build_system(cofactor._moved(image), r, d).walls
+    assert system.ncols - rank(map(dict, system.matrix.rows)) == dims[d]
+    walls = build_system(moved, r, d).walls
     basis = cofactor._wall_basis(walls)
     normals = rank(form[:k] for form in walls)
     supports = [{j for j in range(k) if form[j]} for form in basis]
@@ -966,3 +997,73 @@ def test_the_wall_basis_keeps_every_dimension_on_linear_images():
         _check_wall_basis(star, affine_image(star, matrix, [0, 0, 0]), r)
 
     check_stars()
+
+
+@st.composite
+def rational_affine_images(draw, source: SimplicialComplex) -> SimplicialComplex:
+    """An invertible rational affine image of ``source``."""
+    k = source.ambient_dim
+    entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    matrix = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k))
+    assume(rank(matrix) == k)
+    return affine_image(source, matrix, draw(st.lists(entries, min_size=k, max_size=k)))
+
+
+@st.composite
+def normal_form_cases(draw) -> tuple[SimplicialComplex, SimplicialComplex]:
+    """(source, image): a catalog orange, a star in R^3 or a generated
+    orange, and an invertible rational affine image of it."""
+    source = draw(st.one_of(
+        st.sampled_from([entry.complex for entry in CATALOG]),
+        boundary_stars_3d(),
+        closed_stars_3d(),
+        generated_oranges().map(lambda generated: generated[0]),
+    ))
+    return source, draw(rational_affine_images(source))
+
+
+def _fields(cx: SimplicialComplex) -> tuple:
+    return cx.den, cx.nums, cx.maximal_faces
+
+
+def test_every_affine_image_has_its_sources_normal_form(monkeypatch):
+    sources, fractional = set(), []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(normal_form_cases(), st.integers(0, 2))
+    def check(case, r):
+        source, image = case
+        cache = cofactor._PrefixCache(maxsize=cofactor._prefixes.maxsize)
+        monkeypatch.setattr(cofactor, "_prefixes", cache)
+        normal = cofactor._normal_form(image)
+        assert _fields(normal) == _fields(cofactor._normal_form(source))
+        assert _fields(normal) == _fields(_reference_normal_form(source))
+        # from a cold cache, the image's prefix is that of the image moved
+        # to its shared vertex, and its source reads the same entry
+        dmax = {1: 5, 2: 4, 3: 3, 4: 2}[image.ambient_dim]
+        dims = spline_dims(image, r, dmax)
+        assert dims == cofactor._graded_dims(_translated(image), r, dmax)
+        assert spline_dims(source, r, dmax) == dims
+        assert (len(cache), cache.misses, cache.hits) == (1, 1, 1)
+        sources.add((source.ambient_dim, len(source.maximal_faces)))
+        fractional.append(normal.den > 1)
+
+    check()
+    # sources in R^1 to R^4, and normal forms with and without denominators
+    assert {1, 2, 3, 4} <= {k for k, _ in sources}, sources
+    assert {True, False} <= set(fractional)
+
+
+def test_the_normal_form_falls_back_to_the_move_or_the_complex(empty_prefix_cache):
+    # no shared vertex: the Morgan-Scott split is eliminated as given, so
+    # a translate of it has an entry of its own
+    split = _morgan_scott((6, Fraction(4, 3)))
+    assert cofactor._normal_form(split) is split
+    shifted = _morgan_scott((6, Fraction(4, 3)), shift=(Fraction(1, 7), 3))
+    assert spline_dims(split, 1, 4) == spline_dims(shifted, 1, 4) == (1, 3, 7, 16, 33)
+    assert (len(empty_prefix_cache), empty_prefix_cache.misses) == (2, 2)
+    # a segment in R^2 spans one direction: its vertices are only moved
+    segment = SimplicialComplex(2, [(1, 1), (Fraction(5, 2), 3)], [[0, 1]])
+    moved = cofactor._normal_form(segment)
+    assert _fields(moved) == _fields(_translated(segment)) == _fields(_reference_normal_form(segment))
+    assert spline_dims(segment, 1, 3) == _per_degree_reference(segment, 1, 3)

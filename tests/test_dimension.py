@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_cofactor import _recording_builds
+from test_cofactor import _dense_image, _recording_builds
 
 from orangesplines import cofactor
 from orangesplines.bernstein import bernstein_dim
 from orangesplines.catalog import CATALOG, SWEEP_NAMES, get
-from orangesplines.complexes import SimplicialComplex, adjacent_pairs, affine_image
+from orangesplines.complexes import (
+    InvalidComplexError, SimplicialComplex, adjacent_pairs, affine_image
+)
 from orangesplines.cofactor import spline_dim, spline_dims
 from orangesplines.dimension import (
     HilbertPrefix,
@@ -26,7 +28,7 @@ from orangesplines.dimension import (
     verify_standard_orange,
 )
 from orangesplines.exact import binom
-from orangesplines.projection import project_orange
+from orangesplines.projection import project_orange, standard_form
 from orangesplines.sweep import run_sweep
 
 
@@ -156,8 +158,8 @@ def test_sweep_with_a_negative_degree_is_rejected(r_values, d_values):
         run_sweep(get("two-triangle").complex, r_values, d_values)
 
 
-def test_sweep_and_identity_build_one_system_per_prefix(monkeypatch):
-    # a fresh image: neither it nor its projected star is in the cache yet
+def test_sweep_and_identity_build_one_system_per_prefix(monkeypatch, empty_prefix_cache):
+    # from an empty cache: neither the image nor its projected star is in it
     matrix = [[3, 1, 0], [0, 2, 1], [1, 0, 5]]
     cx = affine_image(get("tetrahedral-fan").complex, matrix, [Fraction(7, 3), Fraction(-5, 2), 11])
     built = []
@@ -171,8 +173,34 @@ def test_sweep_and_identity_build_one_system_per_prefix(monkeypatch):
     report = run_sweep(cx, [1], range(6))
     ok, _ = verify_hilbert_identity(cx, 1, 5)
     assert report.all_match and ok
-    # one graded system for the orange and one for its star
+    # one graded system for the orange and one for its star, each stored
+    # under its normal form
     assert built == [5, 5]
+    normal = [cofactor._normal_form(c) for c in (cx, project_orange(cx).complex)]
+    assert list(empty_prefix_cache) == [
+        (n.ambient_dim, n.den, n.nums, n.maximal_faces, 1) for n in normal
+    ]
+
+
+def test_the_model_and_identity_checks_read_two_eliminations_where_they_can(monkeypatch):
+    # misses from an empty cache for (orange, standard model) and (orange,
+    # projected star), the pairs that verify_standard_orange and
+    # verify_hilbert_identity compare: only where the two are affine images
+    # of one another (a simplex and its model, i = 0; an orange that is its
+    # own star, i = k) do they share one normal form and one elimination.
+    # On a simplex the oracle eliminates nothing: it has no facet pair
+    for entry in CATALOG:
+        i, k = entry.profile.i, entry.profile.k
+        want = (1, 2) if i == 0 else (1, 1) if i == k else (2, 2)
+        for cx in (entry.complex, _dense_image(entry.complex)):
+            got = []
+            for other in (standard_form(cx).standard, project_orange(cx).complex):
+                cache = cofactor._PrefixCache(maxsize=cofactor._prefixes.maxsize)
+                monkeypatch.setattr(cofactor, "_prefixes", cache)
+                spline_dims(cx, 1, 3)
+                spline_dims(other, 1, 3)
+                got.append(cache.misses)
+            assert tuple(got) == want, (entry.name, cx is entry.complex)
 
 
 def _fan(rays, closed: bool) -> SimplicialComplex:
@@ -271,8 +299,12 @@ def test_closed_form_edge_cases():
     assert star_dims_closed_form(_fan(FANS["two-lines"][0], True), 1, -1) == ()
     with pytest.raises(ValueError, match="smoothness order"):
         star_dims_closed_form(point, -1, 2)
-    with pytest.raises(ValueError, match="R\\^3"):
-        star_dims_closed_form(get("vertex-star-3d").complex, 1, 2)
+    # a valid orange in R^3, a star or not, has no closed form: a ValueError
+    # that is no InvalidComplexError, which a broken complex raises
+    for name in ("vertex-star-3d", "two-tetrahedron"):
+        with pytest.raises(ValueError, match="^no closed form for a star in R\\^3$") as error:
+            star_dims_closed_form(get(name).complex, 1, 2)
+        assert not isinstance(error.value, InvalidComplexError)
 
 
 def test_the_formula_eliminates_only_stars_in_r3(monkeypatch):
