@@ -17,21 +17,45 @@ origin, so its degree-0 lattice is the origin alone: the level-0 layer.
 A spline is one coefficient per identified domain point, and C^r
 smoothness is one sparse linear system on those coefficients: the
 conditions of Lai & Schumaker (*Spline Functions on Triangulations*, 2007,
-Thm 2.28) across every shared facet.  A complex instance builds its
+Thm 2.28) across every shared facet.  A complex instance keeps its
 lattice once per degree and that system once per (r, d), and everything
 about determining sets is read off the one system.  Both are built on the
 complex's stored integers (numerators ``nums`` over ``den``): lattice
-points are bucketed and sorted by their keys, the integer numerators over
+points are sorted by their keys, the integer numerators over
 den * max(d, 1), and the weights of each row come from Cramer's rule,
 lambda_l = Delta_l / Delta, read off one integer affine dependence.  The
 order-m rows are scaled by Delta^m (over a gcd), so they are integral as
 built and the elimination kernel takes them as they are.
+
 A set M of points determines the spline space exactly when the system's
 columns outside M are independent, so by matroid duality the greedy
 hub-outward selection is the complement of the greedy column basis taken
 from the outside in (Oxley, *Matroid Theory*, §2); its integer columns go
 straight to the kernel's ``_reduce``, and verifying a set is one rank
 computation.
+
+Invariance.  Let two complexes be invertible affine images of one another
+with the same vertex labels and faces, which is what an equal affine
+normal form key (``cofactor._normal_key``) says.  At d >= 1 (i) the same
+(face, multi-index) pairs coincide as domain points, since the point of
+(face, a) is the affine combination sum a_l v_l / d, and (ii) every C^r
+condition, read over (face, multi-index) columns, is the same primitive
+integer row with a positive t-entry, since its weights are products of
+barycentric coordinates, which the map keeps.  Only the points' keys and
+coordinates and the column order (hub layer, then coordinates) depend on
+the geometry.  So the groups of coinciding pairs are one bounded
+least-recently-used entry per (key, d), and the rows, over the groups'
+indices, one per (key, r, d): plain ints and tuples, a function of the
+key, filled by whichever image misses first.  Each instance computes its
+own keys from each group's first occurrence, sorts its own points, and
+puts the rows in its own column order; its greedy selection and its rank
+tests run on its own system, so every answer is the one it would build
+alone.  Degree 0 is not shared: its point is the origin if that is a
+vertex, else the first vertex, a convention no affine map keeps (a
+translate of ``two-triangle`` that moves the origin to one face's
+vertex has two degree-0 points joined by one row, where the catalog
+complex has one).  ``bernstein_dim.cache_info()`` reports the entries as
+``functools.lru_cache`` would.
 
 A standard orange's lattice is the union of layers: the star's degree-j
 lattice, scaled by j/d, copied once per tail shift beta/d with
@@ -58,7 +82,7 @@ from math import factorial, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .cofactor import spline_dim, spline_dims
+from .cofactor import _LRUCache, _normal_key, spline_dim, spline_dims
 from .complexes import (
     NotStandardOrangeError,
     OrangeProfile,
@@ -138,6 +162,10 @@ class IdentifiedPoint:
         return _coordinates(self.key, self.scale)
 
 
+# a lattice point's (maximal face index, multi-index)
+_Occurrence = tuple[int, tuple[int, ...]]
+
+
 def simplex_multiindices(nverts: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All multi-indices of length nverts summing to d, lex descending;
     none when d < 0, so every lattice is empty at a negative degree.  The
@@ -198,20 +226,65 @@ def complex_domain_points(complex_: SimplicialComplex, d: int) -> tuple[Identifi
     every host face and multi-index that produces it, and the points are
     sorted by their keys, which orders them as their coordinates do.  The
     coordinates are derived only where read.
+
+    At d >= 1 which (face, multi-index) pairs coincide is read from the
+    entry that all affine images of the complex share (``_lattice``), and
+    each point's key is computed from its first occurrence alone.
     """
-    memo = ("lattice", _check_int(d, "degree"))
+    return _lattice(complex_, _check_int(d, "degree"))[0]
+
+
+def _groups(
+    complex_: SimplicialComplex, d: int
+) -> tuple[tuple[tuple[_Occurrence, ...], ...], list[tuple[int, ...]]]:
+    """(groups, keys): every face's degree-d lattice bucketed by key, the
+    occurrences of each point sorted, in the order the scan of the faces
+    and their multi-indices first meets the points."""
+    nums = complex_.nums
+    buckets: dict[tuple[int, ...], list[_Occurrence]] = {}
+    for fidx, face in enumerate(complex_.maximal_faces):
+        for a, point in _lattice_numerators([nums[v] for v in face], d):
+            buckets.setdefault(point, []).append((fidx, a))
+    return tuple(tuple(sorted(occ)) for occ in buckets.values()), list(buckets)
+
+
+def _lattice(
+    complex_: SimplicialComplex, d: int
+) -> tuple[tuple[IdentifiedPoint, ...], tuple[int, ...], tuple[tuple[_Occurrence, ...], ...]]:
+    """(points sorted by key, each point's group, groups), once per complex
+    instance and degree: the groups are the points' occurrence tuples,
+    and a group's index is the column the shared rows give it
+    (``_system``).
+
+    At d >= 1 the groups are shared by every complex with the same normal
+    form key (``cofactor._normal_key``): the domain point of (face, a) is
+    sum a_l v_l / d, an affine combination, so an invertible affine map
+    sends the points of a complex to those of its image, with the same
+    (face, multi-index) pairs coinciding.  The scan that first meets them
+    reads labels alone, so the entry is a function of its key.  Each
+    point's key is then computed from its group's first occurrence.  At
+    d = 0 the lattice's convention (the origin if it is a vertex, else the
+    first vertex) is not affine invariant, so the groups and keys are the
+    instance's own.
+    """
+    memo = ("lattice", d)
     if memo not in complex_._memo:
         complex_._check_faces()
-        nums = complex_.nums
-        buckets: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-        for fidx, face in enumerate(complex_.maximal_faces):
-            for a, point in _lattice_numerators([nums[v] for v in face], d):
-                buckets.setdefault(point, []).append((fidx, a))
+        if d > 0:
+            groups = _shared.fetch((_normal_key(complex_), d), lambda: _groups(complex_, d)[0])
+            nums = complex_.nums
+            columns = [list(zip(*(nums[v] for v in face))) for face in complex_.maximal_faces]
+            keys = [
+                tuple(sum(map(mul, a, col)) for col in columns[fidx]) for (fidx, a), *_ in groups
+            ]
+        else:
+            groups, keys = _groups(complex_, d)
+        order = tuple(sorted(range(len(groups)), key=keys.__getitem__))
         scale = complex_.den * max(d, 1)
-        complex_._memo[memo] = tuple(
-            IdentifiedPoint(key=key, scale=scale, occurrences=tuple(sorted(buckets[key])))
-            for key in sorted(buckets)
+        points = tuple(
+            IdentifiedPoint(key=keys[g], scale=scale, occurrences=groups[g]) for g in order
         )
+        complex_._memo[memo] = (points, order, groups)
     return complex_._memo[memo]
 
 
@@ -444,10 +517,9 @@ class DeterminingSet:
     points: tuple[IdentifiedPoint, ...]
 
 
-def _ordered_points(
-    complex_: SimplicialComplex, d: int
-) -> tuple[IdentifiedPoint, ...]:
-    """Domain points ordered by hub distance layer, then coordinates.
+def _hub_order(complex_: SimplicialComplex, d: int) -> list[int]:
+    """The lattice's positions ordered by hub distance layer, then
+    coordinates.
 
     The hub is the lowest-index medial vertex of the orange (the center of
     a star); its lattice distance d - alpha_hub grades the points from the
@@ -455,17 +527,18 @@ def _ordered_points(
     """
     hub = detect_orange(complex_).medial[0]
     points = complex_domain_points(complex_, d)
+    faces = complex_.maximal_faces
 
-    def layer(p: IdentifiedPoint) -> int:
+    def layer(at: int) -> int:
         best = d
-        for fidx, alpha in p.occurrences:
-            face = complex_.maximal_faces[fidx]
+        for fidx, alpha in points[at].occurrences:
+            face = faces[fidx]
             if hub in face:
                 best = min(best, d - alpha[face.index(hub)])
         return best
 
     # the lattice comes sorted by coordinates, and the sort is stable
-    return tuple(sorted(points, key=layer))
+    return sorted(range(len(points)), key=layer)
 
 
 def _affine_dependences(
@@ -516,9 +589,13 @@ def _affine_dependences(
 
 
 def _smoothness_rows(
-    complex_: SimplicialComplex, r: int, d: int, points: tuple[IdentifiedPoint, ...]
+    complex_: SimplicialComplex,
+    r: int,
+    d: int,
+    groups: Sequence[Sequence[_Occurrence]],
 ) -> list[IntRow]:
-    """C^r conditions on Bernstein coefficients, one column per point.
+    """C^r conditions on Bernstein coefficients, column g for every
+    (face, multi-index) occurrence in ``groups[g]``.
 
     For facet-adjacent faces T_s, T_t with w the vertex of T_t off T_s and
     lambda its barycentric coordinates on T_s, the pieces join C^r exactly
@@ -526,10 +603,9 @@ def _smoothness_rows(
     c^t_(beta, m) = sum over |gamma| = m of (m! / gamma!) lambda^gamma
     c^s_(beta, 0) + gamma (Lai & Schumaker, *Spline Functions on
     Triangulations*, 2007, Thm 2.28).  Coefficients are looked up through
-    the points' occurrences.  At d > 0 the m = 0 conditions are not
-    built: both sides are one identified point of the shared facet.  At
-    d = 0 two pieces' points can differ, and a row that cancels to zero is
-    dropped.
+    the occurrences.  At d > 0 the m = 0 conditions are not built: both
+    sides are one identified point of the shared facet.  At d = 0 two
+    pieces' points can differ, and a row that cancels to zero is dropped.
 
     The rows are built over the integers.  The affine dependence of T_s's
     vertices and w, on the complex's stored integers, is one primitive
@@ -540,12 +616,18 @@ def _smoothness_rows(
     The order-m rows are scaled by D^m: the t-entry is D^m and the
     s-entries are -(m! / gamma!) prod (-v_l)^gamma_l.  With its content
     stripped, each row is the primitive integer multiple of the rational
-    condition, with the same signs.
+    condition, with the same signs.  When min(r, d) = 0 no order >= 1 row
+    is built, the m = 0 rows have weight 1 and scale D^0 = 1, and the
+    pairs come from ``adjacent_pairs`` without a dependence.
     """
-    column = {occ: col for col, p in enumerate(points) for occ in p.occurrences}
+    column = {occ: g for g, occurrences in enumerate(groups) for occ in occurrences}
     faces = complex_.maximal_faces
+    if min(r, d):
+        pairs = _affine_dependences(complex_)
+    else:
+        pairs = [(s, t, 1, ()) for s, t in adjacent_pairs(complex_)]
     rows: list[IntRow] = []
-    for s, t, scale, lam in _affine_dependences(complex_):
+    for s, t, scale, lam in pairs:
         face_s, face_t = faces[s], faces[t]
         shared = [v for v in face_s if v in face_t]
         (w,) = [v for v in face_t if v not in face_s]
@@ -580,23 +662,47 @@ def _smoothness_rows(
 def _system(
     complex_: SimplicialComplex, r: int, d: int
 ) -> tuple[tuple[IdentifiedPoint, ...], list[IntRow]]:
-    """(points in hub order, C^r conditions on them), built once per complex
+    """(points in hub order, C^r conditions on them), once per complex
     instance and (r, d), after r and d are checked.  The complex's points
     and faces are checked first (``SimplicialComplex._check_faces``): a
     ragged or flat complex, a missing or duplicate vertex or nested faces
-    raise InvalidComplexError.  Then ``_ordered_points`` rejects
-    non-oranges before anything is built.
+    raise InvalidComplexError.  Then ``_hub_order`` rejects non-oranges
+    before anything is built.
     The conditions are integer rows as built, each the rational condition
     scaled by D^m (see ``_smoothness_rows``); row scaling keeps the row
     space and the column matroid, so every rank and greedy pick is that of
-    the rational system."""
+    the rational system.
+
+    The rows are built over the lattice's groups (``_lattice``) and then
+    put in the instance's column order, hub layer first, then coordinates,
+    entry by entry in the order built.  At d >= 1 they are shared: an
+    invertible affine map keeps every barycentric coordinate, so each
+    condition, read over (face, multi-index) columns, is the same rational
+    row on every affine image, and its primitive integer multiple with a
+    positive t-entry is the same integer row.  So the rows are one entry
+    per normal form key (``cofactor._normal_key``) and (r, d), over the
+    shared groups, built on whichever image misses first and identical on
+    every other.  At d = 0 the groups are the instance's own, and so are
+    the rows."""
     _check_nonnegative(r, "smoothness order")
-    key = ("system", r, _check_int(d, "degree"))
-    if key not in complex_._memo:
+    memo = ("system", r, _check_int(d, "degree"))
+    if memo not in complex_._memo:
         complex_._check_faces()
-        points = _ordered_points(complex_, d)
-        complex_._memo[key] = (points, _smoothness_rows(complex_, r, d, points))
-    return complex_._memo[key]
+        order = _hub_order(complex_, d)
+        points, group_of, groups = _lattice(complex_, d)
+        column = [0] * len(points)
+        for col, at in enumerate(order):
+            column[group_of[at]] = col
+
+        def build() -> tuple[tuple[tuple[int, int], ...], ...]:
+            return tuple(tuple(row.items()) for row in _smoothness_rows(complex_, r, d, groups))
+
+        rows = _shared.fetch((_normal_key(complex_), r, d), build) if d > 0 else build()
+        complex_._memo[memo] = (
+            tuple(points[at] for at in order),
+            [{column[g]: v for g, v in row} for row in rows],
+        )
+    return complex_._memo[memo]
 
 
 def _determines(
@@ -620,6 +726,19 @@ def bernstein_dim(complex_: SimplicialComplex, r: int, d: int) -> int:
     a negative degree, whose lattice is empty."""
     points, rows = _system(complex_, r, d)
     return len(points) - len(_echelon(rows))
+
+
+# a perfbench round of mds_lift (120 ops on affine images of six oranges)
+# fills 51 entries, whatever the seed, so no op evicts an entry that a
+# later op of its round reads
+_shared = _LRUCache(maxsize=256)
+
+
+def _cache_info():
+    return _shared.info()
+
+
+bernstein_dim.cache_info = _cache_info  # type: ignore[attr-defined]
 
 
 def compute_mds(complex_: SimplicialComplex, r: int, d: int) -> DeterminingSet:

@@ -111,7 +111,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement
 from operator import add
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .complexes import (
     InvalidComplexError,
@@ -399,11 +399,10 @@ def spline_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ..
     _check_nonnegative(r, "smoothness order")
     if _check_int(dmax, "dmax") < 0:
         return ()
-    normal = _normal_form(complex_)
-    key = (normal.ambient_dim, normal.den, normal.nums, normal.maximal_faces, r)
+    key = (*_normal_key(complex_), r)
     dims = _prefixes.lookup(key, dmax)
     if dims is None:
-        dims = _graded_dims(normal, r, dmax)
+        dims = _graded_dims(_normal_form(complex_), r, dmax)
         _prefixes.put(key, dims)
     return dims[: dmax + 1]
 
@@ -452,21 +451,62 @@ def _normal_form(complex_: SimplicialComplex) -> SimplicialComplex:
     return memo["normal form"] or complex_
 
 
-class _PrefixCache:
-    """A least-recently-used map from keys to dimension prefixes, where a
-    prefix answers every query through a degree it reaches.  It counts
-    hits, misses and evictions."""
+def _normal_key(complex_: SimplicialComplex) -> tuple:
+    """The normal form's fields (ambient dimension, common denominator,
+    numerators, maximal faces), which determine it: equal keys are
+    invertible affine images of one another with the same vertex labels
+    and faces.  Plain ints and tuples, so no cache entry keyed on it keeps
+    a complex alive."""
+    normal = _normal_form(complex_)
+    return (normal.ambient_dim, normal.den, normal.nums, normal.maximal_faces)
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _LRUCache:
+    """A least-recently-used map that holds at most ``maxsize`` entries and
+    counts hits, misses and evictions."""
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
         self.hits = self.misses = self.evictions = 0
-        self._entries: OrderedDict[tuple, tuple[int, ...]] = OrderedDict()
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self._entries)
+
+    def fetch(self, key: tuple, build: Callable[[], object]) -> object:
+        """The entry stored under ``key``, built by ``build()`` and stored
+        on a miss."""
+        value = self._entries.get(key)
+        if value is None:
+            self.misses += 1
+            value = build()
+            self.put(key, value)
+        else:
+            self.hits += 1
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key: tuple, value: object) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+
+    def info(self) -> _CacheInfo:
+        """The counts as ``functools.lru_cache``'s ``cache_info()`` gives them."""
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._entries))
+
+
+class _PrefixCache(_LRUCache):
+    """An ``_LRUCache`` of dimension prefixes, where a prefix answers every
+    query through a degree it reaches."""
 
     def lookup(self, key: tuple, dmax: int) -> tuple[int, ...] | None:
         """The prefix stored under ``key`` if it reaches degree ``dmax``."""
@@ -478,23 +518,15 @@ class _PrefixCache:
         self._entries.move_to_end(key)
         return dims
 
-    def put(self, key: tuple, dims: tuple[int, ...]) -> None:
-        self._entries[key] = dims
-        self._entries.move_to_end(key)
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
 
 # a perfbench round (100-odd ops on affine images of six oranges) fills 18,
 # 21 or 14 entries, whatever the seed, so no op evicts an entry that a later
 # op of its round reads
 _prefixes = _PrefixCache(maxsize=256)
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def _cache_info() -> _CacheInfo:
-    return _CacheInfo(_prefixes.hits, _prefixes.misses, _prefixes.maxsize, len(_prefixes))
+    return _prefixes.info()
 
 
 def _wall_basis(walls: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from orangesplines import cofactor
+from orangesplines import bernstein, cofactor
 from orangesplines.catalog import get
 from orangesplines.complexes import SimplicialComplex
 from orangesplines.exact import binom
@@ -18,6 +18,15 @@ def empty_prefix_cache(monkeypatch):
     """An empty prefix cache of the size that ``spline_dims`` uses."""
     cache = cofactor._PrefixCache(maxsize=cofactor._prefixes.maxsize)
     monkeypatch.setattr(cofactor, "_prefixes", cache)
+    return cache
+
+
+@pytest.fixture
+def empty_bernstein_cache(monkeypatch):
+    """An empty cache of the size that ``bernstein`` shares its lattice
+    groups and smoothness rows across affine images in."""
+    cache = cofactor._LRUCache(maxsize=bernstein._shared.maxsize)
+    monkeypatch.setattr(bernstein, "_shared", cache)
     return cache
 
 

@@ -11,10 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference_algebra import Echelon, barycentric_coordinates, bb_to_monomial, rank
-from test_cofactor import _recording_builds
+from test_cofactor import _recording_builds, normal_form_cases
 from test_generated_oranges import generated_oranges
 from test_projection import _fresh
 
@@ -23,7 +23,6 @@ from orangesplines.bernstein import (
     CardinalityMismatchError,
     DeterminingSet,
     SetMismatchError,
-    _ordered_points,
     _system,
     bernstein_dim,
     complex_domain_points,
@@ -682,6 +681,10 @@ def test_layer_errors_match_the_reference(monkeypatch):
     # share: a layer point is then foreign
     numerators = bernstein._lattice_numerators
     with monkeypatch.context() as m:
+        # the fault acts where a lattice is bucketed, which an entry shared
+        # by the model's affine images skips: it starts from an empty
+        # cache, and the faulty entries go with it
+        m.setattr(bernstein, "_shared", cofactor._LRUCache(maxsize=bernstein._shared.maxsize))
         m.setattr(
             bernstein,
             "_lattice_numerators",
@@ -791,6 +794,12 @@ def _reference_rows(complex_, basis, d, point, bb_cache):
         if tuple(row) not in rows:
             rows.append(tuple(row))
     return rows
+
+
+def _ordered_points(complex_, d):
+    """The system's column order: the lattice by hub layer, then coordinates."""
+    lattice = complex_domain_points(complex_, d)
+    return tuple(lattice[at] for at in bernstein._hub_order(complex_, d))
 
 
 def _reference_mds(complex_, r, d):
@@ -1093,7 +1102,7 @@ def test_smoothness_rows_leave_out_only_vacuous_conditions(random_affine_map):
         for d in range(5):
             points = _ordered_points(cx, d)
             for r in range(3):
-                got = bernstein._smoothness_rows(cx, r, d, points)
+                got = bernstein._smoothness_rows(cx, r, d, [p.occurrences for p in points])
                 want = _full_loop_rows(cx, r, d, points)
                 assert len(got) == len(want), (name, kind, r, d)
                 assert {frozenset(row.items()) for row in got} == {
@@ -1108,9 +1117,11 @@ def test_smoothness_rows_leave_out_only_vacuous_conditions(random_affine_map):
         bernstein_dim(flat, 0, 2)
 
 
-def test_affine_dependences_are_built_once_per_pair(monkeypatch):
+def test_affine_dependences_are_built_once_per_pair(monkeypatch, empty_bernstein_cache):
     # a fresh image with a memo of its own; every (r, d) system on it reads
-    # the pairs' dependences built by the first one
+    # the pairs' dependences built by the first one.  The cache starts
+    # empty, so each system with rows of order >= 1 is built on this image
+    # and not read from an entry another image of vertex-star-3d filled
     matrix = [[2, 1, 0], [0, 1, 1], [1, 0, 3]]
     cx = affine_image(get("vertex-star-3d").complex, matrix, [Fraction(1, 3), -2, 5])
     calls = []
@@ -1166,3 +1177,146 @@ def test_bernstein_rows_on_a_flat_face_raise_a_typed_error(vertices, message):
         bernstein_dim(cx, 1, 2)
     with pytest.raises(InvalidComplexError, match=message):
         compute_mds(cx, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the lattice groups and rows that affine images share
+# ---------------------------------------------------------------------------
+
+def test_no_affine_dependence_where_no_order_one_row_is_built(monkeypatch, empty_bernstein_cache):
+    # at r = 0 or d = 0 the rows have weight 1 and scale 1, or there are
+    # none, so no pair's dependence is read
+    matrix = [[2, 1, 0], [0, 1, 1], [1, 0, 3]]
+    cx = affine_image(get("vertex-star-3d").complex, matrix, [Fraction(1, 3), -2, 5])
+    calls = []
+    original = bernstein._integer_kernel
+    monkeypatch.setattr(
+        bernstein, "_integer_kernel", lambda rows, ncols: calls.append(ncols) or original(rows, ncols)
+    )
+    for d in range(4):
+        _system(cx, 0, d)
+    for r in range(3):
+        _system(cx, r, 0)
+    assert calls == []
+    # the first system with an order-1 row reads every pair's dependence
+    _system(cx, 1, 1)
+    assert len(calls) == len(adjacent_pairs(cx)) == 6
+
+
+def _bucketed(cx, d):
+    """The lattice bucketed on the complex itself: every face's points by
+    key, sorted by key."""
+    groups, keys = bernstein._groups(cx, d)
+    return sorted(zip(keys, groups))
+
+
+def test_affine_images_share_lattice_groups_and_rows_in_either_fill_order(monkeypatch):
+    orders, sources = set(), set()
+
+    fan = get("fan-4d").complex
+    dense = [[1, 2, 0, 1], [0, 1, 3, 0], [1, 0, 1, 1], [2, 1, 0, 0]]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(normal_form_cases(), st.integers(0, 1), st.integers(0, 3), st.booleans())
+    @example((fan, affine_image(fan, dense, [Fraction(1, 2), 0, -1, 3])), 1, 1, True)
+    def check(case, r, d, image_first):
+        source, image = case
+        d = min(d, {1: 3, 2: 3, 3: 2, 4: 1}[image.ambient_dim])
+        cache = cofactor._LRUCache(maxsize=bernstein._shared.maxsize)
+        monkeypatch.setattr(bernstein, "_shared", cache)
+        first, second = (image, source) if image_first else (source, image)
+        first, second = _fresh(first), _fresh(second)
+        compute_mds(first, r, d)
+        filled = cache.info()
+        ds = compute_mds(second, r, d)
+        # d >= 1 fills the lattice groups and the rows once, and the second
+        # complex reads both; d = 0 shares nothing
+        assert (filled.misses, filled.currsize) == ((2, 2) if d else (0, 0))
+        assert cache.info() == filled._replace(hits=filled.hits + (2 if d else 0))
+        for cx in (first, second):
+            lattice = complex_domain_points(cx, d)
+            assert [(p.key, p.occurrences) for p in lattice] == _bucketed(cx, d)
+            if d:  # the reference puts a degree-0 point at the first vertex
+                assert [(p.coordinates, p.occurrences) for p in lattice] == _reference_domain_points(
+                    cx, d
+                )
+            points = _ordered_points(cx, d)
+            assert [list(row.items()) for row in _system(cx, r, d)[1]] == [
+                list(_integer_row(row).items())
+                for row in _reference_smoothness_rows(cx, r, d, points)
+            ]
+        assert list(ds.points) == _reference_mds(second, r, d)
+        orders.add((image_first, d > 0))
+        sources.add((source.ambient_dim, len(source.maximal_faces)))
+
+    check()
+    # both fill orders where entries are shared, and degree 0, where none is
+    assert {(True, True), (False, True)} <= orders and {False} < {d for _, d in orders}, orders
+    # sources in R^1 to R^4, among them stars in R^3 with 4 and 8 faces
+    assert {1, 2, 3, 4} <= {k for k, _ in sources}, sources
+    assert {(3, 4), (3, 8)} <= sources, sources
+
+
+def test_degree_zero_is_not_shared_across_affine_images(empty_bernstein_cache):
+    # the translate's origin is vertex 2, in one face only: its two faces'
+    # degree-0 points differ, joined by one row, where the source's faces
+    # both put theirs at the origin, vertex 0
+    source = get("two-triangle").complex
+    image = SimplicialComplex(2, [(1, 0), (1, 1), (0, 0), (2, 0)], [[0, 1, 2], [0, 1, 3]])
+    assert cofactor._normal_key(image) == cofactor._normal_key(source)
+    for first, second in ((source, image), (image, source)):
+        for cx in (_fresh(first), _fresh(second)):
+            assert bernstein_dim(cx, 0, 0) == spline_dim(cx, 0, 0) == 1
+            assert len(compute_mds(cx, 0, 0).points) == 1
+    assert len(complex_domain_points(image, 0)) == 2
+    assert len(complex_domain_points(source, 0)) == 1
+    assert len(empty_bernstein_cache) == 0
+
+
+def _mds_answers(cx):
+    std = standard_form(cx).standard
+    lift = lift_mds(std, 1, 3)
+    return lift.points, verify_mds(std, 1, 3), layer_decomposition(std, 3).layers
+
+
+def test_a_second_affine_image_reads_every_entry_the_first_filled(monkeypatch, empty_bernstein_cache):
+    cache = empty_bernstein_cache
+    base = get("tetrahedral-fan").complex
+    images = [
+        affine_image(base, [[2, 1, 0], [0, 1, 1], [1, 0, 3]], [Fraction(1, 3), -2, 5]),
+        affine_image(base, [[0, -1, 0], [3, 0, 1], [1, 1, 1]], [1, Fraction(2, 7), 0]),
+    ]
+    assert cofactor._normal_key(images[0]) == cofactor._normal_key(images[1])
+    answers, fills = [], []
+    for cx in images:
+        before = cache.info()
+        answers.append(_mds_answers(cx))
+        after = cache.info()
+        fills.append((after.misses - before.misses, after.hits - before.hits))
+    # the model's degree-3 lattice and rows, and the star's lattices and
+    # rows at degrees 1 to 3; degree 0 is the instance's own
+    assert fills == [(8, 0), (0, 8)]
+    assert len(cache) == 8 and cache.evictions == 0
+    # each image's answers are those it builds from an empty cache
+    for cx, answer in zip(images, answers):
+        monkeypatch.setattr(bernstein, "_shared", cofactor._LRUCache(maxsize=cache.maxsize))
+        assert _mds_answers(_fresh(cx)) == answer
+
+
+def test_the_shared_cache_is_bounded_and_counts_every_query(monkeypatch):
+    cache = cofactor._LRUCache(maxsize=3)
+    monkeypatch.setattr(bernstein, "_shared", cache)
+    assert bernstein_dim.cache_info() == (0, 0, 3, 0)
+    two, planar = get("two-triangle").complex, get("planar-star").complex
+    assert bernstein_dim(_fresh(two), 1, 2) == spline_dim(two, 1, 2)
+    assert bernstein_dim.cache_info() == (0, 2, 3, 2)
+    assert bernstein_dim(_fresh(two), 1, 2) == spline_dim(two, 1, 2)
+    assert bernstein_dim.cache_info() == (2, 2, 3, 2)
+    # a third and a fourth entry push out the two oldest
+    rows = _system(_fresh(planar), 1, 2)[1]
+    assert bernstein_dim.cache_info() == (2, 4, 3, 3) and cache.evictions == 1
+    assert (cofactor._normal_key(two), 2) not in set(cache)
+    # an evicted entry is built again, to the same rows
+    assert _system(_fresh(planar), 1, 2)[1] == rows
+    assert _system(_fresh(two), 1, 2)[1] == _system(two, 1, 2)[1]
+    assert cache.evictions == 3

@@ -352,8 +352,10 @@ def test_skew_orange_has_skew_frame_but_clean_star():
     assert projected.central_vertex == 0
 
 
-def test_each_orange_is_recognized_and_projected_once(monkeypatch):
-    # a fresh copy, so no earlier test has filled its memo
+def test_each_orange_is_recognized_and_projected_once(monkeypatch, empty_bernstein_cache):
+    # a fresh copy, so no earlier test has filled its memo, and an empty
+    # Bernstein cache, so that no earlier test has filled the rows that
+    # the affine images of its standard model share
     cx = _fresh(get("two-tetrahedron").complex)
     # star properness tests (by cyclic order or pair by pair) and frames built
     star_tests, frames = [], []
