@@ -22,7 +22,8 @@ lattice once per degree and that system once per (r, d), and everything
 about determining sets is read off the one system.  Both are built on the
 complex's stored integers (numerators ``nums`` over ``den``): lattice
 points are sorted by their keys, the integer numerators over
-den * max(d, 1), and the weights of each row come from Cramer's rule,
+den * max(d, 1), a lattice of one point has no condition to build, and
+the weights of each row come from Cramer's rule,
 lambda_l = Delta_l / Delta, read off one integer affine dependence.  The
 order-m rows are scaled by Delta^m (over a gcd), so they are integral as
 built and the elimination kernel takes them as they are.
@@ -63,7 +64,9 @@ lattice, scaled by j/d, copied once per tail shift beta/d with
 degree-j key followed by beta * den, with no multiplication.  The layer
 checks compare those tuples with the orange's lattice keys, and the lift
 of a determining set finds each of its points among them by bisection and
-reads the coordinates, face and multi-index off the lattice point.
+reads the key, scale, face and multi-index off the lattice point; a
+lifted point derives its coordinates only when they are read, so the
+lift builds no ``Fraction``.
 
 The system's nullity, ``bernstein_dim``, is the third derivation of the
 dimension, next to the cofactor oracle (``cofactor.spline_dim``) and the
@@ -91,6 +94,7 @@ from .complexes import (
     adjacent_pairs,
     detect_orange,
 )
+from .dimension import orange_dim_formula
 from .exact import (
     IntRow, _check_int, _check_nonnegative, _echelon, _integer_kernel, _reduce, _strip_content,
     invert_matrix,
@@ -618,8 +622,14 @@ def _smoothness_rows(
     stripped, each row is the primitive integer multiple of the rational
     condition, with the same signs.  When min(r, d) = 0 no order >= 1 row
     is built, the m = 0 rows have weight 1 and scale D^0 = 1, and the
-    pairs come from ``adjacent_pairs`` without a dependence.
+    pairs come from ``adjacent_pairs`` without a dependence.  A lattice of
+    one point, the d = 0 lattice of every star and standard model, reads
+    no pair: every condition joins that point with itself, and the
+    weights of a condition sum to D^m, so its row cancels.
     """
+    if len(groups) == 1:
+        # every condition joins the one point with itself
+        return []
     column = {occ: g for g, occurrences in enumerate(groups) for occ in occurrences}
     faces = complex_.maximal_faces
     if min(r, d):
@@ -789,12 +799,21 @@ def verify_mds(
 
 @dataclass(frozen=True)
 class LiftedPoint:
-    """A determining point of the standard orange, tagged with its level."""
+    """A determining point of the standard orange, tagged with its level:
+    the lattice point's integer numerators ``key`` over ``scale``, the
+    orange's denominator times max(d, 1), and its first (face,
+    multi-index) occurrence."""
 
-    coordinates: Point
+    key: tuple[int, ...]
+    scale: int
     face: int
     multi_index: tuple[int, ...]
     level: int
+
+    @cached_property
+    def coordinates(self) -> Point:
+        """The point as ``Fraction``s: ``key`` over ``scale``."""
+        return _coordinates(self.key, self.scale)
 
 
 @dataclass(frozen=True)
@@ -820,12 +839,12 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
     Each lifted point is read off the orange's degree-d lattice by its
     key, the star point's own key followed by the tail beta, on integers
     over L * d as in ``layer_decomposition``; a key off the lattice raises
-    CardinalityMismatchError.  ``_project`` numbers the star's vertices in
-    the orange's order, so the lattice point's first occurrence, its face
-    and multi-index, lies on the lift of the star point's own face.
+    CardinalityMismatchError.  It keeps the lattice point's key and scale,
+    and its coordinates are derived only when read.  ``_project`` numbers
+    the star's vertices in the orange's order, so the lattice point's
+    first occurrence, its face and multi-index, lies on the lift of the
+    star point's own face.
     """
-    from .dimension import orange_dim_formula
-
     profile, star = _standard_split(complex_)
     fiber = profile.k - profile.i
     common = lcm(complex_.den, star.den)
@@ -858,7 +877,7 @@ def lift_mds(complex_: SimplicialComplex, r: int, d: int) -> LiftedDeterminingSe
                         f"levels {seen[at]} and {j} lift to the same point {point.coordinates}"
                     )
                 seen[at] = j
-                lifted.append(LiftedPoint(point.coordinates, *point.occurrences[0], j))
+                lifted.append(LiftedPoint(point.key, point.scale, *point.occurrences[0], j))
 
     # one point per (star point, shift) pair, so this is the levelwise count
     total = len(lifted)

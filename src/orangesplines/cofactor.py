@@ -17,10 +17,11 @@ and reads every lower degree off one echelon pass with the columns in
 degree order.  When the maximal faces share a vertex (every orange does:
 the medial face lies in all of them), every wall passes through it, and
 ``spline_dims`` works on the complex's affine normal form
-(``_normal_form``, once per complex instance), which has that vertex at
-the origin.  Every wall form is then homogeneous and the system splits
-into independent blocks by exact degree j: the face columns of degree j,
-the cofactor columns of degree j - r - 1 and the rows of degree j.
+(``_normal_form``, once per complex instance; a standard model reads it
+off its star's), which has that vertex at the origin.  Every wall form
+is then homogeneous and the system splits into independent blocks by
+exact degree j: the face columns of degree j, the cofactor columns of
+degree j - r - 1 and the rows of degree j.
 S^r_d is the sum of the blocks j <= d (Billera & Rose, "A dimension
 series for multivariate splines", 1991), and the elimination never mixes
 blocks.  A complex with no shared vertex (two disjoint segments, the
@@ -126,6 +127,7 @@ from .exact import (
     _integer_rref, format_rational,
 )
 from .polynomials import Polynomial, divisible_by_linear_power, monomials_upto
+from .projection import standard_orange
 
 __all__ = [
     "facet_linear_form",
@@ -420,30 +422,28 @@ def _normal_form(complex_: SimplicialComplex) -> SimplicialComplex:
     complex itself, too, when it is its own normal form (a projected star
     often is).  The normal form has the original's faces, so its memo
     starts with the original's ``adjacent_pairs`` and its pass of the
-    check, and it is its own normal form."""
+    check, and it is its own normal form.
+
+    A standard model (``projection.standard_form``, memo ``"standard
+    of"``) reads its normal form off its star's, with no RREF: the star's
+    origin is its vertex 0 and the model's lowest shared vertex, and its
+    moved vertex matrix is block diagonal, [S 0; 0 den*I], with the tail
+    columns last, so its RREF is the star's RREF block followed by unit
+    rows, over the same lcm of pivots.  That is ``standard_orange`` of the
+    star's normal form, and the model itself when the star is its own."""
     memo = complex_._memo
     if "normal form" not in memo:
         complex_._check_faces()
-        faces = complex_.maximal_faces
-        shared = set(faces[0]).intersection(*faces[1:])
+        star = memo.get("standard of")
+        if star is None:
+            normal = _rref_form(complex_)
+        elif _normal_form(star) is star:
+            normal = complex_
+        else:
+            normal = standard_orange(_normal_form(star), complex_.ambient_dim - star.ambient_dim)
         # None stands for the complex itself, so that no memo holds its owner
         memo["normal form"] = None
-        if not shared:
-            return complex_
-        k, nums = complex_.ambient_dim, complex_.nums
-        origin = nums[min(shared)]
-        rref = _integer_rref(
-            {v: n[j] - origin[j] for v, n in enumerate(nums) if n[j] != origin[j]}
-            for j in range(k)
-        )
-        if len(rref) == k:
-            den = math.lcm(*(row[p] for p, row in rref.items()))
-            scales = [(row, den // row[p]) for p, row in rref.items()]
-            moved = [[row.get(v, 0) * scale for row, scale in scales] for v in range(len(nums))]
-        else:
-            den, moved = complex_.den, [[x - o for x, o in zip(n, origin)] for n in nums]
-        normal = _from_integer_view(k, den, moved, faces)
-        if (normal.den, normal.nums) != (complex_.den, complex_.nums):
+        if normal is not complex_ and (normal.den, normal.nums) != (complex_.den, complex_.nums):
             normal._memo["adjacent pairs"] = tuple(adjacent_pairs(complex_))
             normal._memo["checked"] = True
             normal._memo["normal form"] = None
@@ -451,14 +451,39 @@ def _normal_form(complex_: SimplicialComplex) -> SimplicialComplex:
     return memo["normal form"] or complex_
 
 
+def _rref_form(complex_: SimplicialComplex) -> SimplicialComplex:
+    """``_normal_form``'s construction from the complex's integers, or the
+    complex itself when its faces share no vertex."""
+    faces = complex_.maximal_faces
+    shared = set(faces[0]).intersection(*faces[1:])
+    if not shared:
+        return complex_
+    k, nums = complex_.ambient_dim, complex_.nums
+    origin = nums[min(shared)]
+    rref = _integer_rref(
+        {v: n[j] - origin[j] for v, n in enumerate(nums) if n[j] != origin[j]}
+        for j in range(k)
+    )
+    if len(rref) == k:
+        den = math.lcm(*(row[p] for p, row in rref.items()))
+        scales = [(row, den // row[p]) for p, row in rref.items()]
+        moved = [[row.get(v, 0) * scale for row, scale in scales] for v in range(len(nums))]
+    else:
+        den, moved = complex_.den, [[x - o for x, o in zip(n, origin)] for n in nums]
+    return _from_integer_view(k, den, moved, faces)
+
+
 def _normal_key(complex_: SimplicialComplex) -> tuple:
     """The normal form's fields (ambient dimension, common denominator,
     numerators, maximal faces), which determine it: equal keys are
     invertible affine images of one another with the same vertex labels
     and faces.  Plain ints and tuples, so no cache entry keyed on it keeps
-    a complex alive."""
-    normal = _normal_form(complex_)
-    return (normal.ambient_dim, normal.den, normal.nums, normal.maximal_faces)
+    a complex alive; kept in the memo, once per instance."""
+    memo = complex_._memo
+    if "normal key" not in memo:
+        normal = _normal_form(complex_)
+        memo["normal key"] = (normal.ambient_dim, normal.den, normal.nums, normal.maximal_faces)
+    return memo["normal key"]
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")

@@ -353,11 +353,13 @@ class SimplicialComplex:
     and kept in ``_memo``: the pass of ``_check_faces`` (set by the check
     itself, by ``project_orange`` on an orange it validates and its star,
     and handed on to the complexes the package derives), the profile, the
-    projection (both inherited from ``standard_form``, which also names
-    the star a standard model is built from), the ``adjacent_pairs``, the
-    complex moved to its shared vertex that
-    ``cofactor.spline_dims`` eliminates and keys its cache on, and the
-    domain-point lattices, affine dependences and Bernstein C^r systems of
+    projection, the ``adjacent_pairs`` (``standard_form`` hands the
+    orange's profile and pairs down to its star and the star's to the
+    standard model, which also inherits the projection and names the star
+    it is built from), the affine normal form that ``cofactor.spline_dims``
+    eliminates and its key, which that cache and ``bernstein``'s are keyed
+    on (a standard model reads both off its star's), and the domain-point
+    lattices, affine dependences and Bernstein C^r systems of
     ``bernstein``.
     """
 

@@ -13,7 +13,8 @@ vector over one common denominator, the star's tests run on those, and
 the star is stored as those integers.  The projection is computed once
 per complex instance, and the standard model built by ``standard_form``,
 again from the star's integers, inherits it and the orange profile
-instead of computing them again.
+instead of computing them again; the star is handed its own profile and
+facet pairs from the orange's.
 """
 
 from __future__ import annotations
@@ -297,19 +298,35 @@ class StandardForm:
 def standard_form(complex_: SimplicialComplex) -> StandardForm:
     """Detect, project, and rebuild the standard orange in one pass.
 
-    The standard model inherits its profile, with the medial face the
-    star's origin and the tail vertices, its projection: the star it is
-    built from, with the identity face map and, for i > 0, the identity
-    frame at the origin, which is what ``adapt_coordinates`` builds for it,
-    and the star's ``adjacent_pairs``.  It also names that star under
-    ``"standard of"``, from which ``bernstein`` pads its affine dependences.
-    By the lemma of the ``complexes`` module docstring its checks are the
-    star's, which the star passed when the orange was projected, so it is
-    marked as passing ``SimplicialComplex._check_faces``.
+    The projected star is seeded with what the orange fixes: its profile,
+    an (i, i)-orange with the origin as its medial face and one face per
+    orange face, and its ``adjacent_pairs``, the orange's mapped through
+    the face map.  The projection is injective off the medial face, so two
+    orange faces share a facet exactly when their images do.  The standard
+    model inherits its profile, with the medial face the star's origin and
+    the tail vertices, its projection: the star it is built from, with the
+    identity face map and, for i > 0, the identity frame at the origin,
+    which is what ``adapt_coordinates`` builds for it, and the star's
+    ``adjacent_pairs``.  It also names that star under ``"standard of"``,
+    from which ``bernstein`` pads its affine dependences and
+    ``cofactor._normal_form`` reads its normal form.  By the lemma of the
+    ``complexes`` module docstring its checks are the star's, which the
+    star passed when the orange was projected, so it is marked as passing
+    ``SimplicialComplex._check_faces``.  The star is seeded here and not
+    by the projection, so that validation, which projects every orange,
+    does not pay for it.
     """
     profile = detect_orange(complex_)
     projected = project_orange(complex_)
     star = projected.complex
+    seeds = star._memo
+    seeds.setdefault("profile", OrangeProfile(k=profile.i, i=profile.i, medial=(0,), n=profile.n))
+    if "adjacent pairs" not in seeds:
+        face_map = projected.face_map
+        seeds["adjacent pairs"] = tuple(sorted(
+            (min(face_map[s], face_map[t]), max(face_map[s], face_map[t]))
+            for s, t in adjacent_pairs(complex_)
+        ))
     std = standard_orange(star, profile.k - profile.i)
     medial = (0, *range(len(star.nums), len(std.nums)))
     frame = None
@@ -325,7 +342,7 @@ def standard_form(complex_: SimplicialComplex) -> StandardForm:
     std._memo["profile"] = replace(profile, medial=medial)
     # the faces are the star's, each followed by the same tail, in the
     # star's order: the facet pairs are the star's
-    std._memo["adjacent pairs"] = tuple(adjacent_pairs(star))
+    std._memo["adjacent pairs"] = seeds["adjacent pairs"]
     std._memo["standard of"] = star
     std._memo["projected"] = ProjectedOrange(
         complex=star,

@@ -5,7 +5,10 @@ from __future__ import annotations
 import gc
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -555,6 +558,8 @@ def _reference_lift_mds(complex_, r, d):
         star_oid[sid] = coord_to_oid[key]
     face_index = {f: idx for idx, f in enumerate(complex_.maximal_faces)}
 
+    # a lifted point keeps its numerators over the lattice's scale
+    scale = complex_.den * max(d, 1)
     lifted = []
     seen = {}
     per_level = []
@@ -583,11 +588,18 @@ def _reference_lift_mds(complex_, r, d):
                         f"levels {seen[coords]} and {j} lift to the same point {coords}"
                     )
                 seen[coords] = j
+                key = tuple(c * scale for c in coords)
+                assert all(n.denominator == 1 for n in key)
                 lifted.append(
                     bernstein.LiftedPoint(
-                        coordinates=coords, face=face_index[oface], multi_index=multi, level=j
+                        key=tuple(map(int, key)),
+                        scale=scale,
+                        face=face_index[oface],
+                        multi_index=multi,
+                        level=j,
                     )
                 )
+                assert lifted[-1].coordinates == coords
 
     total = len(lifted)
     formula_value = dimension.orange_dim_formula(complex_, r, d)
@@ -742,9 +754,32 @@ def test_lift_errors_match_the_reference(monkeypatch):
     # the closed form agreeing with a short set leaves the oracle to object
     with monkeypatch.context() as m:
         m.setattr(bernstein, "compute_mds", top_level(lambda pts: pts[:-1]))
-        m.setattr(dimension, "orange_dim_formula", lambda cx, r, d: 10)
+        # the reference looks the closed form up on its module, and
+        # ``lift_mds`` on its own, which imports it at the top
+        for module in (dimension, bernstein):
+            m.setattr(module, "orange_dim_formula", lambda cx, r, d: 10)
         kind, got = _both_raise(lift_mds, _reference_lift_mds, std, 1, 2)
     assert (kind, got) == (CardinalityMismatchError, "spline space has dimension 11, lift has 10 points")
+
+
+def test_bernstein_imports_first_in_a_fresh_interpreter():
+    # ``bernstein`` imports the closed form at the top of the module, and
+    # ``dimension`` imports no ``bernstein``, so there is no cycle
+    code = (
+        "import orangesplines.bernstein as bernstein\n"
+        "from orangesplines.catalog import get\n"
+        "from orangesplines.projection import standard_form\n"
+        "std = standard_form(get('two-tetrahedron').complex).standard\n"
+        "print(bernstein.lift_mds(std, 1, 3).total)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{orange_dim_formula(get('two-tetrahedron').complex, 1, 3)}\n"
 
 
 def test_lift_reads_its_points_off_the_lattice(monkeypatch):
@@ -754,7 +789,7 @@ def test_lift_reads_its_points_off_the_lattice(monkeypatch):
     # each lifted point is a lattice point's own tuple and first occurrence
     for p in lift.points:
         (point,) = [q for q in lattice if q.coordinates == p.coordinates]
-        assert p.coordinates is point.coordinates
+        assert p.key is point.key and p.scale == point.scale
         assert (p.face, p.multi_index) == point.occurrences[0]
     compute = bernstein.compute_mds
     # level-1 star points off the star's degree-1 lattice (the star's faces
@@ -1201,6 +1236,28 @@ def test_no_affine_dependence_where_no_order_one_row_is_built(monkeypatch, empty
     # the first system with an order-1 row reads every pair's dependence
     _system(cx, 1, 1)
     assert len(calls) == len(adjacent_pairs(cx)) == 6
+
+
+def test_a_one_point_system_reads_no_pair(monkeypatch):
+    # a star's degree-0 lattice is its origin alone, so every condition
+    # joins that point with itself: no pair is read and no row is built
+    reads = []
+    for name in ("adjacent_pairs", "_affine_dependences"):
+        original = getattr(bernstein, name)
+        monkeypatch.setattr(
+            bernstein, name, lambda cx, name=name, original=original: reads.append(name) or original(cx)
+        )
+    for entry in CATALOG:
+        star = project_orange(_fresh(entry.complex)).complex
+        for r in range(3):
+            assert len(complex_domain_points(star, 0)) == 1
+            assert _system(star, r, 0)[1] == []
+            assert bernstein_dim(star, r, 0) == 1, (entry.name, r)
+    assert reads == []
+    # the counter sees the pairs read where the lattice has two points
+    star = project_orange(_fresh(get("two-triangle").complex)).complex
+    assert bernstein_dim(star, 0, 1) == 3
+    assert reads == ["adjacent_pairs"]
 
 
 def _bucketed(cx, d):

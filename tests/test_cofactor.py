@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import random
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -17,9 +18,16 @@ from hypothesis import strategies as st
 from reference_algebra import Echelon, normal_form_vertices, nullspace, rank
 from stars_3d import boundary_stars_3d, closed_stars_3d
 from test_generated_oranges import generated_oranges
+from test_projection import _fresh
 
 from orangesplines import cofactor, exact
-from orangesplines.bernstein import bernstein_dim, complex_domain_points
+from orangesplines.bernstein import (
+    bernstein_dim,
+    complex_domain_points,
+    layer_decomposition,
+    lift_mds,
+    verify_mds,
+)
 from orangesplines.catalog import CATALOG, get
 from orangesplines.cofactor import (
     build_system,
@@ -31,8 +39,10 @@ from orangesplines.cofactor import (
 from orangesplines.complexes import (
     InvalidComplexError,
     SimplicialComplex,
+    _facet_pairs,
     adjacent_pairs,
     affine_image,
+    detect_orange,
 )
 from orangesplines.dimension import orange_dim_formula
 from orangesplines.projection import project_orange, standard_form
@@ -1052,6 +1062,77 @@ def test_every_affine_image_has_its_sources_normal_form(monkeypatch):
     # sources in R^1 to R^4, and normal forms with and without denominators
     assert {1, 2, 3, 4} <= {k for k, _ in sources}, sources
     assert {True, False} <= set(fractional)
+
+
+def _handed_down_is_fresh(cx: SimplicialComplex) -> bool:
+    """``standard_form`` on a fresh copy of ``cx``: the profile and facet
+    pairs it seeds its star with, and the normal form its standard model
+    reads off that star's, equal those computed afresh.  Whether the model
+    is its own normal form."""
+    sf = standard_form(_fresh(cx))
+    star, std = sf.projected.complex, sf.standard
+    assert star._memo["profile"] == detect_orange(_fresh(star))
+    assert star._memo["adjacent pairs"] == _facet_pairs(star.maximal_faces)
+    fresh = _fresh(std)
+    assert "standard of" in std._memo and "standard of" not in fresh._memo
+    normal = cofactor._normal_form(std)
+    assert _fields(normal) == _fields(cofactor._normal_form(fresh))
+    assert cofactor._normal_key(std) == cofactor._normal_key(fresh)
+    return normal is std
+
+
+def test_a_star_and_its_standard_model_inherit_what_a_fresh_copy_computes(random_affine_map):
+    own = []
+    rng = random.Random(34)
+    for entry in CATALOG:
+        own.append(_handed_down_is_fresh(entry.complex))
+        for _ in range(3):
+            image = affine_image(entry.complex, *random_affine_map(entry.complex.ambient_dim, rng))
+            own.append(_handed_down_is_fresh(image))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(normal_form_cases())
+    def check(case):
+        for cx in case:
+            own.append(_handed_down_is_fresh(cx))
+
+    check()
+    # models that are their own normal form and models that are not
+    assert True in own and False in own
+
+
+def test_a_lift_runs_no_rref_for_the_standard_models_normal_form(
+    monkeypatch, random_affine_map, empty_prefix_cache, empty_bernstein_cache
+):
+    # the complexes whose normal form an RREF is run for
+    rrefs = []
+    original = cofactor._integer_rref
+
+    def counting(rows):
+        owner = sys._getframe(1).f_locals.get("complex_")
+        if owner is not None:
+            rrefs.append(owner)
+        return original(rows)
+
+    monkeypatch.setattr(cofactor, "_integer_rref", counting)
+    rng = random.Random(35)
+    for name in ("fan-4d", "planar-star", "two-tetrahedron", "vertex-star-3d"):
+        base = get(name).complex
+        cx = affine_image(base, *random_affine_map(base.ambient_dim, rng))
+        rrefs.clear()
+        sf = standard_form(cx)
+        std, star = sf.standard, sf.projected.complex
+        lift_mds(std, 1, 3)
+        verify_mds(std, 1, 3)
+        layer_decomposition(std, 3)
+        # the star's RREF at most, which its own prefix reads too
+        assert all(owner is star for owner in rrefs), name
+        assert "normal form" in std._memo
+    # the counter sees the RREF that a model with no star to read runs
+    rrefs.clear()
+    fresh = _fresh(std)
+    cofactor._normal_form(fresh)
+    assert rrefs == [fresh]
 
 
 def test_the_normal_form_falls_back_to_the_move_or_the_complex(empty_prefix_cache):

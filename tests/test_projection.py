@@ -20,7 +20,13 @@ from test_complexes import _integer_points, lifted_oranges
 from test_generated_oranges import generated_oranges
 
 from orangesplines import bernstein, cofactor, complexes, exact, projection
-from orangesplines.bernstein import IdentifiedPoint, layer_decomposition, lift_mds, verify_mds
+from orangesplines.bernstein import (
+    IdentifiedPoint,
+    LiftedPoint,
+    layer_decomposition,
+    lift_mds,
+    verify_mds,
+)
 from orangesplines.catalog import CATALOG, get
 from orangesplines.cofactor import spline_dim
 from orangesplines.complexes import (
@@ -657,10 +663,12 @@ def test_one_mds_lift_op_scans_each_complex_for_pairs_once(monkeypatch, random_a
         lift_mds(sf.standard, 1, 3)
         verify_mds(sf.standard, 1, 3)
         layer_decomposition(sf.standard, 3)
-        # the orange and its star, each scanned once: the standard model
-        # is seeded with the star's pairs, which a scan of its faces gives
+        # the orange alone, scanned once: its star is seeded with the
+        # orange's pairs through the face map, and the standard model with
+        # the star's, which a scan of their faces gives
         star = sf.projected.complex
-        assert [id(faces) for faces in scanned] == [id(cx.maximal_faces), id(star.maximal_faces)]
+        assert [id(faces) for faces in scanned] == [id(cx.maximal_faces)]
+        assert adjacent_pairs(star) == list(scan(star.maximal_faces))
         assert adjacent_pairs(sf.standard) == list(scan(sf.standard.maximal_faces))
 
 
@@ -749,22 +757,23 @@ def test_workload_ops_derive_no_medial_points(monkeypatch, random_affine_map):
 
 
 def test_workload_ops_derive_coordinates_only_for_lifted_points(monkeypatch, random_affine_map):
-    builds, before_lift, lifts = [], [], []
-    view = IdentifiedPoint.coordinates
+    # no op derives a point's coordinates; a lifted point derives its own
+    # on first read
+    builds, lifts = [], []
+    for cls in (IdentifiedPoint, LiftedPoint):
+        view = cls.coordinates
 
-    def counted(point):
-        builds.append(point)
-        return view.func(point)
+        def counted(point, view=view):
+            builds.append(point)
+            return view.func(point)
 
-    counting = cached_property(counted)
-    counting.__set_name__(IdentifiedPoint, "coordinates")
-    monkeypatch.setattr(IdentifiedPoint, "coordinates", counting)
+        counting = cached_property(counted)
+        counting.__set_name__(cls, "coordinates")
+        monkeypatch.setattr(cls, "coordinates", counting)
 
     lift = lift_mds
 
     def recording(cx, r, d):
-        # the dim_general and series_adapted steps and standard_form are done
-        before_lift.append(len(builds))
         lifts.append(lift(cx, r, d))
         return lifts[-1]
 
@@ -776,8 +785,63 @@ def test_workload_ops_derive_coordinates_only_for_lifted_points(monkeypatch, ran
         _one_op_of_each_workload(
             complex_to_dict(affine_image(base, *random_affine_map(base.ambient_dim, rng)))
         )
-        assert before_lift[-1] == 0, name
-        # the lift reads each of its points' coordinates, and nothing else does
+        assert builds == [], name
+        # reading each lifted point's coordinates derives them once, from
+        # its key and scale
         lifted = lifts[-1].points
-        assert lifted and len(builds) == len(lifted), (name, len(builds), len(lifted))
-        assert all(b.coordinates is p.coordinates for b, p in zip(builds, lifted)), name
+        assert lifted
+        for p in lifted:
+            assert p.coordinates is p.coordinates
+            assert p.coordinates == tuple(Fraction(n, p.scale) for n in p.key)
+        assert builds == list(lifted), name
+
+
+def _package_fraction_builds(run) -> list[tuple[str, str, int]]:
+    """(module, function, line) of each ``Fraction`` that ``run()`` builds
+    in a frame of the ``orangesplines`` package: the nearest caller
+    outside the ``fractions`` module of a ``Fraction`` constructor, which
+    arithmetic on ``Fraction``s calls too."""
+    constructors = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):
+        # Python >= 3.12 builds arithmetic results without ``__new__``
+        constructors.add(Fraction._from_coprime_ints.__func__.__code__)
+    builds = []
+
+    def profile(frame, event, arg):
+        if event != "call" or frame.f_code not in constructors:
+            return
+        caller = frame.f_back
+        while caller is not None and caller.f_globals.get("__name__") == "fractions":
+            caller = caller.f_back
+        module = caller.f_globals.get("__name__", "") if caller is not None else ""
+        if module.split(".")[0] == "orangesplines":
+            builds.append((module, caller.f_code.co_name, caller.f_lineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return builds
+
+
+def test_a_workload_op_builds_no_fraction_in_the_package(
+    random_affine_map, empty_prefix_cache, empty_bernstein_cache
+):
+    # cold caches, so that every system and lattice of an op is built
+    rng = random.Random(27)
+    for name in ("fan-4d", "vertex-star-3d", "planar-star", "two-triangle", "two-triangle-skew"):
+        base = get(name).complex
+        for cx in (_fresh(base), affine_image(base, *random_affine_map(base.ambient_dim, rng))):
+            wire = complex_to_dict(cx)
+            for workload, op in WORKLOAD_OPS.items():
+                assert _package_fraction_builds(lambda: op(wire)) == [], (name, workload)
+    # the counter sees the builds that do happen: a lifted point's
+    # coordinates, read after the op, and arithmetic in a package frame
+    std = standard_form(_fresh(get("two-tetrahedron").complex)).standard
+    point = lift_mds(std, 1, 2).points[-1]
+    builds = _package_fraction_builds(lambda: point.coordinates)
+    assert [module for module, _, _ in builds] == ["orangesplines.bernstein"] * len(point.key)
+    frame = adapt_coordinates(_fresh(get("two-triangle-skew").complex))
+    assert _package_fraction_builds(lambda: frame.apply_point((Fraction(1, 2), Fraction(1, 3))))
