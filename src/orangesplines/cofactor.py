@@ -29,47 +29,31 @@ Morgan-Scott split) is eliminated as given, in one pass all the same.
 
 The normal form.  Let o be the lowest shared vertex and X the k x n
 matrix whose column v is N_v - N_o, on the stored integers (numerators
-N_v = ``nums[v]`` over the common denominator ``den``).  When X has rank
-k, vertex v becomes column v of the RREF of X (``exact._integer_rref``,
-each row divided by its pivot entry), over one common denominator, built
+N_v = ``nums[v]`` over the common denominator ``den``), with the shared
+vertices' columns first, each group in vertex order.  When X has rank k,
+vertex v becomes its column of the RREF of X (``exact._integer_rref``,
+each row divided by its pivot entry), with the rows that pivot on a
+shared vertex's column moved last, over one common denominator, built
 from those integers (``complexes._from_integer_view``).  The pivot
-columns are the greedy independent vertices B, taken in vertex order,
-and the RREF is B^{-1} X: the normal form is the image of the complex
-under x -> B^{-1} (x - x_o), an invertible affine map, which keeps S^r_d
-degree by degree (Lai & Schumaker, *Spline Functions on
-Triangulations*, 2007; see the lemma below).  The RREF of A X is that of
-X for every invertible A, so every invertible affine image of a complex
-with the same vertex labels and faces has the same normal form, to the
-byte.  The dimension cache is keyed on it: all those images share one
-entry and one elimination, and so do an orange with i = k = 3 and its
-projected star.  When X has rank < k (faces of fewer than k + 1
-vertices), the vertices are only moved, N_v - N_o over den, and a
+columns are the greedy independent vertices B, taken in that order, and
+the RREF is B^{-1} X: the normal form is the image of the complex under
+x -> P B^{-1} (x - x_o), P the row permutation, an invertible affine
+map.  Such a map keeps degrees and the divisibility of f_s - f_t by a
+wall power, so it keeps S^r_d degree by degree (Lai & Schumaker, *Spline
+Functions on Triangulations*, 2007).  The RREF of A X is that of X for every
+invertible A, so every invertible affine image of a complex with the
+same vertex labels and faces has the same normal form, to the byte.  The
+dimension cache is keyed on it: all those images share one entry and one
+elimination, and so do an orange with i = k = 3 and its projected star.
+On an orange the shared vertices are the medial face, which is
+independent: its k - i vertices other than o take the first pivots and
+land at e_{i+1}, ..., e_k, where ``projection.standard_form`` puts them.
+Every wall contains the medial face, so no wall involves the last k - i
+coordinates: the wall powers are as sparse as the projected star's, and
+the elimination as short.  When X has rank < k (faces of fewer than
+k + 1 vertices), the vertices are only moved, N_v - N_o over den, and a
 complex whose faces share no vertex is kept as given.  The map is never
 formed.
-
-The walls are then eliminated in a basis of their own (``_wall_basis``).
-Lemma: for an invertible k x k matrix E, x -> E^{-T} x maps the complex
-onto one with the same graded dimensions, and its wall q is
-(E a_q).y + c_q when the original's is a_q.x + c_q.  Composing with an
-invertible linear map keeps degrees and the divisibility of f_s - f_t by
-a wall power, so it maps S^r_d onto S^r_d degree by degree (Lai &
-Schumaker, *Spline Functions on Triangulations*, 2007), and x = E^T y
-turns a_q.x into (E a_q).y.  The system reads nothing of the complex but
-the wall forms and the facet adjacency (Billera & Rose, 1991), and a
-wall may be scaled by any nonzero constant.  Construction: the integer
-RREF (``exact._integer_rref``) of the k x p matrix N^T whose column q is
-a_q is E N^T for an invertible E (row operations), so wall q becomes
-column q of that RREF, with c_q carried, and the whole form is made
-primitive with a positive lead.  The map itself is never formed.  The
-greedy independent walls, the RREF's pivot columns in pair order, become
-coordinate hyperplanes, and every wall involves only the first rank(N)
-coordinates.  On an orange every wall contains the medial face, so none
-involves its k - i directions: the wall powers are as sparse as those of
-an axis-aligned orange, and the elimination as short.
-When every wall lies on the coordinates that single-coordinate walls
-name, the map would only permute and scale coordinates, and the walls
-are used as built.  ``build_system`` and every view of ``CofactorSystem``
-stay in input coordinates; only the elimination reads the new walls.
 
 That pass sees only the conformality conditions of the dual graph (faces
 joined by their facet-adjacent pairs).  Write g_p = c_p * L_p**(r+1) for
@@ -376,8 +360,9 @@ def spline_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ..
     the complex's affine normal form (``_normal_form``), which has the
     shared vertex at the origin: every wall form is homogeneous, the
     system splits into degree blocks and the elimination never mixes
-    them, which is much faster; its walls are eliminated in their own
-    basis (``_wall_basis``), which keeps every graded dimension.
+    them, which is much faster.  On an orange the normal form has the
+    medial face at the origin and e_{i+1}, ..., e_k, so no wall involves
+    its k - i directions.
 
     The cache keeps the longest prefix computed so far, keyed by value on
     the normal form's fields (ambient dimension, common denominator,
@@ -414,10 +399,12 @@ def _normal_form(complex_: SimplicialComplex) -> SimplicialComplex:
     points and faces are checked (see the module docstring).
 
     With o the lowest shared vertex and M_v = N_v - N_o on the stored
-    integers, vertex v becomes column v of the RREF of the k x n matrix
-    whose column v is M_v: each integer RREF row divided by its pivot
-    entry, over their lcm, built as the constructor builds it.  When the
-    M_v have rank < k, the vertices are only moved, N_v - N_o over den;
+    integers, vertex v becomes its column of the RREF of the k x n matrix
+    of the M_v, shared vertices first, each group in vertex order: each
+    integer RREF row divided by its pivot entry, the rows pivoting on a
+    shared vertex last, over their lcm, built as the constructor builds
+    it.  When the M_v have rank < k, the vertices are only moved,
+    N_v - N_o over den;
     when the faces share no vertex, the complex is kept as it is.  The
     complex itself, too, when it is its own normal form (a projected star
     often is).  The normal form has the original's faces, so its memo
@@ -427,10 +414,11 @@ def _normal_form(complex_: SimplicialComplex) -> SimplicialComplex:
     A standard model (``projection.standard_form``, memo ``"standard
     of"``) reads its normal form off its star's, with no RREF: the star's
     origin is its vertex 0 and the model's lowest shared vertex, and its
-    moved vertex matrix is block diagonal, [S 0; 0 den*I], with the tail
-    columns last, so its RREF is the star's RREF block followed by unit
-    rows, over the same lcm of pivots.  That is ``standard_orange`` of the
-    star's normal form, and the model itself when the star is its own."""
+    moved vertex matrix is block diagonal, [S 0; 0 den*I].  The tail
+    vertices are the model's other shared vertices, so their unit rows
+    come last, after the star's RREF block, over the same lcm of pivots.
+    That is ``standard_orange`` of the star's normal form, and the model
+    itself when the star is its own."""
     memo = complex_._memo
     if "normal form" not in memo:
         complex_._check_faces()
@@ -459,15 +447,21 @@ def _rref_form(complex_: SimplicialComplex) -> SimplicialComplex:
     if not shared:
         return complex_
     k, nums = complex_.ambient_dim, complex_.nums
+    n = len(nums)
     origin = nums[min(shared)]
+    # vertex v has column v if it is shared and n + v if not: the shared
+    # vertices' columns come first
+    columns = [v if v in shared else n + v for v in range(n)]
     rref = _integer_rref(
-        {v: n[j] - origin[j] for v, n in enumerate(nums) if n[j] != origin[j]}
+        {c: x[j] - origin[j] for c, x in zip(columns, nums) if x[j] != origin[j]}
         for j in range(k)
     )
     if len(rref) == k:
-        den = math.lcm(*(row[p] for p, row in rref.items()))
-        scales = [(row, den // row[p]) for p, row in rref.items()]
-        moved = [[row.get(v, 0) * scale for row, scale in scales] for v in range(len(nums))]
+        # the rows pivoting on a shared column last, each group in pivot order
+        rows = sorted(rref.items(), key=lambda item: item[0] < n)
+        den = math.lcm(*(row[p] for p, row in rows))
+        scales = [(row, den // row[p]) for p, row in rows]
+        moved = [[row.get(c, 0) * scale for row, scale in scales] for c in columns]
     else:
         den, moved = complex_.den, [[x - o for x, o in zip(n, origin)] for n in nums]
     return _from_integer_view(k, den, moved, faces)
@@ -554,44 +548,12 @@ def _cache_info() -> _CacheInfo:
     return _prefixes.info()
 
 
-def _wall_basis(walls: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """The walls (a_q, c_q) in a basis of their own normals: (E a_q, c_q),
-    each made primitive with a positive lead, where E N^T is the integer
-    RREF of the k x p matrix N^T whose column q is a_q.
-
-    E is invertible, so these are the walls of the complex's image under
-    the linear map x -> E^{-T} x, which keeps every graded dimension (see
-    the module docstring).  A pivot wall (the independent walls, taken
-    greedily in pair order) has one nonzero normal entry, and every normal
-    is supported on the first rank(N) coordinates.  When every wall's
-    normal lies on the coordinates that single-coordinate walls name, the
-    map would only permute and scale coordinates, and the walls are
-    returned as they are.
-    """
-    k = len(walls[0]) - 1 if walls else 0
-    supports = [[j for j in range(k) if form[j]] for form in walls]
-    axes = {support[0] for support in supports if len(support) == 1}
-    if all(axes.issuperset(support) for support in supports):
-        return walls
-    rref = list(_integer_rref(
-        {q: form[j] for q, form in enumerate(walls) if form[j]} for j in range(k)
-    ).values())
-    pad = (0,) * (k - len(rref))
-    basis = []
-    for q, form in enumerate(walls):
-        column = (*(row.get(q, 0) for row in rref), *pad, form[k])
-        g = math.gcd(*column)
-        if next(a for a in column if a) < 0:
-            g = -g
-        basis.append(tuple(a // g for a in column))
-    return tuple(basis)
-
-
 def _graded_dims(complex_: SimplicialComplex, r: int, dmax: int) -> tuple[int, ...]:
     """The prefix through dmax of ``complex_``, eliminated with its walls
-    in their own basis (``_wall_basis``)."""
+    as ``build_system`` reads them.  On a normal form every wall of an
+    orange is zero on the last k - i coordinates, the medial face's."""
     system = build_system(complex_, r, dmax)
-    powers = [_power_terms(form, r + 1) for form in _wall_basis(system.walls)]
+    powers = system.wall_powers
     face_mons, cof_mons = system.face_monomials, system.cofactor_monomials
     m, mc = len(face_mons), len(cof_mons)
     base = system.n_faces * m

@@ -82,7 +82,7 @@ from itertools import chain, combinations
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exact import _check_exact, _echelon, _integer_kernel
+from .exact import _check_exact, _check_nonnegative, _echelon, _integer_kernel
 
 __all__ = [
     "Point",
@@ -388,7 +388,8 @@ class SimplicialComplex:
         for f in faces:
             if len(set(f)) != len(f):
                 raise InvalidComplexError(f"face {list(f)} repeats a vertex")
-        object.__setattr__(self, "ambient_dim", int(ambient_dim))
+        ambient_dim = _check_nonnegative(ambient_dim, "ambient dimension")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "maximal_faces", tuple(sorted(tuple(sorted(f)) for f in faces)))

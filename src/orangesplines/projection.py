@@ -137,8 +137,11 @@ def adapt_coordinates(complex_: SimplicialComplex) -> AdaptedFrame:
 class ProjectedOrange:
     """Result of projecting an orange: the star C in R^i plus bookkeeping.
 
-    ``face_map`` sends each maximal-face index of the original orange to the
-    corresponding maximal-face index of ``complex`` (a bijection).
+    Maximal face s of ``complex`` is the image of maximal face s of the
+    orange: the projection keeps the order of the vertices off the medial
+    face, and the order of two faces that share it is that of the least
+    vertex in one and not the other.  ``face_map`` is that identity,
+    (0, ..., n - 1).
     ``central_vertex`` is the index of the origin vertex in ``complex``.
     ``frame`` is the adapted frame of the projection (None when i = 0).
     """
@@ -226,21 +229,23 @@ def _project(complex_: SimplicialComplex) -> ProjectedOrange:
                 next(f for f in complex_.maximal_faces if vid in f),
             )
 
+    # the non-medial vertices keep their order, so the faces keep theirs:
+    # star face s is the image of orange face s
     star = _from_integer_view(i, frame.scale * den, images, new_faces)
-    face_map = tuple(star.maximal_faces.index(nf) for nf in new_faces)
     # the star is an (i, i)-orange whose projection is itself, so its
     # properness test runs here and not through ``star.validate()``: a fan
     # (i <= 2) by its cyclic order, a closed i = 3 star by local orientation
     # tests, any other star (verdict None) pair by pair.  A star the local
     # test rejects is pair-tested too, for an error naming the failing pair.
-    names = [f for _, f in sorted(zip(face_map, complex_.maximal_faces))]
     verdict = _check_fan(star) if i <= 2 else _check_cone3(star) if i == 3 else None
     if not verdict:
-        _check_pairs(star, names)
+        _check_pairs(star, complex_.maximal_faces)
         if verdict is False:
             test = "fan" if i <= 2 else "cone"
             raise RuntimeError(f"the {test} test rejects the star {star} that the pair test accepts")
-    return ProjectedOrange(complex=star, central_vertex=0, face_map=face_map, frame=frame)
+    return ProjectedOrange(
+        complex=star, central_vertex=0, face_map=tuple(range(len(new_faces))), frame=frame
+    )
 
 
 def project_face(complex_: SimplicialComplex, face: Sequence[int]) -> tuple[Point, ...]:
@@ -300,16 +305,16 @@ def standard_form(complex_: SimplicialComplex) -> StandardForm:
 
     The projected star is seeded with what the orange fixes: its profile,
     an (i, i)-orange with the origin as its medial face and one face per
-    orange face, and its ``adjacent_pairs``, the orange's mapped through
-    the face map.  The projection is injective off the medial face, so two
-    orange faces share a facet exactly when their images do.  The standard
-    model inherits its profile, with the medial face the star's origin and
-    the tail vertices, its projection: the star it is built from, with the
-    identity face map and, for i > 0, the identity frame at the origin,
-    which is what ``adapt_coordinates`` builds for it, and the star's
-    ``adjacent_pairs``.  It also names that star under ``"standard of"``,
-    from which ``bernstein`` pads its affine dependences and
-    ``cofactor._normal_form`` reads its normal form.  By the lemma of the
+    orange face, and its ``adjacent_pairs``, the orange's as they are, as
+    star face s is the image of orange face s.  The projection is injective
+    off the medial face, so two orange faces share a facet exactly when
+    their images do.  The standard model inherits its profile, with the
+    medial face the star's origin and the tail vertices, its projection:
+    the star it is built from, with the identity face map and, for i > 0,
+    the identity frame at the origin, which is what ``adapt_coordinates``
+    builds for it, and the star's ``adjacent_pairs``.  It also names that
+    star under ``"standard of"``, from which ``bernstein`` pads its affine
+    dependences and ``cofactor._normal_form`` reads its normal form.  By the lemma of the
     ``complexes`` module docstring its checks are the star's, which the
     star passed when the orange was projected, so it is marked as passing
     ``SimplicialComplex._check_faces``.  The star is seeded here and not
@@ -321,12 +326,7 @@ def standard_form(complex_: SimplicialComplex) -> StandardForm:
     star = projected.complex
     seeds = star._memo
     seeds.setdefault("profile", OrangeProfile(k=profile.i, i=profile.i, medial=(0,), n=profile.n))
-    if "adjacent pairs" not in seeds:
-        face_map = projected.face_map
-        seeds["adjacent pairs"] = tuple(sorted(
-            (min(face_map[s], face_map[t]), max(face_map[s], face_map[t]))
-            for s, t in adjacent_pairs(complex_)
-        ))
+    seeds.setdefault("adjacent pairs", tuple(adjacent_pairs(complex_)))
     std = standard_orange(star, profile.k - profile.i)
     medial = (0, *range(len(star.nums), len(std.nums)))
     frame = None

@@ -132,8 +132,10 @@ def normal_form_vertices(
     vertices: Sequence[Sequence], maximal_faces: Sequence[Sequence[int]]
 ) -> list[list[Fraction]]:
     """The vertices B^{-1} (x_v - x_o): o the lowest vertex in every
-    maximal face, B the matrix whose columns are the first k differences
-    x_v - x_o, in vertex order, that are independent of those before.
+    maximal face.  The differences x_v - x_o are scanned shared vertices
+    first, each group in vertex order, and the first k that are independent
+    of those before are the columns of B, those of the other vertices
+    first: the shared vertices' directions become the last coordinates.
     Only the differences when fewer than k are independent, and the
     vertices themselves when the faces share no vertex."""
     shared = set(maximal_faces[0]).intersection(*maximal_faces[1:])
@@ -142,10 +144,12 @@ def normal_form_vertices(
     origin = vertices[min(shared)]
     moved = [[Fraction(x) - o for x, o in zip(v, origin)] for v in vertices]
     k = len(origin)
-    independent, columns = Echelon(), []
-    for v in moved:
-        if independent.add(v):
-            columns.append(v)
+    independent, picked = Echelon(), []
+    for v in sorted(shared) + [v for v in range(len(moved)) if v not in shared]:
+        if independent.add(moved[v]):
+            picked.append(v)
+    columns = [moved[v] for v in picked if v not in shared]
+    columns += [moved[v] for v in picked if v in shared]
     if len(columns) < k:
         return moved
     back = inverse([[column[a] for column in columns] for a in range(k)])

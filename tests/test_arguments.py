@@ -148,6 +148,18 @@ def test_layer_count_checks_its_layer_and_fiber_dimension():
         layer_count(3, 1, -1)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "2"], ids=repr)
+def test_a_non_int_ambient_dimension_is_a_type_error(bad):
+    # not rounded, counted or parsed
+    with pytest.raises(TypeError, match=f"^ambient dimension must be an int, got {re.escape(repr(bad))}$"):
+        SimplicialComplex(bad, TRIANGLE, [[0, 1, 2]])
+
+
+def test_a_negative_ambient_dimension_is_a_value_error():
+    with pytest.raises(ValueError, match="^ambient dimension must be nonnegative$"):
+        SimplicialComplex(-1, TRIANGLE, [[0, 1, 2]])
+
+
 def test_a_warm_cache_does_not_read_a_float_degree():
     # the multi-index table and the basis change are cached by degree, and
     # 1.0 == 1 would find the degree-1 entry

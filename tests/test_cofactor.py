@@ -45,7 +45,7 @@ from orangesplines.complexes import (
     detect_orange,
 )
 from orangesplines.dimension import orange_dim_formula
-from orangesplines.projection import project_orange, standard_form
+from orangesplines.projection import project_face, project_orange, standard_form
 from orangesplines.exact import RationalMatrix, binom
 from orangesplines.polynomials import Polynomial, divisible_by_linear_power, monomials_upto
 
@@ -597,7 +597,8 @@ def test_a_shared_vertex_at_the_origin_is_not_moved(monkeypatch, empty_prefix_ca
 
 def _reference_normal_form(cx: SimplicialComplex) -> SimplicialComplex:
     """The normal form built by the constructor from the ``Fraction``
-    vertices B^{-1} (x - x_o) of ``reference_algebra``."""
+    vertices B^{-1} (x - x_o) of ``reference_algebra``, with the shared
+    vertices' directions last."""
     vertices = normal_form_vertices(cx.vertices, cx.maximal_faces)
     return SimplicialComplex(cx.ambient_dim, vertices, cx.maximal_faces)
 
@@ -911,9 +912,9 @@ def test_bernstein_dim_is_the_independent_count_on_dense_i3_images(empty_prefix_
                 assert orange_dim_formula(cx, r, d) == want, (n, r, d)
 
 
-def test_a_dense_image_eliminates_with_small_entries(monkeypatch, empty_prefix_cache):
-    # the walls are eliminated in their own basis, so the dense image's
-    # entries stay near those of the catalog's axis-aligned walls
+def _largest_entries(monkeypatch) -> list[int]:
+    """The bit length of the largest entry of each row that
+    ``exact._eliminate`` returns, recorded as it runs."""
     bits = []
     eliminate = exact._eliminate
 
@@ -923,23 +924,39 @@ def test_a_dense_image_eliminates_with_small_entries(monkeypatch, empty_prefix_c
         return out
 
     monkeypatch.setattr(exact, "_eliminate", measured)
+    return bits
+
+
+def test_a_dense_image_eliminates_with_small_entries(monkeypatch, empty_prefix_cache):
+    # the dense image is eliminated through its normal form, where every
+    # wall lies on the first i coordinates, so its entries stay near those
+    # of the catalog's axis-aligned walls
+    bits = _largest_entries(monkeypatch)
     catalog = get("vertex-star-3d").complex
-    dense = _dense_image(catalog)
-    # the dense image and the catalog complex share a normal form, so the
-    # image is eliminated here in its own coordinates, moved to the shared
-    # vertex, as the graded pass would without the normal form
-    moved = _translated(dense)
-    dims = cofactor._graded_dims(moved, 3, 12)
+    dims = spline_dims(_dense_image(catalog), 3, 12)
     assert bits and max(bits) <= 128
-    assert dims == cofactor._graded_dims(catalog, 3, 12) == spline_dims(dense, 3, 12)
-    # the catalog's walls lie on the coordinate axes, so it is eliminated
-    # as built, and the dense image's walls go through the RREF: the two
-    # prefixes come from two different code paths
-    walls = build_system(catalog, 4, 0).walls
-    assert cofactor._wall_basis(walls) is walls
-    dense_walls = build_system(moved, 4, 0).walls
-    assert cofactor._wall_basis(dense_walls) is not dense_walls
-    assert cofactor._graded_dims(moved, 4, 18) == spline_dims(catalog, 4, 18)
+    assert dims == cofactor._graded_dims(catalog, 3, 12)
+
+
+# a perturbed octahedral star: more walls than coordinates and generic
+# rays, so its walls stay dense in every basis
+OCTAHEDRAL_RAYS = [
+    (1, Fraction(1, 3), 0), (-1, 0, Fraction(1, 4)), (Fraction(1, 5), 1, 0),
+    (0, -1, Fraction(-1, 3)), (0, Fraction(1, 4), 1), (Fraction(-1, 3), 0, -1),
+]
+
+
+def test_a_dense_walled_image_eliminates_with_bounded_entries(monkeypatch, empty_prefix_cache):
+    # the walls stay dense in every basis, so the entries grow with the
+    # degree; the bound allows twice the 525 bits the normal form makes
+    faces = [[0, 1 + sx, 3 + sy, 5 + sz] for sx in (0, 1) for sy in (0, 1) for sz in (0, 1)]
+    star = SimplicialComplex(3, [(0, 0, 0), *OCTAHEDRAL_RAYS], faces)
+    star.validate()
+    bits = _largest_entries(monkeypatch)
+    dims = spline_dims(_dense_image(star), 2, 8)
+    assert bits and max(bits) <= 1024
+    assert dims[8] == 283
+    assert dims == _per_degree_reference(star, 2, 8)
 
 
 def _invertible(rng: random.Random, k: int) -> list[list[int]]:
@@ -950,9 +967,9 @@ def _invertible(rng: random.Random, k: int) -> list[list[int]]:
             return matrix
 
 
-def _check_wall_basis(source: SimplicialComplex, image: SimplicialComplex, r: int) -> tuple:
+def _check_linear_image(source: SimplicialComplex, image: SimplicialComplex, r: int) -> bool:
     """Check the image of ``source`` under a linear map against it and
-    against the reference; (walls used as built, some wall off the origin)."""
+    against the reference; whether some wall is off the origin."""
     k = image.ambient_dim
     dmax = {1: 6, 2: 5, 3: 4, 4: 3}[k]
     # the image and its source share a normal form, so the image is
@@ -964,47 +981,26 @@ def _check_wall_basis(source: SimplicialComplex, image: SimplicialComplex, r: in
     d = min(dmax, 3 if k < 4 else 2)
     system = build_system(image, r, d)
     assert system.ncols - rank(map(dict, system.matrix.rows)) == dims[d]
-    walls = build_system(moved, r, d).walls
-    basis = cofactor._wall_basis(walls)
-    normals = rank(form[:k] for form in walls)
-    supports = [{j for j in range(k) if form[j]} for form in basis]
-    if basis is walls:
-        # the walls only need permuting and scaling: each lies on the
-        # coordinates that single-coordinate walls name
-        axes = set().union(*(support for support in supports if len(support) == 1))
-        assert all(support <= axes for support in supports)
-        assert len(axes) == normals
-    else:
-        independent = Echelon()
-        for form, support in zip(walls, supports):
-            # the greedy independent walls become coordinate hyperplanes
-            if independent.add(form[:k]):
-                assert len(support) == 1
-            assert support <= set(range(normals))
-    for form, new in zip(walls, basis):
-        assert math.gcd(*new) == 1 and next(a for a in new if a) > 0
-        assert (form[k] == 0) == (new[k] == 0)
-    return basis is walls, any(form[k] for form in walls)
+    return any(form[k] for form in build_system(moved, r, d).walls)
 
 
-def test_the_wall_basis_keeps_every_dimension_on_linear_images():
-    kinds = set()
+def test_linear_images_keep_every_dimension():
+    off_origin = set()
     rng = random.Random(31)
     splits = [_morgan_scott((6, Fraction(4, 3))), _morgan_scott((Fraction(13, 2), Fraction(4, 3)))]
     for source in [entry.complex for entry in CATALOG] + splits:
         for _ in range(2):
             image = affine_image(source, _invertible(rng, source.ambient_dim), [0] * source.ambient_dim)
             for r in range(3):
-                kinds.add(_check_wall_basis(source, image, r))
-    # walls used as built and walls moved to their own basis; walls through
-    # the origin and, on the Morgan-Scott splits, walls off it
-    assert {(True, False), (False, False), (False, True)} <= kinds, kinds
+                off_origin.add(_check_linear_image(source, image, r))
+    # walls through the origin and, on the Morgan-Scott splits, walls off it
+    assert off_origin == {True, False}
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(st.one_of(boundary_stars_3d(), closed_stars_3d()), st.integers(0, 2**31), st.integers(0, 2))
     def check_stars(star, seed, r):
         matrix = _invertible(random.Random(seed), 3)
-        _check_wall_basis(star, affine_image(star, matrix, [0, 0, 0]), r)
+        _check_linear_image(star, affine_image(star, matrix, [0, 0, 0]), r)
 
     check_stars()
 
@@ -1064,6 +1060,54 @@ def test_every_affine_image_has_its_sources_normal_form(monkeypatch):
     assert {True, False} <= set(fractional)
 
 
+def _relabelled(cx: SimplicialComplex, labels: list[int]) -> SimplicialComplex:
+    """``cx`` with vertex v renamed ``labels[v]``."""
+    vertices = [None] * len(labels)
+    for v, label in enumerate(labels):
+        vertices[label] = cx.vertices[v]
+    return SimplicialComplex(
+        cx.ambient_dim, vertices, [[labels[v] for v in f] for f in cx.maximal_faces]
+    )
+
+
+@st.composite
+def relabelled_images(draw) -> SimplicialComplex:
+    """A rational affine image of a catalog orange with its vertex labels
+    shuffled, or of a generated orange (medial vertices last)."""
+    source = draw(st.one_of(
+        st.sampled_from([entry.complex for entry in CATALOG]).flatmap(
+            lambda cx: st.permutations(range(len(cx.vertices))).map(
+                lambda labels: _relabelled(cx, labels)
+            )
+        ),
+        generated_oranges().map(lambda generated: generated[0]),
+    ))
+    return draw(rational_affine_images(source))
+
+
+def test_the_normal_form_puts_the_medial_face_in_standard_position():
+    positions = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(relabelled_images())
+    def check(image):
+        profile = detect_orange(image)
+        k, i = profile.k, profile.i
+        normal = cofactor._normal_form(image)
+        # no wall involves the medial face's directions, the last k - i
+        for form in build_system(normal, 0, 0).walls:
+            assert not any(form[i:k]), form
+        origin, *rest = profile.medial
+        assert normal.nums[origin] == (0,) * k
+        for t, m in enumerate(rest):
+            assert normal.nums[m] == tuple(normal.den * (c == i + t) for c in range(k))
+        positions.add(origin == 0)
+
+    check()
+    # medial vertices first in the labels and elsewhere
+    assert positions == {True, False}
+
+
 def _handed_down_is_fresh(cx: SimplicialComplex) -> bool:
     """``standard_form`` on a fresh copy of ``cx``: the profile and facet
     pairs it seeds its star with, and the normal form its standard model
@@ -1099,6 +1143,27 @@ def test_a_star_and_its_standard_model_inherit_what_a_fresh_copy_computes(random
     check()
     # models that are their own normal form and models that are not
     assert True in own and False in own
+
+
+def _faces_keep_their_order(cx: SimplicialComplex) -> None:
+    """Star face s is the image of orange face s."""
+    star = project_orange(cx).complex
+    assert len(star.maximal_faces) == len(cx.maximal_faces)
+    for face, image in zip(cx.maximal_faces, star.maximal_faces):
+        assert project_face(cx, face) == tuple(sorted(star.vertices[v] for v in image))
+
+
+def test_the_projection_keeps_the_order_of_the_faces():
+    for entry in CATALOG:
+        _faces_keep_their_order(entry.complex)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(normal_form_cases())
+    def check(case):
+        for cx in case:
+            _faces_keep_their_order(cx)
+
+    check()
 
 
 def test_a_lift_runs_no_rref_for_the_standard_models_normal_form(
